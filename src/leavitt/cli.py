@@ -143,7 +143,7 @@ def _cmd_snf(args) -> tuple[object, int]:
     text = _read_text(args.file) if args.file else sys.stdin.read()
     try:
         rows = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"invalid JSON matrix: {exc}") from exc
     if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
         raise ValueError("matrix must be a JSON array of arrays")
@@ -202,7 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True)
     p.add_argument("--c", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--bound", type=int, default=DEFAULT_SIZE_BOUND)
     p.set_defaults(handler=_cmd_matrix_type)
 
     p = sub.add_parser("classes", help="partition matrix sizes 1..N into classes")

@@ -4,13 +4,16 @@ Parallel edges are stored as a single record with a multiplicity, so the
 data model is canonical: at most one (source, target) record per ordered
 pair.  Vertex order in the file is the basis order for every matrix derived
 from the graph, which keeps all downstream output reproducible.
+
+The purely-infinite-simple conditions share one condensation of the graph
+into strongly connected components; each is linear in vertices plus edges.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .intmat import IntMatrix
 
@@ -49,10 +52,6 @@ class DirectedGraph:
         for src, dst, mult in self.edges:
             out[src].append((dst, mult))
         return out
-
-    def out_degree(self, vertex: str) -> int:
-        """Total number of edges leaving vertex, counted with multiplicity."""
-        return sum(mult for src, _, mult in self.edges if src == vertex)
 
     def to_json_dict(self) -> dict:
         return {
@@ -107,7 +106,7 @@ def parse_graph(text: str) -> DirectedGraph:
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise GraphFormatError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise GraphFormatError("graph document must be a JSON object")
@@ -154,56 +153,61 @@ def adjacency_matrix(graph: DirectedGraph) -> IntMatrix:
     return IntMatrix(rows)
 
 
-def _strongly_connected_components(graph: DirectedGraph) -> list[set[str]]:
+_Condensation = tuple[list[set[str]], dict[str, int], list[set[int]]]
+
+
+def _condensation(graph: DirectedGraph) -> _Condensation:
+    """Strongly connected components in Tarjan's emission order, the
+    component of each vertex, and the successor components of each.
+
+    A component is emitted only after every component it reaches, so every
+    edge between two components points to an earlier one.
+    """
     # Tarjan, iterative to survive long chains.
     succ = {v: [] for v in graph.vertices}
     for src, dst, _ in graph.edges:
         succ[src].append(dst)
     index: dict[str, int] = {}
     lowlink: dict[str, int] = {}
-    on_stack: set[str] = set()
     stack: list[str] = []
-    counter = 0
+    work: list[tuple[str, Iterator[str]]] = []
     components: list[set[str]] = []
+    component_of: dict[str, int] = {}
+
+    def visit(v: str) -> None:
+        index[v] = lowlink[v] = len(index)
+        stack.append(v)
+        work.append((v, iter(succ[v])))
 
     for root in graph.vertices:
         if root in index:
             continue
-        work = [(root, iter(succ[root]))]
-        index[root] = lowlink[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack.add(root)
+        visit(root)
         while work:
             v, it = work[-1]
-            advanced = False
             for w in it:
                 if w not in index:
-                    index[w] = lowlink[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(succ[w])))
-                    advanced = True
+                    visit(w)
                     break
-                if w in on_stack:
+                if w not in component_of:  # still on the stack
                     lowlink[v] = min(lowlink[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[v])
-            if lowlink[v] == index[v]:
-                comp = set()
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.add(w)
-                    if w == v:
-                        break
-                components.append(comp)
-    return components
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    lowlink[parent] = min(lowlink[parent], lowlink[v])
+                if lowlink[v] == index[v]:
+                    comp = set()
+                    while v not in comp:
+                        w = stack.pop()
+                        comp.add(w)
+                        component_of[w] = len(components)
+                    components.append(comp)
+    successors: list[set[int]] = [set() for _ in components]
+    for src, dst, _ in graph.edges:
+        if component_of[src] != component_of[dst]:
+            successors[component_of[src]].add(component_of[dst])
+    return components, component_of, successors
 
 
 def every_cycle_has_exit(graph: DirectedGraph) -> bool:
@@ -211,10 +215,15 @@ def every_cycle_has_exit(graph: DirectedGraph) -> bool:
 
     A violating cycle is exactly a strongly connected component in which
     every vertex has total out-degree 1 and that single edge stays inside
-    the component.
+    the component.  One pass over the components: linear in vertices plus
+    edges.
     """
+    return _every_cycle_has_exit(graph, _condensation(graph))
+
+
+def _every_cycle_has_exit(graph: DirectedGraph, condensation: _Condensation) -> bool:
     out = graph.out_edges()
-    for comp in _strongly_connected_components(graph):
+    for comp in condensation[0]:
         violating = True
         for v in comp:
             edges = out[v]
@@ -226,72 +235,73 @@ def every_cycle_has_exit(graph: DirectedGraph) -> bool:
     return True
 
 
-def _hereditary_saturated_closure(graph: DirectedGraph, seed: str) -> set[str]:
-    targets = {v: set() for v in graph.vertices}
-    for src, dst, _ in graph.edges:
-        targets[src].add(dst)
-    closure = {seed}
-    changed = True
-    while changed:
-        changed = False
-        for v in list(closure):
-            for t in targets[v]:
-                if t not in closure:
-                    closure.add(t)
-                    changed = True
-        for v in graph.vertices:
-            if v not in closure and targets[v] and targets[v] <= closure:
-                closure.add(v)  # non-sink with all targets inside
-                changed = True
-    return closure
-
-
 def trivial_hereditary_saturated(graph: DirectedGraph) -> bool:
     """True iff the only hereditary saturated vertex sets are trivial.
 
-    Checks that the hereditary-saturated closure of each single vertex is
-    the whole vertex set; any proper nonempty hereditary saturated set
-    would contain such a closure.
+    Every nonempty hereditary set contains a whole terminal component (one
+    no edge leaves; a sink is one).  With two terminal components the answer
+    is False: saturating the first never adds a vertex of the second, whose
+    targets all lie in it (a sink has none).  With one, T, every nonempty
+    hereditary saturated set contains the closure of T, so the answer is
+    whether that closure is every vertex.  It grows from T by a worklist
+    counting, per vertex, the distinct targets not yet in the set: linear in
+    vertices plus edges.
     """
-    full = set(graph.vertices)
-    return all(
-        _hereditary_saturated_closure(graph, v) == full for v in graph.vertices
-    )
+    return _trivial_hereditary_saturated(graph, _condensation(graph))
 
 
-def every_vertex_connects_to_cycle(graph: DirectedGraph) -> bool:
-    """True iff every vertex has a directed path to some vertex on a cycle."""
-    comp_of: dict[str, int] = {}
-    components = _strongly_connected_components(graph)
-    for i, comp in enumerate(components):
-        for v in comp:
-            comp_of[v] = i
-    self_loops = {src for src, dst, _ in graph.edges if src == dst}
-    on_cycle = set()
-    for comp in components:
-        if len(comp) > 1:
-            on_cycle |= comp
-    on_cycle |= self_loops
-    # walk the reversed edges from all cycle vertices
+def _trivial_hereditary_saturated(
+    graph: DirectedGraph, condensation: _Condensation
+) -> bool:
+    components, _, successors = condensation
+    terminal = [comp for comp, succ in zip(components, successors) if not succ]
+    if len(terminal) > 1:
+        return False
+    missing = {v: len(targets) for v, targets in graph.out_edges().items()}
     preds: dict[str, list[str]] = {v: [] for v in graph.vertices}
     for src, dst, _ in graph.edges:
         preds[dst].append(src)
-    reached = set(on_cycle)
-    frontier = list(on_cycle)
-    while frontier:
-        v = frontier.pop()
-        for p in preds[v]:
-            if p not in reached:
-                reached.add(p)
-                frontier.append(p)
-    return reached == set(graph.vertices)
+    closure = set(terminal[0])
+    work = list(closure)
+    while work:
+        for p in preds[work.pop()]:
+            missing[p] -= 1
+            if not missing[p] and p not in closure:
+                closure.add(p)
+                work.append(p)
+    return len(closure) == len(graph.vertices)
+
+
+def every_vertex_connects_to_cycle(graph: DirectedGraph) -> bool:
+    """True iff every vertex has a directed path to some vertex on a cycle.
+
+    A component reaches a cycle when it has more than one vertex, has a
+    self-loop, or has a successor component that reaches one.  Successors
+    come earlier in the condensation's order, so one pass decides every
+    component: linear in vertices plus edges.
+    """
+    return _every_vertex_connects_to_cycle(graph, _condensation(graph))
+
+
+def _every_vertex_connects_to_cycle(
+    graph: DirectedGraph, condensation: _Condensation
+) -> bool:
+    components, component_of, successors = condensation
+    reaches = [len(comp) > 1 for comp in components]
+    for src, dst, _ in graph.edges:
+        if src == dst:
+            reaches[component_of[src]] = True
+    for i, succ in enumerate(successors):
+        reaches[i] = reaches[i] or any(reaches[j] for j in succ)
+    return all(reaches)
 
 
 def purely_infinite_simple(graph: DirectedGraph) -> PisReport:
     """Graph conditions for L(E) to be purely infinite simple (E finite)."""
-    exit_flag = every_cycle_has_exit(graph)
-    hs_flag = trivial_hereditary_saturated(graph)
-    cycle_flag = every_vertex_connects_to_cycle(graph)
+    condensation = _condensation(graph)
+    exit_flag = _every_cycle_has_exit(graph, condensation)
+    hs_flag = _trivial_hereditary_saturated(graph, condensation)
+    cycle_flag = _every_vertex_connects_to_cycle(graph, condensation)
     return PisReport(
         every_cycle_has_exit=exit_flag,
         trivial_hereditary_saturated=hs_flag,

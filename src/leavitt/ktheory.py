@@ -10,7 +10,7 @@ vertex-basis vectors into the group.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 from .abelian import FGAbelianGroup, GroupElement, OrderValue, element_order
@@ -38,9 +38,8 @@ class K0Data:
         )
 
 
-def _cokernel_parts(
-    matrix: IntMatrix,
-) -> tuple[FGAbelianGroup, IntMatrix, tuple[int, ...], tuple[int, ...]]:
+def _pointed_cokernel(matrix: IntMatrix) -> K0Data:
+    """Cokernel of a square integer matrix, pointed at its zero element."""
     if matrix.rows != matrix.cols:
         raise ValueError("cokernel presentation requires a square matrix")
     snf = smith_normal_form(matrix)
@@ -50,7 +49,14 @@ def _cokernel_parts(
     group = FGAbelianGroup(
         tuple(diag[i] for i in torsion_positions), len(free_positions)
     )
-    return group, snf.U, torsion_positions, free_positions
+    return K0Data(
+        group=group,
+        unit=group.identity(),
+        unit_order=1,
+        coordinate_map=snf.U,
+        torsion_positions=torsion_positions,
+        free_positions=free_positions,
+    )
 
 
 def cokernel(matrix: IntMatrix) -> tuple[FGAbelianGroup, Callable[[Sequence[int]], GroupElement]]:
@@ -60,16 +66,8 @@ def cokernel(matrix: IntMatrix) -> tuple[FGAbelianGroup, Callable[[Sequence[int]
     sending a vector to its class.  Diagonal entries equal to 1 contribute
     nothing and their coordinates are dropped.
     """
-    group, u, torsion_positions, free_positions = _cokernel_parts(matrix)
-
-    def coordinate(vector: Sequence[int]) -> GroupElement:
-        w = u.apply(vector)
-        return group.element(
-            torsion=(w[i] for i in torsion_positions),
-            free=(w[i] for i in free_positions),
-        )
-
-    return group, coordinate
+    data = _pointed_cokernel(matrix)
+    return data.group, data.coordinate
 
 
 def k0_of_graph(graph: DirectedGraph) -> K0Data:
@@ -80,17 +78,6 @@ def k0_of_graph(graph: DirectedGraph) -> K0Data:
     presentation = IntMatrix(
         [[int(i == j) - at[i][j] for j in range(n)] for i in range(n)]
     )
-    group, u, torsion_positions, free_positions = _cokernel_parts(presentation)
-    w = u.apply([1] * n)
-    unit = group.element(
-        torsion=(w[i] for i in torsion_positions),
-        free=(w[i] for i in free_positions),
-    )
-    return K0Data(
-        group=group,
-        unit=unit,
-        unit_order=element_order(group, unit),
-        coordinate_map=u,
-        torsion_positions=torsion_positions,
-        free_positions=free_positions,
-    )
+    data = _pointed_cokernel(presentation)
+    unit = data.coordinate([1] * n)
+    return replace(data, unit=unit, unit_order=element_order(data.group, unit))

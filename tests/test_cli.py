@@ -273,6 +273,20 @@ class TestErrors:
         assert code == 2
         assert json.loads(out)["error"] == 2
 
+    def test_deeply_nested_matrix_exit_2(self, capsys, monkeypatch):
+        deep = "[" * 100_000 + "]" * 100_000
+        code, out = run_cli(capsys, ["snf"], stdin=deep, monkeypatch=monkeypatch)
+        assert code == 2
+        assert json.loads(out)["error"] == 2
+
+    def test_deeply_nested_graph_exit_2(self, capsys, monkeypatch):
+        deep = "[" * 100_000 + "]" * 100_000
+        code, out = run_cli(
+            capsys, ["analyze", "--graph", "-"], stdin=deep, monkeypatch=monkeypatch
+        )
+        assert code == 2
+        assert json.loads(out)["error"] == 2
+
 
 class TestEntryPoint:
     def test_version(self):

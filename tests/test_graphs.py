@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 
@@ -225,7 +226,7 @@ class TestJsonDict:
         assert json.loads(g.to_json()) == g.to_json_dict()
 
 
-def _random_graphs(seed, count, max_vertices=5):
+def _random_graphs(seed, count, max_vertices=5, edge_probability=0.35):
     rng = random.Random(seed)
     for _ in range(count):
         n = rng.randint(1, max_vertices)
@@ -233,9 +234,20 @@ def _random_graphs(seed, count, max_vertices=5):
         edges = []
         for s in names:
             for t in names:
-                if rng.random() < 0.35:
+                if rng.random() < edge_probability:
                     edges.append((s, t, rng.randint(1, 2)))
         yield build_graph(names, edges)
+
+
+def _sparse_random_graphs(seed):
+    """Sparse graphs with sinks, several terminal components, and closures
+    that grow only through saturation."""
+    return _random_graphs(seed, 200, max_vertices=7, edge_probability=0.18)
+
+
+def _out_degree(graph, vertex):
+    """Total number of edges leaving vertex, counted with multiplicity."""
+    return sum(mult for src, _, mult in graph.edges if src == vertex)
 
 
 def _simple_cycles(graph):
@@ -261,8 +273,8 @@ class TestBruteForceOracles:
     """The fast predicates against literal enumeration on small graphs."""
 
     def test_cycle_exits_against_cycle_enumeration(self):
-        for g in _random_graphs(101, 150):
-            out_degree = {v: g.out_degree(v) for v in g.vertices}
+        for g in itertools.chain(_random_graphs(101, 150), _sparse_random_graphs(201)):
+            out_degree = {v: _out_degree(g, v) for v in g.vertices}
             # a cycle lacks an exit iff all its vertices emit exactly one edge
             brute = not any(
                 all(out_degree[v] == 1 for v in cycle)
@@ -271,9 +283,7 @@ class TestBruteForceOracles:
             assert every_cycle_has_exit(g) == brute, g.to_json()
 
     def test_hereditary_saturated_against_subset_enumeration(self):
-        import itertools
-
-        for g in _random_graphs(102, 120):
+        for g in itertools.chain(_random_graphs(102, 120), _sparse_random_graphs(202)):
             targets = {v: set() for v in g.vertices}
             for s, t, _ in g.edges:
                 targets[s].add(t)
@@ -293,7 +303,7 @@ class TestBruteForceOracles:
             assert trivial_hereditary_saturated(g) == brute, g.to_json()
 
     def test_connects_to_cycle_against_path_enumeration(self):
-        for g in _random_graphs(103, 150):
+        for g in itertools.chain(_random_graphs(103, 150), _sparse_random_graphs(203)):
             cycles = _simple_cycles(g)
             on_cycle = set().union(*cycles) if cycles else set()
             targets = {v: set() for v in g.vertices}
@@ -312,3 +322,76 @@ class TestBruteForceOracles:
                 if not seen & on_cycle:
                     brute = False
             assert every_vertex_connects_to_cycle(g) == brute, g.to_json()
+
+
+def _ring_core(n, rng, first=0):
+    """Ring with multiplicity 1-2 plus one random edge per vertex, on vertices
+    first..first+n-1: strongly connected with out-degree >= 2, hence PIS."""
+    mult = {}
+    for i in range(n):
+        mult[(first + i, first + (i + 1) % n)] = rng.randint(1, 2)
+        key = (first + i, first + rng.randrange(n))
+        mult[key] = mult.get(key, 0) + 1
+    return mult
+
+
+def _condition_graph(kind, n, rng):
+    """A graph on n vertices whose PIS flags are known by construction."""
+    if kind == "pis":
+        mult = _ring_core(n, rng)
+    elif kind == "sink":  # a core feeding one sink
+        mult = _ring_core(n - 1, rng)
+        mult[(rng.randrange(n - 1), n - 1)] = 1
+    elif kind == "no_exit":  # a core feeding a 4-cycle of single edges
+        core = n - 4
+        mult = _ring_core(core, rng)
+        for k in range(4):
+            mult[(core + k, core + (k + 1) % 4)] = 1
+        mult[(rng.randrange(core), core)] = 1
+    else:  # hereditary: a core feeding an 8-vertex PIS tail it never leaves
+        core = n - 8
+        mult = _ring_core(core, rng)
+        mult.update(_ring_core(8, rng, first=core))
+        mult[(rng.randrange(core), core + rng.randrange(8))] = 1
+    names = [f"v{i}" for i in range(n)]
+    return build_graph(names, [(names[s], names[t], m) for (s, t), m in mult.items()])
+
+
+class TestLargeGraphs:
+    # (every_cycle_has_exit, trivial_hereditary_saturated,
+    #  every_vertex_connects_to_cycle, purely_infinite_simple)
+    EXPECTED = {
+        "pis": (True, True, True, True),
+        "sink": (True, False, False, False),
+        "no_exit": (False, False, True, False),
+        "hereditary": (True, False, True, False),
+    }
+
+    @staticmethod
+    def _flags(g):
+        report = purely_infinite_simple(g)
+        flags = (
+            report.every_cycle_has_exit,
+            report.trivial_hereditary_saturated,
+            report.every_vertex_connects_to_cycle,
+            report.purely_infinite_simple,
+        )
+        assert flags[:3] == (
+            every_cycle_has_exit(g),
+            trivial_hereditary_saturated(g),
+            every_vertex_connects_to_cycle(g),
+        )
+        return flags
+
+    def test_constructions_keep_their_flags_under_relabelling(self):
+        rng = random.Random(29)
+        for kind, expected in self.EXPECTED.items():
+            for _ in range(3):
+                g = _condition_graph(kind, rng.randint(480, 520), rng)
+                assert self._flags(g) == expected, kind
+                names = list(g.vertices)
+                renamed = dict(zip(names, rng.sample(names, len(names))))
+                edges = [(renamed[s], renamed[t], m) for s, t, m in g.edges]
+                rng.shuffle(edges)
+                h = build_graph(rng.sample(names, len(names)), edges)
+                assert self._flags(h) == expected, kind
