@@ -39,11 +39,13 @@ from .abelian import (
     add,
     apply_automorphism,
     automorphism_maps_x_to_y,
+    check_member,
     element_order,
     enumerate_automorphisms,
     eigen_search,
     gcd_criterion,
     negate,
+    orbit_invariant,
     scale,
 )
 from .ktheory import K0Data, cokernel, k0_of_graph

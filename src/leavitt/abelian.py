@@ -3,20 +3,24 @@
 A group is stored as Z/d1 + ... + Z/ds + Z^t with 2 <= d1 | d2 | ... | ds.
 Elements carry canonical torsion coordinates (reduced into [0, di)) plus
 free coordinates.  Besides the cheap arithmetic (orders, scaling, the gcd
-criterion for mapping cx to dx), the module houses two exhaustive search
-oracles used to validate the classification decisions:
+criterion for mapping cx to dx), the module holds the closed-form orbit
+rule, orbit_invariant, which decides whether an automorphism of the torsion
+subgroup moves one element (or coset of c*T) to another, and two exhaustive
+search oracles used to validate the classification decisions:
 
 * enumeration of all automorphisms of a small finite group, by candidate
-  generator images with a surjectivity check;
+  generator images with a surjectivity check, and the exact query
+  automorphism_maps_x_to_y built on it;
 * exhaustive search for a bounded unimodular integer matrix sigma with
   n*sigma(x) = m*x.
 
-The searches are deliberately dumb about group theory -- they never assume
-order preservation or any orbit classification, since those are exactly the
-facts the rest of the package is being checked against.  The only shortcuts
-are elementary: an automorphism fixes 0, a partial generator assignment
-whose span cannot grow to the whole group is dead, and a partial image sum
-that cannot reach the target through the remaining contributions is dead.
+The decision path never runs the searches.  They are deliberately dumb
+about group theory -- they never assume order preservation or any orbit
+classification, since those are exactly the facts the rest of the package
+is being checked against.  The only shortcuts are elementary: an
+automorphism fixes 0, a partial generator assignment whose span cannot
+grow to the whole group is dead, and a partial image sum that cannot reach
+the target through the remaining contributions is dead.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ DEFAULT_SIZE_BOUND = 1024
 
 
 class BoundExceeded(Exception):
-    """An exhaustive oracle was asked about a group beyond its size bound."""
+    """A group is larger than the size bound given to an oracle or to compare."""
 
 
 class _InfiniteOrder:
@@ -111,11 +115,9 @@ class GroupElement:
     torsion: tuple[int, ...]
     free: tuple[int, ...] = ()
 
-    def is_identity(self) -> bool:
-        return not any(self.torsion) and not any(self.free)
 
-
-def _check_member(group: FGAbelianGroup, x: GroupElement) -> None:
+def check_member(group: FGAbelianGroup, x: GroupElement) -> None:
+    """Raise ValueError unless x is a canonical element of group."""
     if len(x.torsion) != group.torsion_rank or len(x.free) != group.free_rank:
         raise ValueError("element coordinate counts do not match the group")
     for c, d in zip(x.torsion, group.invariant_factors):
@@ -133,7 +135,7 @@ def element_order(group: FGAbelianGroup, x: GroupElement) -> OrderValue:
     >>> element_order(FGAbelianGroup((), 1), GroupElement((), (1,)))
     INFINITE
     """
-    _check_member(group, x)
+    check_member(group, x)
     if any(x.free):
         return INFINITE
     n = 1
@@ -146,7 +148,7 @@ def scale(group: FGAbelianGroup, c: int, x: GroupElement) -> GroupElement:
     """c * x for a positive integer c."""
     if not isinstance(c, int) or c < 1:
         raise ValueError("scalar must be a positive integer")
-    _check_member(group, x)
+    check_member(group, x)
     return group.element(
         torsion=(c * v for v in x.torsion),
         free=(c * v for v in x.free),
@@ -154,8 +156,8 @@ def scale(group: FGAbelianGroup, c: int, x: GroupElement) -> GroupElement:
 
 
 def add(group: FGAbelianGroup, x: GroupElement, y: GroupElement) -> GroupElement:
-    _check_member(group, x)
-    _check_member(group, y)
+    check_member(group, x)
+    check_member(group, y)
     return group.element(
         torsion=(a + b for a, b in zip(x.torsion, y.torsion)),
         free=(a + b for a, b in zip(x.free, y.free)),
@@ -163,7 +165,7 @@ def add(group: FGAbelianGroup, x: GroupElement, y: GroupElement) -> GroupElement
 
 
 def negate(group: FGAbelianGroup, x: GroupElement) -> GroupElement:
-    _check_member(group, x)
+    check_member(group, x)
     return group.element(torsion=(-v for v in x.torsion), free=(-v for v in x.free))
 
 
@@ -181,6 +183,83 @@ def gcd_criterion(n: int, c: int, d: int) -> bool:
     if min(n, c, d) < 1:
         raise ValueError("n, c, d must be positive integers")
     return gcd(c, n) == gcd(d, n)
+
+
+def _valuation(p: int, n: int) -> int:
+    """Exponent of the prime p in the positive integer n."""
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
+def _prime_divisors(n: int) -> list[int]:
+    """Primes dividing the positive integer n, ascending, by trial division."""
+    primes = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            primes.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        primes.append(n)
+    return primes
+
+
+def orbit_invariant(group: FGAbelianGroup, x: GroupElement, c: int = 0) -> tuple:
+    """Key of the orbit of x + c*T under the automorphisms of T.
+
+    T is the torsion subgroup of group; only the torsion coordinates of x
+    are read.  Some automorphism of T maps x into y + c*T iff the keys of
+    x and y for the same c are equal; c = 0 asks for the exact orbit.
+
+    Aut(T) is the product of the automorphism groups of the primary parts
+    T_p, and c*T_p = p^k*T_p with k = v_p(c), so the question splits over
+    the primes p dividing d_s.  Coordinate i of x has p-part
+    r_i = x_i mod p^e_i in Z/p^e_i, where e_i = v_p(d_i).  The height of
+    p^j*x in T_p is the least j + v_p(r_i) over the coordinates with
+    j + v_p(r_i) < e_i, and p^j*x = 0 once there are none.  Two elements of
+    a finite p-group lie in one automorphism orbit iff their Ulm sequences,
+    the heights of x, p*x, p^2*x, ..., agree (Kaplansky, *Infinite Abelian
+    Groups*; Schwachhoefer & Stroppel, J. Algebra 211 (1999)).  For a coset
+    x + p^k*T_p, the coordinates with v_p(r_i) >= k can be cleared and the
+    others keep their valuations, so dropping those coordinates gives the
+    element of the coset whose heights are all maximal at once.
+    Automorphisms preserve heights and map p^k*T_p onto itself, so two
+    cosets lie in one orbit iff these maximal elements do.  The key is the
+    tuple of (p, Ulm sequence) pairs.
+
+    >>> G = FGAbelianGroup((2, 4))
+    >>> orbit_invariant(G, G.element([1, 0])), orbit_invariant(G, G.element([0, 2]))
+    (((2, (0,)),), ((2, (1,)),))
+    >>> orbit_invariant(G, G.element([1, 2]), 2) == orbit_invariant(G, G.element([1, 0]), 2)
+    True
+    """
+    check_member(group, x)
+    if not isinstance(c, int) or c < 0:
+        raise ValueError("c must be a nonnegative integer")
+    factors = group.invariant_factors
+    key = []
+    for p in _prime_divisors(factors[-1]) if factors else ():
+        # (v_p(r_i), e_i) of the nonzero p-parts that the coset cannot clear
+        kept = []
+        for xi, d in zip(x.torsion, factors):
+            e = _valuation(p, d)
+            r = xi % p**e
+            if r:
+                v = _valuation(p, r)
+                if not c or v < _valuation(p, c):
+                    kept.append((v, e))
+        ulm = []
+        j = 0
+        while heights := [j + v for v, e in kept if j + v < e]:
+            ulm.append(min(heights))
+            j += 1
+        key.append((p, tuple(ulm)))
+    return tuple(key)
 
 
 # ---------------------------------------------------------------------------
@@ -314,24 +393,17 @@ class _TorsionTable:
 
     # -- searches ----------------------------------------------------------
 
-    def exists_mapping(self, x: int, target: int, coset_sub: frozenset[int]) -> bool:
-        """Is there an automorphism phi with phi(x) in target + coset_sub?
-
-        coset_sub must be a subgroup (given as a frozenset of indices).
-        """
-        if x == 0:
-            return target in coset_sub  # every automorphism fixes 0
-        if target == 0 and len(coset_sub) == 1:
-            return False  # injectivity: nonzero x cannot land on 0
-        key = (x, target, coset_sub)
+    def exists_mapping(self, x: int, target: int) -> bool:
+        """Is there an automorphism phi with phi(x) == target?"""
+        if x == 0 or target == 0:
+            return x == target  # every automorphism fixes 0 and is injective
+        key = (x, target)
         memo = self._memo
         if key in memo:
             return memo[key]
-        result = self._search(x, target, coset_sub)
+        result = self._search(x, target)
         memo[key] = result
-        if len(coset_sub) == 1:
-            # exact queries are symmetric via the inverse automorphism
-            memo[(target, x, coset_sub)] = result
+        memo[(target, x)] = result  # symmetric via the inverse automorphism
         return result
 
     def _torsion_suffix_ids(self, position_order: list[int]) -> list[int]:
@@ -351,7 +423,7 @@ class _TorsionTable:
             ids[p] = self._intern(acc)
         return ids
 
-    def _search(self, x: int, target: int, coset_sub: frozenset[int]) -> bool:
+    def _search(self, x: int, target: int) -> bool:
         factors = self.factors
         size = self.size
         xt = self.elems[x]
@@ -369,8 +441,8 @@ class _TorsionTable:
         scal = [self.scalar_row(xt[i]) for i in constrained]
 
         # reach[p]: subgroup of sums still contributable by constrained
-        # positions >= p, plus the allowed coset subgroup
-        reach = [coset_sub] * (ncon + 1)
+        # positions >= p
+        reach = [frozenset((0,))] * (ncon + 1)
         for p in range(ncon - 1, -1, -1):
             image = frozenset(scal[p][g] for g in cands[p])
             reach[p] = self.subgroup_sum(reach[p + 1], image)
@@ -393,10 +465,7 @@ class _TorsionTable:
 
         def rec(pos: int, sid: int, psum: int) -> bool:
             if pos == npos:
-                return (
-                    len(sub_list[sid]) == size
-                    and add_row(psum)[target_neg] in coset_sub
-                )
+                return len(sub_list[sid]) == size and psum == target
             nxt = pos + 1
             rem_next = rem[nxt]
             tor_next = tor_ids[nxt]
@@ -497,10 +566,10 @@ def apply_automorphism(
         raise ValueError("generator images only describe maps of finite groups")
     if len(images) != group.torsion_rank:
         raise ValueError("one image per canonical generator is required")
-    _check_member(group, x)
+    check_member(group, x)
     coords = [0] * group.torsion_rank
     for xi, img in zip(x.torsion, images):
-        _check_member(group, img)
+        check_member(group, img)
         for j, c in enumerate(img.torsion):
             coords[j] += xi * c
     return group.element(torsion=coords)
@@ -521,11 +590,11 @@ def automorphism_maps_x_to_y(
     False
     """
     table = _require_oracle_group(group, size_bound)
-    _check_member(group, x)
-    _check_member(group, y)
+    check_member(group, x)
+    check_member(group, y)
     xi = table.index[x.torsion]
     yi = table.index[y.torsion]
-    return table.exists_mapping(xi, yi, frozenset((0,)))
+    return table.exists_mapping(xi, yi)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import NoReturn
 
 from . import __version__
 from .abelian import (
@@ -181,8 +182,16 @@ def _cmd_oracle_eigen(args) -> tuple[object, int]:
     return payload, EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Parser whose usage errors reach main as ValueError, hence exit 2."""
+
+    def error(self, message: str) -> NoReturn:
+        self.print_usage(sys.stderr)
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="leavitt",
         description=(
             "K0 invariants and matrix-type decisions for Leavitt path "
@@ -257,8 +266,8 @@ def _emit(payload: object) -> None:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         payload, code = args.handler(args)
     except (GraphFormatError, ValueError) as exc:
         _emit({"error": EXIT_INPUT, "message": str(exc)})

@@ -20,9 +20,9 @@ from .abelian import (
     FGAbelianGroup,
     GroupElement,
     INFINITE,
-    _check_member,
-    _require_oracle_group,
+    check_member,
     gcd_criterion,
+    orbit_invariant,
 )
 from .graphs import DirectedGraph, PisReport
 from .intmat import content
@@ -147,21 +147,22 @@ def pointed_iso_exists(
     a unimodular map on Z^t, and an arbitrary homomorphism from Z^t into T
     (nothing maps torsion into the free part).  Hence x maps to y iff the
     free parts have the same content c and some automorphism of T moves the
-    torsion part of x into y_T + c*T.  The torsion side is decided by
-    exhaustive automorphism search, so this raises BoundExceeded when the
-    torsion subgroup is larger than size_bound.
+    torsion part of x into y_T + c*T.  The torsion side is decided by the
+    closed-form orbit_invariant, with no search.  Different contents answer
+    False at once; otherwise this raises BoundExceeded when the torsion
+    subgroup is larger than size_bound, so that callers keep one cap on the
+    groups they decide.
     """
-    _check_member(group, x)
-    _check_member(group, y)
+    check_member(group, x)
+    check_member(group, y)
     c = content(x.free)
     if content(y.free) != c:
         return False
-    torsion_group = FGAbelianGroup(group.invariant_factors)
-    table = _require_oracle_group(torsion_group, size_bound)
-    xi = table.index[x.torsion]
-    yi = table.index[y.torsion]
-    coset_sub = frozenset(table.scalar_row(c))  # the subgroup c*T ({0} when c == 0)
-    return table.exists_mapping(xi, yi, coset_sub)
+    if group.torsion_size > size_bound:
+        raise BoundExceeded(
+            f"group of size {group.torsion_size} exceeds the oracle bound {size_bound}"
+        )
+    return orbit_invariant(group, x, c) == orbit_invariant(group, y, c)
 
 
 def compare_pointed_k0(

@@ -1,5 +1,6 @@
 import doctest
 import itertools
+import random
 from math import gcd
 
 import pytest
@@ -16,6 +17,7 @@ from leavitt.abelian import (
     element_order,
     enumerate_automorphisms,
     gcd_criterion,
+    orbit_invariant,
     scale,
 )
 from leavitt.intmat import unimodular_check
@@ -195,6 +197,47 @@ class TestAutomorphismMapsXToY:
         g = FGAbelianGroup((2,), free_rank=1)
         with pytest.raises(ValueError):
             automorphism_maps_x_to_y(g, g.identity(), g.identity())
+
+
+class TestOrbitInvariant:
+    def test_examples(self):
+        g = FGAbelianGroup((2, 4), free_rank=1)
+        assert orbit_invariant(g, g.element([1, 0], [5])) == ((2, (0,)),)
+        assert orbit_invariant(g, g.identity()) == ((2, ()),)
+        # modulo 2*T, the coordinate 2 of Z/4 can be cleared
+        assert orbit_invariant(g, g.element([0, 2], [0]), 2) == ((2, ()),)
+        assert orbit_invariant(FGAbelianGroup(()), GroupElement(())) == ()
+        # one key per prime of the exponent: Z/12 = Z/4 + Z/3
+        z12 = FGAbelianGroup((12,))
+        assert orbit_invariant(z12, z12.element([2])) == ((2, (1,)), (3, (0,)))
+
+    def test_rejects_bad_input(self):
+        g = FGAbelianGroup((4,))
+        with pytest.raises(ValueError):
+            orbit_invariant(g, g.element([1]), -2)
+        with pytest.raises(ValueError):
+            orbit_invariant(g, GroupElement((1, 2)))
+
+    def test_matches_exact_oracle_beyond_32_elements(self):
+        # y has the order of x: there the order alone does not decide
+        rng = random.Random(4096)
+        answers = set()
+        for factors in [
+            (2, 2, 4, 8), (2, 6, 12), (3, 9, 9), (2, 2, 2, 30), (4, 4, 12), (2, 4, 60)
+        ]:
+            group = FGAbelianGroup(factors)
+            elems = list(group.elements())
+            by_order = {}
+            for e in elems:
+                by_order.setdefault(element_order(group, e), []).append(e)
+            for _ in range(100):
+                x = rng.choice(elems)
+                y = rng.choice(by_order[element_order(group, x)])
+                oracle = automorphism_maps_x_to_y(group, x, y)
+                closed = orbit_invariant(group, x) == orbit_invariant(group, y)
+                assert oracle == closed, (factors, x, y)
+                answers.add(oracle)
+        assert answers == {True, False}
 
 
 class TestEigenSearch:

@@ -287,6 +287,23 @@ class TestErrors:
         assert code == 2
         assert json.loads(out)["error"] == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["matrix-type", "--graph", "g.json", "--c", "2"],  # missing --d
+            ["classes", "--graph", "g.json", "--max", "3", "--bound", "5"],
+            ["frobnicate"],
+        ],
+        ids=["missing_option", "unknown_option", "unknown_subcommand"],
+    )
+    def test_usage_error_exit_2(self, capsys, argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        doc = json.loads(captured.out)
+        assert doc["error"] == 2 and doc["message"]
+        assert captured.err.startswith("usage: leavitt")
+
 
 class TestEntryPoint:
     def test_version(self):

@@ -1,14 +1,19 @@
+import ast
+import inspect
 import itertools
 import random
 from math import gcd
 
 import pytest
 
+import leavitt.abelian as abelian_module
+import leavitt.matrixtype as matrixtype_module
 from leavitt.abelian import (
     FGAbelianGroup,
     add,
     automorphism_maps_x_to_y,
     negate,
+    scale,
 )
 from leavitt.graphs import rose, purely_infinite_simple
 from leavitt.ktheory import k0_of_graph
@@ -199,24 +204,74 @@ class TestPointedIsoExists:
         # structural rule == enumeration over (alpha, beta, delta) on a sample
         rng = random.Random(47)
         for factors in [(2,), (4,), (2, 2), (2, 4), (8,), (3, 3)]:
-            torsion = FGAbelianGroup(factors)
-            group = FGAbelianGroup(factors, free_rank=1)
-            telems = list(torsion.elements())
             for _ in range(60):
-                xt, yt = rng.choice(telems), rng.choice(telems)
-                xf, yf = rng.randint(-3, 3), rng.randint(-3, 3)
-                x = group.element(xt.torsion, (xf,))
-                y = group.element(yt.torsion, (yf,))
-                structural = pointed_iso_exists(group, x, y)
-                brute = False
-                if yf in (xf, -xf):
-                    for tau in telems:
-                        shift = torsion.element(xf * c for c in tau.torsion)
-                        target = add(torsion, yt, negate(torsion, shift))
-                        if automorphism_maps_x_to_y(torsion, xt, target):
-                            brute = True
-                            break
-                assert structural == brute, (factors, x, y)
+                self._check_against_brute_force(
+                    factors, rng, lambda: rng.randint(-3, 3)
+                )
+        # contents 6 and 12 have two primes, and so do the exponents
+        rng = random.Random(48)
+        free_values = (6, -6, 12, -12, 0)
+        for factors in [(6,), (2, 6), (2, 12), (6, 6)]:
+            for _ in range(60):
+                self._check_against_brute_force(
+                    factors, rng, lambda: rng.choice(free_values)
+                )
+
+    @staticmethod
+    def _check_against_brute_force(factors, rng, draw_free):
+        torsion = FGAbelianGroup(factors)
+        group = FGAbelianGroup(factors, free_rank=1)
+        telems = list(torsion.elements())
+        xt, yt = rng.choice(telems), rng.choice(telems)
+        xf, yf = draw_free(), draw_free()
+        x = group.element(xt.torsion, (xf,))
+        y = group.element(yt.torsion, (yf,))
+        structural = pointed_iso_exists(group, x, y)
+        brute = False
+        if yf in (xf, -xf):
+            for tau in telems:
+                shift = torsion.element(xf * c for c in tau.torsion)
+                target = add(torsion, yt, negate(torsion, shift))
+                if automorphism_maps_x_to_y(torsion, xt, target):
+                    brute = True
+                    break
+        assert structural == brute, (factors, x, y)
+
+    def test_orders_differ_near_the_bound(self):
+        # 960 elements, inside the default bound; x has order 6 and 10*x order 3
+        g = FGAbelianGroup((2, 2, 2, 2, 2, 30))
+        x = g.element([1, 1, 1, 1, 0, 10])
+        assert not pointed_iso_exists(g, x, scale(g, 10, x))
+
+
+class TestDecisionPathOffOracle:
+    def test_never_builds_a_search_table(self, monkeypatch):
+        def refuse(factors):
+            raise AssertionError(f"search table built for {factors}")
+
+        monkeypatch.setattr(abelian_module, "_table_for", refuse)
+        cases = [
+            (rose(5), m_graph(rose(5), 2), False),  # gcd(1, 4) != gcd(2, 4)
+            (m_graph(rose(7), 2), m_graph(rose(7), 4), True),  # gcd 2 both
+            (infinite_order_graph(), m_graph(infinite_order_graph(), 3), False),
+        ]
+        for left, right, expected in cases:
+            verdict = compare_pointed_k0(k0_of_graph(left), k0_of_graph(right))
+            assert verdict.isomorphic is expected
+        g = FGAbelianGroup((2, 6), free_rank=1)
+        assert pointed_iso_exists(g, g.element([1, 2], [6]), g.element([1, 4], [-6]))
+        assert not pointed_iso_exists(g, g.element([1, 2], [0]), g.element([0, 2], [0]))
+
+    def test_imports_no_private_name(self):
+        tree = ast.parse(inspect.getsource(matrixtype_module))
+        imported = [
+            alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            for alias in node.names
+        ]
+        assert "orbit_invariant" in imported
+        assert not [name for name in imported if name.startswith("_")]
 
 
 class TestComparePointedK0:
