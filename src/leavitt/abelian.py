@@ -529,7 +529,12 @@ class _TorsionTable:
         yield from rec(0, self._trivial_id)
 
 
-@lru_cache(maxsize=None)
+# A table keeps its addition rows, up to size x size entries, for as long as
+# it is cached; the oracles query one group at a time, so a few suffice.
+_TABLE_CACHE_SIZE = 8
+
+
+@lru_cache(maxsize=_TABLE_CACHE_SIZE)
 def _table_for(factors: tuple[int, ...]) -> _TorsionTable:
     return _TorsionTable(factors)
 

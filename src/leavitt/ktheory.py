@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 from .abelian import FGAbelianGroup, GroupElement, OrderValue, element_order
 from .graphs import DirectedGraph, adjacency_matrix
-from .intmat import IntMatrix, smith_normal_form
+from .intmat import IntMatrix, smith_left
 
 
 @dataclass(frozen=True)
@@ -25,7 +25,9 @@ class K0Data:
     group: FGAbelianGroup
     unit: GroupElement
     unit_order: OrderValue
-    coordinate_map: IntMatrix  # left transform U of the SNF of I - A^T
+    # left transform U of the presentation's Smith normal form, certified by
+    # U @ M == D @ W without building V (intmat.smith_left)
+    coordinate_map: IntMatrix
     torsion_positions: tuple[int, ...]
     free_positions: tuple[int, ...]
 
@@ -42,8 +44,7 @@ def _pointed_cokernel(matrix: IntMatrix) -> K0Data:
     """Cokernel of a square integer matrix, pointed at its zero element."""
     if matrix.rows != matrix.cols:
         raise ValueError("cokernel presentation requires a square matrix")
-    snf = smith_normal_form(matrix)
-    diag = snf.diagonal
+    left, diag = smith_left(matrix)
     torsion_positions = tuple(i for i, d in enumerate(diag) if d > 1)
     free_positions = tuple(i for i, d in enumerate(diag) if d == 0)
     group = FGAbelianGroup(
@@ -53,7 +54,7 @@ def _pointed_cokernel(matrix: IntMatrix) -> K0Data:
         group=group,
         unit=group.identity(),
         unit_order=1,
-        coordinate_map=snf.U,
+        coordinate_map=left,
         torsion_positions=torsion_positions,
         free_positions=free_positions,
     )
@@ -74,9 +75,8 @@ def k0_of_graph(graph: DirectedGraph) -> K0Data:
     """Compute (K0(L(E)), [1_{L(E)}]) and the order of the unit class."""
     a = adjacency_matrix(graph)
     n = a.rows
-    at = a.transpose()
     presentation = IntMatrix(
-        [[int(i == j) - at[i][j] for j in range(n)] for i in range(n)]
+        [[int(i == j) - a[j][i] for j in range(n)] for i in range(n)]
     )
     data = _pointed_cokernel(presentation)
     unit = data.coordinate([1] * n)

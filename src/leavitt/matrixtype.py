@@ -160,7 +160,7 @@ def pointed_iso_exists(
         return False
     if group.torsion_size > size_bound:
         raise BoundExceeded(
-            f"group of size {group.torsion_size} exceeds the oracle bound {size_bound}"
+            f"group of size {group.torsion_size} exceeds the size bound {size_bound}"
         )
     return orbit_invariant(group, x, c) == orbit_invariant(group, y, c)
 

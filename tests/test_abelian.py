@@ -198,6 +198,14 @@ class TestAutomorphismMapsXToY:
         with pytest.raises(ValueError):
             automorphism_maps_x_to_y(g, g.identity(), g.identity())
 
+    def test_table_cache_is_bounded(self):
+        for d in range(2, 40):
+            g = FGAbelianGroup((d,))
+            assert automorphism_maps_x_to_y(g, g.element([1]), g.element([d - 1]))
+        info = abelian_module._table_for.cache_info()
+        assert info.maxsize == abelian_module._TABLE_CACHE_SIZE
+        assert info.currsize <= abelian_module._TABLE_CACHE_SIZE
+
 
 class TestOrbitInvariant:
     def test_examples(self):

@@ -51,6 +51,16 @@ class TestAnalyze:
         assert doc["free_rank"] == 0
         assert doc["pis"]["purely_infinite_simple"] is True
 
+    def test_rose5_readme_bytes(self, capsys, rose5):
+        # README shows this line with "pis" elided; the rest is verbatim
+        code, out = run_cli(capsys, ["analyze", "--graph", rose5])
+        assert code == 0
+        assert out == (
+            '{"pis": {"every_cycle_has_exit": true, "trivial_hereditary_saturated": true, '
+            '"every_vertex_connects_to_cycle": true, "purely_infinite_simple": true}, '
+            '"invariant_factors": [4], "free_rank": 0, "unit_coords": [3], "unit_order": 4}\n'
+        )
+
     def test_infinite(self, capsys, einf_file):
         code, out = run_cli(capsys, ["analyze", "--graph", einf_file])
         assert code == 0
@@ -184,6 +194,16 @@ class TestSnf:
         doc = json.loads(out)
         assert doc["diagonal"] == [1, 6]
         assert set(doc) == {"U", "D", "V", "diagonal"}
+
+    def test_stdin_readme_bytes(self, capsys, monkeypatch):
+        code, out = run_cli(
+            capsys, ["snf"], stdin="[[2,0],[0,3]]", monkeypatch=monkeypatch
+        )
+        assert code == 0
+        assert out == (
+            '{"U": [[1, 1], [3, 2]], "D": [[1, 0], [0, 6]], '
+            '"V": [[-1, 3], [1, -2]], "diagonal": [1, 6]}\n'
+        )
 
     def test_file(self, capsys, tmp_path):
         path = tmp_path / "mat.json"

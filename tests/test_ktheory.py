@@ -2,9 +2,10 @@ import random
 
 import pytest
 
+from leavitt import intmat
 from leavitt.abelian import INFINITE, add, element_order
-from leavitt.graphs import DirectedGraph, build_graph, rose
-from leavitt.intmat import IntMatrix
+from leavitt.graphs import DirectedGraph, adjacency_matrix, build_graph, rose
+from leavitt.intmat import IntMatrix, determinant, smith_left, smith_normal_form
 from leavitt.ktheory import cokernel, k0_of_graph
 
 from conftest import infinite_order_graph
@@ -114,3 +115,83 @@ class TestK0OfGraph:
         g = build_graph(["v", "s"], [("v", "v", 2), ("v", "s", 1)])
         k0 = k0_of_graph(g)  # interpretation is gated elsewhere; must not crash
         assert k0.group.torsion_rank + k0.group.free_rank >= 0
+
+
+def _presentation(graph: DirectedGraph) -> IntMatrix:
+    a = adjacency_matrix(graph)
+    return IntMatrix([[int(i == j) - a[j][i] for j in range(a.rows)] for i in range(a.rows)])
+
+
+def _random_graph(rng: random.Random) -> DirectedGraph:
+    names = [f"v{i}" for i in range(rng.randint(1, 6))]
+    edges = [
+        (s, t, rng.randint(1, 3)) for s in names for t in names if rng.random() < 0.4
+    ]
+    return build_graph(names, edges)
+
+
+class TestK0Certificate:
+    """The K0 path takes U and the diagonal from the shared elimination and
+    certifies them by U @ M == D @ W, without V."""
+
+    def test_matches_smith_normal_form(self):
+        rng = random.Random(47)
+        graphs = [infinite_order_graph(), rose(1), rose(2), rose(5)]
+        graphs += [_random_graph(rng) for _ in range(300)]
+        singular = 0
+        for graph in graphs:
+            m = _presentation(graph)
+            snf = smith_normal_form(m)
+            left, diagonal = smith_left(m)
+            assert left == snf.U and diagonal == snf.diagonal
+            assert k0_of_graph(graph).coordinate_map == snf.U
+            singular += determinant(m) == 0
+        assert singular >= 20  # free summands are covered
+
+    def test_matches_on_rectangular(self):
+        rng = random.Random(53)
+        for _ in range(200):
+            rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+            m = IntMatrix([[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)])
+            snf = smith_normal_form(m)
+            assert smith_left(m) == (snf.U, snf.diagonal)
+
+    @pytest.mark.parametrize("corrupt", ["u", "w-coefficient", "w-dropped", "w-swap"])
+    def test_corrupted_transform_raises(self, monkeypatch, corrupt):
+        eliminate = intmat._eliminate
+
+        def corrupted(a):
+            u, log = eliminate(a)
+            adds = [i for i, op in enumerate(log) if op[2] is not None]
+            swaps = [i for i, op in enumerate(log) if op[2] is None]
+            if corrupt == "u":
+                u[0][0] += 1
+            elif corrupt == "w-coefficient":
+                src, dst, q = log[adds[0]]
+                log[adds[0]] = (src, dst, q + 1)
+            elif corrupt == "w-dropped":
+                del log[adds[0]]
+            else:
+                del log[swaps[0]]
+            return u, log
+
+        monkeypatch.setattr(intmat, "_eliminate", corrupted)
+        # nonsingular, with column additions and a column swap
+        matrix = IntMatrix([[2, 3, 0], [4, 5, 1], [0, 7, 6]])
+        with pytest.raises(RuntimeError):
+            cokernel(matrix)
+        graph = build_graph(
+            ["a", "b", "c"],
+            [("a", "b", 2), ("b", "c", 1), ("c", "a", 3), ("a", "a", 1), ("c", "b", 2)],
+        )
+        with pytest.raises(RuntimeError):
+            k0_of_graph(graph)
+
+    def test_k0_path_builds_no_dense_product(self, monkeypatch):
+        def refuse(self, other):
+            raise AssertionError("dense product on the K0 path")
+
+        monkeypatch.setattr(IntMatrix, "__matmul__", refuse)
+        k0 = k0_of_graph(rose(5))
+        assert k0.unit_order == 4
+        assert k0_of_graph(infinite_order_graph()).unit_order is INFINITE
