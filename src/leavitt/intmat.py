@@ -4,18 +4,12 @@ Everything here works over Python's arbitrary-precision integers.  Smith
 normal form intermediates routinely outgrow machine words, so there is no
 fixed-width fast path anywhere.
 
-Smith normal form has one elimination, ``_eliminate``.  It reduces A to D,
-mirrors every row operation on the left transform U and logs every column
-operation.  Two callers certify its result exactly:
-
-* ``smith_normal_form`` builds V from the log and checks the dense product
-  U @ A @ V == D;
-* ``smith_left``, the cokernel path of ``ktheory``, builds W = V^-1 from
-  the log instead and checks U @ A == D @ W, summing over the nonzero
-  entries of A only.
-
-U, V and W are products of elementary matrices, so unimodular by
-construction, and the two checks certify the same factorization.
+Smith normal form has one elimination, ``_eliminate``.  It reduces A to D
+and logs its row and column steps; U and V are their products, unimodular
+by construction.  ``smith_normal_form`` builds both from the log and checks
+U @ A @ V == D densely.  ``smith_coordinates``, the cokernel path of
+``ktheory``, checks the same identity by replaying the log on a copy of A
+and derives only the rows of U that the cokernel reads.
 """
 
 from __future__ import annotations
@@ -164,31 +158,30 @@ def _pivot(a: list[list[int]], k: int) -> tuple[int, int] | None:
     return pos
 
 
-# (src, dst, q): col_dst += q * col_src; (i, j, None): swap columns i and j
-_ColumnOp = tuple[int, int, int | None]
+# (kind, i, j, q): "row_add"/"col_add" add q * row/col i to row/col j,
+# "row_swap"/"col_swap" swap i and j, "row_neg" negates row i (j == i)
+_Step = tuple[str, int, int, int]
 
 
-def _eliminate(a: list[list[int]]) -> tuple[list[list[int]], list[_ColumnOp]]:
+def _eliminate(a: list[list[int]]) -> list[_Step]:
     """Reduce a (a list of rows, changed in place) to Smith normal form.
 
     Gcd-pivot reduction: repeatedly move a minimal-magnitude nonzero entry
     of the trailing block to the pivot, clear its row and column by exact
     division steps, and fold rows back in until the pivot divides the whole
-    remaining block.  Returns U, the product of the row operations, and the
-    log of column operations in the order applied.
+    remaining block.  Returns the log of row and column steps in the order
+    applied; U and V are their products, and neither is built here.
 
     At step k, rows from k on are zero left of column k and columns from k
     on are zero above row k, so operations on a skip those entries.
     """
     m, n = len(a), len(a[0])
-    u = _identity_rows(m)
-    log: list[_ColumnOp] = []
+    log: list[_Step] = []
 
     def add_row(src: int, dst: int, q: int, k: int) -> None:
         # row[dst] += q * row[src]; both rows vanish left of column k
-        asrc = a[src]
-        a[dst][k:] = [x + q * y for x, y in zip(a[dst][k:], asrc[k:])]
-        u[dst] = [x + q * y for x, y in zip(u[dst], u[src])]
+        a[dst][k:] = [x + q * y for x, y in zip(a[dst][k:], a[src][k:])]
+        log.append(("row_add", src, dst, q))
 
     for k in range(min(m, n)):
         while True:
@@ -198,11 +191,11 @@ def _eliminate(a: list[list[int]]) -> tuple[list[list[int]], list[_ColumnOp]]:
             pi, pj = pos
             if pi != k:
                 a[k], a[pi] = a[pi], a[k]
-                u[k], u[pi] = u[pi], u[k]
+                log.append(("row_swap", k, pi, 0))
             if pj != k:
                 for row in a[k:]:
                     row[k], row[pj] = row[pj], row[k]
-                log.append((k, pj, None))
+                log.append(("col_swap", k, pj, 0))
             pivot = a[k][k]
             dirty = False
             for i in range(k + 1, m):
@@ -218,7 +211,7 @@ def _eliminate(a: list[list[int]]) -> tuple[list[list[int]], list[_ColumnOp]]:
                     q = -(row_k[j] // pivot)
                     for row in touched:
                         row[j] += q * row[k]
-                    log.append((k, j, q))
+                    log.append(("col_add", k, j, q))
                     if row_k[j]:
                         dirty = True
             if dirty:
@@ -237,75 +230,93 @@ def _eliminate(a: list[list[int]]) -> tuple[list[list[int]], list[_ColumnOp]]:
 
         if a[k][k] < 0:
             a[k][k] = -a[k][k]
-            u[k] = [-x for x in u[k]]
-    return u, log
+            log.append(("row_neg", k, k, 0))
+    return log
+
+
+def _replay(rows: Iterable[Sequence[int]], steps: Iterable[_Step]) -> list[list[int]]:
+    """A copy of the matrix with the steps applied by full-length operations.
+    col j += q * col i leaves column i alone, so a run of additions from one
+    source column finds the rows that move once, by scanning every row."""
+    b = [list(row) for row in rows]
+    source, moving = -1, []
+    for kind, i, j, q in steps:
+        if kind == "col_add":
+            if i != source:
+                source, moving = i, [row for row in b if row[i]]
+            for row in moving:
+                row[j] += q * row[i]
+            continue
+        source = -1  # any other step may change which rows move
+        if kind == "row_add":
+            b[j] = [x + q * y for x, y in zip(b[j], b[i])]
+        elif kind == "row_swap":
+            b[i], b[j] = b[j], b[i]
+        elif kind == "row_neg":
+            b[i] = [-x for x in b[i]]
+        else:  # col_swap
+            for row in b:
+                row[i], row[j] = row[j], row[i]
+    return b
+
+
+def _coordinate_row(m: int, log: list[_Step], i: int, d: int) -> tuple[int, ...]:
+    """Row i of U = R_t ... R_1, reduced modulo d (exact when d == 0): e_i^T
+    times the row steps in reverse order, row j += q * row s acting as
+    x[s] += q * x[j]."""
+    x = [int(r == i) for r in range(m)]
+    for kind, s, j, q in reversed(log):
+        if kind == "row_add":
+            x[s] = (x[s] + q * x[j]) % d if d else x[s] + q * x[j]
+        elif kind == "row_swap":
+            x[s], x[j] = x[j], x[s]
+        elif kind == "row_neg":
+            x[s] = -x[s] % d if d else -x[s]
+    return tuple(x)
 
 
 def smith_normal_form(matrix: IntMatrix) -> SmithDecomposition:
-    """Smith normal form with both transformation matrices.
-
-    Runs the elimination shared with ``smith_left`` (see ``_eliminate``):
-    U mirrors every row operation, and V is the product of the logged
-    column operations.  U and V are products of elementary matrices, so
-    unimodular by construction, and U @ A @ V == D is checked exactly, as
-    a dense product, before returning.
-    """
+    """Smith normal form with both transformation matrices, built from the
+    elimination log; U @ A @ V == D is checked densely before returning."""
     m, n = matrix.rows, matrix.cols
     a = matrix.to_lists()
-    u, log = _eliminate(a)
-    # col_dst(V) += q * col_src(V) is a row operation on V^T
-    vt = _identity_rows(n)
-    for src, dst, q in log:
-        if q is None:
-            vt[src], vt[dst] = vt[dst], vt[src]
-        else:
-            vt[dst] = [x + q * y for x, y in zip(vt[dst], vt[src])]
+    log = _eliminate(a)
+    # U is the row steps applied to I, V the column steps
+    u = _replay(_identity_rows(m), (step for step in log if step[0].startswith("row")))
+    v = _replay(_identity_rows(n), (step for step in log if step[0].startswith("col")))
     diagonal = tuple(a[k][k] for k in range(min(m, n)))
-    U, D, V = IntMatrix(u), IntMatrix(a), IntMatrix(zip(*vt))
+    U, D, V = IntMatrix(u), IntMatrix(a), IntMatrix(v)
     if (U @ matrix) @ V != D:
         raise RuntimeError("internal error: transform identity U*A*V == D failed")
     return SmithDecomposition(U=U, D=D, V=V, diagonal=diagonal)
 
 
-def smith_left(matrix: IntMatrix) -> tuple[IntMatrix, tuple[int, ...]]:
-    """The left transform U and the diagonal of the Smith normal form.
+def smith_coordinates(
+    rows: Sequence[Sequence[int]],
+) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """The Smith diagonal of A (plain integer rows, not validated) and the
+    rows i of U with d_i != 1 (d_i = 0 past the diagonal), the coordinates
+    of Z^m / im(A): torsion rows reduced modulo d_i, free rows exact.
 
-    Same elimination, so the same U and diagonal, as ``smith_normal_form``,
-    but V is never built.  Instead each logged column operation is mirrored
-    as the inverse row operation on W = V^-1 (col_dst += q*col_src becomes
-    row_src(W) -= q*row_dst(W); a column swap swaps rows of W), and
-    U @ A == D @ W is checked exactly.  U and W are products of elementary
-    matrices, so the check is as strong as U @ A @ V == D; the product
-    U @ A sums only over the nonzero entries of A.
+    U and V are never built.  Replaying the log on a fresh copy of A must
+    give D, which certifies U @ A @ V == D.  The replay does not cover the
+    backward derivation of the rows, so each must also send every column of
+    A to 0 modulo d_i (exactly 0 when free), summed over the nonzeros of A.
     """
-    m, n = matrix.rows, matrix.cols
-    a = matrix.to_lists()
-    u, log = _eliminate(a)
-    # rows of W as {column: entry}: row_dst is read only while column dst
-    # is not yet eliminated, when it is mostly still a unit row, so most
-    # updates touch one entry
-    w = [{i: 1} for i in range(n)]
-    for src, dst, q in log:
-        if q is None:
-            w[src], w[dst] = w[dst], w[src]
-        else:
-            row = w[src]
-            for j, x in w[dst].items():
-                row[j] = row.get(j, 0) - q * x
+    a = [list(row) for row in rows]
+    m, n = len(a), len(a[0])
+    log = _eliminate(a)
     diagonal = tuple(a[k][k] for k in range(min(m, n)))
-    nonzeros = [[(j, x) for j, x in enumerate(row) if x] for row in matrix]
-    for i, u_row in enumerate(u):
-        lhs = [0] * n  # row i of U @ A
-        for r, entries in enumerate(nonzeros):
-            c = u_row[r]
-            if c:
-                for j, x in entries:
-                    lhs[j] += c * x
-        rhs = [0] * n  # row i of D @ W
-        d = diagonal[i] if i < len(diagonal) else 0
-        if d:
-            for j, x in w[i].items():
-                rhs[j] = d * x
-        if lhs != rhs:
-            raise RuntimeError("internal error: transform identity U*A == D*W failed")
-    return IntMatrix(u), diagonal
+    expected = [[diagonal[i] if i == j else 0 for j in range(n)] for i in range(m)]
+    if _replay(rows, log) != expected:
+        raise RuntimeError("internal error: replayed identity U*A*V == D failed")
+    columns = [[(r, x) for r, x in enumerate(column) if x] for column in zip(*rows)]
+    coordinate_rows = []
+    for i, d in enumerate(diagonal + (0,) * (m - len(diagonal))):
+        if d != 1:
+            row = _coordinate_row(m, log, i, d)
+            images = (sum(row[r] * x for r, x in column) for column in columns)
+            if any(y % d if d else y for y in images):
+                raise RuntimeError("internal error: a coordinate row does not kill A")
+            coordinate_rows.append(row)
+    return diagonal, tuple(coordinate_rows)

@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import leavitt
 from leavitt.cli import main
 from leavitt.graphs import rose
 
@@ -18,6 +21,18 @@ def run_cli(capsys, argv, stdin=None, monkeypatch=None):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out
+
+
+def run_module(*argv, text=True):
+    """``python -m leavitt`` in a child that imports the package under test."""
+    src = str(Path(leavitt.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "leavitt", *argv],
+        capture_output=True,
+        text=text,
+        env={**os.environ, "PYTHONPATH": path},
+    )
 
 
 def write_graph(tmp_path, name, graph):
@@ -327,29 +342,19 @@ class TestErrors:
 
 class TestEntryPoint:
     def test_version(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "leavitt", "--version"],
-            capture_output=True,
-            text=True,
-        )
+        proc = run_module("--version")
         assert proc.returncode == 0
         assert "leavitt" in proc.stdout
 
     def test_subprocess_analyze(self, rose5):
-        proc = subprocess.run(
-            [sys.executable, "-m", "leavitt", "analyze", "--graph", rose5],
-            capture_output=True,
-            text=True,
-        )
+        proc = run_module("analyze", "--graph", rose5)
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["unit_order"] == 4
 
     def test_subprocess_byte_identical(self, rose5):
         runs = [
-            subprocess.run(
-                [sys.executable, "-m", "leavitt", "classes", "--graph", rose5, "--max", "6"],
-                capture_output=True,
-            ).stdout
+            run_module("classes", "--graph", rose5, "--max", "6", text=False).stdout
             for _ in range(2)
         ]
+        assert runs[0]
         assert runs[0] == runs[1]

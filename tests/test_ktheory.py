@@ -3,9 +3,9 @@ import random
 import pytest
 
 from leavitt import intmat
-from leavitt.abelian import INFINITE, add, element_order
+from leavitt.abelian import INFINITE, add, element_order, orbit_invariant
 from leavitt.graphs import DirectedGraph, adjacency_matrix, build_graph, rose
-from leavitt.intmat import IntMatrix, determinant, smith_left, smith_normal_form
+from leavitt.intmat import IntMatrix, determinant, smith_coordinates, smith_normal_form
 from leavitt.ktheory import cokernel, k0_of_graph
 
 from conftest import infinite_order_graph
@@ -33,6 +33,12 @@ class TestCokernel:
     def test_requires_square(self):
         with pytest.raises(ValueError):
             cokernel(IntMatrix([[1, 2]]))
+
+    def test_coordinate_rejects_wrong_length(self):
+        for matrix in ([[1]], [[2]], [[2, 0], [0, 0]]):  # trivial, torsion, free
+            _, coordinate = cokernel(IntMatrix(matrix))
+            with pytest.raises(ValueError):
+                coordinate([1] * (len(matrix) + 1))
 
     def test_coordinate_is_homomorphism(self):
         rng = random.Random(23)
@@ -111,6 +117,34 @@ class TestK0OfGraph:
             else:
                 assert a.unit_order == b.unit_order
 
+    def test_relabelling_keeps_the_pointed_group(self):
+        rng = random.Random(43)
+        for _ in range(60):
+            graph = _random_graph(rng)
+            names = list(graph.vertices)
+            relabel = dict(zip(names, (f"w{i}" for i in rng.sample(range(len(names)), len(names)))))
+            edges = [(relabel[s], relabel[t], mult) for s, t, mult in graph.edges]
+            rng.shuffle(edges)
+            relabelled = build_graph(sorted(relabel.values()), edges)
+            a, b = k0_of_graph(graph), k0_of_graph(relabelled)
+            assert a.group.invariant_factors == b.group.invariant_factors
+            assert a.group.free_rank == b.group.free_rank
+            assert a.unit_order == b.unit_order  # INFINITE is a singleton
+            assert orbit_invariant(a.group, a.unit) == orbit_invariant(b.group, b.unit)
+
+    def test_determinant_is_the_torsion_size(self):
+        rng = random.Random(59)
+        nonsingular = 0
+        for _ in range(300):
+            graph = _random_graph(rng)
+            det = determinant(_presentation(graph))
+            k0 = k0_of_graph(graph)
+            assert (k0.group.free_rank > 0) == (det == 0)
+            if det:
+                assert abs(det) == k0.group.torsion_size
+                nonsingular += 1
+        assert 100 <= nonsingular <= 290  # both cases are covered
+
     def test_sinks_are_handled(self):
         g = build_graph(["v", "s"], [("v", "v", 2), ("v", "s", 1)])
         k0 = k0_of_graph(g)  # interpretation is gated elsewhere; must not crash
@@ -130,9 +164,38 @@ def _random_graph(rng: random.Random) -> DirectedGraph:
     return build_graph(names, edges)
 
 
+def _expected_rows(snf, rows: int) -> tuple[tuple[int, ...], ...]:
+    """Rows of snf.U for the nontrivial cokernel summands: torsion rows
+    reduced modulo d_i, free rows (d_i = 0, also past the diagonal) exact."""
+    expected = []
+    for i in range(rows):
+        d = snf.diagonal[i] if i < len(snf.diagonal) else 0
+        if d != 1:
+            expected.append(tuple(x % d for x in snf.U[i]) if d else snf.U[i])
+    return tuple(expected)
+
+
+def _scc_graph(n: int, seed: int) -> DirectedGraph:
+    """A ring plus 2 random edges per vertex, multiplicities 1-3."""
+    rng = random.Random(seed)
+    names = [f"v{i}" for i in range(n)]
+    edges = [(names[i], names[(i + 1) % n], rng.randint(1, 3)) for i in range(n)]
+    edges += [(s, rng.choice(names), rng.randint(1, 3)) for s in names for _ in range(2)]
+    return build_graph(names, edges)
+
+
+# a nonsingular matrix and a graph whose eliminations use every step kind
+_CORRUPTION_MATRIX = IntMatrix([[2, 3, 0], [4, 5, 1], [0, 7, 6]])
+_CORRUPTION_GRAPH = build_graph(
+    ["a", "b", "c"],
+    [("a", "b", 2), ("b", "c", 1), ("c", "a", 3), ("a", "a", 1), ("c", "b", 2)],
+)
+
+
 class TestK0Certificate:
-    """The K0 path takes U and the diagonal from the shared elimination and
-    certifies them by U @ M == D @ W, without V."""
+    """The K0 path derives only the coordinate rows from the elimination log,
+    certified by replaying the log (U @ M @ V == D) and by each row killing
+    the columns of M, without building U or V."""
 
     def test_matches_smith_normal_form(self):
         rng = random.Random(47)
@@ -142,9 +205,9 @@ class TestK0Certificate:
         for graph in graphs:
             m = _presentation(graph)
             snf = smith_normal_form(m)
-            left, diagonal = smith_left(m)
-            assert left == snf.U and diagonal == snf.diagonal
-            assert k0_of_graph(graph).coordinate_map == snf.U
+            expected = _expected_rows(snf, m.rows)
+            assert smith_coordinates(m) == (snf.diagonal, expected)
+            assert k0_of_graph(graph).coordinate_map == expected
             singular += determinant(m) == 0
         assert singular >= 20  # free summands are covered
 
@@ -154,38 +217,44 @@ class TestK0Certificate:
             rows, cols = rng.randint(1, 6), rng.randint(1, 6)
             m = IntMatrix([[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)])
             snf = smith_normal_form(m)
-            assert smith_left(m) == (snf.U, snf.diagonal)
+            assert smith_coordinates(m) == (snf.diagonal, _expected_rows(snf, rows))
 
-    @pytest.mark.parametrize("corrupt", ["u", "w-coefficient", "w-dropped", "w-swap"])
-    def test_corrupted_transform_raises(self, monkeypatch, corrupt):
+    @pytest.mark.parametrize(
+        "corrupt", ["row_add", "row_swap", "row_neg", "col_add", "col_swap", "col_add-dropped"]
+    )
+    def test_corrupted_log_raises(self, monkeypatch, corrupt):
         eliminate = intmat._eliminate
+        kind = corrupt.removesuffix("-dropped")
 
         def corrupted(a):
-            u, log = eliminate(a)
-            adds = [i for i, op in enumerate(log) if op[2] is not None]
-            swaps = [i for i, op in enumerate(log) if op[2] is None]
-            if corrupt == "u":
-                u[0][0] += 1
-            elif corrupt == "w-coefficient":
-                src, dst, q = log[adds[0]]
-                log[adds[0]] = (src, dst, q + 1)
-            elif corrupt == "w-dropped":
-                del log[adds[0]]
+            log = eliminate(a)
+            first = next(i for i, step in enumerate(log) if step[0] == kind)
+            if corrupt.endswith("_add"):  # a changed coefficient
+                _, src, dst, q = log[first]
+                log[first] = (kind, src, dst, q + 1)
             else:
-                del log[swaps[0]]
-            return u, log
+                del log[first]
+            return log
 
         monkeypatch.setattr(intmat, "_eliminate", corrupted)
-        # nonsingular, with column additions and a column swap
-        matrix = IntMatrix([[2, 3, 0], [4, 5, 1], [0, 7, 6]])
-        with pytest.raises(RuntimeError):
-            cokernel(matrix)
-        graph = build_graph(
-            ["a", "b", "c"],
-            [("a", "b", 2), ("b", "c", 1), ("c", "a", 3), ("a", "a", 1), ("c", "b", 2)],
-        )
-        with pytest.raises(RuntimeError):
-            k0_of_graph(graph)
+        with pytest.raises(RuntimeError, match="replayed"):
+            cokernel(_CORRUPTION_MATRIX)
+        with pytest.raises(RuntimeError, match="replayed"):
+            k0_of_graph(_CORRUPTION_GRAPH)
+
+    def test_corrupted_coordinate_row_raises(self, monkeypatch):
+        coordinate_row = intmat._coordinate_row
+
+        def corrupted(m, log, i, d):
+            row = list(coordinate_row(m, log, i, d))
+            row[0] += 1
+            return tuple(row)
+
+        monkeypatch.setattr(intmat, "_coordinate_row", corrupted)
+        with pytest.raises(RuntimeError, match="coordinate row"):
+            cokernel(_CORRUPTION_MATRIX)
+        with pytest.raises(RuntimeError, match="coordinate row"):
+            k0_of_graph(_CORRUPTION_GRAPH)
 
     def test_k0_path_builds_no_dense_product(self, monkeypatch):
         def refuse(self, other):
@@ -195,3 +264,22 @@ class TestK0Certificate:
         k0 = k0_of_graph(rose(5))
         assert k0.unit_order == 4
         assert k0_of_graph(infinite_order_graph()).unit_order is INFINITE
+
+    def test_k0_path_validates_one_matrix(self, monkeypatch):
+        builds = []
+        init = IntMatrix.__init__
+
+        def counting(self, rows_data):
+            builds.append(1)
+            init(self, rows_data)
+
+        monkeypatch.setattr(IntMatrix, "__init__", counting)
+        k0_of_graph(_scc_graph(24, 5))
+        assert len(builds) <= 1  # the adjacency matrix
+
+    def test_torsion_rows_stay_reduced(self):
+        k0 = k0_of_graph(_scc_graph(120, 61))
+        factors = k0.group.invariant_factors
+        assert factors
+        for d, row in zip(factors, k0.coordinate_map):
+            assert all(0 <= x < d for x in row)
