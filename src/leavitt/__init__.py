@@ -46,6 +46,7 @@ from .abelian import (
     gcd_criterion,
     negate,
     orbit_invariant,
+    same_orbit,
     scale,
 )
 from .ktheory import K0Data, cokernel, k0_of_graph

@@ -4,9 +4,11 @@ A group is stored as Z/d1 + ... + Z/ds + Z^t with 2 <= d1 | d2 | ... | ds.
 Elements carry canonical torsion coordinates (reduced into [0, di)) plus
 free coordinates.  Besides the cheap arithmetic (orders, scaling, the gcd
 criterion for mapping cx to dx), the module holds the closed-form orbit
-rule, orbit_invariant, which decides whether an automorphism of the torsion
-subgroup moves one element (or coset of c*T) to another, and two exhaustive
-search oracles used to validate the classification decisions:
+rule, which decides whether an automorphism of the torsion subgroup moves
+one element (or coset of c*T) to another: orbit_invariant keys it by the
+primes of the exponent, and same_orbit decides it for a pair over a
+coprime base found with gcds alone, so it never factors.  Two exhaustive
+search oracles validate the classification decisions:
 
 * enumeration of all automorphisms of a small finite group, by candidate
   generator images with a surjectivity check, and the exact query
@@ -37,7 +39,11 @@ DEFAULT_SIZE_BOUND = 1024
 
 
 class BoundExceeded(Exception):
-    """A group is larger than the size bound given to an oracle or to compare."""
+    """A group is larger than a size bound: an oracle's search cap, or ``--bound``.
+
+    The decision path never raises it; ``leavitt compare --bound`` raises it
+    from the CLI when either K0 group's torsion is larger than the bound.
+    """
 
 
 class _InfiniteOrder:
@@ -209,6 +215,63 @@ def _prime_divisors(n: int) -> list[int]:
     return primes
 
 
+def _coprime_base(numbers: Iterable[int]) -> list[int]:
+    """Pairwise coprime integers > 1, ascending, whose powers build every number.
+
+    Each given positive integer is a product of powers of the returned
+    integers, so a prime p dividing a base element q has
+    v_p(n) = v_q(n) * v_p(q) for every given n.  Only gcds are taken: a base
+    element b sharing g = gcd(a, b) > 1 with a newcomer a is replaced by
+    b/g and g, and a by a/g and g.  Each split divides the product of all
+    pending and kept numbers by g, so there are fewer splits than that
+    product has bits.
+
+    >>> _coprime_base([12, 18])
+    [2, 3]
+    >>> _coprime_base([36, 2])
+    [2, 9]
+    """
+    base: list[int] = []
+    pending = [n for n in set(numbers) if n > 1]
+    while pending:
+        a = pending.pop()
+        for i, b in enumerate(base):
+            g = gcd(a, b)
+            if g > 1:
+                del base[i]
+                pending += [m for m in (a // g, g, b // g) if m > 1]
+                break
+        else:
+            base.append(a)
+    return sorted(base)
+
+
+def _ulm_key(group: FGAbelianGroup, x: GroupElement, c: int, base: Sequence[int]) -> tuple:
+    """(q, Ulm sequence) for each q of a coprime base of the torsion data."""
+    coords = [(gcd(xi, d), gcd(c, d), d) for xi, d in zip(x.torsion, group.invariant_factors)]
+    key = []
+    for q in base:
+        # (v_q(x_i), e_i) of the coordinates that the coset cannot clear
+        kept = [
+            (v, _valuation(q, d))
+            for gx, gc, d in coords
+            if (v := _valuation(q, gx)) < _valuation(q, gc)
+        ]
+        ulm = []
+        j = 0
+        while heights := [j + v for v, e in kept if j + v < e]:
+            ulm.append(min(heights))
+            j += 1
+        key.append((q, tuple(ulm)))
+    return tuple(key)
+
+
+def _check_coset(group: FGAbelianGroup, x: GroupElement, c: int) -> None:
+    check_member(group, x)
+    if not isinstance(c, int) or c < 0:
+        raise ValueError("c must be a nonnegative integer")
+
+
 def orbit_invariant(group: FGAbelianGroup, x: GroupElement, c: int = 0) -> tuple:
     """Key of the orbit of x + c*T under the automorphisms of T.
 
@@ -232,34 +295,49 @@ def orbit_invariant(group: FGAbelianGroup, x: GroupElement, c: int = 0) -> tuple
     cosets lie in one orbit iff these maximal elements do.  The key is the
     tuple of (p, Ulm sequence) pairs.
 
+    The key names the primes of d_s, found by trial division, so its cost
+    grows with the square root of the largest prime factor.  same_orbit
+    answers the same question for two elements without factoring.
+
     >>> G = FGAbelianGroup((2, 4))
     >>> orbit_invariant(G, G.element([1, 0])), orbit_invariant(G, G.element([0, 2]))
     (((2, (0,)),), ((2, (1,)),))
     >>> orbit_invariant(G, G.element([1, 2]), 2) == orbit_invariant(G, G.element([1, 0]), 2)
     True
     """
-    check_member(group, x)
-    if not isinstance(c, int) or c < 0:
-        raise ValueError("c must be a nonnegative integer")
+    _check_coset(group, x, c)
     factors = group.invariant_factors
-    key = []
-    for p in _prime_divisors(factors[-1]) if factors else ():
-        # (v_p(r_i), e_i) of the nonzero p-parts that the coset cannot clear
-        kept = []
-        for xi, d in zip(x.torsion, factors):
-            e = _valuation(p, d)
-            r = xi % p**e
-            if r:
-                v = _valuation(p, r)
-                if not c or v < _valuation(p, c):
-                    kept.append((v, e))
-        ulm = []
-        j = 0
-        while heights := [j + v for v, e in kept if j + v < e]:
-            ulm.append(min(heights))
-            j += 1
-        key.append((p, tuple(ulm)))
-    return tuple(key)
+    return _ulm_key(group, x, c, _prime_divisors(factors[-1]) if factors else ())
+
+
+def same_orbit(group: FGAbelianGroup, x: GroupElement, y: GroupElement, c: int = 0) -> bool:
+    """Does some automorphism of T map x into y + c*T?  No factoring.
+
+    The rule of orbit_invariant, read over a coprime base of d_i,
+    gcd(x_i, d_i), gcd(y_i, d_i) and gcd(c, d_i) instead of over primes.
+    The p-part of x_i in Z/p^e_i has valuation v_p(gcd(x_i, d_i)) when that
+    is below e_i and is zero otherwise, and v_p(gcd(c, d_i)) = min(k, e_i),
+    so every valuation the rule reads at a prime p dividing the base element
+    q is s = v_p(q) times the one read at q.  A p-group orbit is fixed by
+    the pairs (v, e) of the kept coordinates that no other pair dominates
+    (Dutta & Prasad, J. Group Theory 14 (2011)), and p^v in Z/p^e maps into
+    p^v' in Z/p^e' iff v <= v' and e - v >= e' - v': inequalities that
+    scaling every pair by s preserves.  Hence x and y agree at every prime
+    of q iff their keys at q agree, and the cost is polynomial in the bit
+    length of d_s however large its primes are.
+
+    >>> G = FGAbelianGroup((2**89 - 1,))
+    >>> same_orbit(G, G.element([2]), G.element([3])), same_orbit(G, G.element([2]), G.element([0]))
+    (True, False)
+    """
+    _check_coset(group, x, c)
+    _check_coset(group, y, c)
+    factors = group.invariant_factors
+    base = _coprime_base(
+        g for d, xi, yi in zip(factors, x.torsion, y.torsion)
+        for g in (d, gcd(xi, d), gcd(yi, d), gcd(c, d))
+    )
+    return _ulm_key(group, x, c, base) == _ulm_key(group, y, c, base)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,11 @@
 """Command-line interface: JSON in, one JSON document out, fixed exit codes.
 
-Exit codes: 0 success, 2 malformed input, 3 hypothesis not satisfied (the
-graph is not purely infinite simple), 4 enumeration bound exceeded.
+Exit codes: 0 success, 2 malformed input or usage error, 3 hypothesis not
+satisfied (the graph is not purely infinite simple), 4 size bound exceeded
+(``oracle lemma1``, or ``compare`` when ``--bound`` is given).  Handlers
+return their payload and signal failure by raising; ``main`` maps each
+exception to its exit code through one table, so every failure prints one
+``{"error": code, "message": ...}`` document.
 """
 
 from __future__ import annotations
@@ -28,7 +32,6 @@ from .graphs import DirectedGraph, GraphFormatError, parse_graph, purely_infinit
 from .intmat import IntMatrix, smith_normal_form
 from .ktheory import k0_of_graph
 from .matrixtype import (
-    IsoReason,
     NotPurelyInfiniteSimple,
     compare_pointed_k0,
     m_graph,
@@ -41,6 +44,13 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_HYPOTHESIS = 3
 EXIT_BOUND = 4
+
+# exception -> exit code; main catches exactly these
+_EXIT_CODES = {
+    ValueError: EXIT_INPUT,  # GraphFormatError and usage errors are ValueErrors
+    NotPurelyInfiniteSimple: EXIT_HYPOTHESIS,
+    BoundExceeded: EXIT_BOUND,
+}
 
 
 def _read_text(path: str) -> str:
@@ -79,7 +89,7 @@ def _pis_json(report) -> dict:
     }
 
 
-def _cmd_analyze(args) -> tuple[object, int]:
+def _cmd_analyze(args) -> object:
     graph = _load_graph(args.graph)
     report = purely_infinite_simple(graph)
     k0 = k0_of_graph(graph)
@@ -90,57 +100,53 @@ def _cmd_analyze(args) -> tuple[object, int]:
         "unit_coords": list(k0.unit.torsion) + list(k0.unit.free),
         "unit_order": _order_json(k0.unit_order),
     }
-    return payload, EXIT_OK
+    return payload
 
 
-def _cmd_matrix_type(args) -> tuple[object, int]:
+def _cmd_matrix_type(args) -> object:
     graph = _load_graph(args.graph)
     report = purely_infinite_simple(graph)
     k0 = k0_of_graph(graph)
     verdict = matrix_type_equal(k0, report, args.c, args.d)
     regime = matrix_type_verdict(k0, report)
-    payload = {
+    return {
         "verdict": verdict,
         "regime": regime.regime,
         "n": regime.unit_order,
     }
-    return payload, EXIT_OK
 
 
-def _cmd_classes(args) -> tuple[object, int]:
+def _cmd_classes(args) -> object:
     graph = _load_graph(args.graph)
     report = purely_infinite_simple(graph)
     k0 = k0_of_graph(graph)
-    return matrix_type_classes(k0, report, args.max), EXIT_OK
+    return matrix_type_classes(k0, report, args.max)
 
 
-def _cmd_mgraph(args) -> tuple[object, int]:
+def _cmd_mgraph(args) -> object:
     graph = _load_graph(args.graph)
     built = m_graph(graph, args.m)
     doc = built.to_json_dict()
     if args.out != "-":
         Path(args.out).write_text(json.dumps(doc) + "\n", encoding="utf-8")
-    return doc, EXIT_OK
+    return doc
 
 
-def _cmd_compare(args) -> tuple[object, int]:
+def _cmd_compare(args) -> object:
     left = k0_of_graph(_load_graph(args.graph_a))
     right = k0_of_graph(_load_graph(args.graph_b))
-    verdict = compare_pointed_k0(left, right, args.bound)
-    payload = {
+    size = max(left.group.torsion_size, right.group.torsion_size)
+    if args.bound is not None and size > args.bound:
+        raise BoundExceeded(f"group of size {size} exceeds the size bound {args.bound}")
+    verdict = compare_pointed_k0(left, right)
+    return {
         "isomorphic": verdict.isomorphic,
         "reason": verdict.reason.value,
         "witness": verdict.witness,
     }
-    code = (
-        EXIT_BOUND
-        if verdict.reason is IsoReason.UNDECIDED_BOUND_EXCEEDED
-        else EXIT_OK
-    )
-    return payload, code
 
 
-def _cmd_snf(args) -> tuple[object, int]:
+def _cmd_snf(args) -> object:
     text = _read_text(args.file) if args.file else sys.stdin.read()
     try:
         rows = json.loads(text)
@@ -149,16 +155,15 @@ def _cmd_snf(args) -> tuple[object, int]:
     if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
         raise ValueError("matrix must be a JSON array of arrays")
     snf = smith_normal_form(IntMatrix(rows))
-    payload = {
+    return {
         "U": snf.U.to_lists(),
         "D": snf.D.to_lists(),
         "V": snf.V.to_lists(),
         "diagonal": list(snf.diagonal),
     }
-    return payload, EXIT_OK
 
 
-def _cmd_oracle_lemma1(args) -> tuple[object, int]:
+def _cmd_oracle_lemma1(args) -> object:
     group = FGAbelianGroup(tuple(_int_list(args.factors)))
     x = group.element(_int_list(args.x))
     if args.c < 1 or args.d < 1:
@@ -168,18 +173,16 @@ def _cmd_oracle_lemma1(args) -> tuple[object, int]:
     brute = automorphism_maps_x_to_y(
         group, scale(group, args.c, x), scale(group, args.d, x), args.bound
     )
-    payload = {
+    return {
         "criterion": criterion,
         "bruteforce": brute,
         "agree": criterion == brute,
     }
-    return payload, EXIT_OK
 
 
-def _cmd_oracle_eigen(args) -> tuple[object, int]:
+def _cmd_oracle_eigen(args) -> object:
     witness = eigen_search(args.t, args.bound, _int_list(args.x), args.m, args.n)
-    payload = {"witness": None if witness is None else witness.to_lists()}
-    return payload, EXIT_OK
+    return {"witness": None if witness is None else witness.to_lists()}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -227,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="unit-preserving K0 isomorphism verdict")
     p.add_argument("--graph-a", required=True)
     p.add_argument("--graph-b", required=True)
-    p.add_argument("--bound", type=int, default=DEFAULT_SIZE_BOUND)
+    p.add_argument("--bound", type=int)  # refuse (exit 4) a larger torsion subgroup
     p.set_defaults(handler=_cmd_compare)
 
     p = sub.add_parser("snf", help="Smith normal form with transforms")
@@ -268,21 +271,14 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        payload, code = args.handler(args)
-    except (GraphFormatError, ValueError) as exc:
-        _emit({"error": EXIT_INPUT, "message": str(exc)})
+        payload = args.handler(args)
+    except tuple(_EXIT_CODES) as exc:
+        code = next(c for kind, c in _EXIT_CODES.items() if isinstance(exc, kind))
+        _emit({"error": code, "message": str(exc)})
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except NotPurelyInfiniteSimple as exc:
-        _emit({"error": EXIT_HYPOTHESIS, "message": str(exc)})
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_HYPOTHESIS
-    except BoundExceeded as exc:
-        _emit({"error": EXIT_BOUND, "message": str(exc)})
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BOUND
+        return code
     _emit(payload)
-    return code
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -42,10 +42,6 @@ class IntMatrix:
         self.rows = len(data)
         self.cols = width
 
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls([[int(i == j) for j in range(n)] for i in range(n)])
-
     def __getitem__(self, i: int) -> tuple[int, ...]:
         return self._data[i]
 
@@ -74,9 +70,6 @@ class IntMatrix:
         if len(vector) != self.cols:
             raise ValueError("vector length does not match matrix width")
         return tuple(sum(a * b for a, b in zip(row, vector)) for row in self._data)
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(list(zip(*self._data)))
 
     def to_lists(self) -> list[list[int]]:
         return [list(row) for row in self._data]

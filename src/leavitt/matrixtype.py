@@ -15,14 +15,11 @@ from enum import Enum
 from math import gcd
 
 from .abelian import (
-    DEFAULT_SIZE_BOUND,
-    BoundExceeded,
     FGAbelianGroup,
     GroupElement,
     INFINITE,
     check_member,
-    gcd_criterion,
-    orbit_invariant,
+    same_orbit,
 )
 from .graphs import DirectedGraph, PisReport
 from .intmat import content
@@ -66,9 +63,7 @@ def matrix_type_equal(k0: K0Data, pis: PisReport, c: int, d: int) -> bool:
     if c < 1 or d < 1:
         raise ValueError("matrix sizes must be positive integers")
     verdict = matrix_type_verdict(k0, pis)
-    if verdict.regime == "infinite":
-        return c == d
-    return gcd_criterion(verdict.unit_order, c, d)
+    return verdict.class_label(c) == verdict.class_label(d)
 
 
 def matrix_type_classes(k0: K0Data, pis: PisReport, max_n: int) -> list[list[int]]:
@@ -119,27 +114,24 @@ class IsoReason(Enum):
     GROUP_MISMATCH = "group_mismatch"
     UNIT_ORBIT_MISMATCH = "unit_orbit_mismatch"
     UNIT_ORBIT_MATCH = "unit_orbit_match"
-    UNDECIDED_BOUND_EXCEEDED = "undecided_bound_exceeded"
 
 
 @dataclass(frozen=True)
 class IsoVerdict:
     """Outcome of the unit-preserving isomorphism comparison."""
 
-    isomorphic: bool
     reason: IsoReason
     witness: str | None = None
 
-    def __post_init__(self):
-        if self.isomorphic and self.reason is not IsoReason.UNIT_ORBIT_MATCH:
-            raise ValueError("isomorphic verdicts must carry a unit-orbit match")
+    @property
+    def isomorphic(self) -> bool:
+        return self.reason is IsoReason.UNIT_ORBIT_MATCH
 
 
 def pointed_iso_exists(
     group: FGAbelianGroup,
     x: GroupElement,
     y: GroupElement,
-    size_bound: int = DEFAULT_SIZE_BOUND,
 ) -> bool:
     """Does an automorphism of group = T + Z^t send x to y?
 
@@ -147,39 +139,23 @@ def pointed_iso_exists(
     a unimodular map on Z^t, and an arbitrary homomorphism from Z^t into T
     (nothing maps torsion into the free part).  Hence x maps to y iff the
     free parts have the same content c and some automorphism of T moves the
-    torsion part of x into y_T + c*T.  The torsion side is decided by the
-    closed-form orbit_invariant, with no search.  Different contents answer
-    False at once; otherwise this raises BoundExceeded when the torsion
-    subgroup is larger than size_bound, so that callers keep one cap on the
-    groups they decide.
+    torsion part of x into y_T + c*T.  same_orbit decides the torsion side
+    in closed form, with no search and no factoring, so its cost stays
+    polynomial in the bit length of the invariant factors.
     """
     check_member(group, x)
     check_member(group, y)
     c = content(x.free)
     if content(y.free) != c:
         return False
-    if group.torsion_size > size_bound:
-        raise BoundExceeded(
-            f"group of size {group.torsion_size} exceeds the size bound {size_bound}"
-        )
-    return orbit_invariant(group, x, c) == orbit_invariant(group, y, c)
+    return same_orbit(group, x, y, c)
 
 
-def compare_pointed_k0(
-    k_left: K0Data,
-    k_right: K0Data,
-    size_bound: int = DEFAULT_SIZE_BOUND,
-) -> IsoVerdict:
+def compare_pointed_k0(k_left: K0Data, k_right: K0Data) -> IsoVerdict:
     """Decide whether an isomorphism of K0 groups carries unit to unit."""
     if k_left.group != k_right.group:
-        return IsoVerdict(isomorphic=False, reason=IsoReason.GROUP_MISMATCH)
-    try:
-        matched = pointed_iso_exists(
-            k_left.group, k_left.unit, k_right.unit, size_bound
-        )
-    except BoundExceeded:
-        return IsoVerdict(isomorphic=False, reason=IsoReason.UNDECIDED_BOUND_EXCEEDED)
-    if matched:
+        return IsoVerdict(IsoReason.GROUP_MISMATCH)
+    if pointed_iso_exists(k_left.group, k_left.unit, k_right.unit):
         c = content(k_left.unit.free)
         if c:
             witness = (
@@ -188,7 +164,5 @@ def compare_pointed_k0(
             )
         else:
             witness = "some automorphism carries one unit exactly to the other"
-        return IsoVerdict(
-            isomorphic=True, reason=IsoReason.UNIT_ORBIT_MATCH, witness=witness
-        )
-    return IsoVerdict(isomorphic=False, reason=IsoReason.UNIT_ORBIT_MISMATCH)
+        return IsoVerdict(IsoReason.UNIT_ORBIT_MATCH, witness)
+    return IsoVerdict(IsoReason.UNIT_ORBIT_MISMATCH)

@@ -18,6 +18,7 @@ from leavitt.abelian import (
     enumerate_automorphisms,
     gcd_criterion,
     orbit_invariant,
+    same_orbit,
     scale,
 )
 from leavitt.intmat import unimodular_check
@@ -246,6 +247,66 @@ class TestOrbitInvariant:
                 assert oracle == closed, (factors, x, y)
                 answers.add(oracle)
         assert answers == {True, False}
+
+
+class TestSameOrbit:
+    def test_composite_base(self):
+        # Z/72: the base of {72, gcd(1, 72), gcd(5, 72)} is {72} itself, read
+        # at once for 2^3 and 3^2
+        g = FGAbelianGroup((72,))
+        assert abelian_module._coprime_base([72, gcd(1, 72), gcd(5, 72)]) == [72]
+        assert same_orbit(g, g.element([1]), g.element([5]))
+        assert not same_orbit(g, g.element([1]), g.element([2]))
+        # modulo 3*T only the 3-parts count; modulo 2*T only the 2-parts
+        assert same_orbit(g, g.element([1]), g.element([2]), 3)
+        assert not same_orbit(g, g.element([1]), g.element([2]), 2)
+
+    def test_rejects_bad_input(self):
+        g = FGAbelianGroup((4,))
+        with pytest.raises(ValueError):
+            same_orbit(g, g.element([1]), g.element([1]), -2)
+        with pytest.raises(ValueError):
+            same_orbit(g, g.element([1]), GroupElement((1, 2)))
+
+    def test_matches_the_prime_key(self):
+        # chains whose gcds with x and y split the primes unevenly, every c
+        rng = random.Random(7211)
+        answers = set()
+        for _ in range(1500):
+            factors = [rng.choice([2, 4, 6, 12, 18, 36, 72, 100, 108])]
+            for _ in range(rng.randrange(3)):
+                factors.append(factors[-1] * rng.choice([1, 2, 3, 6, 9]))
+            g = FGAbelianGroup(tuple(factors))
+            x = g.element([rng.randrange(d) for d in factors])
+            unit = rng.choice([u for u in range(1, 2 * factors[-1]) if gcd(u, factors[-1]) == 1])
+            y = rng.choice([g.element([rng.randrange(d) for d in factors]), scale(g, unit, x)])
+            c = rng.choice([0, 0, 1, 2, 3, 6, 12, rng.randrange(1, 500)])
+            keys = orbit_invariant(g, x, c) == orbit_invariant(g, y, c)
+            assert same_orbit(g, x, y, c) == keys, (factors, x, y, c)
+            answers.add(keys)
+        assert answers == {True, False}
+
+    def test_matches_exact_oracle_on_composite_bases(self):
+        rng = random.Random(8191)
+        for factors in [(72,), (6, 36), (3, 36), (2, 2, 90)]:
+            group = FGAbelianGroup(factors)
+            elems = list(group.elements())
+            for _ in range(80):
+                x, y = rng.choice(elems), rng.choice(elems)
+                assert same_orbit(group, x, y) == automorphism_maps_x_to_y(group, x, y)
+
+    def test_large_primes_without_factoring(self, monkeypatch):
+        def refuse(n):
+            raise AssertionError(f"factored {n}")
+
+        monkeypatch.setattr(abelian_module, "_prime_divisors", refuse)
+        p, q = 2**127 - 1, 2**89 - 1
+        g = FGAbelianGroup((p * q, 6 * p * q))
+        x = g.element([p, 0])
+        assert same_orbit(g, x, scale(g, 5, x))
+        assert not same_orbit(g, x, g.element([q, 0]))  # orders q and p
+        assert same_orbit(g, g.element([1, p]), g.element([2, 0]), p)
+        assert not same_orbit(g, g.element([1, 0]), g.element([q, 0]), q)
 
 
 class TestEigenSearch:

@@ -168,7 +168,9 @@ def test_criterion_6_eigen_exhaustive_search():
                         if witness is not None:
                             failures.append((t, x, m, n, witness.to_lists()))
                     else:
-                        identity = IntMatrix.identity(t)
+                        identity = IntMatrix(
+                            [[int(i == j) for j in range(t)] for i in range(t)]
+                        )
                         identity_valid = tuple(
                             n * s for s in identity.apply(x)
                         ) == tuple(m * v for v in x)

@@ -8,7 +8,8 @@ import pytest
 
 import leavitt
 from leavitt.cli import main
-from leavitt.graphs import rose
+from leavitt.graphs import build_graph, rose
+from leavitt.matrixtype import m_graph
 
 from conftest import infinite_order_graph
 
@@ -23,7 +24,7 @@ def run_cli(capsys, argv, stdin=None, monkeypatch=None):
     return code, captured.out
 
 
-def run_module(*argv, text=True):
+def run_module(*argv, text=True, timeout=None):
     """``python -m leavitt`` in a child that imports the package under test."""
     src = str(Path(leavitt.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -32,7 +33,17 @@ def run_module(*argv, text=True):
         capture_output=True,
         text=text,
         env={**os.environ, "PYTHONPATH": path},
+        timeout=timeout,
     )
+
+
+def error_document(code, out):
+    """The one {"error": code, "message": str} document of a failed call."""
+    assert out.endswith("\n") and out.count("\n") == 1
+    doc = json.loads(out)
+    assert set(doc) == {"error", "message"}
+    assert doc["error"] == code
+    assert isinstance(doc["message"], str) and doc["message"]
 
 
 def write_graph(tmp_path, name, graph):
@@ -132,10 +143,18 @@ class TestMatrixType:
         code, out = run_cli(
             capsys, ["matrix-type", "--graph", rose1, "--c", "1", "--d", "1"]
         )
+        error_document(3, out)
         assert code == 3
-        doc = json.loads(out)
-        assert doc["error"] == 3
-        assert "message" in doc
+
+    def test_sink_graph_exit_3(self, capsys, tmp_path):
+        sink = build_graph(["a", "b"], [("a", "a", 2), ("a", "b", 1)])
+        code, out = run_cli(
+            capsys,
+            ["matrix-type", "--graph", write_graph(tmp_path, "sink.json", sink),
+             "--c", "1", "--d", "2"],
+        )
+        error_document(3, out)
+        assert code == 3
 
 
 class TestClasses:
@@ -196,8 +215,29 @@ class TestCompare:
             capsys,
             ["compare", "--graph-a", rose5, "--graph-b", rose5, "--bound", "2"],
         )
+        error_document(4, out)
         assert code == 4
-        assert json.loads(out)["reason"] == "undecided_bound_exceeded"
+
+    @pytest.mark.parametrize("m, expected", [(2, True), (5, False)])
+    def test_decides_above_the_old_cap(self, capsys, tmp_path, m, expected):
+        # K0 = Z/1025: the unit orbits match iff gcd(m, 1025) == 1
+        left = write_graph(tmp_path, "rose1026.json", rose(1026))
+        right = write_graph(tmp_path, "scaled.json", m_graph(rose(1026), m))
+        code, out = run_cli(capsys, ["compare", "--graph-a", left, "--graph-b", right])
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["isomorphic"] is expected
+        assert doc["reason"] == ("unit_orbit_match" if expected else "unit_orbit_mismatch")
+
+    @pytest.mark.parametrize("m, expected", [(2, True), (3, False)])
+    def test_decides_a_large_prime_without_factoring(self, tmp_path, m, expected):
+        # K0 = Z/(3 * (2^89 - 1)): trial division to its square root never ends
+        big = rose(3 * (2**89 - 1) + 1)
+        left = write_graph(tmp_path, "big.json", big)
+        right = write_graph(tmp_path, "scaled.json", m_graph(big, m))
+        proc = run_module("compare", "--graph-a", left, "--graph-b", right, timeout=60)
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout)["isomorphic"] is expected
 
 
 class TestSnf:
@@ -231,8 +271,8 @@ class TestSnf:
         code, out = run_cli(
             capsys, ["snf"], stdin="[[1,2],[3]]", monkeypatch=monkeypatch
         )
+        error_document(2, out)
         assert code == 2
-        assert json.loads(out)["error"] == 2
 
 
 class TestOracle:
@@ -274,8 +314,8 @@ class TestOracle:
                 "--bound", "4",
             ],
         )
+        error_document(4, out)
         assert code == 4
-        assert json.loads(out)["error"] == 4
 
     def test_eigen_no_witness(self, capsys):
         code, out = run_cli(
@@ -299,28 +339,27 @@ class TestErrors:
         path = tmp_path / "bad.json"
         path.write_text('{"vertices":[],"edges":[]}')
         code, out = run_cli(capsys, ["analyze", "--graph", str(path)])
+        error_document(2, out)
         assert code == 2
-        doc = json.loads(out)
-        assert doc["error"] == 2 and "message" in doc
 
     def test_missing_file_exit_2(self, capsys):
         code, out = run_cli(capsys, ["analyze", "--graph", "/nonexistent/g.json"])
+        error_document(2, out)
         assert code == 2
-        assert json.loads(out)["error"] == 2
 
     def test_deeply_nested_matrix_exit_2(self, capsys, monkeypatch):
         deep = "[" * 100_000 + "]" * 100_000
         code, out = run_cli(capsys, ["snf"], stdin=deep, monkeypatch=monkeypatch)
+        error_document(2, out)
         assert code == 2
-        assert json.loads(out)["error"] == 2
 
     def test_deeply_nested_graph_exit_2(self, capsys, monkeypatch):
         deep = "[" * 100_000 + "]" * 100_000
         code, out = run_cli(
             capsys, ["analyze", "--graph", "-"], stdin=deep, monkeypatch=monkeypatch
         )
+        error_document(2, out)
         assert code == 2
-        assert json.loads(out)["error"] == 2
 
     @pytest.mark.parametrize(
         "argv",
@@ -335,8 +374,7 @@ class TestErrors:
         code = main(argv)
         captured = capsys.readouterr()
         assert code == 2
-        doc = json.loads(captured.out)
-        assert doc["error"] == 2 and doc["message"]
+        error_document(code, captured.out)
         assert captured.err.startswith("usage: leavitt")
 
 

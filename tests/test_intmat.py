@@ -46,14 +46,6 @@ class TestIntMatrix:
         b = IntMatrix([[0, 1], [1, 0]])
         assert (a @ b).to_lists() == [[2, 1], [4, 3]]
         assert a.apply([1, 1]) == (3, 7)
-        assert a.transpose().to_lists() == [[1, 3], [2, 4]]
-
-    def test_identity(self):
-        assert IntMatrix.identity(3).to_lists() == [
-            [1, 0, 0],
-            [0, 1, 0],
-            [0, 0, 1],
-        ]
 
 
 class TestDeterminant:
@@ -88,7 +80,7 @@ class TestDeterminant:
 
 class TestUnimodular:
     def test_examples(self):
-        assert unimodular_check(IntMatrix.identity(3))
+        assert unimodular_check(IntMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
         assert unimodular_check(IntMatrix([[1, 1], [0, 1]]))
         assert not unimodular_check(IntMatrix([[2, 0], [0, 1]]))
 

@@ -7,6 +7,8 @@ from math import gcd
 import pytest
 
 import leavitt.abelian as abelian_module
+import leavitt.graphs as graphs_module
+import leavitt.ktheory as ktheory_module
 import leavitt.matrixtype as matrixtype_module
 from leavitt.abelian import (
     FGAbelianGroup,
@@ -18,7 +20,6 @@ from leavitt.abelian import (
 from leavitt.graphs import rose, purely_infinite_simple
 from leavitt.ktheory import k0_of_graph
 from leavitt.matrixtype import (
-    BoundExceeded,
     IsoReason,
     IsoVerdict,
     NotPurelyInfiniteSimple,
@@ -194,11 +195,13 @@ class TestPointedIsoExists:
         assert pointed_iso_exists(g, x, g.element([3], [0]))
         assert not pointed_iso_exists(g, x, g.element([2], [0]))
 
-    def test_bound_exceeded(self):
-        g = FGAbelianGroup((64,), free_rank=1)
-        x = g.element([1], [1])
-        with pytest.raises(BoundExceeded):
-            pointed_iso_exists(g, x, x, size_bound=8)
+    def test_no_size_cap(self):
+        # 2^20 torsion elements: the closed form decides without a cap
+        assert list(inspect.signature(pointed_iso_exists).parameters) == ["group", "x", "y"]
+        g = FGAbelianGroup((2**20,), free_rank=1)
+        x = g.element([1], [2])
+        assert pointed_iso_exists(g, x, g.element([3], [-2]))
+        assert not pointed_iso_exists(g, x, g.element([2], [2]))
 
     def test_brute_force_equivalence_sample(self):
         # structural rule == enumeration over (alpha, beta, delta) on a sample
@@ -247,9 +250,10 @@ class TestPointedIsoExists:
 class TestDecisionPathOffOracle:
     def test_never_builds_a_search_table(self, monkeypatch):
         def refuse(factors):
-            raise AssertionError(f"search table built for {factors}")
+            raise AssertionError(f"searched or factored {factors}")
 
         monkeypatch.setattr(abelian_module, "_table_for", refuse)
+        monkeypatch.setattr(abelian_module, "_prime_divisors", refuse)
         cases = [
             (rose(5), m_graph(rose(5), 2), False),  # gcd(1, 4) != gcd(2, 4)
             (m_graph(rose(7), 2), m_graph(rose(7), 4), True),  # gcd 2 both
@@ -262,16 +266,35 @@ class TestDecisionPathOffOracle:
         assert pointed_iso_exists(g, g.element([1, 2], [6]), g.element([1, 4], [-6]))
         assert not pointed_iso_exists(g, g.element([1, 2], [0]), g.element([0, 2], [0]))
 
-    def test_imports_no_private_name(self):
-        tree = ast.parse(inspect.getsource(matrixtype_module))
-        imported = [
+    @staticmethod
+    def _imported_names(module):
+        tree = ast.parse(inspect.getsource(module))
+        return [
             alias.name
             for node in ast.walk(tree)
             if isinstance(node, ast.ImportFrom)
             for alias in node.names
         ]
-        assert "orbit_invariant" in imported
+
+    def test_imports_no_private_name(self):
+        imported = self._imported_names(matrixtype_module)
+        assert "same_orbit" in imported
         assert not [name for name in imported if name.startswith("_")]
+
+    @pytest.mark.parametrize(
+        "module", [matrixtype_module, ktheory_module, graphs_module],
+        ids=["matrixtype", "ktheory", "graphs"],
+    )
+    def test_imports_no_oracle_name(self, module):
+        oracle_names = {
+            "BoundExceeded",
+            "DEFAULT_SIZE_BOUND",
+            "automorphism_maps_x_to_y",
+            "enumerate_automorphisms",
+            "apply_automorphism",
+            "eigen_search",
+        }
+        assert not oracle_names & set(self._imported_names(module))
 
 
 class TestComparePointedK0:
@@ -298,14 +321,31 @@ class TestComparePointedK0:
         right = k0_of_graph(m_graph(rose(5), 6))
         assert compare_pointed_k0(left, right).isomorphic
 
-    def test_bound_exceeded_verdict(self):
-        left = k0_of_graph(rose(6))
-        verdict = compare_pointed_k0(left, left, size_bound=2)
-        assert not verdict.isomorphic
-        assert verdict.reason is IsoReason.UNDECIDED_BOUND_EXCEEDED
+    def test_decides_above_the_old_cap(self):
+        # K0 = Z/1025 with unit order 1025, above the former 1024-element cap
+        left = k0_of_graph(rose(1026))
+        assert left.group.torsion_size == 1025
+        match = compare_pointed_k0(left, k0_of_graph(m_graph(rose(1026), 2)))
+        assert match.isomorphic  # gcd(1, 1025) == gcd(2, 1025)
+        assert match.reason is IsoReason.UNIT_ORBIT_MATCH
+        mismatch = compare_pointed_k0(left, k0_of_graph(m_graph(rose(1026), 5)))
+        assert not mismatch.isomorphic  # gcd(1, 1025) != gcd(5, 1025)
+        assert mismatch.reason is IsoReason.UNIT_ORBIT_MISMATCH
 
-    def test_verdict_invariant(self):
-        with pytest.raises(ValueError):
+    def test_decides_a_large_prime_without_factoring(self):
+        # K0 = Z/(3 * (2^89 - 1)): trial division to its square root never ends
+        big = rose(3 * (2**89 - 1) + 1)
+        left = k0_of_graph(big)
+        assert left.group.invariant_factors == (3 * (2**89 - 1),)
+        assert compare_pointed_k0(left, k0_of_graph(m_graph(big, 2))).isomorphic
+        mismatch = compare_pointed_k0(left, k0_of_graph(m_graph(big, 3)))
+        assert mismatch.reason is IsoReason.UNIT_ORBIT_MISMATCH
+
+    def test_isomorphic_follows_reason(self):
+        for reason in IsoReason:
+            verdict = IsoVerdict(reason)
+            assert verdict.isomorphic is (reason is IsoReason.UNIT_ORBIT_MATCH)
+        with pytest.raises(TypeError):
             IsoVerdict(isomorphic=True, reason=IsoReason.GROUP_MISMATCH)
 
 
