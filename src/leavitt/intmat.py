@@ -4,19 +4,29 @@ Everything here works over Python's arbitrary-precision integers.  Smith
 normal form intermediates routinely outgrow machine words, so there is no
 fixed-width fast path anywhere.
 
-Smith normal form has one elimination, ``_eliminate``.  It reduces A to D
-and logs its row and column steps; U and V are their products, unimodular
-by construction.  ``smith_normal_form`` builds both from the log and checks
-U @ A @ V == D densely.  ``smith_coordinates``, the cokernel path of
-``ktheory``, checks the same identity by replaying the log on a copy of A
-and derives only the rows of U that the cokernel reads.
+Smith normal form has one elimination, ``_eliminate``, in two phases.  The
+unit phase works on sparse rows: while some row holds a +-1 entry, it
+pivots on one, chosen to keep fill low, and clears the pivot's row and
+column exactly.  The gcd phase then reduces the dense residual block, which
+holds no unit, by division steps.  Both phases log their row and column
+steps; U and V are the products, unimodular by construction.
+``smith_normal_form`` builds both from the log and checks U @ A @ V == D
+densely.  ``smith_coordinates``, the cokernel path of ``ktheory``, checks
+the same identity by replaying every step of the log on a copy of A, where
+each step skips only the entries that are zero in the copy, and derives in
+one reverse pass only the rows of U that the cokernel reads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
+from itertools import compress
 from math import gcd
 from typing import Iterable, Sequence
+
+
+_PLAIN_INT = frozenset({int})
 
 
 class IntMatrix:
@@ -27,12 +37,12 @@ class IntMatrix:
     def __init__(self, rows_data: Iterable[Sequence[int]]):
         data = []
         for row in rows_data:
-            out = []
-            for value in row:
-                if isinstance(value, bool) or not isinstance(value, int):
-                    raise ValueError(f"matrix entries must be integers, got {value!r}")
-                out.append(value)
-            data.append(tuple(out))
+            row = tuple(row)
+            if not set(map(type, row)) <= _PLAIN_INT:  # else check each entry
+                for value in row:
+                    if isinstance(value, bool) or not isinstance(value, int):
+                        raise ValueError(f"matrix entries must be integers, got {value!r}")
+            data.append(row)
         if not data or not data[0]:
             raise ValueError("matrix must have at least one row and one column")
         width = len(data[0])
@@ -156,27 +166,136 @@ def _pivot(a: list[list[int]], k: int) -> tuple[int, int] | None:
 _Step = tuple[str, int, int, int]
 
 
+def _has_unit(row: dict[int, int]) -> bool:
+    values = row.values()
+    return 1 in values or -1 in values
+
+
+def _place(log: list[_Step], kind: str, targets: list[int], size: int) -> list[int]:
+    """Log the swaps of the given kind that move index targets[t] to slot t;
+    returns the original index that ends up at each slot."""
+    at, slot = list(range(size)), list(range(size))
+    for t, i in enumerate(targets):
+        s = slot[i]
+        if s != t:
+            log.append((kind, t, s, 0))
+            moved = at[t]
+            at[t], at[s] = i, moved
+            slot[i], slot[moved] = t, s
+    return at
+
+
+def _clear_units(a: list[list[int]]) -> tuple[list[_Step], int]:
+    """The unit phase of _eliminate: pivot on a +-1 entry while any row
+    holds one, and clear the pivot's row and column exactly.
+
+    Rows are {column: value} dicts of their nonzeros, and each column keeps
+    the set of rows that hold it.  The pivot row is the row with the fewest
+    nonzeros among those holding a unit, kept in a lazy heap keyed
+    (len(row), row); a popped key whose row was pivoted, has changed length
+    or holds no unit any more is skipped, and every changed row that holds
+    a unit is pushed again.  Its pivot is the unit whose column has the
+    fewest nonzeros, then the lowest column.  Row additions clear the
+    pivot column, which brings the pivot row's other entries into those
+    rows (the fill this order keeps small); column additions then clear the
+    pivot row, and a -1 pivot is negated.  Steps are logged at original
+    indices; the rows of a column are walked in sorted order and a row's
+    entries in the order they entered it, so the log does not depend on the
+    hash seed.
+
+    Finally row and column swaps move pivot t to slot t, a is rewritten to
+    the result, and the log is returned with the number k of pivots: a is
+    diagonal with ones before slot k, zero beside them, and its residual
+    block from k on holds no unit.
+    """
+    m, n = len(a), len(a[0])
+    rows = [dict(compress(enumerate(row), row)) for row in a]
+    holders: list[set[int]] = [set() for _ in range(n)]
+    for i, row in enumerate(rows):
+        for j in row:
+            holders[j].add(i)
+    heap = [(len(row), i) for i, row in enumerate(rows) if _has_unit(row)]
+    heapify(heap)
+    log: list[_Step] = []
+    pivot_rows: list[int] = []
+    pivot_cols: list[int] = []
+    done = [False] * m
+    while heap:
+        size, r = heappop(heap)
+        row = rows[r]
+        if done[r] or size != len(row) or not _has_unit(row):
+            continue  # a stale key
+        units = [j for j, x in row.items() if x == 1 or x == -1]
+        c = units[0] if len(units) == 1 else min(units, key=lambda j: (len(holders[j]), j))
+        u = row[c]
+        for i in sorted(holders[c]):
+            if i == r:
+                continue
+            target = rows[i]
+            q = -target[c] * u  # u * u == 1
+            for j, x in row.items():
+                y = target.get(j)
+                if y is None:
+                    target[j] = q * x
+                    holders[j].add(i)
+                elif y + q * x:
+                    target[j] = y + q * x
+                else:
+                    del target[j]
+                    holders[j].discard(i)
+            log.append(("row_add", r, i, q))
+            if _has_unit(target):
+                heappush(heap, (len(target), i))
+        for j, x in row.items():
+            if j != c:  # column c now holds row r alone
+                log.append(("col_add", c, j, -x * u))
+                holders[j].discard(r)
+        if u < 0:
+            log.append(("row_neg", r, r, 0))
+        rows[r] = {c: 1}
+        done[r] = True
+        pivot_rows.append(r)
+        pivot_cols.append(c)
+
+    row_at = _place(log, "row_swap", pivot_rows, m)
+    col_at = _place(log, "col_swap", pivot_cols, n)
+    col_slot = [0] * n
+    for s, j in enumerate(col_at):
+        col_slot[j] = s
+    for s, i in enumerate(row_at):
+        out = [0] * n
+        for j, x in rows[i].items():
+            out[col_slot[j]] = x
+        a[s] = out
+    return log, len(pivot_rows)
+
+
 def _eliminate(a: list[list[int]]) -> list[_Step]:
     """Reduce a (a list of rows, changed in place) to Smith normal form.
 
-    Gcd-pivot reduction: repeatedly move a minimal-magnitude nonzero entry
-    of the trailing block to the pivot, clear its row and column by exact
-    division steps, and fold rows back in until the pivot divides the whole
-    remaining block.  Returns the log of row and column steps in the order
-    applied; U and V are their products, and neither is built here.
+    Returns the log of row and column steps in the order applied; U and V
+    are their products, and neither is built here.  Two phases:
 
-    At step k, rows from k on are zero left of column k and columns from k
-    on are zero above row k, so operations on a skip those entries.
+    - the unit phase (_clear_units) pivots sparsely on +-1 entries in
+      fill-reducing order and leaves its k pivots on the diagonal;
+    - the gcd phase reduces the dense residual block from k on: it
+      repeatedly moves a minimal-magnitude nonzero entry of the trailing
+      block to the pivot, clears its row and column by exact division
+      steps, and folds rows back in until the pivot divides the whole
+      remaining block.
+
+    At gcd step k, rows from k on are zero left of column k and columns
+    from k on are zero above row k, so operations on a skip those entries.
     """
     m, n = len(a), len(a[0])
-    log: list[_Step] = []
+    log, start = _clear_units(a)
 
     def add_row(src: int, dst: int, q: int, k: int) -> None:
         # row[dst] += q * row[src]; both rows vanish left of column k
         a[dst][k:] = [x + q * y for x, y in zip(a[dst][k:], a[src][k:])]
         log.append(("row_add", src, dst, q))
 
-    for k in range(min(m, n)):
+    for k in range(start, min(m, n)):
         while True:
             pos = _pivot(a, k)
             if pos is None:
@@ -228,10 +347,17 @@ def _eliminate(a: list[list[int]]) -> list[_Step]:
 
 
 def _replay(rows: Iterable[Sequence[int]], steps: Iterable[_Step]) -> list[list[int]]:
-    """A copy of the matrix with the steps applied by full-length operations.
-    col j += q * col i leaves column i alone, so a run of additions from one
-    source column finds the rows that move once, by scanning every row."""
+    """A copy of the matrix with every step applied.
+
+    Each step acts on whole rows or columns; the only entries it skips are
+    zeros, as the copy holds them.  A row addition walks the nonzeros of
+    its source row, and a column addition the rows that hold its source
+    column.  A run of additions from one source column finds those rows
+    once, since col j += q * col i never makes a zero of column i nonzero.
+    Nothing is assumed about which entries the elimination left zero.
+    """
     b = [list(row) for row in rows]
+    n = len(b[0])
     source, moving = -1, []
     for kind, i, j, q in steps:
         if kind == "col_add":
@@ -242,7 +368,9 @@ def _replay(rows: Iterable[Sequence[int]], steps: Iterable[_Step]) -> list[list[
             continue
         source = -1  # any other step may change which rows move
         if kind == "row_add":
-            b[j] = [x + q * y for x, y in zip(b[j], b[i])]
+            src, dst = b[i], b[j]
+            for col in compress(range(n), src):
+                dst[col] += q * src[col]
         elif kind == "row_swap":
             b[i], b[j] = b[j], b[i]
         elif kind == "row_neg":
@@ -253,19 +381,24 @@ def _replay(rows: Iterable[Sequence[int]], steps: Iterable[_Step]) -> list[list[
     return b
 
 
-def _coordinate_row(m: int, log: list[_Step], i: int, d: int) -> tuple[int, ...]:
-    """Row i of U = R_t ... R_1, reduced modulo d (exact when d == 0): e_i^T
-    times the row steps in reverse order, row j += q * row s acting as
+def _coordinate_rows(m: int, log: list[_Step], wanted: list[tuple[int, int]]) -> list[list[int]]:
+    """Row i of U = R_t ... R_1 for each (i, d) in wanted, reduced modulo its
+    own d (exact when d == 0), all in one reverse pass over the row steps:
+    e_i^T times the steps in reverse order, row j += q * row s acting as
     x[s] += q * x[j]."""
-    x = [int(r == i) for r in range(m)]
+    rows = [([int(r == i) for r in range(m)], d) for i, d in wanted]
     for kind, s, j, q in reversed(log):
         if kind == "row_add":
-            x[s] = (x[s] + q * x[j]) % d if d else x[s] + q * x[j]
+            for x, d in rows:
+                if x[j]:
+                    x[s] = (x[s] + q * x[j]) % d if d else x[s] + q * x[j]
         elif kind == "row_swap":
-            x[s], x[j] = x[j], x[s]
+            for x, _ in rows:
+                x[s], x[j] = x[j], x[s]
         elif kind == "row_neg":
-            x[s] = -x[s] % d if d else -x[s]
-    return tuple(x)
+            for x, d in rows:
+                x[s] = -x[s] % d if d else -x[s]
+    return [x for x, _ in rows]
 
 
 def smith_normal_form(matrix: IntMatrix) -> SmithDecomposition:
@@ -291,25 +424,26 @@ def smith_coordinates(
     rows i of U with d_i != 1 (d_i = 0 past the diagonal), the coordinates
     of Z^m / im(A): torsion rows reduced modulo d_i, free rows exact.
 
-    U and V are never built.  Replaying the log on a fresh copy of A must
-    give D, which certifies U @ A @ V == D.  The replay does not cover the
-    backward derivation of the rows, so each must also send every column of
-    A to 0 modulo d_i (exactly 0 when free), summed over the nonzeros of A.
+    U and V are never built.  Replaying the whole log on a fresh copy of A
+    must give D, which certifies U @ A @ V == D.  The replay does not cover
+    the backward derivation of the rows, so each must also send every
+    column of A to 0 modulo d_i (exactly 0 when free), summed over the
+    nonzeros of A.
     """
     a = [list(row) for row in rows]
     m, n = len(a), len(a[0])
     log = _eliminate(a)
     diagonal = tuple(a[k][k] for k in range(min(m, n)))
-    expected = [[diagonal[i] if i == j else 0 for j in range(n)] for i in range(m)]
+    expected = [[0] * n for _ in range(m)]
+    for i, d in enumerate(diagonal):
+        expected[i][i] = d
     if _replay(rows, log) != expected:
         raise RuntimeError("internal error: replayed identity U*A*V == D failed")
+    wanted = [(i, d) for i, d in enumerate(diagonal + (0,) * (m - len(diagonal))) if d != 1]
+    coordinate_rows = tuple(map(tuple, _coordinate_rows(m, log, wanted)))
     columns = [[(r, x) for r, x in enumerate(column) if x] for column in zip(*rows)]
-    coordinate_rows = []
-    for i, d in enumerate(diagonal + (0,) * (m - len(diagonal))):
-        if d != 1:
-            row = _coordinate_row(m, log, i, d)
-            images = (sum(row[r] * x for r, x in column) for column in columns)
-            if any(y % d if d else y for y in images):
-                raise RuntimeError("internal error: a coordinate row does not kill A")
-            coordinate_rows.append(row)
-    return diagonal, tuple(coordinate_rows)
+    for (_, d), row in zip(wanted, coordinate_rows):
+        images = (sum(row[r] * x for r, x in column) for column in columns)
+        if any(y % d if d else y for y in images):
+            raise RuntimeError("internal error: a coordinate row does not kill A")
+    return diagonal, coordinate_rows

@@ -63,7 +63,7 @@ def k0_of_graph(graph: DirectedGraph) -> K0Data:
     """Compute (K0(L(E)), [1_{L(E)}]) and the order of the unit class."""
     a = adjacency_matrix(graph)
     n = a.rows
-    rows = [[int(i == j) - a[j][i] for j in range(n)] for i in range(n)]
+    rows = [[int(i == j) - x for j, x in enumerate(column)] for i, column in enumerate(zip(*a))]
     data = _pointed_cokernel(rows)  # plain rows: only the adjacency matrix is validated
     unit = data.coordinate([1] * n)
     return replace(data, unit=unit, unit_order=element_order(data.group, unit))

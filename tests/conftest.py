@@ -1,8 +1,9 @@
 import json
+import random
 
 import pytest
 
-from leavitt.graphs import DirectedGraph, parse_graph
+from leavitt.graphs import DirectedGraph, build_graph, parse_graph
 
 
 def chains_upto(bound: int, include_trivial: bool = True):
@@ -40,6 +41,15 @@ def infinite_order_graph() -> DirectedGraph:
             }
         )
     )
+
+
+def scc_graph(n: int, seed: int) -> DirectedGraph:
+    """A ring plus 2 random edges per vertex, multiplicities 1-3."""
+    rng = random.Random(seed)
+    names = [f"v{i}" for i in range(n)]
+    edges = [(names[i], names[(i + 1) % n], rng.randint(1, 3)) for i in range(n)]
+    edges += [(s, rng.choice(names), rng.randint(1, 3)) for s in names for _ in range(2)]
+    return build_graph(names, edges)
 
 
 @pytest.fixture

@@ -11,7 +11,7 @@ from leavitt.cli import main
 from leavitt.graphs import build_graph, rose
 from leavitt.matrixtype import m_graph
 
-from conftest import infinite_order_graph
+from conftest import infinite_order_graph, scc_graph
 
 
 def run_cli(capsys, argv, stdin=None, monkeypatch=None):
@@ -24,15 +24,16 @@ def run_cli(capsys, argv, stdin=None, monkeypatch=None):
     return code, captured.out
 
 
-def run_module(*argv, text=True, timeout=None):
-    """``python -m leavitt`` in a child that imports the package under test."""
+def run_module(*argv, text=True, timeout=None, env=None):
+    """``python -m leavitt`` in a child that imports the package under test,
+    with env added to its environment."""
     src = str(Path(leavitt.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "leavitt", *argv],
         capture_output=True,
         text=text,
-        env={**os.environ, "PYTHONPATH": path},
+        env={**os.environ, **(env or {}), "PYTHONPATH": path},
         timeout=timeout,
     )
 
@@ -393,6 +394,15 @@ class TestEntryPoint:
         runs = [
             run_module("classes", "--graph", rose5, "--max", "6", text=False).stdout
             for _ in range(2)
+        ]
+        assert runs[0]
+        assert runs[0] == runs[1]
+
+    def test_analyze_ignores_the_hash_seed(self, tmp_path):
+        graph = write_graph(tmp_path, "scc96.json", scc_graph(96, 3))
+        runs = [
+            run_module("analyze", "--graph", graph, text=False, env={"PYTHONHASHSEED": seed}).stdout
+            for seed in ("0", "4242")
         ]
         assert runs[0]
         assert runs[0] == runs[1]
