@@ -20,9 +20,10 @@ The decision path never runs the searches.  They are deliberately dumb
 about group theory -- they never assume order preservation or any orbit
 classification, since those are exactly the facts the rest of the package
 is being checked against.  The only shortcuts are elementary: an
-automorphism fixes 0, a partial generator assignment whose span cannot
-grow to the whole group is dead, and a partial image sum that cannot reach
-the target through the remaining contributions is dead.
+automorphism fixes 0, a partial generator assignment whose span times the
+product of the invariant factors still unassigned is smaller than the group
+is dead, and a partial image sum that cannot reach the target through the
+remaining contributions is dead.
 """
 
 from __future__ import annotations
@@ -353,7 +354,17 @@ class _TorsionTable:
     Elements are numbered 0..size-1 in lexicographic coordinate order, with
     0 the identity.  Rows of the addition table are built lazily, and the
     subgroups met during searches are interned so that span bookkeeping is
-    a couple of dictionary hits per search step.
+    one dictionary hit per search step.
+
+    Both searches assign generator images g_p in G[d_p] one position at a
+    time and keep a partial assignment only while its span S has
+    |S| * (product of the unassigned factors) >= |G|.  At the last position
+    that is |S| == |G|, so every leaf is a surjection.  No other span check
+    is needed: since |S| <= prod d_p, passing forces S to be the direct sum
+    of cyclic groups of order exactly d_p, and then D*S == D*G for the
+    largest unassigned factor D (every unassigned factor divides D, so both
+    have order prod d_p / gcd(d_p, D)).  Hence S + G[D] == G, and G[D]
+    holds every candidate image left.
     """
 
     def __init__(self, factors: tuple[int, ...]):
@@ -373,7 +384,6 @@ class _TorsionTable:
         self._sub_ids: dict[frozenset[int], int] = {}
         self._sub_list: list[frozenset[int]] = []
         self._ext_cache: dict[tuple[int, int], int] = {}
-        self._cover_cache: dict[tuple[int, int], bool] = {}
         self._trivial_id = self._intern(frozenset((0,)))
 
     def _intern(self, sub: frozenset[int]) -> int:
@@ -390,16 +400,6 @@ class _TorsionTable:
         if out is None:
             out = self._intern(self.extend_subgroup(self._sub_list[sid], g))
             self._ext_cache[key] = out
-        return out
-
-    def _covers(self, sid: int, other_sid: int) -> bool:
-        """Does subs[sid] + subs[other_sid] exhaust the group?"""
-        key = (sid, other_sid)
-        out = self._cover_cache.get(key)
-        if out is None:
-            total = self.subgroup_sum(self._sub_list[sid], self._sub_list[other_sid])
-            out = len(total) == self.size
-            self._cover_cache[key] = out
         return out
 
     def add_row(self, i: int) -> list[int]:
@@ -486,29 +486,12 @@ class _TorsionTable:
         memo[(target, x)] = result  # symmetric via the inverse automorphism
         return result
 
-    def _torsion_suffix_ids(self, position_order: list[int]) -> list[int]:
-        """Interned suffix sums of the torsion subgroups G[d_i].
-
-        Entry p is the subgroup spanned by every possible image of the
-        generators at positions >= p; images of the already assigned
-        generators must complement it for a surjection to remain possible.
-        """
-        ids = [self._trivial_id] * (len(position_order) + 1)
-        acc = frozenset((0,))
-        for p in range(len(position_order) - 1, -1, -1):
-            d = self.factors[position_order[p]]
-            acc = self.subgroup_sum(
-                acc, frozenset(self.torsion_candidates(d))
-            )
-            ids[p] = self._intern(acc)
-        return ids
-
     def _search(self, x: int, target: int) -> bool:
         factors = self.factors
         size = self.size
         xt = self.elems[x]
-        # big factors first: their candidate loops shrink fastest under the
-        # span prunes, and the trailing torsion suffixes get small early
+        # big factors first: their candidate loops are the longest, and the
+        # prunes cut them nearest the root
         constrained = sorted(
             (i for i in range(self.rank) if xt[i]), key=lambda i: (-factors[i], i)
         )
@@ -530,13 +513,11 @@ class _TorsionTable:
         rem = [1] * (len(order) + 1)
         for p in range(len(order) - 1, -1, -1):
             rem[p] = rem[p + 1] * factors[order[p]]
-        tor_ids = self._torsion_suffix_ids(order)
 
         neg = self.neg_row()
         target_neg = neg[target]
         add_row = self.add_row
         extend_id = self._extend_id
-        covers = self._covers
         sub_list = self._sub_list
         npos = len(order)
 
@@ -545,10 +526,9 @@ class _TorsionTable:
 
         def rec(pos: int, sid: int, psum: int) -> bool:
             if pos == npos:
-                return len(sub_list[sid]) == size and psum == target
+                return psum == target
             nxt = pos + 1
             rem_next = rem[nxt]
-            tor_next = tor_ids[nxt]
             if pos < ncon:
                 scal_row = scal[pos]
                 allowed = reach[nxt]
@@ -560,16 +540,12 @@ class _TorsionTable:
                     sid2 = extend_id(sid, g)
                     if len(sub_list[sid2]) * rem_next < size:
                         continue
-                    if not covers(sid2, tor_next):
-                        continue
                     if rec(nxt, sid2, p2):
                         return True
             else:
                 for g in cands[pos]:
                     sid2 = extend_id(sid, g)
                     if len(sub_list[sid2]) * rem_next < size:
-                        continue
-                    if not covers(sid2, tor_next):
                         continue
                     if rec(nxt, sid2, psum):
                         return True
@@ -586,21 +562,17 @@ class _TorsionTable:
         rem = [1] * (rank + 1)
         for p in range(rank - 1, -1, -1):
             rem[p] = rem[p + 1] * factors[p]
-        tor_ids = self._torsion_suffix_ids(list(range(rank)))
         sub_list = self._sub_list
 
         images: list[int] = []
 
         def rec(pos: int, sid: int) -> Iterator[tuple[int, ...]]:
             if pos == rank:
-                if len(sub_list[sid]) == size:
-                    yield tuple(images)
+                yield tuple(images)
                 return
             for g in cands[pos]:
                 sid2 = self._extend_id(sid, g)
                 if len(sub_list[sid2]) * rem[pos + 1] < size:
-                    continue
-                if not self._covers(sid2, tor_ids[pos + 1]):
                     continue
                 images.append(g)
                 yield from rec(pos + 1, sid2)

@@ -68,16 +68,14 @@ class PisReport:
     every_cycle_has_exit: bool
     trivial_hereditary_saturated: bool
     every_vertex_connects_to_cycle: bool
-    purely_infinite_simple: bool
 
-    def __post_init__(self):
-        expected = (
+    @property
+    def purely_infinite_simple(self) -> bool:
+        return (
             self.every_cycle_has_exit
             and self.trivial_hereditary_saturated
             and self.every_vertex_connects_to_cycle
         )
-        if self.purely_infinite_simple != expected:
-            raise ValueError("purely_infinite_simple must be the conjunction of the flags")
 
 
 def build_graph(
@@ -153,31 +151,32 @@ def adjacency_matrix(graph: DirectedGraph) -> IntMatrix:
     return IntMatrix(rows)
 
 
-_Condensation = tuple[list[set[str]], dict[str, int], list[set[int]]]
+_Condensation = tuple[
+    dict[str, list[tuple[str, int]]], list[set[str]], dict[str, int], list[set[int]]
+]
 
 
 def _condensation(graph: DirectedGraph) -> _Condensation:
-    """Strongly connected components in Tarjan's emission order, the
-    component of each vertex, and the successor components of each.
+    """The out-edges of each vertex (graph.out_edges()), the strongly
+    connected components in Tarjan's emission order, the component of each
+    vertex, and the successor components of each.
 
     A component is emitted only after every component it reaches, so every
     edge between two components points to an earlier one.
     """
     # Tarjan, iterative to survive long chains.
-    succ = {v: [] for v in graph.vertices}
-    for src, dst, _ in graph.edges:
-        succ[src].append(dst)
+    out = graph.out_edges()
     index: dict[str, int] = {}
     lowlink: dict[str, int] = {}
     stack: list[str] = []
-    work: list[tuple[str, Iterator[str]]] = []
+    work: list[tuple[str, Iterator[tuple[str, int]]]] = []
     components: list[set[str]] = []
     component_of: dict[str, int] = {}
 
     def visit(v: str) -> None:
         index[v] = lowlink[v] = len(index)
         stack.append(v)
-        work.append((v, iter(succ[v])))
+        work.append((v, iter(out[v])))
 
     for root in graph.vertices:
         if root in index:
@@ -185,7 +184,7 @@ def _condensation(graph: DirectedGraph) -> _Condensation:
         visit(root)
         while work:
             v, it = work[-1]
-            for w in it:
+            for w, _ in it:
                 if w not in index:
                     visit(w)
                     break
@@ -207,7 +206,7 @@ def _condensation(graph: DirectedGraph) -> _Condensation:
     for src, dst, _ in graph.edges:
         if component_of[src] != component_of[dst]:
             successors[component_of[src]].add(component_of[dst])
-    return components, component_of, successors
+    return out, components, component_of, successors
 
 
 def every_cycle_has_exit(graph: DirectedGraph) -> bool:
@@ -218,12 +217,12 @@ def every_cycle_has_exit(graph: DirectedGraph) -> bool:
     the component.  One pass over the components: linear in vertices plus
     edges.
     """
-    return _every_cycle_has_exit(graph, _condensation(graph))
+    return _every_cycle_has_exit(_condensation(graph))
 
 
-def _every_cycle_has_exit(graph: DirectedGraph, condensation: _Condensation) -> bool:
-    out = graph.out_edges()
-    for comp in condensation[0]:
+def _every_cycle_has_exit(condensation: _Condensation) -> bool:
+    out, components, _, _ = condensation
+    for comp in components:
         violating = True
         for v in comp:
             edges = out[v]
@@ -253,11 +252,11 @@ def trivial_hereditary_saturated(graph: DirectedGraph) -> bool:
 def _trivial_hereditary_saturated(
     graph: DirectedGraph, condensation: _Condensation
 ) -> bool:
-    components, _, successors = condensation
+    out, components, _, successors = condensation
     terminal = [comp for comp, succ in zip(components, successors) if not succ]
     if len(terminal) > 1:
         return False
-    missing = {v: len(targets) for v, targets in graph.out_edges().items()}
+    missing = {v: len(targets) for v, targets in out.items()}
     preds: dict[str, list[str]] = {v: [] for v in graph.vertices}
     for src, dst, _ in graph.edges:
         preds[dst].append(src)
@@ -286,7 +285,7 @@ def every_vertex_connects_to_cycle(graph: DirectedGraph) -> bool:
 def _every_vertex_connects_to_cycle(
     graph: DirectedGraph, condensation: _Condensation
 ) -> bool:
-    components, component_of, successors = condensation
+    _, components, component_of, successors = condensation
     reaches = [len(comp) > 1 for comp in components]
     for src, dst, _ in graph.edges:
         if src == dst:
@@ -299,12 +298,11 @@ def _every_vertex_connects_to_cycle(
 def purely_infinite_simple(graph: DirectedGraph) -> PisReport:
     """Graph conditions for L(E) to be purely infinite simple (E finite)."""
     condensation = _condensation(graph)
-    exit_flag = _every_cycle_has_exit(graph, condensation)
+    exit_flag = _every_cycle_has_exit(condensation)
     hs_flag = _trivial_hereditary_saturated(graph, condensation)
     cycle_flag = _every_vertex_connects_to_cycle(graph, condensation)
     return PisReport(
         every_cycle_has_exit=exit_flag,
         trivial_hereditary_saturated=hs_flag,
         every_vertex_connects_to_cycle=cycle_flag,
-        purely_infinite_simple=exit_flag and hs_flag and cycle_flag,
     )

@@ -1,7 +1,7 @@
 import doctest
 import itertools
 import random
-from math import gcd
+from math import gcd, prod
 
 import pytest
 
@@ -206,6 +206,29 @@ class TestAutomorphismMapsXToY:
         info = abelian_module._table_for.cache_info()
         assert info.maxsize == abelian_module._TABLE_CACHE_SIZE
         assert info.currsize <= abelian_module._TABLE_CACHE_SIZE
+
+    def test_size_prune_leaves_room_for_a_surjection(self):
+        # the searches' only span check is |S| * (unassigned factors) >= |G|;
+        # it suffices because a span S of images g_p in G[d_p] with
+        # |S| == prod d_p always has S + G[D] == G, D the largest factor left
+        rng = random.Random(61)
+        proper = 0
+        for factors in chains_upto(64, include_trivial=False):
+            table = abelian_module._TorsionTable(factors)
+            for _ in range(100):
+                order = rng.sample(range(len(factors)), len(factors))
+                assigned = rng.randrange(len(factors))
+                span = frozenset((0,))
+                for p in order[:assigned]:
+                    g = rng.choice(table.torsion_candidates(factors[p]))
+                    span = table.extend_subgroup(span, g)
+                if len(span) != prod(factors[p] for p in order[:assigned]):
+                    continue
+                largest_left = max(factors[p] for p in order[assigned:])
+                rest = frozenset(table.torsion_candidates(largest_left))
+                assert len(table.subgroup_sum(span, rest)) == table.size, (factors, order)
+                proper += len(rest) < table.size
+        assert proper > 400  # cases where G[D] alone is not the whole group
 
 
 class TestOrbitInvariant:

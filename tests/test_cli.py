@@ -1,5 +1,7 @@
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -199,6 +201,16 @@ class TestCompare:
         assert doc["isomorphic"] is True
         assert doc["reason"] == "unit_orbit_match"
 
+    def test_match_with_a_free_unit(self, capsys, einf_file):
+        code, out = run_cli(
+            capsys, ["compare", "--graph-a", einf_file, "--graph-b", einf_file]
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["isomorphic"] is True
+        assert doc["reason"] == "unit_orbit_match"
+        assert doc["witness"].startswith("free parts share content 1")
+
     def test_group_mismatch(self, capsys, rose5, einf_file):
         code, out = run_cli(
             capsys, ["compare", "--graph-a", rose5, "--graph-b", einf_file]
@@ -250,16 +262,6 @@ class TestSnf:
         doc = json.loads(out)
         assert doc["diagonal"] == [1, 6]
         assert set(doc) == {"U", "D", "V", "diagonal"}
-
-    def test_stdin_readme_bytes(self, capsys, monkeypatch):
-        code, out = run_cli(
-            capsys, ["snf"], stdin="[[2,0],[0,3]]", monkeypatch=monkeypatch
-        )
-        assert code == 0
-        assert out == (
-            '{"U": [[1, 1], [3, 2]], "D": [[1, 0], [0, 6]], '
-            '"V": [[-1, 3], [1, -2]], "diagonal": [1, 6]}\n'
-        )
 
     def test_file(self, capsys, tmp_path):
         path = tmp_path / "mat.json"
@@ -406,3 +408,56 @@ class TestEntryPoint:
         ]
         assert runs[0]
         assert runs[0] == runs[1]
+
+
+def _readme_cli_commands():
+    """(command, expected stdout lines) for each ``$`` line of README's CLI block."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    block = readme.read_text(encoding="utf-8").split("## CLI", 1)[1].split("```\n")[1]
+    commands = []
+    for line in block.splitlines():
+        if line.startswith("$ "):
+            commands.append((line[2:], []))
+        elif line:
+            commands[-1][1].append(line)
+    return commands
+
+
+README_COMMANDS = _readme_cli_commands()
+README_EXAMPLES = [k for k, (command, _) in enumerate(README_COMMANDS) if "leavitt " in command]
+
+
+def _run_readme_command(capsys, monkeypatch, command):
+    """Run ``echo 'DOC' > FILE``, ``echo 'DOC' | leavitt ...`` or ``leavitt ...``."""
+    words = shlex.split(command)
+    stdin = None
+    if words[0] == "echo":
+        doc, op, *rest = words[1:]
+        if op == ">":
+            Path(rest[0]).write_text(doc + "\n", encoding="utf-8")
+            return 0, ""
+        assert op == "|"
+        words, stdin = rest, doc + "\n"
+    assert words[0] == "leavitt"
+    return run_cli(capsys, words[1:], stdin=stdin, monkeypatch=monkeypatch)
+
+
+@pytest.mark.parametrize(
+    "k",
+    README_EXAMPLES,
+    ids=[README_COMMANDS[k][0].split("leavitt ")[1].split(" --")[0].replace(" ", "-")
+         for k in README_EXAMPLES],
+)
+def test_readme_examples(capsys, monkeypatch, tmp_path, k):
+    # stdout must match README verbatim, except that {...} stands for one
+    # elided flat JSON object; earlier lines write the files this one reads
+    monkeypatch.chdir(tmp_path)
+    for command, _ in README_COMMANDS[:k]:
+        _run_readme_command(capsys, monkeypatch, command)
+    command, expected = README_COMMANDS[k]
+    code, out = _run_readme_command(capsys, monkeypatch, command)
+    assert code == 0
+    pattern = "".join(
+        re.escape(line).replace(r"\{\.\.\.\}", r"\{[^{}]*\}") + "\n" for line in expected
+    )
+    assert re.fullmatch(pattern, out), (command, out)

@@ -7,6 +7,7 @@ import pytest
 from leavitt.graphs import (
     DirectedGraph,
     GraphFormatError,
+    PisReport,
     adjacency_matrix,
     build_graph,
     every_cycle_has_exit,
@@ -197,6 +198,12 @@ class TestPurelyInfiniteSimple:
                 and trivial_hereditary_saturated(g)
                 and every_vertex_connects_to_cycle(g)
             )
+
+    def test_verdict_follows_the_flags(self):
+        for flags in itertools.product((False, True), repeat=3):
+            assert PisReport(*flags).purely_infinite_simple is all(flags)
+        with pytest.raises(TypeError):
+            PisReport(True, True, True, purely_infinite_simple=False)
 
     def test_random_strongly_connected_min_outdegree_two(self):
         # a strongly connected multigraph where every vertex emits >= 2 edges

@@ -3,6 +3,7 @@ from math import prod
 
 import pytest
 
+from leavitt import intmat
 from leavitt.intmat import (
     IntMatrix,
     content,
@@ -170,6 +171,24 @@ class TestSmithNormalForm:
             d = smith_normal_form(a).D
             again = smith_normal_form(d)
             assert again.D == d
+
+    @pytest.mark.parametrize("kind", ["row_add", "col_add"])
+    def test_corrupted_log_raises(self, monkeypatch, kind):
+        # U and V are built from the log, so one changed coefficient must
+        # break the dense U @ A @ V == D check
+        eliminate = intmat._eliminate
+
+        def corrupted(a):
+            log = eliminate(a)
+            first = next(i for i, step in enumerate(log) if step[0] == kind)
+            _, src, dst, q = log[first]
+            log[first] = (kind, src, dst, q + 1)
+            return log
+
+        monkeypatch.setattr(intmat, "_eliminate", corrupted)
+        a = IntMatrix([[-4, -1, -4, 3], [5, -2, 3, -2], [0, -4, -4, -2], [5, 0, -1, 1]])
+        with pytest.raises(RuntimeError, match="transform identity"):
+            smith_normal_form(a)
 
     def test_against_sympy_invariant_factors(self):
         sympy = pytest.importorskip("sympy")

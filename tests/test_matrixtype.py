@@ -309,6 +309,13 @@ class TestComparePointedK0:
         assert verdict.isomorphic
         assert verdict.reason is IsoReason.UNIT_ORBIT_MATCH
 
+    def test_reflexive_with_a_free_unit(self):
+        # K0 = Z with the unit of content 1: the free-part witness
+        k0 = k0_of_graph(infinite_order_graph())
+        verdict = compare_pointed_k0(k0, k0)
+        assert verdict.reason is IsoReason.UNIT_ORBIT_MATCH
+        assert verdict.witness.startswith("free parts share content 1")
+
     def test_unit_orbit_mismatch(self):
         left = k0_of_graph(rose(5))
         right = k0_of_graph(m_graph(rose(5), 2))
