@@ -10,9 +10,10 @@ primes of the exponent, and same_orbit decides it for a pair over a
 coprime base found with gcds alone, so it never factors.  Two exhaustive
 search oracles validate the classification decisions:
 
-* enumeration of all automorphisms of a small finite group, by candidate
-  generator images with a surjectivity check, and the exact query
-  automorphism_maps_x_to_y built on it;
+* one depth-first search over candidate generator images of a small finite
+  group, which yields every automorphism sending a given x to a given
+  target: enumerate_automorphisms takes all of them (x == 0), and
+  automorphism_maps_x_to_y asks for the first;
 * exhaustive search for a bounded unimodular integer matrix sigma with
   n*sigma(x) = m*x.
 
@@ -352,19 +353,23 @@ class _TorsionTable:
     """Dense index arithmetic for one finite torsion group.
 
     Elements are numbered 0..size-1 in lexicographic coordinate order, with
-    0 the identity.  Rows of the addition table are built lazily, and the
-    subgroups met during searches are interned so that span bookkeeping is
-    one dictionary hit per search step.
+    0 the identity.  Rows of the addition table are built lazily, and so
+    is each span S + <g> met during searches, cached by (S, g).
 
-    Both searches assign generator images g_p in G[d_p] one position at a
-    time and keep a partial assignment only while its span S has
-    |S| * (product of the unassigned factors) >= |G|.  At the last position
-    that is |S| == |G|, so every leaf is a surjection.  No other span check
-    is needed: since |S| <= prod d_p, passing forces S to be the direct sum
-    of cyclic groups of order exactly d_p, and then D*S == D*G for the
-    largest unassigned factor D (every unassigned factor divides D, so both
-    have order prod d_p / gcd(d_p, D)).  Hence S + G[D] == G, and G[D]
-    holds every candidate image left.
+    One depth-first search, images, serves both oracles: it assigns
+    generator images g_p in G[d_p] one position at a time, in a given
+    order, and yields every assignment that is an automorphism phi with
+    phi(x) == target.  Enumeration is the case x == 0; a position with
+    x_p == 0 adds nothing to the image sum.  A partial assignment is kept
+    only while its image sum can still reach the target through the
+    positions left, and while its span S has |S| * (product of the
+    unassigned factors) >= |G|.  At the last position these say that the
+    sum is the target and |S| == |G|, so every leaf is a surjection.  No
+    other span check is needed: since |S| <= prod d_p, passing forces S to
+    be the direct sum of cyclic groups of order exactly d_p, and then
+    D*S == D*G for the largest unassigned factor D (every unassigned factor
+    divides D, so both have order prod d_p / gcd(d_p, D)).  Hence
+    S + G[D] == G, and G[D] holds every candidate image left.
     """
 
     def __init__(self, factors: tuple[int, ...]):
@@ -376,31 +381,10 @@ class _TorsionTable:
         self.size = len(self.elems)
         self.index = {e: i for i, e in enumerate(self.elems)}
         self._add_rows: list[list[int] | None] = [None] * self.size
-        self._neg_row: list[int] | None = None
         self._scalar_rows: dict[int, list[int]] = {}
         self._torsion_cands: dict[int, list[int]] = {}
+        self._spans: dict[tuple[frozenset[int], int], frozenset[int]] = {}
         self._memo: dict = {}
-        # interned subgroups and cached span transitions
-        self._sub_ids: dict[frozenset[int], int] = {}
-        self._sub_list: list[frozenset[int]] = []
-        self._ext_cache: dict[tuple[int, int], int] = {}
-        self._trivial_id = self._intern(frozenset((0,)))
-
-    def _intern(self, sub: frozenset[int]) -> int:
-        sid = self._sub_ids.get(sub)
-        if sid is None:
-            sid = len(self._sub_list)
-            self._sub_ids[sub] = sid
-            self._sub_list.append(sub)
-        return sid
-
-    def _extend_id(self, sid: int, g: int) -> int:
-        key = (sid, g)
-        out = self._ext_cache.get(key)
-        if out is None:
-            out = self._intern(self.extend_subgroup(self._sub_list[sid], g))
-            self._ext_cache[key] = out
-        return out
 
     def add_row(self, i: int) -> list[int]:
         row = self._add_rows[i]
@@ -414,14 +398,6 @@ class _TorsionTable:
             ]
             self._add_rows[i] = row
         return row
-
-    def neg_row(self) -> list[int]:
-        if self._neg_row is None:
-            self._neg_row = [
-                self.index[tuple((-p) % d for p, d in zip(e, self.factors))]
-                for e in self.elems
-            ]
-        return self._neg_row
 
     def scalar_row(self, c: int) -> list[int]:
         row = self._scalar_rows.get(c)
@@ -447,18 +423,24 @@ class _TorsionTable:
         return cands
 
     def extend_subgroup(self, sub: frozenset[int], g: int) -> frozenset[int]:
-        if g in sub:
-            return sub
-        multiples = []
-        x = g
-        while x != 0:
-            multiples.append(x)
-            x = self.add_row(x)[g]
-        out = set(sub)
-        for kg in multiples:
-            row = self.add_row(kg)
-            out.update(row[h] for h in sub)
-        return frozenset(out)
+        """The span of sub and g, cached by (sub, g)."""
+        key = (sub, g)
+        out = self._spans.get(key)
+        if out is None:
+            out = sub
+            if g not in sub:
+                multiples = []
+                x = g
+                while x != 0:
+                    multiples.append(x)
+                    x = self.add_row(x)[g]
+                out = set(sub)
+                for kg in multiples:
+                    row = self.add_row(kg)
+                    out.update(row[h] for h in sub)
+                out = frozenset(out)
+            self._spans[key] = out
+        return out
 
     def subgroup_sum(self, a: frozenset[int], b: frozenset[int]) -> frozenset[int]:
         if len(a) == 1:
@@ -471,8 +453,6 @@ class _TorsionTable:
             out.update(row[q] for q in b)
         return frozenset(out)
 
-    # -- searches ----------------------------------------------------------
-
     def exists_mapping(self, x: int, target: int) -> bool:
         """Is there an automorphism phi with phi(x) == target?"""
         if x == 0 or target == 0:
@@ -481,104 +461,64 @@ class _TorsionTable:
         memo = self._memo
         if key in memo:
             return memo[key]
-        result = self._search(x, target)
+        # positions with x_p != 0 first, where the reach prune acts; big
+        # factors first: their candidate loops are the longest, and the
+        # prunes cut them nearest the root
+        xt, factors = self.elems[x], self.factors
+        order = sorted(range(self.rank), key=lambda i: (not xt[i], -factors[i], i))
+        result = next(self.images(x, target, order), None) is not None
         memo[key] = result
         memo[(target, x)] = result  # symmetric via the inverse automorphism
         return result
 
-    def _search(self, x: int, target: int) -> bool:
+    def images(self, x: int, target: int, order: Sequence[int]) -> Iterator[tuple[int, ...]]:
+        """Generator images, listed in order, of every automorphism phi with
+        phi(x) == target; depth first, candidates in index order."""
         factors = self.factors
         size = self.size
         xt = self.elems[x]
-        # big factors first: their candidate loops are the longest, and the
-        # prunes cut them nearest the root
-        constrained = sorted(
-            (i for i in range(self.rank) if xt[i]), key=lambda i: (-factors[i], i)
-        )
-        unconstrained = sorted(
-            (i for i in range(self.rank) if not xt[i]), key=lambda i: (-factors[i], i)
-        )
-        order = constrained + unconstrained
-        ncon = len(constrained)
-        cands = [self.torsion_candidates(factors[i]) for i in order]
-        scal = [self.scalar_row(xt[i]) for i in constrained]
-
-        # reach[p]: subgroup of sums still contributable by constrained
-        # positions >= p
-        reach = [frozenset((0,))] * (ncon + 1)
-        for p in range(ncon - 1, -1, -1):
-            image = frozenset(scal[p][g] for g in cands[p])
-            reach[p] = self.subgroup_sum(reach[p + 1], image)
-
-        rem = [1] * (len(order) + 1)
-        for p in range(len(order) - 1, -1, -1):
-            rem[p] = rem[p + 1] * factors[order[p]]
-
-        neg = self.neg_row()
-        target_neg = neg[target]
-        add_row = self.add_row
-        extend_id = self._extend_id
-        sub_list = self._sub_list
         npos = len(order)
+        cands = [self.torsion_candidates(factors[p]) for p in order]
+        scal = [self.scalar_row(xt[p]) for p in order]
+        rem = [1] * (npos + 1)
+        for k in range(npos - 1, -1, -1):
+            rem[k] = rem[k + 1] * factors[order[k]]
 
-        if target_neg not in reach[0]:
-            return False
+        # live[k]: the image sums from which positions >= k can still reach
+        # the target, target + (subgroup spanned by their contributions)
+        row_t = self.add_row(target)
+        reach = frozenset((0,))
+        live = [frozenset((target,))] * (npos + 1)
+        for k in range(npos - 1, -1, -1):
+            reach = self.subgroup_sum(reach, frozenset(scal[k][g] for g in cands[k]))
+            live[k] = frozenset(row_t[s] for s in reach)
+        if 0 not in live[0]:
+            return
 
-        def rec(pos: int, sid: int, psum: int) -> bool:
-            if pos == npos:
-                return psum == target
-            nxt = pos + 1
-            rem_next = rem[nxt]
-            if pos < ncon:
-                scal_row = scal[pos]
-                allowed = reach[nxt]
-                row_p = add_row(psum)
-                for g in cands[pos]:
-                    p2 = row_p[scal_row[g]]
-                    if add_row(p2)[target_neg] not in allowed:
-                        continue
-                    sid2 = extend_id(sid, g)
-                    if len(sub_list[sid2]) * rem_next < size:
-                        continue
-                    if rec(nxt, sid2, p2):
-                        return True
-            else:
-                for g in cands[pos]:
-                    sid2 = extend_id(sid, g)
-                    if len(sub_list[sid2]) * rem_next < size:
-                        continue
-                    if rec(nxt, sid2, psum):
-                        return True
-            return False
+        add_row = self.add_row
+        extend = self.extend_subgroup
+        chosen: list[int] = []
 
-        return rec(0, self._trivial_id, 0)
-
-    def enumerate_images(self) -> Iterator[tuple[int, ...]]:
-        """All automorphisms, as tuples of generator-image indices."""
-        factors = self.factors
-        size = self.size
-        rank = self.rank
-        cands = [self.torsion_candidates(d) for d in factors]
-        rem = [1] * (rank + 1)
-        for p in range(rank - 1, -1, -1):
-            rem[p] = rem[p + 1] * factors[p]
-        sub_list = self._sub_list
-
-        images: list[int] = []
-
-        def rec(pos: int, sid: int) -> Iterator[tuple[int, ...]]:
-            if pos == rank:
-                yield tuple(images)
+        def rec(k: int, span: frozenset[int], psum: int) -> Iterator[tuple[int, ...]]:
+            if k == npos:
+                yield tuple(chosen)
                 return
-            for g in cands[pos]:
-                sid2 = self._extend_id(sid, g)
-                if len(sub_list[sid2]) * rem[pos + 1] < size:
+            scal_row = scal[k]
+            allowed = live[k + 1]
+            rem_next = rem[k + 1]
+            row_p = add_row(psum)
+            for g in cands[k]:
+                p2 = row_p[scal_row[g]]
+                if p2 not in allowed:
                     continue
-                images.append(g)
-                yield from rec(pos + 1, sid2)
-                images.pop()
+                span2 = extend(span, g)
+                if len(span2) * rem_next < size:
+                    continue
+                chosen.append(g)
+                yield from rec(k + 1, span2, p2)
+                chosen.pop()
 
-        yield from rec(0, self._trivial_id)
+        yield from rec(0, frozenset((0,)), 0)
 
 
 # A table keeps its addition rows, up to size x size entries, for as long as
@@ -611,7 +551,7 @@ def enumerate_automorphisms(
     deterministic (lexicographic in coordinates).
     """
     table = _require_oracle_group(group, size_bound)
-    for images in table.enumerate_images():
+    for images in table.images(0, 0, range(table.rank)):
         yield tuple(GroupElement(table.elems[g], ()) for g in images)
 
 

@@ -1,11 +1,15 @@
 """K0 of the Leavitt path algebra of a finite graph, with its unit class.
 
 For a finite graph E with adjacency matrix A (vertex basis), K0(L(E)) is
-presented as the cokernel of I - A^T acting on Z^{E0}, and the class of the
-identity is the image of the all-ones vector (the identity of L(E) is the
-sum of the vertex idempotents).  The Smith normal form of I - A^T gives the
-invariant factors and, through one row of its left transform per cyclic
-summand, the coordinate map from vertex-basis vectors into the group.
+the cokernel of I - A^T restricted to the columns of the vertices that emit
+edges: each such vertex v gives the relation [v] = sum of [r(e)] over the
+edges e it emits, and a sink gives none (Ara, Moreno & Pardo, Algebr.
+Represent. Theory 10 (2007)).  The class of
+the identity is the image of the all-ones vector (the identity of L(E) is
+the sum of the vertex idempotents).  The Smith normal form of that
+presentation gives the invariant factors and, through one row of its left
+transform per cyclic summand, the coordinate map from vertex-basis vectors
+into the group.
 """
 
 from __future__ import annotations
@@ -40,9 +44,14 @@ class K0Data:
 
 
 def _pointed_cokernel(rows: Sequence[Sequence[int]]) -> K0Data:
-    """Cokernel of a square integer matrix, given as rows, pointed at zero."""
+    """Cokernel Z^m / im(A) of an integer matrix with m rows, pointed at zero.
+
+    Rows past the diagonal are free summands, so the free rank is the
+    number of coordinate rows that are not torsion.
+    """
     diag, coordinate_map = smith_coordinates(rows)
-    group = FGAbelianGroup(tuple(d for d in diag if d > 1), diag.count(0))
+    torsion = tuple(d for d in diag if d > 1)
+    group = FGAbelianGroup(torsion, len(coordinate_map) - len(torsion))
     return K0Data(group, group.identity(), 1, coordinate_map, len(rows))
 
 
@@ -60,10 +69,17 @@ def cokernel(matrix: IntMatrix) -> tuple[FGAbelianGroup, Callable[[Sequence[int]
 
 
 def k0_of_graph(graph: DirectedGraph) -> K0Data:
-    """Compute (K0(L(E)), [1_{L(E)}]) and the order of the unit class."""
+    """Compute (K0(L(E)), [1_{L(E)}]) and the order of the unit class.
+
+    K0 is presented by the columns of I - A^T at the vertices that emit
+    edges; a graph without edges gives Z^n with [1] = (1, ..., 1).
+    """
     a = adjacency_matrix(graph)
     n = a.rows
-    rows = [[int(i == j) - x for j, x in enumerate(column)] for i, column in enumerate(zip(*a))]
+    regular = [j for j, row in enumerate(a) if any(row)]
+    rows = [
+        [int(i == j) - column[j] for j in regular] for i, column in enumerate(zip(*a))
+    ]
     data = _pointed_cokernel(rows)  # plain rows: only the adjacency matrix is validated
     unit = data.coordinate([1] * n)
     return replace(data, unit=unit, unit_order=element_order(data.group, unit))

@@ -140,6 +140,18 @@ class TestEnumerateAutomorphisms:
         with pytest.raises(BoundExceeded):
             list(enumerate_automorphisms(FGAbelianGroup((64,)), size_bound=32))
 
+    def test_lexicographic_order(self):
+        # the coordinate tuples of the generator images strictly increase
+        for factors in chains_upto(16):
+            autos = [
+                tuple(img.torsion for img in phi)
+                for phi in enumerate_automorphisms(FGAbelianGroup(factors))
+            ]
+            assert all(a < b for a, b in zip(autos, autos[1:])), factors
+        # so the swap of Z/2+Z/2 comes before the identity
+        first = next(enumerate_automorphisms(FGAbelianGroup((2, 2))))
+        assert first == (GroupElement((0, 1)), GroupElement((1, 0)))
+
     def test_yields_a_group(self):
         # identity present, closed under composition and inverses
         for factors in [(2,), (4,), (2, 2), (6,), (2, 4), (3, 3), (2, 2, 2)]:

@@ -117,6 +117,22 @@ class TestAnalyze:
         _, second = run_cli(capsys, ["analyze", "--graph", rose5])
         assert first == second
 
+    @pytest.mark.parametrize(
+        "graph, free_rank, unit_coords, unit_order",
+        [
+            (build_graph(["v"], []), 1, [1], "infinite"),  # L(E) = K
+            (build_graph(["u", "v"], [("u", "v", 1)]), 1, [2], "infinite"),  # M_2(K)
+            (build_graph(["a", "b", "c"], []), 3, [1, 1, 1], "infinite"),
+            (build_graph(["v", "s"], [("v", "v", 2), ("v", "s", 1)]), 1, [0], 1),
+        ],
+    )
+    def test_sinks_give_no_relation(self, capsys, tmp_path, graph, free_rank, unit_coords, unit_order):
+        code, out = run_cli(capsys, ["analyze", "--graph", write_graph(tmp_path, "g.json", graph)])
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["invariant_factors"] == [] and doc["free_rank"] == free_rank
+        assert doc["unit_coords"] == unit_coords and doc["unit_order"] == unit_order
+
 
 class TestMatrixType:
     def test_equal_sizes(self, capsys, rose5):
@@ -220,6 +236,18 @@ class TestCompare:
         assert doc == {
             "isomorphic": False,
             "reason": "group_mismatch",
+            "witness": None,
+        }
+
+    def test_sinks_separate_k_from_m2k(self, capsys, tmp_path):
+        # (Z, 1) against (Z, 2): both groups are Z, the units differ
+        point = write_graph(tmp_path, "point.json", build_graph(["v"], []))
+        arrow = write_graph(tmp_path, "arrow.json", build_graph(["u", "v"], [("u", "v", 1)]))
+        code, out = run_cli(capsys, ["compare", "--graph-a", point, "--graph-b", arrow])
+        assert code == 0
+        assert json.loads(out) == {
+            "isomorphic": False,
+            "reason": "unit_orbit_mismatch",
             "witness": None,
         }
 

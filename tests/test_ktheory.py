@@ -3,11 +3,11 @@ import random
 import pytest
 
 from leavitt import intmat
-from leavitt.abelian import INFINITE, add, element_order, orbit_invariant
+from leavitt.abelian import INFINITE, FGAbelianGroup, add, element_order, orbit_invariant
 from leavitt.graphs import DirectedGraph, adjacency_matrix, build_graph, rose
 from leavitt.intmat import IntMatrix, determinant, smith_coordinates, smith_normal_form
 from leavitt.ktheory import cokernel, k0_of_graph
-from leavitt.matrixtype import m_graph
+from leavitt.matrixtype import IsoReason, compare_pointed_k0, m_graph
 
 from conftest import infinite_order_graph, scc_graph
 
@@ -134,10 +134,13 @@ class TestK0OfGraph:
             assert orbit_invariant(a.group, a.unit) == orbit_invariant(b.group, b.unit)
 
     def test_determinant_is_the_torsion_size(self):
+        # only without sinks is the presentation the square I - A^T
         rng = random.Random(59)
         nonsingular = 0
         for _ in range(300):
             graph = _random_graph(rng)
+            if _sinks(graph):
+                continue
             det = determinant(_presentation(graph))
             k0 = k0_of_graph(graph)
             assert (k0.group.free_rank > 0) == (det == 0)
@@ -147,14 +150,40 @@ class TestK0OfGraph:
         assert 100 <= nonsingular <= 290  # both cases are covered
 
     def test_sinks_are_handled(self):
+        # [v] = 2[v] + [s], and the sink s gives no relation: K0 = Z, [1] = 0
         g = build_graph(["v", "s"], [("v", "v", 2), ("v", "s", 1)])
-        k0 = k0_of_graph(g)  # interpretation is gated elsewhere; must not crash
-        assert k0.group.torsion_rank + k0.group.free_rank >= 0
+        k0 = k0_of_graph(g)
+        assert k0.group == FGAbelianGroup((), 1)
+        assert k0.unit == k0.group.identity()
+        assert k0.unit_order == 1
+
+    def test_sinks_give_no_relation(self):
+        # L(E) = K for one vertex, M_2(K) for u -> v, and K^3 for three
+        # vertices without edges: K0 = Z with [1] = 1, Z with [1] = 2, Z^3
+        point = k0_of_graph(build_graph(["v"], []))
+        assert point.group == FGAbelianGroup((), 1)
+        assert point.unit.free == (1,) and point.unit_order is INFINITE
+        arrow = k0_of_graph(build_graph(["u", "v"], [("u", "v", 1)]))
+        assert arrow.group == FGAbelianGroup((), 1)
+        assert arrow.unit.free == (2,)
+        assert compare_pointed_k0(point, arrow).reason is IsoReason.UNIT_ORBIT_MISMATCH
+        assert compare_pointed_k0(arrow, arrow).reason is IsoReason.UNIT_ORBIT_MATCH
+        points = k0_of_graph(build_graph(["a", "b", "c"], []))
+        assert points.group == FGAbelianGroup((), 3)
+        assert points.unit.free == (1, 1, 1)
+        assert points.coordinate_map == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+
+def _sinks(graph: DirectedGraph) -> bool:
+    return any(not any(row) for row in adjacency_matrix(graph))
 
 
 def _presentation(graph: DirectedGraph) -> IntMatrix:
+    """I - A^T restricted to the columns of the vertices that emit edges
+    (the graph must have an edge: a matrix needs a column)."""
     a = adjacency_matrix(graph)
-    return IntMatrix([[int(i == j) - a[j][i] for j in range(a.rows)] for i in range(a.rows)])
+    regular = [j for j in range(a.rows) if any(a[j])]
+    return IntMatrix([[int(i == j) - a[j][i] for j in regular] for i in range(a.rows)])
 
 
 def _random_graph(rng: random.Random) -> DirectedGraph:
@@ -194,15 +223,19 @@ class TestK0Certificate:
         rng = random.Random(47)
         graphs = [infinite_order_graph(), rose(1), rose(2), rose(5)]
         graphs += [_random_graph(rng) for _ in range(300)]
-        singular = 0
+        singular = sinks = 0
         for graph in graphs:
+            if not graph.edges:
+                continue  # no relations at all: test_sinks_give_no_relation
             m = _presentation(graph)
             snf = smith_normal_form(m)
             expected = _expected_rows(snf, m.rows)
             assert smith_coordinates(m) == (snf.diagonal, expected)
             assert k0_of_graph(graph).coordinate_map == expected
-            singular += determinant(m) == 0
+            singular += m.rows == m.cols and determinant(m) == 0
+            sinks += m.rows > m.cols
         assert singular >= 20  # free summands are covered
+        assert sinks >= 50  # so are the non-square presentations of graphs with sinks
 
     def test_matches_on_rectangular(self):
         rng = random.Random(53)

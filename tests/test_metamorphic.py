@@ -1,0 +1,115 @@
+"""Metamorphic checks of the whole pipeline on seeded random graphs.
+
+Each graph move below has a known effect on (K0, [1]):
+
+* out-splitting a vertex gives an isomorphic Leavitt path algebra, so the
+  pointed group is kept;
+* in-splitting a vertex gives a Morita equivalent one, so the group is kept
+  (Bates & Pask, "Flow equivalence of graph algebras", ETDS 24 (2004);
+  Abrams, Louly, Pardo & Smith, "Flow invariants in the classification of
+  Leavitt path algebras", J. Algebra 333 (2011));
+* m_graph(E, m) realizes M_m(L(E)): the group is kept and the unit becomes
+  m * [1], of order n / gcd(m, n).
+
+The splittings act on single edges, so an edge of multiplicity k counts as
+k edges that may land in different classes.
+"""
+
+import random
+from math import gcd
+
+from leavitt.abelian import INFINITE
+from leavitt.graphs import DirectedGraph, build_graph, purely_infinite_simple
+from leavitt.ktheory import k0_of_graph
+from leavitt.matrixtype import IsoReason, compare_pointed_k0, m_graph
+
+from conftest import scc_graph
+
+
+def _single_edges(graph: DirectedGraph) -> list[tuple[str, str]]:
+    return [(s, d) for s, d, mult in graph.edges for _ in range(mult)]
+
+
+def _two_classes(indices: list[int], rng: random.Random) -> dict[int, int]:
+    """A random split of at least two indices into two nonempty classes."""
+    shuffled = rng.sample(indices, len(indices))
+    cut = rng.randrange(1, len(indices))
+    return {i: int(k >= cut) for k, i in enumerate(shuffled)}
+
+
+def _split_names(graph: DirectedGraph, v: str) -> list[str]:
+    return [w for u in graph.vertices for w in ((f"{u}/0", f"{u}/1") if u == v else (u,))]
+
+
+def out_split(graph: DirectedGraph, v: str, rng: random.Random) -> DirectedGraph:
+    """v becomes v/0 and v/1, which divide its out-edges; every edge into v
+    is doubled, one copy into each."""
+    edges = _single_edges(graph)
+    part = _two_classes([i for i, (s, _) in enumerate(edges) if s == v], rng)
+    split = []
+    for i, (s, d) in enumerate(edges):
+        source = f"{v}/{part[i]}" if s == v else s
+        split += [(source, t, 1) for t in ((f"{v}/0", f"{v}/1") if d == v else (d,))]
+    return build_graph(_split_names(graph, v), split)
+
+
+def in_split(graph: DirectedGraph, v: str, rng: random.Random) -> DirectedGraph:
+    """v becomes v/0 and v/1, which divide its in-edges; every edge out of v
+    is doubled, one copy out of each."""
+    edges = _single_edges(graph)
+    part = _two_classes([i for i, (_, d) in enumerate(edges) if d == v], rng)
+    split = []
+    for i, (s, d) in enumerate(edges):
+        target = f"{v}/{part[i]}" if d == v else d
+        split += [(source, target, 1) for source in ((f"{v}/0", f"{v}/1") if s == v else (s,))]
+    return build_graph(_split_names(graph, v), split)
+
+
+def _graphs(seed: int, count: int):
+    """(rng, graph) pairs: strongly connected graphs on 2 to 7 vertices."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        yield rng, scc_graph(rng.randint(2, 7), rng.randrange(2**32))
+
+
+class TestSplittings:
+    def test_out_splitting_keeps_the_pointed_group(self):
+        torsion = 0
+        for rng, graph in _graphs(101, 80):
+            edges = _single_edges(graph)
+            v = rng.choice([u for u in graph.vertices if sum(s == u for s, _ in edges) >= 2])
+            a, b = k0_of_graph(graph), k0_of_graph(out_split(graph, v, rng))
+            assert compare_pointed_k0(a, b).reason is IsoReason.UNIT_ORBIT_MATCH, (graph, v)
+            torsion += a.group.torsion_size > 1
+        assert torsion >= 60  # most cases have a unit to place, not the trivial group
+
+    def test_in_splitting_keeps_the_group(self):
+        for rng, graph in _graphs(103, 80):
+            edges = _single_edges(graph)
+            v = rng.choice([u for u in graph.vertices if sum(d == u for _, d in edges) >= 2])
+            split = in_split(graph, v, rng)
+            assert k0_of_graph(split).group == k0_of_graph(graph).group, (graph, v)
+
+    def test_splittings_move_the_graph(self):
+        rng = random.Random(107)
+        graph = scc_graph(3, 5)
+        for split in (out_split(graph, "v0", rng), in_split(graph, "v0", rng)):
+            assert len(split.vertices) == 4
+            assert len(_single_edges(split)) > len(_single_edges(graph))
+
+
+class TestMGraphOnRandomGraphs:
+    def test_scales_the_unit(self):
+        finite = 0
+        for rng, graph in _graphs(109, 60):
+            assert purely_infinite_simple(graph).purely_infinite_simple
+            m = rng.randint(2, 6)
+            base, head = k0_of_graph(graph), k0_of_graph(m_graph(graph, m))
+            assert head.group == base.group
+            n = base.unit_order
+            if n is INFINITE:
+                assert head.unit_order is INFINITE
+            else:
+                assert head.unit_order == n // gcd(m, n), (graph, m)
+                finite += gcd(m, n) > 1
+        assert finite >= 10  # cases where the scaling changes the order
