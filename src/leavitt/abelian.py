@@ -625,12 +625,18 @@ def eigen_search(
     if m < 1 or n < 1:
         raise ValueError("m and n must be positive integers")
     values = range(-entry_bound, entry_bound + 1)
-    goal = tuple(m * v for v in x)
-    for flat in itertools.product(values, repeat=t * t):
-        rows = [flat[k * t : (k + 1) * t] for k in range(t)]
+    # row k of a witness satisfies n * (row . x) == m * x[k]; filtering each
+    # row's range keeps the lexicographic order of the whole matrix
+    candidates = [
+        [
+            row
+            for row in itertools.product(values, repeat=t)
+            if n * sum(a * b for a, b in zip(row, x)) == m * goal
+        ]
+        for goal in x
+    ]
+    for rows in itertools.product(*candidates):
         matrix = IntMatrix(rows)
-        if determinant(matrix) not in (1, -1):
-            continue
-        if tuple(n * s for s in matrix.apply(x)) == goal:
+        if determinant(matrix) in (1, -1):
             return matrix
     return None

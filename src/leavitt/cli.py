@@ -133,6 +133,8 @@ def _cmd_mgraph(args) -> object:
 
 
 def _cmd_compare(args) -> object:
+    if args.graph_a == args.graph_b == "-":
+        raise ValueError("--graph-a and --graph-b cannot both read stdin (-)")
     left = k0_of_graph(_load_graph(args.graph_a))
     right = k0_of_graph(_load_graph(args.graph_b))
     size = max(left.group.torsion_size, right.group.torsion_size)

@@ -5,8 +5,20 @@ data model is canonical: at most one (source, target) record per ordered
 pair.  Vertex order in the file is the basis order for every matrix derived
 from the graph, which keeps all downstream output reproducible.
 
-The purely-infinite-simple conditions share one condensation of the graph
-into strongly connected components; each is linear in vertices plus edges.
+The purely-infinite-simple conditions of Abrams and Aranda Pino are read
+off one condensation of the graph into strongly connected components, in
+time linear in vertices plus edges.  A component is cyclic when an edge
+stays inside it (more than one vertex, or a self-loop).  Then:
+
+* (L) fails iff some cyclic component has every vertex emitting one edge;
+* the only hereditary saturated sets are the empty set and all vertices iff
+  exactly one component is terminal (no edge leaves it) and every other
+  component is acyclic.  A nonempty hereditary set holds a terminal
+  component; saturating it adds the acyclic components in emission order,
+  while a second terminal component or a cyclic one never gets a first
+  vertex;
+* every vertex connects to a cycle iff every component is cyclic or has a
+  successor that connects.
 """
 
 from __future__ import annotations
@@ -151,18 +163,12 @@ def adjacency_matrix(graph: DirectedGraph) -> IntMatrix:
     return IntMatrix(rows)
 
 
-_Condensation = tuple[
-    dict[str, list[tuple[str, int]]], list[set[str]], dict[str, int], list[set[int]]
-]
-
-
-def _condensation(graph: DirectedGraph) -> _Condensation:
-    """The out-edges of each vertex (graph.out_edges()), the strongly
-    connected components in Tarjan's emission order, the component of each
-    vertex, and the successor components of each.
+def _condensation(graph: DirectedGraph) -> tuple[dict[str, int], int]:
+    """The strongly connected component of each vertex, numbered in
+    Tarjan's emission order, and the number of components.
 
     A component is emitted only after every component it reaches, so every
-    edge between two components points to an earlier one.
+    edge between two components points to a lower number.
     """
     # Tarjan, iterative to survive long chains.
     out = graph.out_edges()
@@ -170,8 +176,8 @@ def _condensation(graph: DirectedGraph) -> _Condensation:
     lowlink: dict[str, int] = {}
     stack: list[str] = []
     work: list[tuple[str, Iterator[tuple[str, int]]]] = []
-    components: list[set[str]] = []
     component_of: dict[str, int] = {}
+    count = 0
 
     def visit(v: str) -> None:
         index[v] = lowlink[v] = len(index)
@@ -196,113 +202,76 @@ def _condensation(graph: DirectedGraph) -> _Condensation:
                     parent = work[-1][0]
                     lowlink[parent] = min(lowlink[parent], lowlink[v])
                 if lowlink[v] == index[v]:
-                    comp = set()
-                    while v not in comp:
+                    w = None
+                    while w != v:
                         w = stack.pop()
-                        comp.add(w)
-                        component_of[w] = len(components)
-                    components.append(comp)
-    successors: list[set[int]] = [set() for _ in components]
-    for src, dst, _ in graph.edges:
-        if component_of[src] != component_of[dst]:
-            successors[component_of[src]].add(component_of[dst])
-    return out, components, component_of, successors
+                        component_of[w] = count
+                    count += 1
+    return component_of, count
 
 
 def every_cycle_has_exit(graph: DirectedGraph) -> bool:
     """Condition (L): no cycle consists solely of vertices with one out-edge.
 
-    A violating cycle is exactly a strongly connected component in which
-    every vertex has total out-degree 1 and that single edge stays inside
-    the component.  One pass over the components: linear in vertices plus
-    edges.
+    A violating cycle is exactly a cyclic strongly connected component in
+    which every vertex has total out-degree 1.  Read off the condensation:
+    linear in vertices plus edges.
     """
-    return _every_cycle_has_exit(_condensation(graph))
-
-
-def _every_cycle_has_exit(condensation: _Condensation) -> bool:
-    out, components, _, _ = condensation
-    for comp in components:
-        violating = True
-        for v in comp:
-            edges = out[v]
-            if len(edges) != 1 or edges[0][1] != 1 or edges[0][0] not in comp:
-                violating = False
-                break
-        if violating:
-            return False
-    return True
+    return purely_infinite_simple(graph).every_cycle_has_exit
 
 
 def trivial_hereditary_saturated(graph: DirectedGraph) -> bool:
     """True iff the only hereditary saturated vertex sets are trivial.
 
-    Every nonempty hereditary set contains a whole terminal component (one
-    no edge leaves; a sink is one).  With two terminal components the answer
-    is False: saturating the first never adds a vertex of the second, whose
-    targets all lie in it (a sink has none).  With one, T, every nonempty
-    hereditary saturated set contains the closure of T, so the answer is
-    whether that closure is every vertex.  It grows from T by a worklist
-    counting, per vertex, the distinct targets not yet in the set: linear in
-    vertices plus edges.
+    That holds iff exactly one component is terminal (no edge leaves it; a
+    sink is one) and every other component is acyclic.  Every nonempty
+    hereditary set contains a whole terminal component.  Saturating the one
+    terminal component adds the acyclic components in emission order, each
+    once all its targets are in; a second terminal component, or a cyclic
+    one, keeps an edge to a vertex not yet in and never gets a first
+    vertex.  Read off the condensation: linear in vertices plus edges.
     """
-    return _trivial_hereditary_saturated(graph, _condensation(graph))
-
-
-def _trivial_hereditary_saturated(
-    graph: DirectedGraph, condensation: _Condensation
-) -> bool:
-    out, components, _, successors = condensation
-    terminal = [comp for comp, succ in zip(components, successors) if not succ]
-    if len(terminal) > 1:
-        return False
-    missing = {v: len(targets) for v, targets in out.items()}
-    preds: dict[str, list[str]] = {v: [] for v in graph.vertices}
-    for src, dst, _ in graph.edges:
-        preds[dst].append(src)
-    closure = set(terminal[0])
-    work = list(closure)
-    while work:
-        for p in preds[work.pop()]:
-            missing[p] -= 1
-            if not missing[p] and p not in closure:
-                closure.add(p)
-                work.append(p)
-    return len(closure) == len(graph.vertices)
+    return purely_infinite_simple(graph).trivial_hereditary_saturated
 
 
 def every_vertex_connects_to_cycle(graph: DirectedGraph) -> bool:
     """True iff every vertex has a directed path to some vertex on a cycle.
 
-    A component reaches a cycle when it has more than one vertex, has a
-    self-loop, or has a successor component that reaches one.  Successors
-    come earlier in the condensation's order, so one pass decides every
-    component: linear in vertices plus edges.
+    A component reaches a cycle when it is cyclic (has more than one vertex,
+    or a self-loop) or has a successor component that reaches one.
+    Successors come earlier in the condensation's order, so one pass decides
+    every component: linear in vertices plus edges.
     """
-    return _every_vertex_connects_to_cycle(graph, _condensation(graph))
-
-
-def _every_vertex_connects_to_cycle(
-    graph: DirectedGraph, condensation: _Condensation
-) -> bool:
-    _, components, component_of, successors = condensation
-    reaches = [len(comp) > 1 for comp in components]
-    for src, dst, _ in graph.edges:
-        if src == dst:
-            reaches[component_of[src]] = True
-    for i, succ in enumerate(successors):
-        reaches[i] = reaches[i] or any(reaches[j] for j in succ)
-    return all(reaches)
+    return purely_infinite_simple(graph).every_vertex_connects_to_cycle
 
 
 def purely_infinite_simple(graph: DirectedGraph) -> PisReport:
     """Graph conditions for L(E) to be purely infinite simple (E finite)."""
-    condensation = _condensation(graph)
-    exit_flag = _every_cycle_has_exit(condensation)
-    hs_flag = _trivial_hereditary_saturated(graph, condensation)
-    cycle_flag = _every_vertex_connects_to_cycle(graph, condensation)
+    component_of, count = _condensation(graph)
+    # a component is cyclic iff an edge stays inside it: it has more than
+    # one vertex, or it is one vertex with a self-loop
+    cyclic = [False] * count
+    successors: list[list[int]] = [[] for _ in range(count)]
+    out_degree = dict.fromkeys(graph.vertices, 0)
+    for src, dst, mult in graph.edges:
+        out_degree[src] += mult
+        i, j = component_of[src], component_of[dst]
+        if i == j:
+            cyclic[i] = True
+        else:
+            successors[i].append(j)
+    no_exit = cyclic.copy()  # a cyclic component whose vertices emit one edge each
+    for v, degree in out_degree.items():
+        if degree != 1:
+            no_exit[component_of[v]] = False
+    reaches = cyclic.copy()
+    for i, succ in enumerate(successors):
+        reaches[i] = reaches[i] or any(reaches[j] for j in succ)
+    # some component is terminal, so this says: one terminal component,
+    # and every other component acyclic
+    terminal_or_cyclic = sum(c or not succ for c, succ in zip(cyclic, successors))
     return PisReport(
-        every_cycle_has_exit=exit_flag,
-        trivial_hereditary_saturated=hs_flag,
-        every_vertex_connects_to_cycle=cycle_flag,
+        every_cycle_has_exit=not any(no_exit),
+        trivial_hereditary_saturated=terminal_or_cyclic == 1,
+        every_vertex_connects_to_cycle=all(reaches),
     )

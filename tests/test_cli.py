@@ -259,6 +259,18 @@ class TestCompare:
         error_document(4, out)
         assert code == 4
 
+    def test_both_graphs_from_stdin_exit_2(self, capsys, monkeypatch):
+        # stdin holds one document; reading it twice left the second graph empty
+        code, out = run_cli(
+            capsys,
+            ["compare", "--graph-a", "-", "--graph-b", "-"],
+            stdin=rose(5).to_json(),
+            monkeypatch=monkeypatch,
+        )
+        error_document(2, out)
+        assert code == 2
+        assert "stdin" in json.loads(out)["message"]
+
     @pytest.mark.parametrize("m, expected", [(2, True), (5, False)])
     def test_decides_above_the_old_cap(self, capsys, tmp_path, m, expected):
         # K0 = Z/1025: the unit orbits match iff gcd(m, 1025) == 1

@@ -252,6 +252,17 @@ def _sparse_random_graphs(seed):
     return _random_graphs(seed, 200, max_vertices=7, edge_probability=0.18)
 
 
+def _all_small_graphs(max_vertices=3):
+    """Every 0/1 adjacency on 1..max_vertices vertices: 530 graphs for 3.
+    They hold the cases the component rule separates: self-loops upstream,
+    several sinks, a cycle feeding a terminal cycle."""
+    for n in range(1, max_vertices + 1):
+        names = [f"v{i}" for i in range(n)]
+        pairs = list(itertools.product(names, repeat=2))
+        for bits in itertools.product((0, 1), repeat=n * n):
+            yield build_graph(names, [(s, t, 1) for (s, t), b in zip(pairs, bits) if b])
+
+
 def _out_degree(graph, vertex):
     """Total number of edges leaving vertex, counted with multiplicity."""
     return sum(mult for src, _, mult in graph.edges if src == vertex)
@@ -280,7 +291,9 @@ class TestBruteForceOracles:
     """The fast predicates against literal enumeration on small graphs."""
 
     def test_cycle_exits_against_cycle_enumeration(self):
-        for g in itertools.chain(_random_graphs(101, 150), _sparse_random_graphs(201)):
+        for g in itertools.chain(
+            _random_graphs(101, 150), _sparse_random_graphs(201), _all_small_graphs()
+        ):
             out_degree = {v: _out_degree(g, v) for v in g.vertices}
             # a cycle lacks an exit iff all its vertices emit exactly one edge
             brute = not any(
@@ -290,7 +303,9 @@ class TestBruteForceOracles:
             assert every_cycle_has_exit(g) == brute, g.to_json()
 
     def test_hereditary_saturated_against_subset_enumeration(self):
-        for g in itertools.chain(_random_graphs(102, 120), _sparse_random_graphs(202)):
+        for g in itertools.chain(
+            _random_graphs(102, 120), _sparse_random_graphs(202), _all_small_graphs()
+        ):
             targets = {v: set() for v in g.vertices}
             for s, t, _ in g.edges:
                 targets[s].add(t)
@@ -310,7 +325,9 @@ class TestBruteForceOracles:
             assert trivial_hereditary_saturated(g) == brute, g.to_json()
 
     def test_connects_to_cycle_against_path_enumeration(self):
-        for g in itertools.chain(_random_graphs(103, 150), _sparse_random_graphs(203)):
+        for g in itertools.chain(
+            _random_graphs(103, 150), _sparse_random_graphs(203), _all_small_graphs()
+        ):
             cycles = _simple_cycles(g)
             on_cycle = set().union(*cycles) if cycles else set()
             targets = {v: set() for v in g.vertices}
