@@ -35,7 +35,7 @@ from functools import lru_cache
 from math import gcd, lcm, prod
 from typing import Iterable, Iterator, Sequence
 
-from .intmat import IntMatrix, determinant
+from .intmat import IntMatrix, determinant, require_ints
 
 DEFAULT_SIZE_BOUND = 1024
 
@@ -68,7 +68,8 @@ class FGAbelianGroup:
     free_rank: int = 0
 
     def __post_init__(self):
-        factors = tuple(int(d) for d in self.invariant_factors)
+        factors = tuple(self.invariant_factors)
+        require_ints(factors, "invariant factors")
         object.__setattr__(self, "invariant_factors", factors)
         for d in factors:
             if d < 2:
@@ -98,14 +99,13 @@ class FGAbelianGroup:
         >>> G.element([6])
         GroupElement(torsion=(2,), free=())
         """
-        raw = tuple(torsion)
+        raw, f = tuple(torsion), tuple(free)
         if len(raw) != self.torsion_rank:
             raise ValueError("wrong number of torsion coordinates")
-        t = tuple(int(c) % d for c, d in zip(raw, self.invariant_factors))
-        f = tuple(int(c) for c in free)
         if len(f) != self.free_rank:
             raise ValueError("wrong number of free coordinates")
-        return GroupElement(t, f)
+        require_ints(raw + f, "coordinates")
+        return GroupElement(tuple(c % d for c, d in zip(raw, self.invariant_factors)), f)
 
     def identity(self) -> "GroupElement":
         return GroupElement((0,) * self.torsion_rank, (0,) * self.free_rank)
@@ -617,7 +617,8 @@ def eigen_search(
         raise ValueError("dimension t must be >= 1")
     if entry_bound < 1:
         raise ValueError("entry bound must be >= 1")
-    x = tuple(int(v) for v in x)
+    x = tuple(x)
+    require_ints(x, "x")
     if len(x) != t:
         raise ValueError("x must have length t")
     if not any(x):

@@ -1,11 +1,12 @@
 """Command-line interface: JSON in, one JSON document out, fixed exit codes.
 
-Exit codes: 0 success, 2 malformed input or usage error, 3 hypothesis not
-satisfied (the graph is not purely infinite simple), 4 size bound exceeded
-(``oracle lemma1``, or ``compare`` when ``--bound`` is given).  Handlers
-return their payload and signal failure by raising; ``main`` maps each
-exception to its exit code through one table, so every failure prints one
-``{"error": code, "message": ...}`` document.
+Exit codes: 0 success, 2 malformed or unreadable input, an unwritable
+``--out`` file, or a usage error, 3 hypothesis not satisfied (the graph is
+not purely infinite simple), 4 size bound exceeded (``oracle lemma1``, or
+``compare`` when ``--bound`` is given).  Handlers return their payload and
+signal failure by raising; ``main`` maps each exception to its exit code
+through one table, so every failure prints one ``{"error": code,
+"message": ...}`` document.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .abelian import (
     gcd_criterion,
     scale,
 )
-from .graphs import DirectedGraph, GraphFormatError, parse_graph, purely_infinite_simple
+from .graphs import DirectedGraph, parse_graph, purely_infinite_simple
 from .intmat import IntMatrix, smith_normal_form
 from .ktheory import k0_of_graph
 from .matrixtype import (
@@ -47,19 +48,16 @@ EXIT_BOUND = 4
 
 # exception -> exit code; main catches exactly these
 _EXIT_CODES = {
-    ValueError: EXIT_INPUT,  # GraphFormatError and usage errors are ValueErrors
+    ValueError: EXIT_INPUT,  # GraphFormatError, bad JSON and usage errors are ValueErrors
+    OSError: EXIT_INPUT,  # an input file that cannot be read, an --out file that cannot be written
+    RecursionError: EXIT_INPUT,  # JSON nested too deep to decode; no other recursion runs deep
     NotPurelyInfiniteSimple: EXIT_HYPOTHESIS,
     BoundExceeded: EXIT_BOUND,
 }
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise GraphFormatError(f"cannot read {path}: {exc}") from exc
+    return sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
 
 
 def _load_graph(path: str) -> DirectedGraph:
@@ -149,11 +147,7 @@ def _cmd_compare(args) -> object:
 
 
 def _cmd_snf(args) -> object:
-    text = _read_text(args.file) if args.file else sys.stdin.read()
-    try:
-        rows = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise ValueError(f"invalid JSON matrix: {exc}") from exc
+    rows = json.loads(_read_text(args.file or "-"))
     if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
         raise ValueError("matrix must be a JSON array of arrays")
     snf = smith_normal_form(IntMatrix(rows))

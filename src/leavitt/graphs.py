@@ -93,19 +93,19 @@ class PisReport:
 def build_graph(
     vertices: Iterable[str], edges: Iterable[tuple[str, str, int]]
 ) -> DirectedGraph:
-    """Build a graph, merging duplicate (source, target) records by summing."""
-    merged: dict[tuple[str, str], int] = {}
-    order: list[tuple[str, str]] = []
-    for src, dst, mult in edges:
-        key = (src, dst)
-        if key in merged:
-            merged[key] += mult
-        else:
-            merged[key] = mult
-            order.append(key)
-    return DirectedGraph(
-        tuple(vertices), tuple((s, d, merged[(s, d)]) for s, d in order)
-    )
+    """Build a graph, merging duplicate (source, target) records by summing.
+
+    Each record is checked before the merge, so a sum cannot hide a bad one.
+    """
+    merged: dict[tuple[str, str], int] = {}  # in order of first appearance
+    for record in edges:
+        src, dst, mult = record
+        if not isinstance(src, str) or not isinstance(dst, str):
+            raise GraphFormatError(f"edge endpoints must be strings: {record!r}")
+        if isinstance(mult, bool) or not isinstance(mult, int) or mult < 1:
+            raise GraphFormatError(f"edge multiplicity must be a positive integer: {record!r}")
+        merged[src, dst] = merged.get((src, dst), 0) + mult
+    return DirectedGraph(tuple(vertices), tuple((s, d, k) for (s, d), k in merged.items()))
 
 
 def parse_graph(text: str) -> DirectedGraph:
@@ -133,15 +133,7 @@ def parse_graph(text: str) -> DirectedGraph:
     for record in raw_edges:
         if not isinstance(record, list) or len(record) not in (2, 3):
             raise GraphFormatError(f"edge record must be [src, dst] or [src, dst, mult]: {record!r}")
-        src, dst = record[0], record[1]
-        mult = record[2] if len(record) == 3 else 1
-        if not isinstance(src, str) or not isinstance(dst, str):
-            raise GraphFormatError(f"edge endpoints must be strings: {record!r}")
-        if isinstance(mult, bool) or not isinstance(mult, int):
-            raise GraphFormatError(f"edge multiplicity must be an integer: {record!r}")
-        if mult < 1:
-            raise GraphFormatError(f"edge multiplicity must be positive: {record!r}")
-        edges.append((src, dst, mult))
+        edges.append((record[0], record[1], record[2] if len(record) == 3 else 1))
     return build_graph(vertices, edges)
 
 

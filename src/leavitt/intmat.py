@@ -29,6 +29,14 @@ from typing import Iterable, Sequence
 _PLAIN_INT = frozenset({int})
 
 
+def require_ints(values: Sequence[int], what: str) -> None:
+    """Raise ValueError unless every value is an int and none is a bool."""
+    if not set(map(type, values)) <= _PLAIN_INT:  # else check each value
+        for value in values:
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{what} must be integers, got {value!r}")
+
+
 class IntMatrix:
     """Dense matrix of exact integers, immutable after construction."""
 
@@ -38,10 +46,7 @@ class IntMatrix:
         data = []
         for row in rows_data:
             row = tuple(row)
-            if not set(map(type, row)) <= _PLAIN_INT:  # else check each entry
-                for value in row:
-                    if isinstance(value, bool) or not isinstance(value, int):
-                        raise ValueError(f"matrix entries must be integers, got {value!r}")
+            require_ints(row, "matrix entries")
             data.append(row)
         if not data or not data[0]:
             raise ValueError("matrix must have at least one row and one column")
@@ -74,12 +79,6 @@ class IntMatrix:
         return IntMatrix(
             [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in self._data]
         )
-
-    def apply(self, vector: Sequence[int]) -> tuple[int, ...]:
-        """Matrix-vector product over the integers."""
-        if len(vector) != self.cols:
-            raise ValueError("vector length does not match matrix width")
-        return tuple(sum(a * b for a, b in zip(row, vector)) for row in self._data)
 
     def to_lists(self) -> list[list[int]]:
         return [list(row) for row in self._data]
@@ -141,6 +140,14 @@ def content(vector: Iterable[int]) -> int:
 
 def _identity_rows(n: int) -> list[list[int]]:
     return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def _diagonal_rows(m: int, n: int, diagonal: Sequence[int]) -> list[list[int]]:
+    """The m x n matrix with the given diagonal and zeros elsewhere."""
+    rows = [[0] * n for _ in range(m)]
+    for i, d in enumerate(diagonal):
+        rows[i][i] = d
+    return rows
 
 
 def _pivot(a: list[list[int]], k: int) -> tuple[int, int] | None:
@@ -403,7 +410,9 @@ def _coordinate_rows(m: int, log: list[_Step], wanted: list[tuple[int, int]]) ->
 
 def smith_normal_form(matrix: IntMatrix) -> SmithDecomposition:
     """Smith normal form with both transformation matrices, built from the
-    elimination log; U @ A @ V == D is checked densely before returning."""
+    elimination log; U @ A @ V == D is checked densely before returning.
+    D is built from the diagonal alone, so the check also shows that the
+    elimination left nothing off it."""
     m, n = matrix.rows, matrix.cols
     a = matrix.to_lists()
     log = _eliminate(a)
@@ -411,7 +420,7 @@ def smith_normal_form(matrix: IntMatrix) -> SmithDecomposition:
     u = _replay(_identity_rows(m), (step for step in log if step[0].startswith("row")))
     v = _replay(_identity_rows(n), (step for step in log if step[0].startswith("col")))
     diagonal = tuple(a[k][k] for k in range(min(m, n)))
-    U, D, V = IntMatrix(u), IntMatrix(a), IntMatrix(v)
+    U, D, V = IntMatrix(u), IntMatrix(_diagonal_rows(m, n, diagonal)), IntMatrix(v)
     if (U @ matrix) @ V != D:
         raise RuntimeError("internal error: transform identity U*A*V == D failed")
     return SmithDecomposition(U=U, D=D, V=V, diagonal=diagonal)
@@ -434,10 +443,7 @@ def smith_coordinates(
     m, n = len(a), len(a[0])
     log = _eliminate(a)
     diagonal = tuple(a[k][k] for k in range(min(m, n)))
-    expected = [[0] * n for _ in range(m)]
-    for i, d in enumerate(diagonal):
-        expected[i][i] = d
-    if _replay(rows, log) != expected:
+    if _replay(rows, log) != _diagonal_rows(m, n, diagonal):
         raise RuntimeError("internal error: replayed identity U*A*V == D failed")
     wanted = [(i, d) for i, d in enumerate(diagonal + (0,) * (m - len(diagonal))) if d != 1]
     coordinate_rows = tuple(map(tuple, _coordinate_rows(m, log, wanted)))

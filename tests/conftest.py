@@ -4,6 +4,7 @@ import random
 import pytest
 
 from leavitt.graphs import DirectedGraph, build_graph, parse_graph
+from leavitt.intmat import IntMatrix
 
 
 def chains_upto(bound: int, include_trivial: bool = True):
@@ -24,6 +25,12 @@ def chains_upto(bound: int, include_trivial: bool = True):
     if not include_trivial:
         out.discard(())
     return sorted(out)
+
+
+def mat_vec(matrix: IntMatrix, vector) -> tuple[int, ...]:
+    """Matrix-vector product over the integers."""
+    assert len(vector) == matrix.cols
+    return tuple(sum(a * b for a, b in zip(row, vector)) for row in matrix)
 
 
 def infinite_order_graph() -> DirectedGraph:

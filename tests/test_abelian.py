@@ -23,7 +23,7 @@ from leavitt.abelian import (
 )
 from leavitt.intmat import unimodular_check
 
-from conftest import chains_upto
+from conftest import chains_upto, mat_vec
 
 
 def test_doctests():
@@ -42,12 +42,18 @@ class TestGroupConstruction:
             FGAbelianGroup((2, 3))
         with pytest.raises(ValueError):
             FGAbelianGroup((), free_rank=-1)
+        for factor in (4.9, "6", True, 4.0):  # never truncated or parsed
+            with pytest.raises(ValueError, match="invariant factors must be integers"):
+                FGAbelianGroup((factor,))
 
     def test_element_canonicalization(self):
         g = FGAbelianGroup((4,), free_rank=1)
         assert g.element([-1], [5]) == GroupElement((3,), (5,))
         with pytest.raises(ValueError):
             g.element([1, 2], [0])
+        for torsion, free in ([1.7], [0]), (["1"], [0]), ([True], [0]), ([1], [2.0]), ([1], [False]):
+            with pytest.raises(ValueError, match="coordinates must be integers"):
+                g.element(torsion, free)
 
     def test_elements_enumeration(self):
         g = FGAbelianGroup((2, 4))
@@ -355,7 +361,7 @@ class TestEigenSearch:
         w = eigen_search(2, 2, [1, 1], 3, 3)
         assert w is not None
         assert unimodular_check(w)
-        assert tuple(3 * s for s in w.apply((1, 1))) == (3, 3)
+        assert tuple(3 * s for s in mat_vec(w, (1, 1))) == (3, 3)
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
@@ -364,3 +370,7 @@ class TestEigenSearch:
             eigen_search(1, 3, [1, 2], 1, 1)
         with pytest.raises(ValueError):
             eigen_search(1, 3, [1], 0, 1)
+        with pytest.raises(ValueError, match="x must be integers"):
+            eigen_search(1, 3, [1.5], 1, 1)
+        with pytest.raises(ValueError, match="x must be integers"):
+            eigen_search(2, 3, [True, 0], 1, 1)

@@ -32,7 +32,7 @@ from leavitt.matrixtype import (
     pointed_iso_exists,
 )
 
-from conftest import chains_upto, infinite_order_graph
+from conftest import chains_upto, infinite_order_graph, mat_vec
 
 
 def _finish(num, label, start, budget, failures):
@@ -172,12 +172,12 @@ def test_criterion_6_eigen_exhaustive_search():
                             [[int(i == j) for j in range(t)] for i in range(t)]
                         )
                         identity_valid = tuple(
-                            n * s for s in identity.apply(x)
+                            n * s for s in mat_vec(identity, x)
                         ) == tuple(m * v for v in x)
                         if witness is None or not identity_valid:
                             failures.append((t, x, m, n, None))
                         elif not unimodular_check(witness) or tuple(
-                            n * s for s in witness.apply(x)
+                            n * s for s in mat_vec(witness, x)
                         ) != tuple(m * v for v in x):
                             failures.append((t, x, m, n, witness.to_lists()))
     _finish(6, "no bounded unimodular witness for m != n", start, 30, failures)

@@ -26,13 +26,14 @@ def run_cli(capsys, argv, stdin=None, monkeypatch=None):
     return code, captured.out
 
 
-def run_module(*argv, text=True, timeout=None, env=None):
+def run_module(*argv, text=True, timeout=None, env=None, stdin=None):
     """``python -m leavitt`` in a child that imports the package under test,
-    with env added to its environment."""
+    with env added to its environment and stdin as its input."""
     src = str(Path(leavitt.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "leavitt", *argv],
+        input=stdin,
         capture_output=True,
         text=text,
         env={**os.environ, **(env or {}), "PYTHONPATH": path},
@@ -403,6 +404,21 @@ class TestErrors:
         )
         error_document(2, out)
         assert code == 2
+
+    def test_file_and_json_failures_exit_2_without_traceback(self, tmp_path, rose5):
+        # no handler wraps these: the exit table maps OSError and
+        # RecursionError, so a child process prints one error document
+        calls = [
+            (["mgraph", "--graph", rose5, "--m", "2", "--out", str(tmp_path / "missing" / "g.json")], None),
+            (["analyze", "--graph", str(tmp_path)], None),
+            (["analyze", "--graph", str(tmp_path / "absent.json")], None),
+            (["snf"], "[" * 100_000 + "]" * 100_000),
+        ]
+        for argv, stdin in calls:
+            proc = run_module(*argv, stdin=stdin)
+            assert proc.returncode == 2, argv
+            error_document(2, proc.stdout)
+            assert "Traceback" not in proc.stderr, argv
 
     @pytest.mark.parametrize(
         "argv",

@@ -74,6 +74,29 @@ class TestParseGraph:
         assert parse_graph(g.to_json()) == g
 
 
+class TestBuildGraph:
+    def test_merges_in_order_of_first_appearance(self):
+        g = build_graph(["a", "b"], [("b", "a", 1), ("a", "b", 2), ("b", "a", 3)])
+        assert g.edges == (("b", "a", 4), ("a", "b", 2))
+
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            [("a", "b", 0)],
+            [("a", "b", -1)],
+            [("a", "b", 1.5)],
+            [("a", "b", True)],
+            [("a", "b", -1), ("a", "b", 2)],  # the sum, 1, would hide the -1
+            [("a", "b", 2), ("a", "b", 0)],
+            [("a", 1, 1)],
+            [(["a"], "b", 1)],
+        ],
+    )
+    def test_rejects_each_bad_record(self, edges):
+        with pytest.raises(GraphFormatError):
+            build_graph(["a", "b"], edges)
+
+
 class TestAdjacencyMatrix:
     def test_rose3(self):
         assert adjacency_matrix(rose(3)).to_lists() == [[3]]

@@ -12,6 +12,8 @@ from leavitt.intmat import (
     unimodular_check,
 )
 
+from conftest import mat_vec
+
 
 def check_decomposition(a, snf):
     assert (snf.U @ a) @ snf.V == snf.D
@@ -46,7 +48,7 @@ class TestIntMatrix:
         a = IntMatrix([[1, 2], [3, 4]])
         b = IntMatrix([[0, 1], [1, 0]])
         assert (a @ b).to_lists() == [[2, 1], [4, 3]]
-        assert a.apply([1, 1]) == (3, 7)
+        assert mat_vec(a, [1, 1]) == (3, 7)
 
 
 class TestDeterminant:
@@ -189,6 +191,13 @@ class TestSmithNormalForm:
         a = IntMatrix([[-4, -1, -4, 3], [5, -2, 3, -2], [0, -4, -4, -2], [5, 0, -1, 1]])
         with pytest.raises(RuntimeError, match="transform identity"):
             smith_normal_form(a)
+
+    def test_entries_left_off_the_diagonal_raise(self, monkeypatch):
+        # D is built from the diagonal, so an elimination that stops early
+        # cannot pass its leftovers off as part of D
+        monkeypatch.setattr(intmat, "_eliminate", lambda a: [])
+        with pytest.raises(RuntimeError, match="transform identity"):
+            smith_normal_form(IntMatrix([[1, 2], [3, 4]]))
 
     def test_against_sympy_invariant_factors(self):
         sympy = pytest.importorskip("sympy")

@@ -12,7 +12,10 @@ Each graph move below has a known effect on (K0, [1]):
   m * [1], of order n / gcd(m, n).
 
 The splittings act on single edges, so an edge of multiplicity k counts as
-k edges that may land in different classes.
+k edges that may land in different classes.  They are checked on graphs
+with sinks too, whose K0 is presented by the non-sink columns only; there
+in-splitting is applied to non-sinks alone, since splitting a sink adds a
+generator and no relation.
 """
 
 import random
@@ -65,30 +68,64 @@ def in_split(graph: DirectedGraph, v: str, rng: random.Random) -> DirectedGraph:
     return build_graph(_split_names(graph, v), split)
 
 
-def _graphs(seed: int, count: int):
-    """(rng, graph) pairs: strongly connected graphs on 2 to 7 vertices."""
+def _graphs(seed: int, count: int, sinks: int = 0):
+    """(rng, graph) pairs: strongly connected graphs on 2 to 7 vertices.
+    With sinks > 0, each graph also gets 1 to sinks sink vertices, each fed
+    by one or two edges from the strongly connected core."""
     rng = random.Random(seed)
     for _ in range(count):
-        yield rng, scc_graph(rng.randint(2, 7), rng.randrange(2**32))
+        core = scc_graph(rng.randint(2, 7), rng.randrange(2**32))
+        if not sinks:
+            yield rng, core
+            continue
+        names = tuple(f"s{k}" for k in range(rng.randint(1, sinks)))
+        feeds = tuple(
+            (rng.choice(core.vertices), s, rng.randint(1, 3))
+            for s in names
+            for _ in range(rng.randint(1, 2))
+        )
+        yield rng, build_graph(core.vertices + names, core.edges + feeds)
+
+
+def _out_splittings_keep_the_pointed_group(graphs) -> int:
+    """Out-split each graph at a vertex emitting at least two edges; returns
+    how many of the groups have torsion."""
+    torsion = 0
+    for rng, graph in graphs:
+        edges = _single_edges(graph)
+        v = rng.choice([u for u in graph.vertices if sum(s == u for s, _ in edges) >= 2])
+        a, b = k0_of_graph(graph), k0_of_graph(out_split(graph, v, rng))
+        assert compare_pointed_k0(a, b).reason is IsoReason.UNIT_ORBIT_MATCH, (graph, v)
+        torsion += a.group.torsion_size > 1
+    return torsion
+
+
+def _in_splittings_keep_the_group(graphs) -> None:
+    """In-split each graph at a non-sink receiving at least two edges."""
+    for rng, graph in graphs:
+        edges = _single_edges(graph)
+        emitters = {s for s, _ in edges}
+        v = rng.choice(
+            [u for u in graph.vertices if u in emitters and sum(d == u for _, d in edges) >= 2]
+        )
+        split = in_split(graph, v, rng)
+        assert k0_of_graph(split).group == k0_of_graph(graph).group, (graph, v)
 
 
 class TestSplittings:
     def test_out_splitting_keeps_the_pointed_group(self):
-        torsion = 0
-        for rng, graph in _graphs(101, 80):
-            edges = _single_edges(graph)
-            v = rng.choice([u for u in graph.vertices if sum(s == u for s, _ in edges) >= 2])
-            a, b = k0_of_graph(graph), k0_of_graph(out_split(graph, v, rng))
-            assert compare_pointed_k0(a, b).reason is IsoReason.UNIT_ORBIT_MATCH, (graph, v)
-            torsion += a.group.torsion_size > 1
-        assert torsion >= 60  # most cases have a unit to place, not the trivial group
+        # most cases have a unit to place, not the trivial group
+        assert _out_splittings_keep_the_pointed_group(_graphs(101, 80)) >= 60
 
     def test_in_splitting_keeps_the_group(self):
-        for rng, graph in _graphs(103, 80):
-            edges = _single_edges(graph)
-            v = rng.choice([u for u in graph.vertices if sum(d == u for _, d in edges) >= 2])
-            split = in_split(graph, v, rng)
-            assert k0_of_graph(split).group == k0_of_graph(graph).group, (graph, v)
+        _in_splittings_keep_the_group(_graphs(103, 80))
+
+    def test_out_splitting_with_sinks_keeps_the_pointed_group(self):
+        # every group has a free part from the sinks; 44 of 80 also have torsion
+        assert _out_splittings_keep_the_pointed_group(_graphs(113, 80, sinks=2)) >= 30
+
+    def test_in_splitting_with_sinks_keeps_the_group(self):
+        _in_splittings_keep_the_group(_graphs(127, 80, sinks=2))
 
     def test_splittings_move_the_graph(self):
         rng = random.Random(107)
