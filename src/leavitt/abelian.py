@@ -77,6 +77,7 @@ class FGAbelianGroup:
         for a, b in zip(factors, factors[1:]):
             if b % a:
                 raise ValueError("invariant factors must form a divisibility chain")
+        require_ints((self.free_rank,), "free rank")
         if self.free_rank < 0:
             raise ValueError("free rank must be nonnegative")
 

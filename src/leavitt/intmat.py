@@ -4,17 +4,25 @@ Everything here works over Python's arbitrary-precision integers.  Smith
 normal form intermediates routinely outgrow machine words, so there is no
 fixed-width fast path anywhere.
 
-Smith normal form has one elimination, ``_eliminate``, in two phases.  The
-unit phase works on sparse rows: while some row holds a +-1 entry, it
-pivots on one, chosen to keep fill low, and clears the pivot's row and
-column exactly.  The gcd phase then reduces the dense residual block, which
-holds no unit, by division steps.  Both phases log their row and column
-steps; U and V are the products, unimodular by construction.
-``smith_normal_form`` builds both from the log and checks U @ A @ V == D
-densely.  ``smith_coordinates``, the cokernel path of ``ktheory``, checks
-the same identity by replaying every step of the log on a copy of A, where
-each step skips only the entries that are zero in the copy, and derives in
-one reverse pass only the rows of U that the cokernel reads.
+Smith normal form starts with one unit phase, ``_clear_units``: while some
+row holds a +-1 entry, it pivots on one over sparse rows, chosen to keep
+fill low, and clears the pivot's row and column exactly.  What remains is
+a dense residual block R with no unit, reduced by one of two gcd phases.
+Every phase logs its row and column steps, and U and V are their products.
+
+- ``_reduce_by_division`` works over the integers by division steps.  It
+  serves ``smith_normal_form``, which builds U and V from the log and
+  checks U @ A @ V == D densely, and ``smith_coordinates`` when A is not
+  square (graphs with sinks) or D = |det R| is 0.
+- ``_reduce_modulo`` serves ``smith_coordinates`` when A is square and
+  D > 0.  Then D * Z^r lies in im(R), so R can be diagonalised modulo D by
+  unimodular 2x2 extended-gcd steps; every multiplier and coefficient stays
+  below D, where division steps over the integers let them outgrow it.
+
+``smith_coordinates``, the cokernel path of ``ktheory``, builds neither U
+nor V.  It certifies the log by replaying it on a copy of A, exactly or
+modulo D with D from Bareiss on R (see its docstring), and derives in one
+reverse pass only the rows of U that the cokernel reads.
 """
 
 from __future__ import annotations
@@ -22,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from itertools import compress
-from math import gcd
+from math import gcd, prod
 from typing import Iterable, Sequence
 
 
@@ -98,12 +106,10 @@ class SmithDecomposition:
     diagonal: tuple[int, ...]
 
 
-def determinant(matrix: IntMatrix) -> int:
-    """Exact determinant via fraction-free (Bareiss) elimination."""
-    if matrix.rows != matrix.cols:
-        raise ValueError("determinant requires a square matrix")
-    n = matrix.rows
-    a = matrix.to_lists()
+def _bareiss(a: list[list[int]]) -> int:
+    """Determinant of a square list of rows (changed in place) by
+    fraction-free (Bareiss) elimination; 1 for no rows."""
+    n = len(a)
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -115,12 +121,24 @@ def determinant(matrix: IntMatrix) -> int:
                     break
             else:
                 return 0
+        pivot_row = a[k]
+        pivot = pivot_row[k]
         for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+            row = a[i]
+            x = row[k]
+            row[k + 1 :] = [
+                (y * pivot - x * z) // prev for y, z in zip(row[k + 1 :], pivot_row[k + 1 :])
+            ]
+            row[k] = 0
+        prev = pivot
+    return sign * a[n - 1][n - 1] if n else 1
+
+
+def determinant(matrix: IntMatrix) -> int:
+    """Exact determinant via fraction-free (Bareiss) elimination."""
+    if matrix.rows != matrix.cols:
+        raise ValueError("determinant requires a square matrix")
+    return _bareiss(matrix.to_lists())
 
 
 def unimodular_check(matrix: IntMatrix) -> bool:
@@ -169,8 +187,10 @@ def _pivot(a: list[list[int]], k: int) -> tuple[int, int] | None:
 
 
 # (kind, i, j, q): "row_add"/"col_add" add q * row/col i to row/col j,
-# "row_swap"/"col_swap" swap i and j, "row_neg" negates row i (j == i)
-_Step = tuple[str, int, int, int]
+# "row_swap"/"col_swap" swap i and j, "row_neg" negates row i (j == i);
+# "row_mix"/"col_mix" carry q = (s, t, u, v) with s*v - t*u == 1 and set
+# row/col i to s*i + t*j and row/col j to u*i + v*j
+_Step = tuple[str, int, int, int | tuple[int, int, int, int]]
 
 
 def _has_unit(row: dict[int, int]) -> bool:
@@ -278,24 +298,32 @@ def _clear_units(a: list[list[int]]) -> tuple[list[_Step], int]:
 
 
 def _eliminate(a: list[list[int]]) -> list[_Step]:
-    """Reduce a (a list of rows, changed in place) to Smith normal form.
+    """Reduce a (a list of rows, changed in place) to Smith normal form
+    over the integers.
 
     Returns the log of row and column steps in the order applied; U and V
-    are their products, and neither is built here.  Two phases:
+    are their products, and neither is built here.  Two phases: the unit
+    phase (_clear_units) pivots sparsely on +-1 entries in fill-reducing
+    order and leaves its k pivots on the diagonal; the gcd phase
+    (_reduce_by_division) reduces the dense residual block from k on.
+    """
+    log, start = _clear_units(a)
+    _reduce_by_division(a, start, log)
+    return log
 
-    - the unit phase (_clear_units) pivots sparsely on +-1 entries in
-      fill-reducing order and leaves its k pivots on the diagonal;
-    - the gcd phase reduces the dense residual block from k on: it
-      repeatedly moves a minimal-magnitude nonzero entry of the trailing
-      block to the pivot, clears its row and column by exact division
-      steps, and folds rows back in until the pivot divides the whole
-      remaining block.
 
-    At gcd step k, rows from k on are zero left of column k and columns
+def _reduce_by_division(a: list[list[int]], start: int, log: list[_Step]) -> None:
+    """The gcd phase over the integers: reduce the block of a from row and
+    column start on (zero beside it) to Smith normal form, appending the
+    steps to log.
+
+    It repeatedly moves a minimal-magnitude nonzero entry of the trailing
+    block to the pivot, clears its row and column by exact division steps,
+    and folds rows back in until the pivot divides the whole remaining
+    block.  At step k, rows from k on are zero left of column k and columns
     from k on are zero above row k, so operations on a skip those entries.
     """
     m, n = len(a), len(a[0])
-    log, start = _clear_units(a)
 
     def add_row(src: int, dst: int, q: int, k: int) -> None:
         # row[dst] += q * row[src]; both rows vanish left of column k
@@ -350,61 +378,216 @@ def _eliminate(a: list[list[int]]) -> list[_Step]:
         if a[k][k] < 0:
             a[k][k] = -a[k][k]
             log.append(("row_neg", k, k, 0))
-    return log
 
 
-def _replay(rows: Iterable[Sequence[int]], steps: Iterable[_Step]) -> list[list[int]]:
-    """A copy of the matrix with every step applied.
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, s, t) with s*a + t*b == g == gcd(a, b), for a, b >= 0; |s| <= b
+    and |t| <= a."""
+    s, s1, t, t1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        s, s1 = s1, s - q * s1
+        t, t1 = t1, t - q * t1
+    return a, s, t
+
+
+def _reduce_modulo(a: list[list[int]], modulus: int, log: list[_Step]) -> list[int]:
+    """Diagonalise the square matrix a (a list of rows, changed in place)
+    modulo modulus by unimodular steps appended to log; returns the
+    diagonal g, each entry in [0, modulus).
+
+    At step k the pivot is the entry of column k, from row k on, whose gcd
+    with the modulus is least; a zero column k first swaps in the next
+    nonzero one.  With c = gcd(pivot, modulus), an entry x of the pivot's
+    column or row that c divides is a multiple of the pivot modulo the
+    modulus, and one addition clears it.  Any other x takes a 2x2
+    extended-gcd step, a row_mix or col_mix, whose new pivot gcd(pivot, x)
+    has a smaller gcd with the modulus; a column mix refills column k, so
+    the passes repeat until both are clear.  Then, as in the division loop,
+    a row holding an entry that c does not divide is added to row k and the
+    passes repeat, so each gcd(g_k, modulus) divides the next.
+
+    Every multiplier and coefficient lies below the modulus.  Entries are
+    reduced where a decision reads them: column k and the pivot row at each
+    pass, and both rows of a mix.  A row addition leaves its target
+    unreduced, which keeps entries below size * modulus**2 and saves a
+    division per entry.
+    """
+    size = len(a)
+    for k in range(size - 1):
+        while True:
+            for row in a[k:]:
+                row[k] %= modulus
+            column = [i for i in range(k, size) if a[i][k]]
+            if not column:
+                j = next((j for j in range(k + 1, size) if any(row[j] % modulus for row in a[k:])), None)
+                if j is None:
+                    break  # the trailing block is zero modulo the modulus
+                for row in a[k:]:
+                    row[k], row[j] = row[j], row[k]
+                log.append(("col_swap", k, j, 0))
+                continue
+            pi = min(column, key=lambda i: gcd(a[i][k], modulus))
+            if pi != k:
+                a[k], a[pi] = a[pi], a[k]
+                log.append(("row_swap", k, pi, 0))
+            row_k = a[k]
+            row_k[k:] = top = [x % modulus for x in row_k[k:]]
+            p = top[0]
+            c = gcd(p, modulus)
+            inverse = pow(p // c, -1, modulus // c)
+            for i in range(k + 1, size):
+                row = a[i]
+                x = row[k]
+                if not x:
+                    continue
+                if x % c == 0:
+                    q = -(x // c) * inverse % (modulus // c)
+                    row[k:] = [y + q * z for y, z in zip(row[k:], top)]
+                    row[k] %= modulus  # zero
+                    log.append(("row_add", k, i, q))
+                    continue
+                h, s, t = _xgcd(p, x)
+                u, v, p = -(x // h), p // h, h
+                bottom = row[k:]
+                row_k[k:] = [(s * y + t * z) % modulus for y, z in zip(top, bottom)]
+                row[k:] = [(u * y + v * z) % modulus for y, z in zip(top, bottom)]
+                top = row_k[k:]
+                log.append(("row_mix", k, i, (s, t, u, v)))
+                c = gcd(p, modulus)
+                inverse = pow(p // c, -1, modulus // c)
+            # rows other than k hold zero in column k until a column mix
+            touched = [row_k]
+            for j in range(k + 1, size):
+                y = row_k[j]
+                if not y:
+                    continue
+                if y % c == 0:
+                    q = -(y // c) * inverse % (modulus // c)
+                    for row in touched:
+                        row[j] = (row[j] + q * row[k]) % modulus
+                    log.append(("col_add", k, j, q))
+                    continue
+                h, s, t = _xgcd(p, y)
+                u, v, p = -(y // h), p // h, h
+                for row in a[k:]:
+                    x, z = row[k], row[j]
+                    row[k], row[j] = (s * x + t * z) % modulus, (u * x + v * z) % modulus
+                log.append(("col_mix", k, j, (s, t, u, v)))
+                c = gcd(p, modulus)
+                inverse = pow(p // c, -1, modulus // c)
+                touched = [row for row in a[k:] if row[k]]
+            if len(touched) > 1:
+                continue  # a column mix refilled column k
+            if c == 1:
+                break
+            offender = next((i for i in range(k + 1, size) if any(x % c for x in a[i][k + 1 :])), None)
+            if offender is None:
+                break
+            row_k[k:] = [(y + z) % modulus for y, z in zip(row_k[k:], a[offender][k:])]
+            log.append(("row_add", offender, k, 1))  # drags the non-multiple into row k
+    if size:
+        a[-1][-1] %= modulus  # the last block is 1 x 1
+    return [a[k][k] for k in range(size)]
+
+
+def _replay(
+    rows: Iterable[Sequence[int]], steps: Iterable[_Step], modulus: int = 0
+) -> list[list[int]]:
+    """A copy of the matrix with every step applied: exactly, or modulo a
+    nonzero modulus, with every entry of the copy and of the result reduced.
 
     Each step acts on whole rows or columns; the only entries it skips are
-    zeros, as the copy holds them.  A row addition walks the nonzeros of
-    its source row, and a column addition the rows that hold its source
+    zeros, as the copy holds them.  An exact row addition walks the nonzeros
+    of its source row, and a column addition the rows that hold its source
     column.  A run of additions from one source column finds those rows
     once, since col j += q * col i never makes a zero of column i nonzero.
-    Nothing is assumed about which entries the elimination left zero.
+    A modular row addition, made on a dense block, adds whole rows and
+    leaves its target unreduced until the row is next a source.  A mix
+    step must have s*v - t*u == 1.  Nothing is assumed about which entries
+    the elimination left zero.
     """
-    b = [list(row) for row in rows]
-    n = len(b[0])
+    b = [[x % modulus for x in row] if modulus else list(row) for row in rows]
+    n = len(b[0]) if b else 0
+    stale = [False] * len(b)  # rows a modular row addition left unreduced
     source, moving = -1, []
     for kind, i, j, q in steps:
         if kind == "col_add":
             if i != source:
-                source, moving = i, [row for row in b if row[i]]
-            for row in moving:
-                row[j] += q * row[i]
+                source = i
+                if modulus:
+                    moving = [row for row in b if row[i] % modulus]
+                else:
+                    moving = [row for row in b if row[i]]
+            if modulus:
+                for row in moving:
+                    row[j] = (row[j] + q * row[i]) % modulus
+            else:
+                for row in moving:
+                    row[j] += q * row[i]
             continue
         source = -1  # any other step may change which rows move
         if kind == "row_add":
             src, dst = b[i], b[j]
-            for col in compress(range(n), src):
-                dst[col] += q * src[col]
+            if modulus:
+                if stale[i]:
+                    src = b[i] = [x % modulus for x in src]
+                    stale[i] = False
+                b[j] = [y + q * x for y, x in zip(dst, src)]
+                stale[j] = True
+            else:
+                for col in compress(range(n), src):
+                    dst[col] += q * src[col]
         elif kind == "row_swap":
             b[i], b[j] = b[j], b[i]
+            stale[i], stale[j] = stale[j], stale[i]
         elif kind == "row_neg":
             b[i] = [-x for x in b[i]]
-        else:  # col_swap
+        elif kind == "col_swap":
             for row in b:
                 row[i], row[j] = row[j], row[i]
+        else:  # row_mix or col_mix
+            s, t, u, v = q
+            if s * v - t * u != 1:
+                raise RuntimeError("internal error: a logged 2x2 step is not unimodular")
+            pairs = zip(b[i], b[j]) if kind == "row_mix" else ((row[i], row[j]) for row in b)
+            mixed = [(s * x + t * y, u * x + v * y) for x, y in pairs]
+            if modulus:
+                mixed = [(x % modulus, y % modulus) for x, y in mixed]
+            if kind == "row_mix":
+                b[i], b[j] = map(list, zip(*mixed))
+                stale[i] = stale[j] = False
+            else:
+                for row, (x, y) in zip(b, mixed):
+                    row[i], row[j] = x, y
+    if modulus:
+        b = [[x % modulus for x in row] if flag else row for row, flag in zip(b, stale)]
     return b
 
 
 def _coordinate_rows(m: int, log: list[_Step], wanted: list[tuple[int, int]]) -> list[list[int]]:
     """Row i of U = R_t ... R_1 for each (i, d) in wanted, reduced modulo its
     own d (exact when d == 0), all in one reverse pass over the row steps:
-    e_i^T times the steps in reverse order, row j += q * row s acting as
-    x[s] += q * x[j]."""
+    e_i^T times the steps in reverse order, row j += q * row i acting as
+    x[i] += q * x[j], and a row mix (s, t, u, v) of rows i and j as
+    (x[i], x[j]) = (s*x[i] + u*x[j], t*x[i] + v*x[j])."""
     rows = [([int(r == i) for r in range(m)], d) for i, d in wanted]
-    for kind, s, j, q in reversed(log):
+    for kind, i, j, q in reversed(log):
         if kind == "row_add":
             for x, d in rows:
                 if x[j]:
-                    x[s] = (x[s] + q * x[j]) % d if d else x[s] + q * x[j]
+                    x[i] = (x[i] + q * x[j]) % d if d else x[i] + q * x[j]
         elif kind == "row_swap":
             for x, _ in rows:
-                x[s], x[j] = x[j], x[s]
+                x[i], x[j] = x[j], x[i]
         elif kind == "row_neg":
             for x, d in rows:
-                x[s] = -x[s] % d if d else -x[s]
+                x[i] = -x[i] % d if d else -x[i]
+        elif kind == "row_mix":
+            s, t, u, v = q
+            for x, d in rows:  # d != 0: mixes come from the modular phase
+                x[i], x[j] = (s * x[i] + u * x[j]) % d, (t * x[i] + v * x[j]) % d
     return [x for x, _ in rows]
 
 
@@ -433,18 +616,54 @@ def smith_coordinates(
     rows i of U with d_i != 1 (d_i = 0 past the diagonal), the coordinates
     of Z^m / im(A): torsion rows reduced modulo d_i, free rows exact.
 
-    U and V are never built.  Replaying the whole log on a fresh copy of A
-    must give D, which certifies U @ A @ V == D.  The replay does not cover
-    the backward derivation of the rows, so each must also send every
-    column of A to 0 modulo d_i (exactly 0 when free), summed over the
-    nonzeros of A.
+    U and V are never built.  The unit phase runs first, and its steps are
+    replayed exactly on a fresh copy of A.  When A is square, that replay
+    must give diag(1, ..., 1) + R for a block R, so |det A| = D = |det R|,
+    taken by Bareiss on R alone.  When D > 0, D * Z^r lies in im(R), so
+    coker R is isomorphic to Z^r / (im diag(g) + D * Z^r), the sum of the
+    Z / gcd(g_i, D), for any diag(g) that unimodular steps reach from R
+    modulo D; _reduce_modulo finds one.  The certificate is exact:
+
+    1. the unit steps, replayed exactly, give diag(1, ..., 1) + R;
+    2. the modular steps, replayed on R modulo D, give diag(g), and every
+       mix step has s*v - t*u == 1;
+    3. the d_i = gcd(g_i, D) multiply to D, the order of coker A.
+
+    Otherwise (A not square, or D == 0: a free summand) the gcd phase runs
+    over the integers by division steps, and replaying them after the unit
+    steps must give D, which certifies U @ A @ V == D.  On both routes the
+    replays do not cover the backward derivation of the rows, so each must
+    also send every column of A to 0 modulo d_i (exactly 0 when free),
+    summed over the nonzeros of A.
     """
     a = [list(row) for row in rows]
     m, n = len(a), len(a[0])
-    log = _eliminate(a)
-    diagonal = tuple(a[k][k] for k in range(min(m, n)))
-    if _replay(rows, log) != _diagonal_rows(m, n, diagonal):
-        raise RuntimeError("internal error: replayed identity U*A*V == D failed")
+    log, k = _clear_units(a)
+    b = _replay(rows, log)
+    modulus = 0
+    if m == n:
+        if any(b[i][i] != 1 or b[i].count(0) != n - 1 for i in range(k)) or any(
+            any(row[:k]) for row in b[k:]
+        ):
+            raise RuntimeError("internal error: replayed unit steps do not give I + R")
+        residual = [row[k:] for row in b[k:]]
+        modulus = abs(_bareiss([row[:] for row in residual]))
+    if modulus:
+        steps: list[_Step] = []
+        g = _reduce_modulo([row[:] for row in residual], modulus, steps)
+        if _replay(residual, steps, modulus) != _diagonal_rows(m - k, m - k, g):
+            raise RuntimeError("internal error: replayed modular steps do not give diag(g)")
+        torsion = tuple(gcd(x, modulus) for x in g)
+        if prod(torsion) != modulus:
+            raise RuntimeError("internal error: the invariant factors do not multiply to |det|")
+        diagonal = (1,) * k + torsion
+        log += [(kind, i + k, j + k, q) for kind, i, j, q in steps]
+    else:
+        unit_steps = len(log)
+        _reduce_by_division(a, k, log)
+        diagonal = tuple(a[i][i] for i in range(min(m, n)))
+        if _replay(b, log[unit_steps:]) != _diagonal_rows(m, n, diagonal):
+            raise RuntimeError("internal error: replayed identity U*A*V == D failed")
     wanted = [(i, d) for i, d in enumerate(diagonal + (0,) * (m - len(diagonal))) if d != 1]
     coordinate_rows = tuple(map(tuple, _coordinate_rows(m, log, wanted)))
     columns = [[(r, x) for r, x in enumerate(column) if x] for column in zip(*rows)]

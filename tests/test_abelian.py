@@ -45,6 +45,9 @@ class TestGroupConstruction:
         for factor in (4.9, "6", True, 4.0):  # never truncated or parsed
             with pytest.raises(ValueError, match="invariant factors must be integers"):
                 FGAbelianGroup((factor,))
+        for rank in (1.5, True, "1", 1.0):  # 1.5 once built a group with no elements
+            with pytest.raises(ValueError, match="free rank must be integers"):
+                FGAbelianGroup((), rank)
 
     def test_element_canonicalization(self):
         g = FGAbelianGroup((4,), free_rank=1)

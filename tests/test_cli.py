@@ -88,7 +88,7 @@ class TestAnalyze:
         assert out == (
             '{"pis": {"every_cycle_has_exit": true, "trivial_hereditary_saturated": true, '
             '"every_vertex_connects_to_cycle": true, "purely_infinite_simple": true}, '
-            '"invariant_factors": [4], "free_rank": 0, "unit_coords": [3], "unit_order": 4}\n'
+            '"invariant_factors": [4], "free_rank": 0, "unit_coords": [1], "unit_order": 4}\n'
         )
 
     def test_infinite(self, capsys, einf_file):

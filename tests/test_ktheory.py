@@ -205,74 +205,184 @@ def _expected_rows(snf, rows: int) -> tuple[tuple[int, ...], ...]:
     return tuple(expected)
 
 
-# a matrix and a graph whose eliminations use every step kind in both phases
-_CORRUPTION_MATRIX = IntMatrix([[-4, -1, -4, 3], [5, -2, 3, -2], [0, -4, -4, -2], [5, 0, -1, 1]])
-_CORRUPTION_GRAPH = build_graph(
-    ["a", "b", "c", "d"],
-    [("a", "b", 3), ("b", "a", 2), ("c", "a", 3), ("c", "b", 1), ("c", "d", 2), ("d", "c", 1),
-     ("d", "d", 3)],
+def _modular_route(rows) -> bool:
+    """True where smith_coordinates works modulo D = |det| of the residual
+    block: a square presentation with det != 0 (the unit phase keeps |det|)."""
+    return len(rows) == len(rows[0]) and determinant(IntMatrix(rows)) != 0
+
+
+def _check_coordinates(rows, snf) -> tuple[tuple[int, ...], ...]:
+    """smith_coordinates(rows) against smith_normal_form: the same diagonal,
+    and the rows of snf.U where the integer route runs.  The route modulo D
+    derives other rows, so there each must kill A modulo its d_i, and
+    together they must map Z^m onto the sum of the Z/d_i: the Smith form of
+    [rows | diag(d)] is all ones.  Returns the coordinate rows."""
+    rows = [list(row) for row in rows]
+    diagonal, coordinate_rows = smith_coordinates(rows)
+    assert diagonal == snf.diagonal
+    if not _modular_route(rows):
+        assert coordinate_rows == _expected_rows(snf, len(rows))
+        return coordinate_rows
+    factors = [d for d in diagonal if d != 1]
+    assert len(coordinate_rows) == len(factors)
+    for d, row in zip(factors, coordinate_rows):
+        assert all(0 <= x < d for x in row)
+        assert not any(sum(x * y for x, y in zip(row, column)) % d for column in zip(*rows))
+    onto = [
+        list(row) + [d * (i == j) for j in range(len(factors))]
+        for i, (d, row) in enumerate(zip(factors, coordinate_rows))
+    ]
+    assert not onto or set(smith_normal_form(IntMatrix(onto)).diagonal) == {1}
+    return coordinate_rows
+
+
+# inputs whose eliminations use every step kind of their phases: the first
+# pair takes the route modulo D (unit and modular phases), the second the
+# integer route (unit and division phases), by det == 0 and by a sink
+_MODULAR_MATRIX = IntMatrix(
+    [[0, -3, -2, 4, 2], [-3, -4, 4, 0, -2], [5, -2, 2, -5, -1], [2, -4, 5, -2, 0],
+     [-2, 5, 0, 2, 2]]
 )
+_MODULAR_GRAPH = build_graph(
+    list("abcde"),
+    [("a", "a", 2), ("a", "b", 2), ("a", "c", 1), ("a", "d", 2), ("a", "e", 1), ("b", "a", 3),
+     ("b", "b", 1), ("b", "e", 3), ("c", "b", 3), ("c", "d", 3), ("d", "c", 2), ("d", "d", 1),
+     ("d", "e", 2), ("e", "a", 2), ("e", "b", 1), ("e", "e", 3)],
+)
+_INTEGER_MATRIX = IntMatrix(
+    [[-1, -3, 2, 4, -1], [-1, 4, 0, 5, -1], [5, 5, 4, 3, 2], [-1, 3, 3, 4, -4],
+     [-3, 0, -1, 0, -3]]
+)
+_INTEGER_GRAPH = build_graph(
+    list("abcde"),
+    [("a", "a", 2), ("a", "e", 2), ("c", "a", 2), ("c", "e", 1), ("d", "a", 1), ("d", "d", 1),
+     ("e", "c", 2), ("e", "d", 3), ("e", "e", 3)],
+)
+
+
+def _corrupting(phase, corrupt: str):
+    """An elimination phase of intmat that corrupts the first step of the
+    given kind it logs: an addition's q becomes q + 1; a mix (s, t, u, v)
+    becomes (s, t, u + s, v + t), still of determinant 1, which adds the
+    new pivot row or column to the cleared one, or with "-det"
+    (s + 1, t, u, v); a swap, a negation, or any step with "-dropped" is
+    deleted."""
+    kind, _, how = corrupt.partition("-")
+
+    def corrupted(a, *args):
+        log = args[-1] if args else []  # _clear_units returns its log
+        start = len(log)
+        result = phase(a, *args)
+        if not args:
+            log = result[0]
+        first = next(i for i in range(start, len(log)) if log[i][0] == kind)
+        _, i, j, q = log[first]
+        if how == "dropped" or kind in ("row_swap", "col_swap", "row_neg"):
+            del log[first]
+        elif kind.endswith("_add"):
+            log[first] = (kind, i, j, q + 1)
+        else:
+            s, t, u, v = q
+            log[first] = (kind, i, j, (s + 1, t, u, v) if how == "det" else (s, t, u + s, v + t))
+        return result
+
+    return corrupted
+
+
+def _raises(match: str, matrices, graphs) -> None:
+    for matrix in matrices:
+        with pytest.raises(RuntimeError, match=match):
+            cokernel(matrix)
+    for graph in graphs:
+        with pytest.raises(RuntimeError, match=match):
+            k0_of_graph(graph)
 
 
 class TestK0Certificate:
     """The K0 path derives only the coordinate rows from the elimination log,
-    certified by replaying the log (U @ M @ V == D) and by each row killing
-    the columns of M, without building U or V."""
+    certified by replaying the log (exactly, or modulo D = |det|, with the
+    invariant factors multiplying to D) and by each row killing the columns
+    of M, without building U or V."""
 
     def test_matches_smith_normal_form(self):
         rng = random.Random(47)
         graphs = [infinite_order_graph(), rose(1), rose(2), rose(5)]
         graphs += [_random_graph(rng) for _ in range(300)]
-        singular = sinks = 0
+        singular = sinks = modular = 0
         for graph in graphs:
             if not graph.edges:
                 continue  # no relations at all: test_sinks_give_no_relation
             m = _presentation(graph)
-            snf = smith_normal_form(m)
-            expected = _expected_rows(snf, m.rows)
-            assert smith_coordinates(m) == (snf.diagonal, expected)
-            assert k0_of_graph(graph).coordinate_map == expected
+            rows = _check_coordinates(m, smith_normal_form(m))
+            assert k0_of_graph(graph).coordinate_map == rows
             singular += m.rows == m.cols and determinant(m) == 0
             sinks += m.rows > m.cols
+            modular += _modular_route(m.to_lists())
         assert singular >= 20  # free summands are covered
         assert sinks >= 50  # so are the non-square presentations of graphs with sinks
+        assert modular >= 50  # and the route modulo D
 
     def test_matches_on_rectangular(self):
         rng = random.Random(53)
         for _ in range(200):
             rows, cols = rng.randint(1, 6), rng.randint(1, 6)
             m = IntMatrix([[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)])
-            snf = smith_normal_form(m)
-            assert smith_coordinates(m) == (snf.diagonal, _expected_rows(snf, rows))
+            _check_coordinates(m, smith_normal_form(m))
+
+    def test_both_routes_match_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+
+        rng = random.Random(67)
+        modular = integer = sinks = 0
+        for _ in range(150):
+            graph = _random_graph(rng)
+            if not graph.edges:
+                continue
+            m = _presentation(graph)
+            theirs = sympy_snf(sympy.Matrix(m.to_lists()), domain=sympy.ZZ)
+            diag = [abs(int(theirs[i, i])) for i in range(min(m.rows, m.cols))]
+            k0 = k0_of_graph(graph)
+            assert k0.group.invariant_factors == tuple(sorted(d for d in diag if d > 1))
+            assert k0.group.free_rank == m.rows - sum(1 for d in diag if d)
+            if _modular_route(m.to_lists()):
+                modular += 1
+            else:
+                integer += 1
+                sinks += m.rows > m.cols
+        assert modular >= 30 and integer >= 30 and sinks >= 20
 
     @pytest.mark.parametrize(
         "corrupt", ["row_add", "row_swap", "row_neg", "col_add", "col_swap", "col_add-dropped"]
     )
     def test_corrupted_log_raises(self, monkeypatch, corrupt):
-        eliminate = intmat._eliminate
-        kind = corrupt.removesuffix("-dropped")
+        # the unit phase on both routes, then the integer route's division phase
+        monkeypatch.setattr(intmat, "_clear_units", _corrupting(intmat._clear_units, corrupt))
+        _raises("replayed", [_MODULAR_MATRIX, _INTEGER_MATRIX], [_MODULAR_GRAPH, _INTEGER_GRAPH])
+        monkeypatch.undo()
+        monkeypatch.setattr(
+            intmat, "_reduce_by_division", _corrupting(intmat._reduce_by_division, corrupt)
+        )
+        _raises("replayed", [_INTEGER_MATRIX], [_INTEGER_GRAPH])
 
-        def corrupting(phase):
-            def corrupted(a):
-                unit_steps = len(intmat._clear_units([list(row) for row in a])[0])
-                log = eliminate(a)
-                steps = range(unit_steps) if phase == "unit" else range(unit_steps, len(log))
-                first = next(i for i in steps if log[i][0] == kind)
-                if corrupt.endswith("_add"):  # a changed coefficient
-                    _, src, dst, q = log[first]
-                    log[first] = (kind, src, dst, q + 1)
-                else:
-                    del log[first]
-                return log
+    @pytest.mark.parametrize(
+        "corrupt, match",
+        [("row_add", "replayed"), ("col_add", "replayed"), ("row_swap", "replayed"),
+         ("col_swap", "replayed"), ("row_mix", "replayed"), ("col_mix", "replayed"),
+         ("row_add-dropped", "replayed"), ("col_mix-dropped", "replayed"),
+         ("row_mix-det", "not unimodular"), ("col_mix-det", "not unimodular")],
+    )
+    def test_corrupted_modular_log_raises(self, monkeypatch, corrupt, match):
+        monkeypatch.setattr(intmat, "_reduce_modulo", _corrupting(intmat._reduce_modulo, corrupt))
+        _raises(match, [_MODULAR_MATRIX], [_MODULAR_GRAPH])
 
-            return corrupted
-
-        for phase in ("unit", "gcd"):
-            monkeypatch.setattr(intmat, "_eliminate", corrupting(phase))
-            with pytest.raises(RuntimeError, match="replayed"):
-                cokernel(_CORRUPTION_MATRIX)
-            with pytest.raises(RuntimeError, match="replayed"):
-                k0_of_graph(_CORRUPTION_GRAPH)
+    @pytest.mark.parametrize("wrong", [lambda d: 2 * d, lambda d: -d - 1], ids=["double", "next"])
+    def test_wrong_determinant_raises(self, monkeypatch, wrong):
+        # D comes from Bareiss on the residual block alone; a wrong D must
+        # not pass check 3 (the invariant factors multiply to D)
+        bareiss = intmat._bareiss
+        monkeypatch.setattr(intmat, "_bareiss", lambda a: wrong(bareiss(a)))
+        _raises("multiply", [_MODULAR_MATRIX], [_MODULAR_GRAPH])
 
     def test_corrupted_coordinate_row_raises(self, monkeypatch):
         coordinate_rows = intmat._coordinate_rows
@@ -283,10 +393,7 @@ class TestK0Certificate:
             return rows
 
         monkeypatch.setattr(intmat, "_coordinate_rows", corrupted)
-        with pytest.raises(RuntimeError, match="coordinate row"):
-            cokernel(_CORRUPTION_MATRIX)
-        with pytest.raises(RuntimeError, match="coordinate row"):
-            k0_of_graph(_CORRUPTION_GRAPH)
+        _raises("coordinate row", [_MODULAR_MATRIX, _INTEGER_MATRIX], [_MODULAR_GRAPH, _INTEGER_GRAPH])
 
     def test_k0_path_builds_no_dense_product(self, monkeypatch):
         def refuse(self, other):
@@ -315,6 +422,27 @@ class TestK0Certificate:
         assert factors
         for d, row in zip(factors, k0.coordinate_map):
             assert all(0 <= x < d for x in row)
+
+    def test_modular_route_stays_below_the_determinant(self, monkeypatch):
+        # every multiplier and mix coefficient in the K0 log, and every
+        # coordinate-row entry, has at most D's bits (461 here); the integer
+        # gcd phase's multipliers reached 756 bits
+        logs = []
+        coordinate_rows = intmat._coordinate_rows
+
+        def recording(m, log, wanted):
+            logs.append(log)
+            return coordinate_rows(m, log, wanted)
+
+        monkeypatch.setattr(intmat, "_coordinate_rows", recording)
+        k0 = k0_of_graph(scc_graph(400, 0))
+        bits = k0.group.torsion_size.bit_length()
+        assert k0.group.free_rank == 0 and bits == 461
+        (log,) = logs
+        coefficients = [x for *_, q in log for x in (q if isinstance(q, tuple) else (q,))]
+        assert max(abs(x).bit_length() for x in coefficients) <= bits
+        assert max(x.bit_length() for row in k0.coordinate_map for x in row) <= bits
+        assert any(isinstance(q, tuple) for *_, q in log)  # mix steps ran
 
     def test_row_additions_stay_bounded(self):
         # 12,530 row additions with the unit phase; 18,792 when every pivot
@@ -356,9 +484,7 @@ class TestUnitPhase:
             lost += sum(any(x in (1, -1) for x in row) for row in rows) > k
             rectangular += len(rows) != len(rows[0])
 
-            m = IntMatrix(rows)
-            snf = smith_normal_form(m)
-            assert smith_coordinates(rows) == (snf.diagonal, _expected_rows(snf, m.rows))
+            _check_coordinates(rows, smith_normal_form(IntMatrix(rows)))
         assert negated >= 50 and lost >= 20 and rectangular >= 100
 
         sympy = pytest.importorskip("sympy")
