@@ -7,22 +7,34 @@ fixed-width fast path anywhere.
 Smith normal form starts with one unit phase, ``_clear_units``: while some
 row holds a +-1 entry, it pivots on one over sparse rows, chosen to keep
 fill low, and clears the pivot's row and column exactly.  What remains is
-a dense residual block R with no unit, reduced by one of two gcd phases.
+a dense residual block R with no unit, reduced by one gcd phase,
+``_reduce``, over the integers or modulo D = |det R| when A is square and
+D > 0 (then D * Z^r lies in im(R), so R may be diagonalised modulo D).
 Every phase logs its row and column steps, and U and V are their products.
 
-- ``_reduce_by_division`` works over the integers by division steps.  It
-  serves ``smith_normal_form``, which builds U and V from the log and
-  checks U @ A @ V == D densely, and ``smith_coordinates`` when A is not
-  square (graphs with sinks) or D = |det R| is 0.
-- ``_reduce_modulo`` serves ``smith_coordinates`` when A is square and
-  D > 0.  Then D * Z^r lies in im(R), so R can be diagonalised modulo D by
-  unimodular 2x2 extended-gcd steps; every multiplier and coefficient stays
-  below D, where division steps over the integers let them outgrow it.
+The gcd phase works in one ring, Z (modulus 0) or Z/D, and at step k
+pivots on the entry of column k, from row k on, with the least
+gcd(x, modulus): over Z, since gcd(x, 0) == |x|, the least magnitude.  With
+c = gcd(pivot, modulus), an entry of the pivot's column or row that c
+divides is a multiple of the pivot in that ring, and one addition clears
+it.  The rings differ only in the other entries.  Over Z a division step
+leaves a remainder below c, which becomes the next pivot: one left in
+column k by the next pass's pivot rule, one left in row k by a column
+swap.  Modulo D a unimodular 2x2 extended-gcd step (a row_mix or col_mix)
+makes gcd(pivot, x) the pivot, and entries are reduced modulo D where a
+decision reads them (column k and the pivot row, and both rows of a mix),
+so every multiplier and coefficient stays below D; a row addition leaves
+its target unreduced, below r * D**2, which saves a division per entry.  In both rings, once
+the pivot's row and column are clear, a row holding an entry that c does
+not divide is added to row k and the passes repeat, so each diagonal
+entry divides the next; a negative diagonal entry is negated at the end.
 
-``smith_coordinates``, the cokernel path of ``ktheory``, builds neither U
-nor V.  It certifies the log by replaying it on a copy of A, exactly or
-modulo D with D from Bareiss on R (see its docstring), and derives in one
-reverse pass only the rows of U that the cokernel reads.
+``smith_normal_form`` runs the gcd phase over Z, builds U and V from the
+log and checks U @ A @ V == D densely.  ``smith_coordinates``, the cokernel
+path of ``ktheory``, builds neither U nor V.  It certifies the log by
+replaying it on a copy of A, exactly or modulo D with D from Bareiss on R
+(see its docstring), and derives in one reverse pass only the rows of U
+that the cokernel reads.
 """
 
 from __future__ import annotations
@@ -168,24 +180,6 @@ def _diagonal_rows(m: int, n: int, diagonal: Sequence[int]) -> list[list[int]]:
     return rows
 
 
-def _pivot(a: list[list[int]], k: int) -> tuple[int, int] | None:
-    """Row-major first nonzero entry of least magnitude in the trailing
-    block, rows and columns from k on.
-
-    A +-1 entry cannot be beaten, so the scan stops at the first one.
-    """
-    best, pos = 0, None
-    for i in range(k, len(a)):
-        row = a[i]
-        for j in range(k, len(row)):
-            e = row[j]
-            if e and (pos is None or abs(e) < best):
-                best, pos = abs(e), (i, j)
-                if best == 1:
-                    return pos
-    return pos
-
-
 # (kind, i, j, q): "row_add"/"col_add" add q * row/col i to row/col j,
 # "row_swap"/"col_swap" swap i and j, "row_neg" negates row i (j == i);
 # "row_mix"/"col_mix" carry q = (s, t, u, v) with s*v - t*u == 1 and set
@@ -304,80 +298,12 @@ def _eliminate(a: list[list[int]]) -> list[_Step]:
     Returns the log of row and column steps in the order applied; U and V
     are their products, and neither is built here.  Two phases: the unit
     phase (_clear_units) pivots sparsely on +-1 entries in fill-reducing
-    order and leaves its k pivots on the diagonal; the gcd phase
-    (_reduce_by_division) reduces the dense residual block from k on.
+    order and leaves its k pivots on the diagonal; the gcd phase (_reduce)
+    reduces the dense residual block from k on.
     """
     log, start = _clear_units(a)
-    _reduce_by_division(a, start, log)
+    _reduce(a, start, log)
     return log
-
-
-def _reduce_by_division(a: list[list[int]], start: int, log: list[_Step]) -> None:
-    """The gcd phase over the integers: reduce the block of a from row and
-    column start on (zero beside it) to Smith normal form, appending the
-    steps to log.
-
-    It repeatedly moves a minimal-magnitude nonzero entry of the trailing
-    block to the pivot, clears its row and column by exact division steps,
-    and folds rows back in until the pivot divides the whole remaining
-    block.  At step k, rows from k on are zero left of column k and columns
-    from k on are zero above row k, so operations on a skip those entries.
-    """
-    m, n = len(a), len(a[0])
-
-    def add_row(src: int, dst: int, q: int, k: int) -> None:
-        # row[dst] += q * row[src]; both rows vanish left of column k
-        a[dst][k:] = [x + q * y for x, y in zip(a[dst][k:], a[src][k:])]
-        log.append(("row_add", src, dst, q))
-
-    for k in range(start, min(m, n)):
-        while True:
-            pos = _pivot(a, k)
-            if pos is None:
-                break  # trailing block is zero
-            pi, pj = pos
-            if pi != k:
-                a[k], a[pi] = a[pi], a[k]
-                log.append(("row_swap", k, pi, 0))
-            if pj != k:
-                for row in a[k:]:
-                    row[k], row[pj] = row[pj], row[k]
-                log.append(("col_swap", k, pj, 0))
-            pivot = a[k][k]
-            dirty = False
-            for i in range(k + 1, m):
-                if a[i][k]:
-                    add_row(k, i, -(a[i][k] // pivot), k)
-                    if a[i][k]:
-                        dirty = True  # remainder beat the pivot; re-pivot
-            # col j += q * col k moves only rows whose column-k entry is nonzero
-            touched = [row for row in a[k:] if row[k]]
-            row_k = a[k]
-            for j in range(k + 1, n):
-                if row_k[j]:
-                    q = -(row_k[j] // pivot)
-                    for row in touched:
-                        row[j] += q * row[k]
-                    log.append(("col_add", k, j, q))
-                    if row_k[j]:
-                        dirty = True
-            if dirty:
-                continue
-            if abs(pivot) == 1:
-                break  # a unit pivot divides everything
-            offender = None
-            for i in range(k + 1, m):
-                row = a[i]
-                if any(row[j] % pivot for j in range(k + 1, n)):
-                    offender = i
-                    break
-            if offender is None:
-                break
-            add_row(offender, k, 1, k)  # drags the non-multiple into row k
-
-        if a[k][k] < 0:
-            a[k][k] = -a[k][k]
-            log.append(("row_neg", k, k, 0))
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -392,38 +318,31 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return a, s, t
 
 
-def _reduce_modulo(a: list[list[int]], modulus: int, log: list[_Step]) -> list[int]:
-    """Diagonalise the square matrix a (a list of rows, changed in place)
-    modulo modulus by unimodular steps appended to log; returns the
-    diagonal g, each entry in [0, modulus).
+def _reduce(a: list[list[int]], start: int, log: list[_Step], modulus: int = 0) -> None:
+    """The gcd phase: diagonalise the block of a from row and column start
+    on (zero beside it), over Z when modulus is 0 and modulo modulus
+    otherwise, appending its steps to log (see the module docstring)."""
+    m, n = len(a), (len(a[0]) if a else 0)
 
-    At step k the pivot is the entry of column k, from row k on, whose gcd
-    with the modulus is least; a zero column k first swaps in the next
-    nonzero one.  With c = gcd(pivot, modulus), an entry x of the pivot's
-    column or row that c divides is a multiple of the pivot modulo the
-    modulus, and one addition clears it.  Any other x takes a 2x2
-    extended-gcd step, a row_mix or col_mix, whose new pivot gcd(pivot, x)
-    has a smaller gcd with the modulus; a column mix refills column k, so
-    the passes repeat until both are clear.  Then, as in the division loop,
-    a row holding an entry that c does not divide is added to row k and the
-    passes repeat, so each gcd(g_k, modulus) divides the next.
+    def settle(p: int) -> tuple[int, int]:
+        # c = gcd(p, modulus) and the inverse of p / c modulo modulus / c
+        # (over Z, p / c = +-1 is its own inverse)
+        c = gcd(p, modulus)
+        return c, pow(p // c, -1, modulus // c) if modulus else p // c
 
-    Every multiplier and coefficient lies below the modulus.  Entries are
-    reduced where a decision reads them: column k and the pivot row at each
-    pass, and both rows of a mix.  A row addition leaves its target
-    unreduced, which keeps entries below size * modulus**2 and saves a
-    division per entry.
-    """
-    size = len(a)
-    for k in range(size - 1):
+    for k in range(start, min(m, n)):
         while True:
-            for row in a[k:]:
-                row[k] %= modulus
-            column = [i for i in range(k, size) if a[i][k]]
+            if modulus:
+                for row in a[k:]:
+                    row[k] %= modulus
+            column = [i for i in range(k, m) if a[i][k]]
             if not column:
-                j = next((j for j in range(k + 1, size) if any(row[j] % modulus for row in a[k:])), None)
+                if modulus:
+                    for row in a[k:]:
+                        row[k:] = [x % modulus for x in row[k:]]
+                j = next((j for j in range(k + 1, n) if any(row[j] for row in a[k:])), None)
                 if j is None:
-                    break  # the trailing block is zero modulo the modulus
+                    break  # the trailing block is zero
                 for row in a[k:]:
                     row[k], row[j] = row[j], row[k]
                 log.append(("col_swap", k, j, 0))
@@ -433,63 +352,80 @@ def _reduce_modulo(a: list[list[int]], modulus: int, log: list[_Step]) -> list[i
                 a[k], a[pi] = a[pi], a[k]
                 log.append(("row_swap", k, pi, 0))
             row_k = a[k]
-            row_k[k:] = top = [x % modulus for x in row_k[k:]]
+            if modulus:
+                row_k[k:] = [x % modulus for x in row_k[k:]]
+            top = row_k[k:]
             p = top[0]
-            c = gcd(p, modulus)
-            inverse = pow(p // c, -1, modulus // c)
-            for i in range(k + 1, size):
+            c, inverse = settle(p)
+            for i in range(k + 1, m):
                 row = a[i]
                 x = row[k]
                 if not x:
                     continue
-                if x % c == 0:
-                    q = -(x // c) * inverse % (modulus // c)
-                    row[k:] = [y + q * z for y, z in zip(row[k:], top)]
-                    row[k] %= modulus  # zero
-                    log.append(("row_add", k, i, q))
+                if modulus and x % c:
+                    h, s, t = _xgcd(p, x)
+                    u, v, p = -(x // h), p // h, h
+                    bottom = row[k:]
+                    row_k[k:] = [(s * y + t * z) % modulus for y, z in zip(top, bottom)]
+                    row[k:] = [(u * y + v * z) % modulus for y, z in zip(top, bottom)]
+                    top = row_k[k:]
+                    log.append(("row_mix", k, i, (s, t, u, v)))
+                    c, inverse = settle(p)
                     continue
-                h, s, t = _xgcd(p, x)
-                u, v, p = -(x // h), p // h, h
-                bottom = row[k:]
-                row_k[k:] = [(s * y + t * z) % modulus for y, z in zip(top, bottom)]
-                row[k:] = [(u * y + v * z) % modulus for y, z in zip(top, bottom)]
-                top = row_k[k:]
-                log.append(("row_mix", k, i, (s, t, u, v)))
-                c = gcd(p, modulus)
-                inverse = pow(p // c, -1, modulus // c)
-            # rows other than k hold zero in column k until a column mix
-            touched = [row_k]
-            for j in range(k + 1, size):
+                # clears a multiple of c; over Z a remainder x % c stays
+                q = -(x // c) * inverse
+                if modulus:
+                    q %= modulus // c
+                row[k:] = [y + q * z for y, z in zip(row[k:], top)]
+                if modulus:
+                    row[k] %= modulus  # zero
+                log.append(("row_add", k, i, q))
+            touched = [row for row in a[k:] if row[k]]
+            for j in range(k + 1, n):
                 y = row_k[j]
                 if not y:
                     continue
-                if y % c == 0:
-                    q = -(y // c) * inverse % (modulus // c)
+                if modulus and y % c:
+                    h, s, t = _xgcd(p, y)
+                    u, v, p = -(y // h), p // h, h
+                    for row in a[k:]:
+                        x, z = row[k], row[j]
+                        row[k], row[j] = (s * x + t * z) % modulus, (u * x + v * z) % modulus
+                    log.append(("col_mix", k, j, (s, t, u, v)))
+                    c, inverse = settle(p)
+                    touched = [row for row in a[k:] if row[k]]
+                    continue
+                q = -(y // c) * inverse
+                if modulus:
+                    q %= modulus // c
                     for row in touched:
                         row[j] = (row[j] + q * row[k]) % modulus
+                else:
+                    for row in touched:
+                        row[j] += q * row[k]
+                if q:  # over Z, 0 < y < c is its own remainder
                     log.append(("col_add", k, j, q))
-                    continue
-                h, s, t = _xgcd(p, y)
-                u, v, p = -(y // h), p // h, h
-                for row in a[k:]:
-                    x, z = row[k], row[j]
-                    row[k], row[j] = (s * x + t * z) % modulus, (u * x + v * z) % modulus
-                log.append(("col_mix", k, j, (s, t, u, v)))
-                c = gcd(p, modulus)
-                inverse = pow(p // c, -1, modulus // c)
-                touched = [row for row in a[k:] if row[k]]
             if len(touched) > 1:
-                continue  # a column mix refilled column k
+                continue  # column k holds remainders, or a column mix refilled it
+            rest = [j for j in range(k + 1, n) if row_k[j]]
+            if rest:  # over Z, a remainder left in row k becomes the next pivot
+                j = min(rest, key=lambda j: abs(row_k[j]))
+                for row in a[k:]:
+                    row[k], row[j] = row[j], row[k]
+                log.append(("col_swap", k, j, 0))
+                continue
             if c == 1:
                 break
-            offender = next((i for i in range(k + 1, size) if any(x % c for x in a[i][k + 1 :])), None)
+            offender = next((i for i in range(k + 1, m) if any(x % c for x in a[i][k + 1 :])), None)
             if offender is None:
                 break
-            row_k[k:] = [(y + z) % modulus for y, z in zip(row_k[k:], a[offender][k:])]
+            row_k[k:] = [y + z for y, z in zip(row_k[k:], a[offender][k:])]
+            if modulus:
+                row_k[k:] = [x % modulus for x in row_k[k:]]
             log.append(("row_add", offender, k, 1))  # drags the non-multiple into row k
-    if size:
-        a[-1][-1] %= modulus  # the last block is 1 x 1
-    return [a[k][k] for k in range(size)]
+        if a[k][k] < 0:
+            a[k][k] = -a[k][k]
+            log.append(("row_neg", k, k, 0))
 
 
 def _replay(
@@ -504,13 +440,13 @@ def _replay(
     column.  A run of additions from one source column finds those rows
     once, since col j += q * col i never makes a zero of column i nonzero.
     A modular row addition, made on a dense block, adds whole rows and
-    leaves its target unreduced until the row is next a source.  A mix
-    step must have s*v - t*u == 1.  Nothing is assumed about which entries
-    the elimination left zero.
+    leaves its target unreduced until the row is next a source, as a
+    negation leaves its row.  A mix step must have s*v - t*u == 1.  Nothing
+    is assumed about which entries the elimination left zero.
     """
     b = [[x % modulus for x in row] if modulus else list(row) for row in rows]
     n = len(b[0]) if b else 0
-    stale = [False] * len(b)  # rows a modular row addition left unreduced
+    stale = [False] * len(b)  # rows left unreduced modulo the modulus
     source, moving = -1, []
     for kind, i, j, q in steps:
         if kind == "col_add":
@@ -544,6 +480,7 @@ def _replay(
             stale[i], stale[j] = stale[j], stale[i]
         elif kind == "row_neg":
             b[i] = [-x for x in b[i]]
+            stale[i] = True
         elif kind == "col_swap":
             for row in b:
                 row[i], row[j] = row[j], row[i]
@@ -586,7 +523,7 @@ def _coordinate_rows(m: int, log: list[_Step], wanted: list[tuple[int, int]]) ->
                 x[i] = -x[i] % d if d else -x[i]
         elif kind == "row_mix":
             s, t, u, v = q
-            for x, d in rows:  # d != 0: mixes come from the modular phase
+            for x, d in rows:  # d != 0: mixes come from the gcd phase modulo D
                 x[i], x[j] = (s * x[i] + u * x[j]) % d, (t * x[i] + v * x[j]) % d
     return [x for x, _ in rows]
 
@@ -617,53 +554,47 @@ def smith_coordinates(
     of Z^m / im(A): torsion rows reduced modulo d_i, free rows exact.
 
     U and V are never built.  The unit phase runs first, and its steps are
-    replayed exactly on a fresh copy of A.  When A is square, that replay
-    must give diag(1, ..., 1) + R for a block R, so |det A| = D = |det R|,
-    taken by Bareiss on R alone.  When D > 0, D * Z^r lies in im(R), so
-    coker R is isomorphic to Z^r / (im diag(g) + D * Z^r), the sum of the
+    replayed exactly on a fresh copy of A, which must give diag(1, ..., 1)
+    + R for a block R.  When A is square, |det A| = D = |det R|, taken by
+    Bareiss on R alone.  When D > 0, D * Z^r lies in im(R), so coker R is
+    isomorphic to Z^r / (im diag(g) + D * Z^r), the sum of the
     Z / gcd(g_i, D), for any diag(g) that unimodular steps reach from R
-    modulo D; _reduce_modulo finds one.  The certificate is exact:
+    modulo D; the gcd phase finds one modulo D.  Otherwise (A not square,
+    or D == 0: a free summand) it runs over the integers.  The certificate
+    is exact:
 
     1. the unit steps, replayed exactly, give diag(1, ..., 1) + R;
-    2. the modular steps, replayed on R modulo D, give diag(g), and every
-       mix step has s*v - t*u == 1;
-    3. the d_i = gcd(g_i, D) multiply to D, the order of coker A.
+    2. the gcd steps, replayed on R (modulo D when D > 0), give diag(g),
+       and every mix step has s*v - t*u == 1;
+    3. modulo D, the d_i = gcd(g_i, D) multiply to D, the order of
+       coker A; over the integers, d_i = g_i.
 
-    Otherwise (A not square, or D == 0: a free summand) the gcd phase runs
-    over the integers by division steps, and replaying them after the unit
-    steps must give D, which certifies U @ A @ V == D.  On both routes the
-    replays do not cover the backward derivation of the rows, so each must
-    also send every column of A to 0 modulo d_i (exactly 0 when free),
+    The replays do not cover the backward derivation of the rows, so each
+    must also send every column of A to 0 modulo d_i (exactly 0 when free),
     summed over the nonzeros of A.
     """
     a = [list(row) for row in rows]
     m, n = len(a), len(a[0])
     log, k = _clear_units(a)
     b = _replay(rows, log)
-    modulus = 0
-    if m == n:
-        if any(b[i][i] != 1 or b[i].count(0) != n - 1 for i in range(k)) or any(
-            any(row[:k]) for row in b[k:]
-        ):
-            raise RuntimeError("internal error: replayed unit steps do not give I + R")
-        residual = [row[k:] for row in b[k:]]
-        modulus = abs(_bareiss([row[:] for row in residual]))
+    if any(b[i][i] != 1 or b[i].count(0) != n - 1 for i in range(k)) or any(
+        any(row[:k]) for row in b[k:]
+    ):
+        raise RuntimeError("internal error: replayed unit steps do not give I + R")
+    residual = [row[k:] for row in b[k:]]
+    modulus = abs(_bareiss([row[:] for row in residual])) if m == n else 0
+    block = [row[k:] for row in a[k:]]
+    steps: list[_Step] = []
+    _reduce(block, 0, steps, modulus)
+    g = tuple(block[i][i] for i in range(min(m, n) - k))
+    if _replay(residual, steps, modulus) != _diagonal_rows(m - k, n - k, g):
+        raise RuntimeError("internal error: replayed gcd steps do not give diag(g)")
     if modulus:
-        steps: list[_Step] = []
-        g = _reduce_modulo([row[:] for row in residual], modulus, steps)
-        if _replay(residual, steps, modulus) != _diagonal_rows(m - k, m - k, g):
-            raise RuntimeError("internal error: replayed modular steps do not give diag(g)")
-        torsion = tuple(gcd(x, modulus) for x in g)
-        if prod(torsion) != modulus:
+        g = tuple(gcd(x, modulus) for x in g)
+        if prod(g) != modulus:
             raise RuntimeError("internal error: the invariant factors do not multiply to |det|")
-        diagonal = (1,) * k + torsion
-        log += [(kind, i + k, j + k, q) for kind, i, j, q in steps]
-    else:
-        unit_steps = len(log)
-        _reduce_by_division(a, k, log)
-        diagonal = tuple(a[i][i] for i in range(min(m, n)))
-        if _replay(b, log[unit_steps:]) != _diagonal_rows(m, n, diagonal):
-            raise RuntimeError("internal error: replayed identity U*A*V == D failed")
+    diagonal = (1,) * k + g
+    log += [(kind, i + k, j + k, q) for kind, i, j, q in steps]
     wanted = [(i, d) for i, d in enumerate(diagonal + (0,) * (m - len(diagonal))) if d != 1]
     coordinate_rows = tuple(map(tuple, _coordinate_rows(m, log, wanted)))
     columns = [[(r, x) for r, x in enumerate(column) if x] for column in zip(*rows)]

@@ -77,9 +77,9 @@ def k0_of_graph(graph: DirectedGraph) -> K0Data:
     a = adjacency_matrix(graph)
     n = a.rows
     regular = [j for j, row in enumerate(a) if any(row)]
-    rows = [
-        [int(i == j) - column[j] for j in regular] for i, column in enumerate(zip(*a))
-    ]
+    rows = [[-column[j] for j in regular] for column in zip(*a)]
+    for s, j in enumerate(regular):
+        rows[j][s] += 1
     data = _pointed_cokernel(rows)  # plain rows: only the adjacency matrix is validated
     unit = data.coordinate([1] * n)
     return replace(data, unit=unit, unit_order=element_order(data.group, unit))

