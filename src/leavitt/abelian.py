@@ -155,7 +155,8 @@ def element_order(group: FGAbelianGroup, x: GroupElement) -> OrderValue:
 
 def scale(group: FGAbelianGroup, c: int, x: GroupElement) -> GroupElement:
     """c * x for a positive integer c."""
-    if not isinstance(c, int) or c < 1:
+    require_ints((c,), "scalar")
+    if c < 1:
         raise ValueError("scalar must be a positive integer")
     check_member(group, x)
     return group.element(

@@ -260,7 +260,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(payload: object) -> None:
-    sys.stdout.write(json.dumps(payload) + "\n")
+    # Python's int-to-str digit limit guards the parsing of inputs, which
+    # happens before this; a result of any size is printed whole
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        text = json.dumps(payload)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    sys.stdout.write(text + "\n")
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -50,11 +50,16 @@ class DirectedGraph:
                 raise GraphFormatError(f"duplicate vertex name {v!r}")
             seen.add(v)
         pairs = set()
-        for src, dst, mult in self.edges:
-            if src not in seen or dst not in seen:
-                raise GraphFormatError(f"edge ({src!r}, {dst!r}) references an unknown vertex")
+        for record in self.edges:
+            try:
+                src, dst, mult = record
+                known = src in seen and dst in seen
+            except (TypeError, ValueError):  # not three fields, or an unhashable endpoint
+                known = False
+            if not known:
+                raise GraphFormatError(f"edge {record!r} is not (src, dst, mult) of known vertices")
             if isinstance(mult, bool) or not isinstance(mult, int) or mult < 1:
-                raise GraphFormatError("edge multiplicities must be positive integers")
+                raise GraphFormatError(f"edge multiplicity must be a positive integer: {record!r}")
             if (src, dst) in pairs:
                 raise GraphFormatError(f"duplicate edge record for ({src!r}, {dst!r})")
             pairs.add((src, dst))

@@ -4,37 +4,11 @@ Everything here works over Python's arbitrary-precision integers.  Smith
 normal form intermediates routinely outgrow machine words, so there is no
 fixed-width fast path anywhere.
 
-Smith normal form starts with one unit phase, ``_clear_units``: while some
-row holds a +-1 entry, it pivots on one over sparse rows, chosen to keep
-fill low, and clears the pivot's row and column exactly.  What remains is
-a dense residual block R with no unit, reduced by one gcd phase,
-``_reduce``, over the integers or modulo D = |det R| when A is square and
-D > 0 (then D * Z^r lies in im(R), so R may be diagonalised modulo D).
-Every phase logs its row and column steps, and U and V are their products.
-
-The gcd phase works in one ring, Z (modulus 0) or Z/D, and at step k
-pivots on the entry of column k, from row k on, with the least
-gcd(x, modulus): over Z, since gcd(x, 0) == |x|, the least magnitude.  With
-c = gcd(pivot, modulus), an entry of the pivot's column or row that c
-divides is a multiple of the pivot in that ring, and one addition clears
-it.  The rings differ only in the other entries.  Over Z a division step
-leaves a remainder below c, which becomes the next pivot: one left in
-column k by the next pass's pivot rule, one left in row k by a column
-swap.  Modulo D a unimodular 2x2 extended-gcd step (a row_mix or col_mix)
-makes gcd(pivot, x) the pivot, and entries are reduced modulo D where a
-decision reads them (column k and the pivot row, and both rows of a mix),
-so every multiplier and coefficient stays below D; a row addition leaves
-its target unreduced, below r * D**2, which saves a division per entry.  In both rings, once
-the pivot's row and column are clear, a row holding an entry that c does
-not divide is added to row k and the passes repeat, so each diagonal
-entry divides the next; a negative diagonal entry is negated at the end.
-
-``smith_normal_form`` runs the gcd phase over Z, builds U and V from the
-log and checks U @ A @ V == D densely.  ``smith_coordinates``, the cokernel
-path of ``ktheory``, builds neither U nor V.  It certifies the log by
-replaying it on a copy of A, exactly or modulo D with D from Bareiss on R
-(see its docstring), and derives in one reverse pass only the rows of U
-that the cokernel reads.
+``_smith_log`` runs and certifies the one Smith elimination, a sparse
+unit phase (``_clear_units``) and a dense gcd phase (``_reduce``), and
+returns its log of row and column steps.  ``smith_normal_form`` builds U
+and V from the log; ``smith_coordinates``, the cokernel path of
+``ktheory``, builds neither.
 """
 
 from __future__ import annotations
@@ -192,9 +166,8 @@ def _has_unit(row: dict[int, int]) -> bool:
     return 1 in values or -1 in values
 
 
-def _place(log: list[_Step], kind: str, targets: list[int], size: int) -> list[int]:
-    """Log the swaps of the given kind that move index targets[t] to slot t;
-    returns the original index that ends up at each slot."""
+def _place(log: list[_Step], kind: str, targets: list[int], size: int) -> None:
+    """Log the swaps of the given kind that move index targets[t] to slot t."""
     at, slot = list(range(size)), list(range(size))
     for t, i in enumerate(targets):
         s = slot[i]
@@ -203,12 +176,12 @@ def _place(log: list[_Step], kind: str, targets: list[int], size: int) -> list[i
             moved = at[t]
             at[t], at[s] = i, moved
             slot[i], slot[moved] = t, s
-    return at
 
 
-def _clear_units(a: list[list[int]]) -> tuple[list[_Step], int]:
-    """The unit phase of _eliminate: pivot on a +-1 entry while any row
-    holds one, and clear the pivot's row and column exactly.
+def _clear_units(a: Sequence[Sequence[int]]) -> tuple[list[_Step], int]:
+    """The unit phase, which reads A and does not change it: the steps that
+    pivot on a +-1 entry while any row holds one and clear the pivot's row
+    and column exactly.
 
     Rows are {column: value} dicts of their nonzeros, and each column keeps
     the set of rows that hold it.  The pivot row is the row with the fewest
@@ -224,10 +197,9 @@ def _clear_units(a: list[list[int]]) -> tuple[list[_Step], int]:
     entries in the order they entered it, so the log does not depend on the
     hash seed.
 
-    Finally row and column swaps move pivot t to slot t, a is rewritten to
-    the result, and the log is returned with the number k of pivots: a is
-    diagonal with ones before slot k, zero beside them, and its residual
-    block from k on holds no unit.
+    Finally row and column swaps move pivot t to slot t.  Returns the log
+    and the number k of pivots: the log applied to A gives diag(1, ..., 1)
+    + R, with k ones and a residual block R that holds no unit.
     """
     m, n = len(a), len(a[0])
     rows = [dict(compress(enumerate(row), row)) for row in a]
@@ -273,37 +245,13 @@ def _clear_units(a: list[list[int]]) -> tuple[list[_Step], int]:
                 holders[j].discard(r)
         if u < 0:
             log.append(("row_neg", r, r, 0))
-        rows[r] = {c: 1}
         done[r] = True
         pivot_rows.append(r)
         pivot_cols.append(c)
 
-    row_at = _place(log, "row_swap", pivot_rows, m)
-    col_at = _place(log, "col_swap", pivot_cols, n)
-    col_slot = [0] * n
-    for s, j in enumerate(col_at):
-        col_slot[j] = s
-    for s, i in enumerate(row_at):
-        out = [0] * n
-        for j, x in rows[i].items():
-            out[col_slot[j]] = x
-        a[s] = out
+    _place(log, "row_swap", pivot_rows, m)
+    _place(log, "col_swap", pivot_cols, n)
     return log, len(pivot_rows)
-
-
-def _eliminate(a: list[list[int]]) -> list[_Step]:
-    """Reduce a (a list of rows, changed in place) to Smith normal form
-    over the integers.
-
-    Returns the log of row and column steps in the order applied; U and V
-    are their products, and neither is built here.  Two phases: the unit
-    phase (_clear_units) pivots sparsely on +-1 entries in fill-reducing
-    order and leaves its k pivots on the diagonal; the gcd phase (_reduce)
-    reduces the dense residual block from k on.
-    """
-    log, start = _clear_units(a)
-    _reduce(a, start, log)
-    return log
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -318,10 +266,28 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return a, s, t
 
 
-def _reduce(a: list[list[int]], start: int, log: list[_Step], modulus: int = 0) -> None:
-    """The gcd phase: diagonalise the block of a from row and column start
-    on (zero beside it), over Z when modulus is 0 and modulo modulus
-    otherwise, appending its steps to log (see the module docstring)."""
+def _reduce(a: list[list[int]], log: list[_Step], modulus: int = 0) -> None:
+    """The gcd phase: diagonalise a (changed in place) over Z when modulus
+    is 0 and modulo modulus otherwise, appending its steps to log.
+
+    At step k it pivots on the entry of column k, from row k on, with the
+    least gcd(x, modulus): over Z, since gcd(x, 0) == |x|, the least
+    magnitude.  With c = gcd(pivot, modulus), an entry of the pivot's
+    column or row that c divides is a multiple of the pivot in that ring,
+    and one addition clears it.  The rings differ only in the other
+    entries.  Over Z a division step leaves a remainder below c, which
+    becomes the next pivot: one left in column k by the next pass's pivot
+    rule, one left in row k by a column swap.  Modulo D a unimodular 2x2
+    extended-gcd step (a row_mix or col_mix) makes gcd(pivot, x) the pivot,
+    and entries are reduced modulo D where a decision reads them (column k
+    and the pivot row, and both rows of a mix), so every multiplier and
+    coefficient stays below D; a row addition leaves its target unreduced,
+    below r * D**2, which saves a division per entry.  In both rings, once
+    the pivot's row and column are clear, a row holding an entry that c
+    does not divide is added to row k and the passes repeat, so each
+    diagonal entry divides the next; a negative diagonal entry is negated
+    at the end.
+    """
     m, n = len(a), (len(a[0]) if a else 0)
 
     def settle(p: int) -> tuple[int, int]:
@@ -330,7 +296,7 @@ def _reduce(a: list[list[int]], start: int, log: list[_Step], modulus: int = 0) 
         c = gcd(p, modulus)
         return c, pow(p // c, -1, modulus // c) if modulus else p // c
 
-    for k in range(start, min(m, n)):
+    for k in range(min(m, n)):
         while True:
             if modulus:
                 for row in a[k:]:
@@ -528,18 +494,61 @@ def _coordinate_rows(m: int, log: list[_Step], wanted: list[tuple[int, int]]) ->
     return [x for x, _ in rows]
 
 
+def _smith_log(
+    rows: Sequence[Sequence[int]], modular: bool
+) -> tuple[list[_Step], tuple[int, ...]]:
+    """The certified Smith elimination of A (plain integer rows, read and
+    not changed): its log of row and column steps and its diagonal.
+
+    The unit phase (_clear_units) picks its steps, and they are replayed
+    exactly on a fresh copy of A, which must give diag(1, ..., 1) + R for a
+    block R.  The gcd phase (_reduce) then reduces a copy of R over the
+    integers, or modulo D = |det R| = |det A| (Bareiss on R alone) when
+    modular is set, A is square and D > 0.  Then D * Z^r lies in im(R), so
+    coker R is isomorphic to Z^r / (im diag(g) + D * Z^r), the sum of the
+    Z / gcd(g_i, D), for any diag(g) that unimodular steps reach from R
+    modulo D.  The gcd steps, replayed on R (modulo D when D > 0), must
+    give diag(g), and every mix step must have s*v - t*u == 1.  The
+    diagonal is k ones, then g over the integers, or modulo D the
+    gcd(g_i, D), which must multiply to D, the order of coker A.
+
+    Over the integers the log's row steps applied to I give U, and its
+    column steps V, with U * A * V the diagonal; modulo D the log certifies
+    only the cokernel.
+    """
+    log, k = _clear_units(rows)
+    b = _replay(rows, log)
+    m, n = len(b), len(b[0])
+    if any(b[i][i] != 1 or b[i].count(0) != n - 1 for i in range(k)) or any(
+        any(row[:k]) for row in b[k:]
+    ):
+        raise RuntimeError("internal error: replayed unit steps do not give I + R")
+    residual = [row[k:] for row in b[k:]]
+    modulus = abs(_bareiss([row[:] for row in residual])) if modular and m == n else 0
+    block = [row[:] for row in residual]
+    steps: list[_Step] = []
+    _reduce(block, steps, modulus)
+    g = tuple(block[i][i] for i in range(min(m, n) - k))
+    if _replay(residual, steps, modulus) != _diagonal_rows(m - k, n - k, g):
+        raise RuntimeError("internal error: replayed gcd steps do not give diag(g)")
+    if modulus:
+        g = tuple(gcd(x, modulus) for x in g)
+        if prod(g) != modulus:
+            raise RuntimeError("internal error: the invariant factors do not multiply to |det|")
+    log += [(kind, i + k, j + k, q) for kind, i, j, q in steps]
+    return log, (1,) * k + g
+
+
 def smith_normal_form(matrix: IntMatrix) -> SmithDecomposition:
     """Smith normal form with both transformation matrices, built from the
-    elimination log; U @ A @ V == D is checked densely before returning.
-    D is built from the diagonal alone, so the check also shows that the
-    elimination left nothing off it."""
+    integer log of _smith_log; U @ A @ V == D is checked densely before
+    returning.  D is built from the diagonal alone, so the check also shows
+    that the elimination left nothing off it."""
     m, n = matrix.rows, matrix.cols
-    a = matrix.to_lists()
-    log = _eliminate(a)
+    log, diagonal = _smith_log(list(matrix), modular=False)
     # U is the row steps applied to I, V the column steps
     u = _replay(_identity_rows(m), (step for step in log if step[0].startswith("row")))
     v = _replay(_identity_rows(n), (step for step in log if step[0].startswith("col")))
-    diagonal = tuple(a[k][k] for k in range(min(m, n)))
     U, D, V = IntMatrix(u), IntMatrix(_diagonal_rows(m, n, diagonal)), IntMatrix(v)
     if (U @ matrix) @ V != D:
         raise RuntimeError("internal error: transform identity U*A*V == D failed")
@@ -553,48 +562,14 @@ def smith_coordinates(
     rows i of U with d_i != 1 (d_i = 0 past the diagonal), the coordinates
     of Z^m / im(A): torsion rows reduced modulo d_i, free rows exact.
 
-    U and V are never built.  The unit phase runs first, and its steps are
-    replayed exactly on a fresh copy of A, which must give diag(1, ..., 1)
-    + R for a block R.  When A is square, |det A| = D = |det R|, taken by
-    Bareiss on R alone.  When D > 0, D * Z^r lies in im(R), so coker R is
-    isomorphic to Z^r / (im diag(g) + D * Z^r), the sum of the
-    Z / gcd(g_i, D), for any diag(g) that unimodular steps reach from R
-    modulo D; the gcd phase finds one modulo D.  Otherwise (A not square,
-    or D == 0: a free summand) it runs over the integers.  The certificate
-    is exact:
-
-    1. the unit steps, replayed exactly, give diag(1, ..., 1) + R;
-    2. the gcd steps, replayed on R (modulo D when D > 0), give diag(g),
-       and every mix step has s*v - t*u == 1;
-    3. modulo D, the d_i = gcd(g_i, D) multiply to D, the order of
-       coker A; over the integers, d_i = g_i.
-
-    The replays do not cover the backward derivation of the rows, so each
-    must also send every column of A to 0 modulo d_i (exactly 0 when free),
-    summed over the nonzeros of A.
+    U and V are never built: the rows come from the log of _smith_log,
+    taken modulo |det A| where it can be, in one reverse pass.  The log's
+    certificate does not cover that pass, so each row must also send every
+    column of A to 0 modulo d_i (exactly 0 when free), summed over the
+    nonzeros of A.
     """
-    a = [list(row) for row in rows]
-    m, n = len(a), len(a[0])
-    log, k = _clear_units(a)
-    b = _replay(rows, log)
-    if any(b[i][i] != 1 or b[i].count(0) != n - 1 for i in range(k)) or any(
-        any(row[:k]) for row in b[k:]
-    ):
-        raise RuntimeError("internal error: replayed unit steps do not give I + R")
-    residual = [row[k:] for row in b[k:]]
-    modulus = abs(_bareiss([row[:] for row in residual])) if m == n else 0
-    block = [row[k:] for row in a[k:]]
-    steps: list[_Step] = []
-    _reduce(block, 0, steps, modulus)
-    g = tuple(block[i][i] for i in range(min(m, n) - k))
-    if _replay(residual, steps, modulus) != _diagonal_rows(m - k, n - k, g):
-        raise RuntimeError("internal error: replayed gcd steps do not give diag(g)")
-    if modulus:
-        g = tuple(gcd(x, modulus) for x in g)
-        if prod(g) != modulus:
-            raise RuntimeError("internal error: the invariant factors do not multiply to |det|")
-    diagonal = (1,) * k + g
-    log += [(kind, i + k, j + k, q) for kind, i, j, q in steps]
+    log, diagonal = _smith_log(rows, modular=True)
+    m = len(rows)
     wanted = [(i, d) for i, d in enumerate(diagonal + (0,) * (m - len(diagonal))) if d != 1]
     coordinate_rows = tuple(map(tuple, _coordinate_rows(m, log, wanted)))
     columns = [[(r, x) for r, x in enumerate(column) if x] for column in zip(*rows)]

@@ -22,7 +22,7 @@ from .abelian import (
     same_orbit,
 )
 from .graphs import DirectedGraph, PisReport
-from .intmat import content
+from .intmat import content, require_ints
 from .ktheory import K0Data
 
 
@@ -60,6 +60,7 @@ def matrix_type_verdict(k0: K0Data, pis: PisReport) -> MatrixTypeVerdict:
 
 def matrix_type_equal(k0: K0Data, pis: PisReport, c: int, d: int) -> bool:
     """Is M_c(L(E)) isomorphic to M_d(L(E))?"""
+    require_ints((c, d), "matrix sizes")
     if c < 1 or d < 1:
         raise ValueError("matrix sizes must be positive integers")
     verdict = matrix_type_verdict(k0, pis)
@@ -71,6 +72,7 @@ def matrix_type_classes(k0: K0Data, pis: PisReport, max_n: int) -> list[list[int
 
     Blocks are sorted by least element.
     """
+    require_ints((max_n,), "max_n")
     if max_n < 1:
         raise ValueError("max_n must be a positive integer")
     verdict = matrix_type_verdict(k0, pis)
@@ -88,6 +90,7 @@ def m_graph(graph: DirectedGraph, m: int) -> DirectedGraph:
     its K0 class equals [v]; the unit class of the new graph is m times the
     old one while the group itself is unchanged.
     """
+    require_ints((m,), "m")
     if m < 1:
         raise ValueError("m must be a positive integer")
     if m == 1:

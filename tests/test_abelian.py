@@ -113,6 +113,9 @@ class TestScale:
             scale(g, 0, g.element([1]))
         with pytest.raises(ValueError):
             scale(g, -2, g.element([1]))
+        for c in (2.0, True):
+            with pytest.raises(ValueError, match="scalar must be integers"):
+                scale(g, c, g.element([1]))
 
 
 class TestGcdCriterion:

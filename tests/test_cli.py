@@ -324,6 +324,29 @@ class TestSnf:
         assert product == IntMatrix(doc["D"])
         assert doc["diagonal"] == [1, 6**400]
 
+    def test_diagonal_past_the_digit_limit(self):
+        # 6**6000 has 4,669 digits, past Python's 4300-digit int-to-str
+        # limit; the call once died in _emit with a traceback and exit 1
+        proc = run_module("snf", stdin=json.dumps([[3**6000, 0], [0, 2**6000]]), timeout=60)
+        assert proc.returncode == 0
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout.endswith("\n") and proc.stdout.count("\n") == 1
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            doc = json.loads(proc.stdout)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert doc["diagonal"] == [1, 6**6000]
+
+    def test_input_past_the_digit_limit_exit_2(self, capsys, monkeypatch):
+        limit = sys.get_int_max_str_digits()
+        huge = "1" + "0" * 4300  # 4301 digits
+        code, out = run_cli(capsys, ["snf"], stdin=f"[[{huge}]]", monkeypatch=monkeypatch)
+        error_document(2, out)
+        assert code == 2
+        assert sys.get_int_max_str_digits() == limit  # main restores the limit
+
     def test_malformed_matrix(self, capsys, monkeypatch):
         code, out = run_cli(
             capsys, ["snf"], stdin="[[1,2],[3]]", monkeypatch=monkeypatch

@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import re
 
 import pytest
 
@@ -95,6 +96,16 @@ class TestBuildGraph:
     def test_rejects_each_bad_record(self, edges):
         with pytest.raises(GraphFormatError):
             build_graph(["a", "b"], edges)
+
+
+class TestDirectedGraph:
+    @pytest.mark.parametrize(
+        "record",
+        [(["a"], "a", 1), ("a", 1, 1), ("a", "b", 1), ("a", "a"), ("a", "a", 1, 1), ("a", "a", 0)],
+    )
+    def test_rejects_each_bad_record(self, record):
+        with pytest.raises(GraphFormatError, match=re.escape(repr(record))):
+            DirectedGraph(("a",), (record,))
 
 
 class TestAdjacencyMatrix:

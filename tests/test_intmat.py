@@ -178,16 +178,16 @@ class TestSmithNormalForm:
     def test_corrupted_log_raises(self, monkeypatch, kind):
         # U and V are built from the log, so one changed coefficient must
         # break the dense U @ A @ V == D check
-        eliminate = intmat._eliminate
+        smith_log = intmat._smith_log
 
-        def corrupted(a):
-            log = eliminate(a)
+        def corrupted(rows, modular):
+            log, diagonal = smith_log(rows, modular)
             first = next(i for i, step in enumerate(log) if step[0] == kind)
             _, src, dst, q = log[first]
             log[first] = (kind, src, dst, q + 1)
-            return log
+            return log, diagonal
 
-        monkeypatch.setattr(intmat, "_eliminate", corrupted)
+        monkeypatch.setattr(intmat, "_smith_log", corrupted)
         a = IntMatrix([[-4, -1, -4, 3], [5, -2, 3, -2], [0, -4, -4, -2], [5, 0, -1, 1]])
         with pytest.raises(RuntimeError, match="transform identity"):
             smith_normal_form(a)
@@ -195,7 +195,7 @@ class TestSmithNormalForm:
     def test_entries_left_off_the_diagonal_raise(self, monkeypatch):
         # D is built from the diagonal, so an elimination that stops early
         # cannot pass its leftovers off as part of D
-        monkeypatch.setattr(intmat, "_eliminate", lambda a: [])
+        monkeypatch.setattr(intmat, "_smith_log", lambda rows, modular: ([], (1, 4)))
         with pytest.raises(RuntimeError, match="transform identity"):
             smith_normal_form(IntMatrix([[1, 2], [3, 4]]))
 

@@ -63,6 +63,9 @@ class TestMatrixTypeEqual:
         k0, pis = analyzed(rose(3))
         with pytest.raises(ValueError):
             matrix_type_equal(k0, pis, 0, 1)
+        for c, d in [(2.0, 2), (True, 3), (2, "2")]:
+            with pytest.raises(ValueError, match="matrix sizes must be integers"):
+                matrix_type_equal(k0, pis, c, d)
 
     def test_equivalence_relation(self):
         graphs = [rose(q) for q in range(2, 10)] + [infinite_order_graph()]
@@ -90,6 +93,12 @@ class TestMatrixTypeClasses:
     def test_rose2_single_block(self):
         k0, pis = analyzed(rose(2))
         assert matrix_type_classes(k0, pis, 4) == [[1, 2, 3, 4]]
+
+    def test_rejects_bad_max(self):
+        k0, pis = analyzed(rose(5))
+        for max_n in (0, -1, 4.0, True):
+            with pytest.raises(ValueError):
+                matrix_type_classes(k0, pis, max_n)
 
     def test_infinite_singletons(self):
         k0, pis = analyzed(infinite_order_graph())
@@ -158,6 +167,9 @@ class TestMGraph:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             m_graph(rose(2), 0)
+        for m in (2.0, True, "2"):
+            with pytest.raises(ValueError, match="m must be integers"):
+                m_graph(rose(2), m)
 
 
 class TestPointedIsoExists:
