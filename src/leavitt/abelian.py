@@ -190,6 +190,7 @@ def gcd_criterion(n: int, c: int, d: int) -> bool:
     >>> gcd_criterion(4, 1, 2)
     False
     """
+    require_ints((n, c, d), "n, c, d")
     if min(n, c, d) < 1:
         raise ValueError("n, c, d must be positive integers")
     return gcd(c, n) == gcd(d, n)

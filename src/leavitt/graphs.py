@@ -104,7 +104,10 @@ def build_graph(
     """
     merged: dict[tuple[str, str], int] = {}  # in order of first appearance
     for record in edges:
-        src, dst, mult = record
+        try:
+            src, dst, mult = record
+        except (TypeError, ValueError):  # not three fields
+            raise GraphFormatError(f"edge {record!r} is not (src, dst, mult)") from None
         if not isinstance(src, str) or not isinstance(dst, str):
             raise GraphFormatError(f"edge endpoints must be strings: {record!r}")
         if isinstance(mult, bool) or not isinstance(mult, int) or mult < 1:

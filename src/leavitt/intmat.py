@@ -4,11 +4,13 @@ Everything here works over Python's arbitrary-precision integers.  Smith
 normal form intermediates routinely outgrow machine words, so there is no
 fixed-width fast path anywhere.
 
-``_smith_log`` runs and certifies the one Smith elimination, a sparse
-unit phase (``_clear_units``) and a dense gcd phase (``_reduce``), and
-returns its log of row and column steps.  ``smith_normal_form`` builds U
-and V from the log; ``smith_coordinates``, the cokernel path of
-``ktheory``, builds neither.
+``_smith_log`` runs the one Smith elimination, a sparse unit phase
+(``_clear_units``) and a dense gcd phase (``_reduce``), and returns its
+log of steps.  Each answer is certified: ``smith_normal_form`` builds U
+and V from the log and checks U * A * V == D; ``smith_coordinates``, the
+cokernel path of ``ktheory``, builds neither, and modulo D = |det A| it
+checks its answer, not its steps: the coordinate rows kill A and map onto
+the sum of the Z/d_i, and the d_i divide in turn and multiply to D.
 """
 
 from __future__ import annotations
@@ -156,8 +158,8 @@ def _diagonal_rows(m: int, n: int, diagonal: Sequence[int]) -> list[list[int]]:
 
 # (kind, i, j, q): "row_add"/"col_add" add q * row/col i to row/col j,
 # "row_swap"/"col_swap" swap i and j, "row_neg" negates row i (j == i);
-# "row_mix"/"col_mix" carry q = (s, t, u, v) with s*v - t*u == 1 and set
-# row/col i to s*i + t*j and row/col j to u*i + v*j
+# "row_mix", logged only modulo D, carries q = (s, t, u, v) with
+# s*v - t*u == 1 and sets row i to s*i + t*j and row j to u*i + v*j
 _Step = tuple[str, int, int, int | tuple[int, int, int, int]]
 
 
@@ -268,7 +270,8 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 def _reduce(a: list[list[int]], log: list[_Step], modulus: int = 0) -> None:
     """The gcd phase: diagonalise a (changed in place) over Z when modulus
-    is 0 and modulo modulus otherwise, appending its steps to log.
+    is 0 and modulo modulus otherwise, appending its steps to log; modulo
+    D only the row steps, the coordinate rows' source.
 
     At step k it pivots on the entry of column k, from row k on, with the
     least gcd(x, modulus): over Z, since gcd(x, 0) == |x|, the least
@@ -278,17 +281,18 @@ def _reduce(a: list[list[int]], log: list[_Step], modulus: int = 0) -> None:
     entries.  Over Z a division step leaves a remainder below c, which
     becomes the next pivot: one left in column k by the next pass's pivot
     rule, one left in row k by a column swap.  Modulo D a unimodular 2x2
-    extended-gcd step (a row_mix or col_mix) makes gcd(pivot, x) the pivot,
-    and entries are reduced modulo D where a decision reads them (column k
-    and the pivot row, and both rows of a mix), so every multiplier and
-    coefficient stays below D; a row addition leaves its target unreduced,
-    below r * D**2, which saves a division per entry.  In both rings, once
-    the pivot's row and column are clear, a row holding an entry that c
-    does not divide is added to row k and the passes repeat, so each
-    diagonal entry divides the next; a negative diagonal entry is negated
-    at the end.
+    extended-gcd step (a row_mix, or one on columns) makes gcd(pivot, x)
+    the pivot, and entries are reduced modulo D where a decision reads them
+    (column k and the pivot row, and both rows of a mix), so every
+    multiplier and coefficient stays below D; a row addition leaves its
+    target unreduced, below r * D**2, which saves a division per entry.  In
+    both rings, once the pivot's row and column are clear, a row holding an
+    entry that c does not divide is added to row k and the passes repeat,
+    so each diagonal entry divides the next; a negative diagonal entry is
+    negated at the end.
     """
     m, n = len(a), (len(a[0]) if a else 0)
+    col_log = [] if modulus else log  # modulo D nothing reads the column steps
 
     def settle(p: int) -> tuple[int, int]:
         # c = gcd(p, modulus) and the inverse of p / c modulo modulus / c
@@ -311,7 +315,7 @@ def _reduce(a: list[list[int]], log: list[_Step], modulus: int = 0) -> None:
                     break  # the trailing block is zero
                 for row in a[k:]:
                     row[k], row[j] = row[j], row[k]
-                log.append(("col_swap", k, j, 0))
+                col_log.append(("col_swap", k, j, 0))
                 continue
             pi = min(column, key=lambda i: gcd(a[i][k], modulus))
             if pi != k:
@@ -357,7 +361,6 @@ def _reduce(a: list[list[int]], log: list[_Step], modulus: int = 0) -> None:
                     for row in a[k:]:
                         x, z = row[k], row[j]
                         row[k], row[j] = (s * x + t * z) % modulus, (u * x + v * z) % modulus
-                    log.append(("col_mix", k, j, (s, t, u, v)))
                     c, inverse = settle(p)
                     touched = [row for row in a[k:] if row[k]]
                     continue
@@ -370,7 +373,7 @@ def _reduce(a: list[list[int]], log: list[_Step], modulus: int = 0) -> None:
                     for row in touched:
                         row[j] += q * row[k]
                 if q:  # over Z, 0 < y < c is its own remainder
-                    log.append(("col_add", k, j, q))
+                    col_log.append(("col_add", k, j, q))
             if len(touched) > 1:
                 continue  # column k holds remainders, or a column mix refilled it
             rest = [j for j in range(k + 1, n) if row_k[j]]
@@ -378,7 +381,7 @@ def _reduce(a: list[list[int]], log: list[_Step], modulus: int = 0) -> None:
                 j = min(rest, key=lambda j: abs(row_k[j]))
                 for row in a[k:]:
                     row[k], row[j] = row[j], row[k]
-                log.append(("col_swap", k, j, 0))
+                col_log.append(("col_swap", k, j, 0))
                 continue
             if c == 1:
                 break
@@ -394,78 +397,38 @@ def _reduce(a: list[list[int]], log: list[_Step], modulus: int = 0) -> None:
             log.append(("row_neg", k, k, 0))
 
 
-def _replay(
-    rows: Iterable[Sequence[int]], steps: Iterable[_Step], modulus: int = 0
-) -> list[list[int]]:
-    """A copy of the matrix with every step applied: exactly, or modulo a
-    nonzero modulus, with every entry of the copy and of the result reduced.
+def _replay(rows: Iterable[Sequence[int]], steps: Iterable[_Step]) -> list[list[int]]:
+    """A copy of the matrix with every step applied exactly.
 
     Each step acts on whole rows or columns; the only entries it skips are
-    zeros, as the copy holds them.  An exact row addition walks the nonzeros
-    of its source row, and a column addition the rows that hold its source
-    column.  A run of additions from one source column finds those rows
-    once, since col j += q * col i never makes a zero of column i nonzero.
-    A modular row addition, made on a dense block, adds whole rows and
-    leaves its target unreduced until the row is next a source, as a
-    negation leaves its row.  A mix step must have s*v - t*u == 1.  Nothing
-    is assumed about which entries the elimination left zero.
+    zeros, as the copy holds them.  A row addition walks the nonzeros of its
+    source row, and a column addition the rows that hold its source column.
+    A run of additions from one source column finds those rows once, since
+    col j += q * col i never makes a zero of column i nonzero.  Nothing is
+    assumed about which entries the elimination left zero.
     """
-    b = [[x % modulus for x in row] if modulus else list(row) for row in rows]
+    b = [list(row) for row in rows]
     n = len(b[0]) if b else 0
-    stale = [False] * len(b)  # rows left unreduced modulo the modulus
     source, moving = -1, []
     for kind, i, j, q in steps:
         if kind == "col_add":
             if i != source:
-                source = i
-                if modulus:
-                    moving = [row for row in b if row[i] % modulus]
-                else:
-                    moving = [row for row in b if row[i]]
-            if modulus:
-                for row in moving:
-                    row[j] = (row[j] + q * row[i]) % modulus
-            else:
-                for row in moving:
-                    row[j] += q * row[i]
+                source, moving = i, [row for row in b if row[i]]
+            for row in moving:
+                row[j] += q * row[i]
             continue
         source = -1  # any other step may change which rows move
         if kind == "row_add":
             src, dst = b[i], b[j]
-            if modulus:
-                if stale[i]:
-                    src = b[i] = [x % modulus for x in src]
-                    stale[i] = False
-                b[j] = [y + q * x for y, x in zip(dst, src)]
-                stale[j] = True
-            else:
-                for col in compress(range(n), src):
-                    dst[col] += q * src[col]
+            for col in compress(range(n), src):
+                dst[col] += q * src[col]
         elif kind == "row_swap":
             b[i], b[j] = b[j], b[i]
-            stale[i], stale[j] = stale[j], stale[i]
         elif kind == "row_neg":
             b[i] = [-x for x in b[i]]
-            stale[i] = True
-        elif kind == "col_swap":
+        else:  # col_swap: mixes occur only modulo D, where nothing is replayed
             for row in b:
                 row[i], row[j] = row[j], row[i]
-        else:  # row_mix or col_mix
-            s, t, u, v = q
-            if s * v - t * u != 1:
-                raise RuntimeError("internal error: a logged 2x2 step is not unimodular")
-            pairs = zip(b[i], b[j]) if kind == "row_mix" else ((row[i], row[j]) for row in b)
-            mixed = [(s * x + t * y, u * x + v * y) for x, y in pairs]
-            if modulus:
-                mixed = [(x % modulus, y % modulus) for x, y in mixed]
-            if kind == "row_mix":
-                b[i], b[j] = map(list, zip(*mixed))
-                stale[i] = stale[j] = False
-            else:
-                for row, (x, y) in zip(b, mixed):
-                    row[i], row[j] = x, y
-    if modulus:
-        b = [[x % modulus for x in row] if flag else row for row, flag in zip(b, stale)]
     return b
 
 
@@ -497,24 +460,21 @@ def _coordinate_rows(m: int, log: list[_Step], wanted: list[tuple[int, int]]) ->
 def _smith_log(
     rows: Sequence[Sequence[int]], modular: bool
 ) -> tuple[list[_Step], tuple[int, ...]]:
-    """The certified Smith elimination of A (plain integer rows, read and
-    not changed): its log of row and column steps and its diagonal.
+    """The Smith elimination of A (plain integer rows, read and not
+    changed): its log of steps and its diagonal.
 
     The unit phase (_clear_units) picks its steps, and they are replayed
     exactly on a fresh copy of A, which must give diag(1, ..., 1) + R for a
-    block R.  The gcd phase (_reduce) then reduces a copy of R over the
-    integers, or modulo D = |det R| = |det A| (Bareiss on R alone) when
-    modular is set, A is square and D > 0.  Then D * Z^r lies in im(R), so
-    coker R is isomorphic to Z^r / (im diag(g) + D * Z^r), the sum of the
-    Z / gcd(g_i, D), for any diag(g) that unimodular steps reach from R
-    modulo D.  The gcd steps, replayed on R (modulo D when D > 0), must
-    give diag(g), and every mix step must have s*v - t*u == 1.  The
-    diagonal is k ones, then g over the integers, or modulo D the
-    gcd(g_i, D), which must multiply to D, the order of coker A.
-
+    block R, so |det A| = |det R|.  The gcd phase (_reduce) then reduces a
+    copy of R over the integers, or modulo D = |det R| (Bareiss on R alone)
+    when modular is set, A is square and D > 0.  As D * Z^r lies in im(R),
+    the invariant factors are then the d_i = gcd(g_i, D) of the diagonal g
+    it reaches; they must multiply to D and divide in turn, no gcd step is
+    replayed, and smith_coordinates certifies the rest of its answer.
     Over the integers the log's row steps applied to I give U, and its
-    column steps V, with U * A * V the diagonal; modulo D the log certifies
-    only the cokernel.
+    column steps V, with U * A * V the diagonal: smith_normal_form checks
+    that product, and smith_coordinates replays the gcd steps on R, which
+    must give diag(g).  The diagonal is k ones, then g or the d_i.
     """
     log, k = _clear_units(rows)
     b = _replay(rows, log)
@@ -529,12 +489,14 @@ def _smith_log(
     steps: list[_Step] = []
     _reduce(block, steps, modulus)
     g = tuple(block[i][i] for i in range(min(m, n) - k))
-    if _replay(residual, steps, modulus) != _diagonal_rows(m - k, n - k, g):
-        raise RuntimeError("internal error: replayed gcd steps do not give diag(g)")
     if modulus:
         g = tuple(gcd(x, modulus) for x in g)
         if prod(g) != modulus:
             raise RuntimeError("internal error: the invariant factors do not multiply to |det|")
+        if any(y % x for x, y in zip(g, g[1:])):
+            raise RuntimeError("internal error: the invariant factors do not divide in turn")
+    elif modular and _replay(residual, steps) != _diagonal_rows(m - k, n - k, g):
+        raise RuntimeError("internal error: replayed gcd steps do not give diag(g)")
     log += [(kind, i + k, j + k, q) for kind, i, j, q in steps]
     return log, (1,) * k + g
 
@@ -555,6 +517,32 @@ def smith_normal_form(matrix: IntMatrix) -> SmithDecomposition:
     return SmithDecomposition(U=U, D=D, V=V, diagonal=diagonal)
 
 
+def _onto(rows: Sequence[Sequence[int]], factors: Sequence[int]) -> bool:
+    """True iff x -> (row_i . x mod d_i) maps Z^m onto the sum of the Z/d_i
+    (every d_i > 0), that is iff the columns of [C | diag(d)] span Z^k.
+
+    It shares no code with the elimination it checks.  Row r of the span is
+    gcd(d_r, row r) * Z, which must be Z.  Euclid's steps, each an
+    elementary column step, then gather that gcd into one pivot column that
+    starts as d_r e_r and leave row r of the other columns zero; those
+    columns and the d_i e_i of the later rows must span the rest.  Entries
+    are kept modulo their d_i, since adding a multiple of d_i e_i to a
+    column keeps the span.  With one factor d this is gcd(d, row) == 1.
+    """
+    k = len(factors)
+    columns = [[x % d for x, d in zip(col, factors)] for col in zip(*rows)]
+    for r, d in enumerate(factors):
+        if gcd(d, *(col[r] for col in columns)) != 1:
+            return False
+        pivot = [0] * k
+        pivot[r] = d
+        for col in columns if r + 1 < k else ():
+            while col[r]:  # a Euclid step: pivot, col = col, pivot - q * col
+                q = pivot[r] // col[r]
+                pivot, col[:] = col[:], [(y - q * z) % f for y, z, f in zip(pivot, col, factors)]
+    return True
+
+
 def smith_coordinates(
     rows: Sequence[Sequence[int]],
 ) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
@@ -562,19 +550,29 @@ def smith_coordinates(
     rows i of U with d_i != 1 (d_i = 0 past the diagonal), the coordinates
     of Z^m / im(A): torsion rows reduced modulo d_i, free rows exact.
 
-    U and V are never built: the rows come from the log of _smith_log,
-    taken modulo |det A| where it can be, in one reverse pass.  The log's
-    certificate does not cover that pass, so each row must also send every
-    column of A to 0 modulo d_i (exactly 0 when free), summed over the
-    nonzeros of A.
+    U and V are never built: the rows come from the row steps of
+    _smith_log, modulo |det A| where it can be, in one reverse pass.  Each
+    row c_i must kill A, c_i * A == 0 modulo d_i (exactly when free), summed
+    over the nonzeros of A's rows, and for a finite group the rows must map
+    Z^m onto the sum of the Z/d_i (_onto).  Modulo D, with the d_i
+    multiplying to D = |det A|, that certifies the answer: kill gives a
+    homomorphism from coker A, onto makes it surjective, and a surjection
+    between finite groups of the same order is an isomorphism.
     """
     log, diagonal = _smith_log(rows, modular=True)
     m = len(rows)
     wanted = [(i, d) for i, d in enumerate(diagonal + (0,) * (m - len(diagonal))) if d != 1]
     coordinate_rows = tuple(map(tuple, _coordinate_rows(m, log, wanted)))
-    columns = [[(r, x) for r, x in enumerate(column) if x] for column in zip(*rows)]
+    columns = range(len(rows[0]))
     for (_, d), row in zip(wanted, coordinate_rows):
-        images = (sum(row[r] * x for r, x in column) for column in columns)
-        if any(y % d if d else y for y in images):
+        image = [0] * len(columns)
+        for y, a_row in zip(row, rows):
+            if y:
+                for j in compress(columns, a_row):
+                    image[j] += y * a_row[j]
+        if any(x % d if d else x for x in image):
             raise RuntimeError("internal error: a coordinate row does not kill A")
+    factors = [d for _, d in wanted]
+    if all(factors) and not _onto(coordinate_rows, factors):
+        raise RuntimeError("internal error: the coordinate rows are not onto the group")
     return diagonal, coordinate_rows

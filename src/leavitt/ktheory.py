@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 from .abelian import FGAbelianGroup, GroupElement, OrderValue, element_order
-from .graphs import DirectedGraph, adjacency_matrix
+from .graphs import DirectedGraph
 from .intmat import IntMatrix, smith_coordinates
 
 
@@ -72,14 +72,20 @@ def k0_of_graph(graph: DirectedGraph) -> K0Data:
     """Compute (K0(L(E)), [1_{L(E)}]) and the order of the unit class.
 
     K0 is presented by the columns of I - A^T at the vertices that emit
-    edges; a graph without edges gives Z^n with [1] = (1, ..., 1).
+    edges, in vertex order; a graph without edges gives Z^n with
+    [1] = (1, ..., 1).  The rows are built from the edge list, which
+    DirectedGraph has validated: the edge v -> w of multiplicity k puts -k
+    in row w and in the column of v.
     """
-    a = adjacency_matrix(graph)
-    n = a.rows
-    regular = [j for j, row in enumerate(a) if any(row)]
-    rows = [[-column[j] for j in regular] for column in zip(*a)]
+    pos = {v: i for i, v in enumerate(graph.vertices)}
+    n = len(pos)
+    regular = sorted({pos[src] for src, _, _ in graph.edges})
+    slot = {j: s for s, j in enumerate(regular)}
+    rows = [[0] * len(regular) for _ in range(n)]
     for s, j in enumerate(regular):
-        rows[j][s] += 1
-    data = _pointed_cokernel(rows)  # plain rows: only the adjacency matrix is validated
+        rows[j][s] = 1
+    for src, dst, mult in graph.edges:
+        rows[pos[dst]][slot[pos[src]]] -= mult
+    data = _pointed_cokernel(rows)
     unit = data.coordinate([1] * n)
     return replace(data, unit=unit, unit_order=element_order(data.group, unit))

@@ -128,6 +128,11 @@ class TestGcdCriterion:
         with pytest.raises(ValueError):
             gcd_criterion(4, 0, 1)
 
+    @pytest.mark.parametrize("args", [(4, True, 2), (4, 2.0, 6), ("4", 1, 1)])
+    def test_rejects_non_integers(self, args):
+        with pytest.raises(ValueError, match="must be integers"):
+            gcd_criterion(*args)
+
 
 class TestEnumerateAutomorphisms:
     def test_small_counts(self):

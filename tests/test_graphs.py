@@ -97,6 +97,11 @@ class TestBuildGraph:
         with pytest.raises(GraphFormatError):
             build_graph(["a", "b"], edges)
 
+    @pytest.mark.parametrize("record", [("a", "b"), ("a", "b", 1, 1), None])
+    def test_names_a_record_that_is_not_three_fields(self, record):
+        with pytest.raises(GraphFormatError, match=re.escape(repr(record))):
+            build_graph(["a", "b"], [record])
+
 
 class TestDirectedGraph:
     @pytest.mark.parametrize(

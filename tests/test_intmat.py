@@ -221,8 +221,3 @@ class TestSmithNormalForm:
             theirs = sympy_snf(sympy.Matrix(rows), domain=sympy.ZZ)
             diag = [abs(int(theirs[i, i])) for i in range(n)]
             assert sorted(diag) == sorted(ours)
-
-
-def test_modular_replay_reduces_a_negated_row():
-    # every entry of a modular replay is reduced, a negated row's too
-    assert intmat._replay([[2]], [("row_neg", 0, 0, 0)], 5) == [[3]]

@@ -263,11 +263,11 @@ _INTEGER_GRAPH = build_graph(
 
 def _corrupting(phase, corrupt: str):
     """An elimination phase of intmat that corrupts the first step of the
-    given kind it logs: an addition's q becomes q + 1; a mix (s, t, u, v)
-    becomes (s, t, u + s, v + t), still of determinant 1, which adds the
-    new pivot row or column to the cleared one, or with "-det"
-    (s + 1, t, u, v); a swap, a negation, or any step with "-dropped" is
-    deleted."""
+    given kind it logs, or with "-last" the last: an addition's q becomes
+    q + 1; a mix (s, t, u, v) becomes (s, t, u + s, v + t), still of
+    determinant 1, which adds the new pivot row to the cleared one, or with
+    "-det" (s, t, u, v + 1); a swap, a negation, or any step with
+    "-dropped" is deleted."""
     kind, _, how = corrupt.partition("-")
 
     def corrupted(a, *args):
@@ -277,15 +277,16 @@ def _corrupting(phase, corrupt: str):
         result = phase(a, *args)
         if not args:
             log = result[0]
-        first = next(i for i in range(start, len(log)) if log[i][0] == kind)
+        at = [i for i in range(start, len(log)) if log[i][0] == kind]
+        first = at[-1] if how.startswith("last") else at[0]
         _, i, j, q = log[first]
-        if how == "dropped" or kind in ("row_swap", "col_swap", "row_neg"):
+        if how.endswith("dropped") or kind in ("row_swap", "col_swap", "row_neg"):
             del log[first]
         elif kind.endswith("_add"):
             log[first] = (kind, i, j, q + 1)
         else:
             s, t, u, v = q
-            log[first] = (kind, i, j, (s + 1, t, u, v) if how == "det" else (s, t, u + s, v + t))
+            log[first] = (kind, i, j, (s, t, u, v + 1) if how == "det" else (s, t, u + s, v + t))
         return result
 
     return corrupted
@@ -302,9 +303,11 @@ def _raises(match: str, matrices, graphs) -> None:
 
 class TestK0Certificate:
     """The K0 path derives only the coordinate rows from the elimination log,
-    certified by replaying the log (exactly, or modulo D = |det|, with the
-    invariant factors multiplying to D) and by each row killing the columns
-    of M, without building U or V."""
+    without building U or V.  The unit steps are replayed exactly.  Over the
+    integers the gcd steps are replayed too, and each row must kill A.
+    Modulo D = |det| the answer itself is certified: each row kills A, the
+    rows map onto the sum of the Z/d_i, and the d_i multiply to D and
+    divide in turn."""
 
     def test_matches_smith_normal_form(self):
         rng = random.Random(47)
@@ -366,15 +369,89 @@ class TestK0Certificate:
         _raises("replayed", [_INTEGER_MATRIX], [_INTEGER_GRAPH])
 
     @pytest.mark.parametrize(
-        "corrupt, match",
-        [("row_add", "replayed"), ("col_add", "replayed"), ("row_swap", "replayed"),
-         ("col_swap", "replayed"), ("row_mix", "replayed"), ("col_mix", "replayed"),
-         ("row_add-dropped", "replayed"), ("col_mix-dropped", "replayed"),
-         ("row_mix-det", "not unimodular"), ("col_mix-det", "not unimodular")],
+        "corrupt",
+        ["row_add", "row_swap", "row_mix", "row_mix-dropped", "row_add-last-dropped", "row_mix-det"],
     )
-    def test_corrupted_modular_log_raises(self, monkeypatch, corrupt, match):
+    def test_corrupted_modular_log_raises(self, monkeypatch, corrupt):
+        # modulo D the log holds only row steps, and the certificate checks
+        # the rows they give; dropping the first row_add changes no answer
+        # here, so the last one is dropped
         monkeypatch.setattr(intmat, "_reduce", _corrupting(intmat._reduce, corrupt))
-        _raises(match, [_MODULAR_MATRIX], [_MODULAR_GRAPH])
+        _raises("does not kill A", [_MODULAR_MATRIX], [_MODULAR_GRAPH])
+
+    def test_corrupted_modular_row_step_never_passes(self, monkeypatch):
+        # one random row step of the log modulo D changed: either the
+        # certificate refuses the answer, or the answer is right; a change
+        # that keeps the step modulo D (q + D) must pass
+        rng = random.Random(97)
+        reduce = intmat._reduce
+        changed = []
+
+        def corrupting(a, log, modulus=0):
+            start = len(log)
+            reduce(a, log, modulus)
+            if modulus and len(log) > start:
+                at = rng.randrange(start, len(log))
+                kind, i, j, q = log[at]
+                roll = rng.random()
+                if kind == "row_add" and roll < 0.2:
+                    log[at] = (kind, i, j, q + modulus)
+                    kind = "same"
+                elif kind == "row_add" and roll < 0.6:
+                    log[at] = (kind, i, j, q + rng.choice((-1, 1)))
+                elif kind == "row_mix" and roll < 0.5:
+                    s, t, u, v = q
+                    log[at] = (kind, i, j, rng.choice([(s, t, u, v + 1), (s, t, u + s, v + t)]))
+                else:
+                    del log[at]
+                changed.append(kind)
+
+        monkeypatch.setattr(intmat, "_reduce", corrupting)
+        outcomes = []
+        while len(outcomes) < 250:
+            n = rng.randint(2, 6)
+            rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+            if not _modular_route(rows):
+                continue
+            snf = smith_normal_form(IntMatrix(rows))  # over Z: left as it is
+            before = len(changed)
+            try:
+                _check_coordinates(rows, snf)
+                passed = True
+            except RuntimeError:
+                passed = False
+            if len(changed) > before:
+                outcomes.append((changed[-1], passed))
+        assert all(passed for kind, passed in outcomes if kind == "same")
+        assert sum(kind == "same" for kind, _ in outcomes) >= 20
+        assert sum(not passed for _, passed in outcomes) >= 150
+        assert {"row_add", "row_swap", "row_mix"} <= {kind for kind, _ in outcomes}
+
+    def test_rows_not_onto_raise(self, monkeypatch):
+        # the changed rows still kill A but reach a proper subgroup: 2 * c in
+        # Z/6, and (c_1, c_1) in Z/2 + Z/2, where each row alone is onto
+        coordinate_rows = intmat._coordinate_rows
+
+        def shrunk(m, log, wanted):
+            rows = coordinate_rows(m, log, wanted)
+            return [rows[0], rows[0]] if len(rows) == 2 else [[2 * x % 6 for x in rows[0]]]
+
+        monkeypatch.setattr(intmat, "_coordinate_rows", shrunk)
+        two_roses = build_graph(["a", "b"], [("a", "a", 3), ("b", "b", 3)])
+        _raises("not onto", [IntMatrix([[-6]]), IntMatrix([[2, 0], [0, 2]])], [rose(7), two_roses])
+
+    def test_factors_out_of_turn_raise(self, monkeypatch):
+        # the factors of Z/2 + Z/4 in the wrong order, (4, 2), still multiply
+        # to D = 8
+        reduce = intmat._reduce
+
+        def swapped(a, log, modulus=0):
+            reduce(a, log, modulus)
+            a[0][0], a[1][1] = a[1][1], a[0][0]
+
+        monkeypatch.setattr(intmat, "_reduce", swapped)
+        two_roses = build_graph(["a", "b"], [("a", "a", 3), ("b", "b", 5)])  # Z/2 + Z/4
+        _raises("divide in turn", [IntMatrix([[2, 0], [0, 4]])], [two_roses])
 
     @pytest.mark.parametrize("wrong", [lambda d: 2 * d, lambda d: -d - 1], ids=["double", "next"])
     def test_wrong_determinant_raises(self, monkeypatch, wrong):
@@ -414,7 +491,7 @@ class TestK0Certificate:
 
         monkeypatch.setattr(IntMatrix, "__init__", counting)
         k0_of_graph(scc_graph(24, 5))
-        assert len(builds) <= 1  # the adjacency matrix
+        assert not builds  # the presentation comes from the edge list
 
     def test_torsion_rows_stay_reduced(self):
         k0 = k0_of_graph(scc_graph(120, 61))
