@@ -370,12 +370,19 @@ class TestK0Certificate:
 
     @pytest.mark.parametrize(
         "corrupt",
-        ["row_add", "row_swap", "row_mix", "row_mix-dropped", "row_add-last-dropped", "row_mix-det"],
+        [pytest.param("row_add", id="row_add-replayed"),
+         pytest.param("row_swap", id="row_swap-replayed"),
+         pytest.param("row_mix", id="row_mix-replayed"),
+         pytest.param("row_mix-det", id="row_mix-det-not unimodular"),
+         "row_mix-dropped", "row_add-last-dropped"],
     )
     def test_corrupted_modular_log_raises(self, monkeypatch, corrupt):
         # modulo D the log holds only row steps, and the certificate checks
         # the rows they give; dropping the first row_add changes no answer
-        # here, so the last one is dropped
+        # here, so the last one is dropped. The first four ids are the ones
+        # these cases had when the gcd steps modulo D were replayed, which
+        # refused them as 'replayed' or 'not unimodular'; each must now fail
+        # the kill check instead
         monkeypatch.setattr(intmat, "_reduce", _corrupting(intmat._reduce, corrupt))
         _raises("does not kill A", [_MODULAR_MATRIX], [_MODULAR_GRAPH])
 
