@@ -30,12 +30,11 @@ remaining contributions is dead.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, lcm, prod
 from typing import Iterable, Iterator, Sequence
 
-from .intmat import IntMatrix, determinant, require_ints
+from .intmat import IntMatrix, Record, determinant, require_ints
 
 DEFAULT_SIZE_BOUND = 1024
 
@@ -54,32 +53,36 @@ class _InfiniteOrder:
     def __repr__(self) -> str:
         return "INFINITE"
 
+    def __reduce__(self) -> str:
+        return "INFINITE"  # pickling and copying keep the one instance
+
 
 INFINITE = _InfiniteOrder()
 
 OrderValue = int | _InfiniteOrder
 
 
-@dataclass(frozen=True)
-class FGAbelianGroup:
+class FGAbelianGroup(Record):
     """Invariant-factor presentation Z/d1 + ... + Z/ds + Z^free_rank."""
 
-    invariant_factors: tuple[int, ...] = ()
-    free_rank: int = 0
+    __slots__ = ("invariant_factors", "free_rank")
+    invariant_factors: tuple[int, ...]
+    free_rank: int
 
-    def __post_init__(self):
-        factors = tuple(self.invariant_factors)
+    def __init__(self, invariant_factors: Iterable[int] = (), free_rank: int = 0):
+        factors = tuple(invariant_factors)
         require_ints(factors, "invariant factors")
-        object.__setattr__(self, "invariant_factors", factors)
         for d in factors:
             if d < 2:
                 raise ValueError("invariant factors must be >= 2")
         for a, b in zip(factors, factors[1:]):
             if b % a:
                 raise ValueError("invariant factors must form a divisibility chain")
-        require_ints((self.free_rank,), "free rank")
-        if self.free_rank < 0:
+        require_ints((free_rank,), "free rank")
+        if free_rank < 0:
             raise ValueError("free rank must be nonnegative")
+        object.__setattr__(self, "invariant_factors", factors)
+        object.__setattr__(self, "free_rank", free_rank)
 
     @property
     def torsion_rank(self) -> int:
@@ -119,10 +122,14 @@ class FGAbelianGroup:
             yield GroupElement(t, ())
 
 
-@dataclass(frozen=True)
-class GroupElement:
+class GroupElement(Record):
+    __slots__ = ("torsion", "free")
     torsion: tuple[int, ...]
-    free: tuple[int, ...] = ()
+    free: tuple[int, ...]
+
+    def __init__(self, torsion: Iterable[int], free: Iterable[int] = ()):
+        object.__setattr__(self, "torsion", tuple(torsion))
+        object.__setattr__(self, "free", tuple(free))
 
 
 def check_member(group: FGAbelianGroup, x: GroupElement) -> None:

@@ -24,33 +24,34 @@ stays inside it (more than one vertex, or a self-loop).  Then:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .intmat import IntMatrix
+from .intmat import IntMatrix, Record
 
 
 class GraphFormatError(ValueError):
     """Raised for malformed graph documents."""
 
 
-@dataclass(frozen=True)
-class DirectedGraph:
+class DirectedGraph(Record):
+    __slots__ = ("vertices", "edges")
     vertices: tuple[str, ...]
     edges: tuple[tuple[str, str, int], ...]
 
-    def __post_init__(self):
-        if not self.vertices:
+    def __init__(self, vertices: Iterable[str], edges: Iterable[tuple[str, str, int]]):
+        vertices = tuple(vertices or ())
+        if not vertices:
             raise GraphFormatError("vertex list must be nonempty")
         seen = set()
-        for v in self.vertices:
+        for v in vertices:
             if not isinstance(v, str) or not v:
                 raise GraphFormatError("vertex names must be nonempty strings")
             if v in seen:
                 raise GraphFormatError(f"duplicate vertex name {v!r}")
             seen.add(v)
+        checked = []
         pairs = set()
-        for record in self.edges:
+        for record in edges:
             try:
                 src, dst, mult = record
                 known = src in seen and dst in seen
@@ -63,6 +64,9 @@ class DirectedGraph:
             if (src, dst) in pairs:
                 raise GraphFormatError(f"duplicate edge record for ({src!r}, {dst!r})")
             pairs.add((src, dst))
+            checked.append((src, dst, mult))
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "edges", tuple(checked))
 
     def out_edges(self) -> dict[str, list[tuple[str, int]]]:
         out: dict[str, list[tuple[str, int]]] = {v: [] for v in self.vertices}
@@ -80,11 +84,25 @@ class DirectedGraph:
         return json.dumps(self.to_json_dict())
 
 
-@dataclass(frozen=True)
-class PisReport:
+class PisReport(Record):
+    __slots__ = (
+        "every_cycle_has_exit",
+        "trivial_hereditary_saturated",
+        "every_vertex_connects_to_cycle",
+    )
     every_cycle_has_exit: bool
     trivial_hereditary_saturated: bool
     every_vertex_connects_to_cycle: bool
+
+    def __init__(
+        self,
+        every_cycle_has_exit: bool,
+        trivial_hereditary_saturated: bool,
+        every_vertex_connects_to_cycle: bool,
+    ):
+        object.__setattr__(self, "every_cycle_has_exit", every_cycle_has_exit)
+        object.__setattr__(self, "trivial_hereditary_saturated", trivial_hereditary_saturated)
+        object.__setattr__(self, "every_vertex_connects_to_cycle", every_vertex_connects_to_cycle)
 
     @property
     def purely_infinite_simple(self) -> bool:
@@ -146,7 +164,11 @@ def parse_graph(text: str) -> DirectedGraph:
 
 
 def rose(petals: int) -> DirectedGraph:
-    """One vertex with the given number of loops."""
+    """One vertex with the given number of loops.
+
+    >>> rose(2)
+    DirectedGraph(vertices=('v',), edges=(('v', 'v', 2),))
+    """
     if petals < 0:
         raise ValueError("petal count must be nonnegative")
     edges = (("v", "v", petals),) if petals else ()

@@ -11,14 +11,18 @@ and V from the log and checks U * A * V == D; ``smith_coordinates``, the
 cokernel path of ``ktheory``, builds neither, and modulo D = |det A| it
 checks its answer, not its steps: the coordinate rows kill A and map onto
 the sum of the Z/d_i, and the d_i divide in turn and multiply to D.
+
+``Record`` is the package's immutable record base, which the frozen
+records of every module (``SmithDecomposition`` here, the groups, graphs,
+K0 data and verdicts elsewhere) subclass.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from itertools import compress
 from math import gcd, prod
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 
@@ -31,6 +35,46 @@ def require_ints(values: Sequence[int], what: str) -> None:
         for value in values:
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ValueError(f"{what} must be integers, got {value!r}")
+
+
+class Record:
+    """Immutable record whose fields are its subclass's ``__slots__``.
+
+    A subclass names two or more fields in ``__slots__`` and sets each one
+    once in its ``__init__`` with ``object.__setattr__``.  Records compare
+    equal, and hash, by their field values in slot order; a record never
+    equals one of another class.  The repr reads ``Name(field=value, ...)``,
+    and pickling or copying calls the class again with the field values.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        cls._values = attrgetter(*cls.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) == other._values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        fields = ", ".join(
+            f"{name}={value!r}" for name, value in zip(self.__slots__, self._values(self))
+        )
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, self._values(self)
 
 
 class IntMatrix:
@@ -80,18 +124,24 @@ class IntMatrix:
         return [list(row) for row in self._data]
 
 
-@dataclass(frozen=True)
-class SmithDecomposition:
+class SmithDecomposition(Record):
     """Factorization U * A * V = D with U, V unimodular and D diagonal.
 
     The diagonal is nonnegative, each entry divides the next nonzero one,
     and zeros trail.  ``diagonal`` lists the min(rows, cols) entries of D.
     """
 
+    __slots__ = ("U", "D", "V", "diagonal")
     U: IntMatrix
     D: IntMatrix
     V: IntMatrix
     diagonal: tuple[int, ...]
+
+    def __init__(self, U: IntMatrix, D: IntMatrix, V: IntMatrix, diagonal: tuple[int, ...]):
+        object.__setattr__(self, "U", U)
+        object.__setattr__(self, "D", D)
+        object.__setattr__(self, "V", V)
+        object.__setattr__(self, "diagonal", diagonal)
 
 
 def _bareiss(a: list[list[int]]) -> int:
@@ -505,7 +555,11 @@ def smith_normal_form(matrix: IntMatrix) -> SmithDecomposition:
     """Smith normal form with both transformation matrices, built from the
     integer log of _smith_log; U @ A @ V == D is checked densely before
     returning.  D is built from the diagonal alone, so the check also shows
-    that the elimination left nothing off it."""
+    that the elimination left nothing off it.
+
+    >>> smith_normal_form(IntMatrix([[2, 0], [0, 3]])).diagonal
+    (1, 6)
+    """
     m, n = matrix.rows, matrix.cols
     log, diagonal = _smith_log(list(matrix), modular=False)
     # U is the row steps applied to I, V the column steps

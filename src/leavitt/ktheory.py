@@ -14,18 +14,17 @@ into the group.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 from .abelian import FGAbelianGroup, GroupElement, OrderValue, element_order
 from .graphs import DirectedGraph
-from .intmat import IntMatrix, smith_coordinates
+from .intmat import IntMatrix, Record, smith_coordinates
 
 
-@dataclass(frozen=True)
-class K0Data:
+class K0Data(Record):
     """The pair (K0, [1]) plus the data needed to map vectors into K0."""
 
+    __slots__ = ("group", "unit", "unit_order", "coordinate_map", "generators")
     group: FGAbelianGroup
     unit: GroupElement
     unit_order: OrderValue
@@ -34,25 +33,46 @@ class K0Data:
     coordinate_map: tuple[tuple[int, ...], ...]
     generators: int  # length of the vectors that coordinate accepts
 
+    def __init__(
+        self,
+        group: FGAbelianGroup,
+        unit: GroupElement,
+        unit_order: OrderValue,
+        coordinate_map: tuple[tuple[int, ...], ...],
+        generators: int,
+    ):
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "unit", unit)
+        object.__setattr__(self, "unit_order", unit_order)
+        object.__setattr__(self, "coordinate_map", coordinate_map)
+        object.__setattr__(self, "generators", generators)
+
     def coordinate(self, vector: Sequence[int]) -> GroupElement:
         """Class of an integer vector on the vertex basis."""
         if len(vector) != self.generators:
             raise ValueError("vector length does not match matrix width")
-        w = [sum(a * b for a, b in zip(row, vector)) for row in self.coordinate_map]
-        k = self.group.torsion_rank
-        return self.group.element(torsion=w[:k], free=w[k:])
+        return _class_of(self.group, self.coordinate_map, vector)
 
 
-def _pointed_cokernel(rows: Sequence[Sequence[int]]) -> K0Data:
-    """Cokernel Z^m / im(A) of an integer matrix with m rows, pointed at zero.
+def _class_of(
+    group: FGAbelianGroup, coordinate_map: Sequence[Sequence[int]], vector: Sequence[int]
+) -> GroupElement:
+    w = [sum(a * b for a, b in zip(row, vector)) for row in coordinate_map]
+    k = group.torsion_rank
+    return group.element(torsion=w[:k], free=w[k:])
+
+
+def _presented_group(
+    rows: Sequence[Sequence[int]],
+) -> tuple[FGAbelianGroup, tuple[tuple[int, ...], ...]]:
+    """Cokernel Z^m / im(A) of an integer matrix with m rows, and its coordinate rows.
 
     Rows past the diagonal are free summands, so the free rank is the
     number of coordinate rows that are not torsion.
     """
     diag, coordinate_map = smith_coordinates(rows)
     torsion = tuple(d for d in diag if d > 1)
-    group = FGAbelianGroup(torsion, len(coordinate_map) - len(torsion))
-    return K0Data(group, group.identity(), 1, coordinate_map, len(rows))
+    return FGAbelianGroup(torsion, len(coordinate_map) - len(torsion)), coordinate_map
 
 
 def cokernel(matrix: IntMatrix) -> tuple[FGAbelianGroup, Callable[[Sequence[int]], GroupElement]]:
@@ -64,8 +84,9 @@ def cokernel(matrix: IntMatrix) -> tuple[FGAbelianGroup, Callable[[Sequence[int]
     """
     if matrix.rows != matrix.cols:
         raise ValueError("cokernel presentation requires a square matrix")
-    data = _pointed_cokernel(list(matrix))
-    return data.group, data.coordinate
+    group, coordinate_map = _presented_group(list(matrix))
+    data = K0Data(group, group.identity(), 1, coordinate_map, matrix.rows)
+    return group, data.coordinate
 
 
 def k0_of_graph(graph: DirectedGraph) -> K0Data:
@@ -76,6 +97,11 @@ def k0_of_graph(graph: DirectedGraph) -> K0Data:
     [1] = (1, ..., 1).  The rows are built from the edge list, which
     DirectedGraph has validated: the edge v -> w of multiplicity k puts -k
     in row w and in the column of v.
+
+    >>> from leavitt.graphs import rose
+    >>> k0 = k0_of_graph(rose(3))
+    >>> k0.group, k0.unit, k0.unit_order
+    (FGAbelianGroup(invariant_factors=(2,), free_rank=0), GroupElement(torsion=(1,), free=()), 2)
     """
     pos = {v: i for i, v in enumerate(graph.vertices)}
     n = len(pos)
@@ -86,6 +112,6 @@ def k0_of_graph(graph: DirectedGraph) -> K0Data:
         rows[j][s] = 1
     for src, dst, mult in graph.edges:
         rows[pos[dst]][slot[pos[src]]] -= mult
-    data = _pointed_cokernel(rows)
-    unit = data.coordinate([1] * n)
-    return replace(data, unit=unit, unit_order=element_order(data.group, unit))
+    group, coordinate_map = _presented_group(rows)
+    unit = _class_of(group, coordinate_map, [1] * n)
+    return K0Data(group, unit, element_order(group, unit), coordinate_map, n)

@@ -10,7 +10,6 @@ the regime where the classification holds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from math import gcd
 
@@ -22,7 +21,7 @@ from .abelian import (
     same_orbit,
 )
 from .graphs import DirectedGraph, PisReport
-from .intmat import content, require_ints
+from .intmat import Record, content, require_ints
 from .ktheory import K0Data
 
 
@@ -37,12 +36,16 @@ def _require_pis(pis: PisReport) -> None:
         )
 
 
-@dataclass(frozen=True)
-class MatrixTypeVerdict:
+class MatrixTypeVerdict(Record):
     """Which matrix sizes give isomorphic matrix rings over L(E)."""
 
+    __slots__ = ("regime", "unit_order")
     regime: str  # "finite" or "infinite"
     unit_order: int | None  # n in the finite regime, None otherwise
+
+    def __init__(self, regime: str, unit_order: int | None):
+        object.__setattr__(self, "regime", regime)
+        object.__setattr__(self, "unit_order", unit_order)
 
     def class_label(self, c: int) -> int | None:
         """Isomorphism-class label of size c: gcd(c, n), or c itself."""
@@ -52,6 +55,12 @@ class MatrixTypeVerdict:
 
 
 def matrix_type_verdict(k0: K0Data, pis: PisReport) -> MatrixTypeVerdict:
+    """The verdict for a purely infinite simple graph, read off its unit order.
+
+    >>> from leavitt import k0_of_graph, purely_infinite_simple, rose
+    >>> matrix_type_verdict(k0_of_graph(rose(3)), purely_infinite_simple(rose(3)))
+    MatrixTypeVerdict(regime='finite', unit_order=2)
+    """
     _require_pis(pis)
     if k0.unit_order is INFINITE:
         return MatrixTypeVerdict(regime="infinite", unit_order=None)
@@ -119,12 +128,16 @@ class IsoReason(Enum):
     UNIT_ORBIT_MATCH = "unit_orbit_match"
 
 
-@dataclass(frozen=True)
-class IsoVerdict:
+class IsoVerdict(Record):
     """Outcome of the unit-preserving isomorphism comparison."""
 
+    __slots__ = ("reason", "witness")
     reason: IsoReason
-    witness: str | None = None
+    witness: str | None
+
+    def __init__(self, reason: IsoReason, witness: str | None = None):
+        object.__setattr__(self, "reason", reason)
+        object.__setattr__(self, "witness", witness)
 
     @property
     def isomorphic(self) -> bool:

@@ -1,4 +1,3 @@
-import doctest
 import itertools
 import random
 from math import gcd, prod
@@ -24,11 +23,6 @@ from leavitt.abelian import (
 from leavitt.intmat import unimodular_check
 
 from conftest import chains_upto, mat_vec
-
-
-def test_doctests():
-    failures, _ = doctest.testmod(abelian_module)
-    assert failures == 0
 
 
 class TestGroupConstruction:
@@ -57,6 +51,12 @@ class TestGroupConstruction:
         for torsion, free in ([1.7], [0]), (["1"], [0]), ([True], [0]), ([1], [2.0]), ([1], [False]):
             with pytest.raises(ValueError, match="coordinates must be integers"):
                 g.element(torsion, free)
+
+    def test_element_stores_tuples(self):
+        from_lists = GroupElement([1, 3], [-5])
+        assert from_lists == GroupElement((1, 3), (-5,))
+        assert hash(from_lists) == hash(GroupElement((1, 3), (-5,)))
+        assert type(from_lists.torsion) is tuple and type(from_lists.free) is tuple
 
     def test_elements_enumeration(self):
         g = FGAbelianGroup((2, 4))

@@ -112,6 +112,13 @@ class TestDirectedGraph:
         with pytest.raises(GraphFormatError, match=re.escape(repr(record))):
             DirectedGraph(("a",), (record,))
 
+    def test_stores_tuples(self):
+        from_lists = DirectedGraph(["a", "b"], [["a", "b", 2], ("b", "a", 1)])
+        from_tuples = DirectedGraph(("a", "b"), (("a", "b", 2), ("b", "a", 1)))
+        assert from_lists == from_tuples and hash(from_lists) == hash(from_tuples)
+        assert type(from_lists.vertices) is tuple and type(from_lists.edges) is tuple
+        assert all(type(record) is tuple for record in from_lists.edges)
+
 
 class TestAdjacencyMatrix:
     def test_rose3(self):
