@@ -307,11 +307,12 @@ def orbit_invariant(group: FGAbelianGroup, x: GroupElement, c: int = 0) -> tuple
     cosets lie in one orbit iff these maximal elements do.  The key is the
     tuple of (p, Ulm sequence) pairs.
 
-    Test reference only: no decision path calls it, and same_orbit answers
-    the same question for two elements without factoring.  The key names
-    the primes of d_s, found by trial division, so its cost grows with the
-    square root of the largest prime factor (Z/(2^89 - 1) would take about
-    2.5e13 divisions).
+    This is the prime-keyed reference that the tests use; no decision path
+    calls it.  Library callers should use same_orbit, which answers the same
+    question for two elements without factoring.  The key names the primes
+    of d_s, which _prime_divisors finds by trial division, so its cost grows
+    with the square root of the largest prime factor of d_s (Z/(2^89 - 1)
+    would take about 2.5e13 divisions).
 
     >>> G = FGAbelianGroup((2, 4))
     >>> orbit_invariant(G, G.element([1, 0])), orbit_invariant(G, G.element([0, 2]))

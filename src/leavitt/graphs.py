@@ -3,34 +3,39 @@
 Parallel edges are stored as a single record with a multiplicity, so the
 data model is canonical: at most one (source, target) record per ordered
 pair.  Vertex order in the file is the basis order for every matrix derived
-from the graph, which keeps all downstream output reproducible.
+from the graph, which keeps all downstream output reproducible.  Records are
+checked in bulk, a column at a time; only when that check fails does a loop
+over the records run, to name the first bad one.
 
-The purely-infinite-simple conditions of Abrams and Aranda Pino are read
-off one condensation of the graph into strongly connected components, in
-time linear in vertices plus edges.  A component is cyclic when an edge
-stays inside it (more than one vertex, or a self-loop).  Then:
-
-* (L) fails iff some cyclic component has every vertex emitting one edge;
-* the only hereditary saturated sets are the empty set and all vertices iff
-  exactly one component is terminal (no edge leaves it) and every other
-  component is acyclic.  A nonempty hereditary set holds a terminal
-  component; saturating it adds the acyclic components in emission order,
-  while a second terminal component or a cyclic one never gets a first
-  vertex;
-* every vertex connects to a cycle iff every component is cyclic or has a
-  successor that connects.
+The purely-infinite-simple conditions of Abrams and Aranda Pino, each read
+off the strongly connected components as its docstring says, come from one
+iterative Tarjan pass over vertex indices and one pass over the edges, in
+time linear in vertices plus edges.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .intmat import IntMatrix, Record
 
 
 class GraphFormatError(ValueError):
     """Raised for malformed graph documents."""
+
+
+def _plain(records: tuple, names: set | None = None) -> bool:
+    """True when there are records, each a tuple or list (src, dst, mult)
+    with str endpoints (in names, when given) and an int multiplicity (not
+    a bool) above 0, and no (src, dst) pair repeats.  Checked per column."""
+    if not set(map(type, records)) <= {tuple, list} or set(map(len, records)) != {3}:
+        return False
+    srcs, dsts, mults = zip(*records)
+    ends = srcs + dsts
+    if set(map(type, ends)) != {str} or set(map(type, mults)) != {int} or min(mults) < 1:
+        return False
+    return (names is None or names.issuperset(ends)) and len(set(zip(srcs, dsts))) == len(records)
 
 
 class DirectedGraph(Record):
@@ -42,31 +47,36 @@ class DirectedGraph(Record):
         vertices = tuple(vertices or ())
         if not vertices:
             raise GraphFormatError("vertex list must be nonempty")
-        seen = set()
-        for v in vertices:
-            if not isinstance(v, str) or not v:
-                raise GraphFormatError("vertex names must be nonempty strings")
-            if v in seen:
-                raise GraphFormatError(f"duplicate vertex name {v!r}")
-            seen.add(v)
-        checked = []
-        pairs = set()
-        for record in edges:
-            try:
-                src, dst, mult = record
-                known = src in seen and dst in seen
-            except (TypeError, ValueError):  # not three fields, or an unhashable endpoint
-                known = False
-            if not known:
-                raise GraphFormatError(f"edge {record!r} is not (src, dst, mult) of known vertices")
-            if isinstance(mult, bool) or not isinstance(mult, int) or mult < 1:
-                raise GraphFormatError(f"edge multiplicity must be a positive integer: {record!r}")
-            if (src, dst) in pairs:
-                raise GraphFormatError(f"duplicate edge record for ({src!r}, {dst!r})")
-            pairs.add((src, dst))
-            checked.append((src, dst, mult))
+        seen = set(vertices) if set(map(type, vertices)) == {str} else set()
+        if len(seen) < len(vertices) or "" in seen:  # name the first bad name
+            seen = set()
+            for v in vertices:
+                if not isinstance(v, str) or not v:
+                    raise GraphFormatError("vertex names must be nonempty strings")
+                if v in seen:
+                    raise GraphFormatError(f"duplicate vertex name {v!r}")
+                seen.add(v)
+        records = tuple(edges)
+        if _plain(records, seen):
+            records = tuple(map(tuple, records))
+        else:  # name the first bad record
+            checked: dict[tuple[str, str], int] = {}
+            for record in records:
+                try:
+                    src, dst, mult = record
+                    known = src in seen and dst in seen
+                except (TypeError, ValueError):  # not three fields, or an unhashable endpoint
+                    known = False
+                if not known:
+                    raise GraphFormatError(f"edge {record!r} is not (src, dst, mult) of known vertices")
+                if isinstance(mult, bool) or not isinstance(mult, int) or mult < 1:
+                    raise GraphFormatError(f"edge multiplicity must be a positive integer: {record!r}")
+                if (src, dst) in checked:
+                    raise GraphFormatError(f"duplicate edge record for ({src!r}, {dst!r})")
+                checked[src, dst] = mult
+            records = tuple((src, dst, mult) for (src, dst), mult in checked.items())
         object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "edges", tuple(checked))
+        object.__setattr__(self, "edges", records)
 
     def out_edges(self) -> dict[str, list[tuple[str, int]]]:
         out: dict[str, list[tuple[str, int]]] = {v: [] for v in self.vertices}
@@ -120,8 +130,11 @@ def build_graph(
 
     Each record is checked before the merge, so a sum cannot hide a bad one.
     """
+    records = tuple(edges)
+    if _plain(records):
+        return DirectedGraph(tuple(vertices), map(tuple, records))  # nothing to merge
     merged: dict[tuple[str, str], int] = {}  # in order of first appearance
-    for record in edges:
+    for record in records:
         try:
             src, dst, mult = record
         except (TypeError, ValueError):  # not three fields
@@ -155,6 +168,8 @@ def parse_graph(text: str) -> DirectedGraph:
         raise GraphFormatError('"vertices" must be a list of names')
     if not isinstance(raw_edges, list):
         raise GraphFormatError('"edges" must be a list of edge records')
+    if set(map(type, raw_edges)) <= {list} and set(map(len, raw_edges)) <= {3}:
+        return build_graph(vertices, map(tuple, raw_edges))
     edges = []
     for record in raw_edges:
         if not isinstance(record, list) or len(record) not in (2, 3):
@@ -185,59 +200,48 @@ def adjacency_matrix(graph: DirectedGraph) -> IntMatrix:
     return IntMatrix(rows)
 
 
-def _condensation(graph: DirectedGraph) -> tuple[dict[str, int], int]:
-    """The strongly connected component of each vertex, numbered in
-    Tarjan's emission order, and the number of components.
-
-    A component is emitted only after every component it reaches, so every
-    edge between two components points to a lower number.
-    """
-    # Tarjan, iterative to survive long chains.
-    out = graph.out_edges()
-    index: dict[str, int] = {}
-    lowlink: dict[str, int] = {}
-    stack: list[str] = []
-    work: list[tuple[str, Iterator[tuple[str, int]]]] = []
-    component_of: dict[str, int] = {}
+def _components(out: list[list[int]]) -> tuple[list[int], int]:
+    """The strongly connected component of each vertex index, numbered in
+    Tarjan's emission order, and the number of components.  Iterative, to
+    survive long chains, from a virtual root n with an edge to every vertex:
+    nothing reaches n, so it is emitted last, alone, and dropped."""
+    n = len(out)
+    index = [-1] * n + [0]
+    lowlink = [0] * (n + 1)
+    component = [-1] * (n + 1)
+    stack = [n]
+    work = [(n, iter(range(n)))]
+    visited = 1
     count = 0
-
-    def visit(v: str) -> None:
-        index[v] = lowlink[v] = len(index)
-        stack.append(v)
-        work.append((v, iter(out[v])))
-
-    for root in graph.vertices:
-        if root in index:
-            continue
-        visit(root)
-        while work:
-            v, it = work[-1]
-            for w, _ in it:
-                if w not in index:
-                    visit(w)
-                    break
-                if w not in component_of:  # still on the stack
-                    lowlink[v] = min(lowlink[v], index[w])
-            else:
-                work.pop()
-                if work:
-                    parent = work[-1][0]
-                    lowlink[parent] = min(lowlink[parent], lowlink[v])
-                if lowlink[v] == index[v]:
-                    w = None
-                    while w != v:
-                        w = stack.pop()
-                        component_of[w] = count
-                    count += 1
-    return component_of, count
+    while work:
+        v, it = work[-1]
+        for w in it:
+            if index[w] < 0:
+                index[w] = lowlink[w] = visited
+                visited += 1
+                stack.append(w)
+                work.append((w, iter(out[w])))
+                break
+            if component[w] < 0 and index[w] < lowlink[v]:  # w still on the stack
+                lowlink[v] = index[w]
+        else:
+            work.pop()
+            if work and lowlink[v] < lowlink[work[-1][0]]:
+                lowlink[work[-1][0]] = lowlink[v]
+            if lowlink[v] == index[v]:
+                w = -1
+                while w != v:
+                    w = stack.pop()
+                    component[w] = count
+                count += 1
+    return component[:n], count - 1
 
 
 def every_cycle_has_exit(graph: DirectedGraph) -> bool:
     """Condition (L): no cycle consists solely of vertices with one out-edge.
 
-    A violating cycle is exactly a cyclic strongly connected component in
-    which every vertex has total out-degree 1.  Read off the condensation:
-    linear in vertices plus edges.
+    A violating cycle is exactly a cyclic strongly connected component (one
+    that an edge stays inside) in which every vertex has out-degree 1.
     """
     return purely_infinite_simple(graph).every_cycle_has_exit
 
@@ -250,8 +254,7 @@ def trivial_hereditary_saturated(graph: DirectedGraph) -> bool:
     hereditary set contains a whole terminal component.  Saturating the one
     terminal component adds the acyclic components in emission order, each
     once all its targets are in; a second terminal component, or a cyclic
-    one, keeps an edge to a vertex not yet in and never gets a first
-    vertex.  Read off the condensation: linear in vertices plus edges.
+    one, keeps an edge to a vertex not yet in and never gets a first vertex.
     """
     return purely_infinite_simple(graph).trivial_hereditary_saturated
 
@@ -259,41 +262,38 @@ def trivial_hereditary_saturated(graph: DirectedGraph) -> bool:
 def every_vertex_connects_to_cycle(graph: DirectedGraph) -> bool:
     """True iff every vertex has a directed path to some vertex on a cycle.
 
-    A component reaches a cycle when it is cyclic (has more than one vertex,
-    or a self-loop) or has a successor component that reaches one.
-    Successors come earlier in the condensation's order, so one pass decides
-    every component: linear in vertices plus edges.
+    In a finite graph that holds iff no vertex is a sink: a walk from a
+    vertex either stops at a sink or revisits a vertex, closing a cycle.
     """
     return purely_infinite_simple(graph).every_vertex_connects_to_cycle
 
 
 def purely_infinite_simple(graph: DirectedGraph) -> PisReport:
     """Graph conditions for L(E) to be purely infinite simple (E finite)."""
-    component_of, count = _condensation(graph)
-    # a component is cyclic iff an edge stays inside it: it has more than
-    # one vertex, or it is one vertex with a self-loop
-    cyclic = [False] * count
-    successors: list[list[int]] = [[] for _ in range(count)]
-    out_degree = dict.fromkeys(graph.vertices, 0)
-    for src, dst, mult in graph.edges:
-        out_degree[src] += mult
-        i, j = component_of[src], component_of[dst]
-        if i == j:
-            cyclic[i] = True
+    n = len(graph.vertices)
+    index_of = dict(zip(graph.vertices, range(n))).__getitem__
+    srcs, dsts, mults = tuple(zip(*graph.edges)) or ((), (), ())
+    sources, targets = list(map(index_of, srcs)), list(map(index_of, dsts))
+    out: list[list[int]] = [[] for _ in range(n)]
+    for s, t in zip(sources, targets):
+        out[s].append(t)
+    component, count = _components(out)
+    cyclic: set[int] = set()  # an edge stays inside: more than one vertex, or a self-loop
+    exits: set[int] = set()  # components that an edge leaves
+    out_degree = [0] * n
+    for s, t, mult in zip(sources, targets, mults):
+        out_degree[s] += mult
+        i = component[s]
+        if i == component[t]:
+            cyclic.add(i)
         else:
-            successors[i].append(j)
-    no_exit = cyclic.copy()  # a cyclic component whose vertices emit one edge each
-    for v, degree in out_degree.items():
-        if degree != 1:
-            no_exit[component_of[v]] = False
-    reaches = cyclic.copy()
-    for i, succ in enumerate(successors):
-        reaches[i] = reaches[i] or any(reaches[j] for j in succ)
-    # some component is terminal, so this says: one terminal component,
-    # and every other component acyclic
-    terminal_or_cyclic = sum(c or not succ for c, succ in zip(cyclic, successors))
+            exits.add(i)
+    # (L) holds iff each cyclic component has a vertex that does not emit exactly one edge
+    branching = {i for i, degree in zip(component, out_degree) if degree != 1}
+    # count - len(exits - cyclic) components are terminal or cyclic, and some
+    # component is terminal: so one means one terminal, every other acyclic
     return PisReport(
-        every_cycle_has_exit=not any(no_exit),
-        trivial_hereditary_saturated=terminal_or_cyclic == 1,
-        every_vertex_connects_to_cycle=all(reaches),
+        every_cycle_has_exit=cyclic <= branching,
+        trivial_hereditary_saturated=count - len(exits - cyclic) == 1,
+        every_vertex_connects_to_cycle=0 not in out_degree,
     )

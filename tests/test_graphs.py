@@ -120,6 +120,151 @@ class TestDirectedGraph:
         assert all(type(record) is tuple for record in from_lists.edges)
 
 
+NOT_KNOWN = "edge {!r} is not (src, dst, mult) of known vertices"
+NOT_THREE = "edge {!r} is not (src, dst, mult)"
+NOT_STRINGS = "edge endpoints must be strings: {!r}"
+BAD_MULT = "edge multiplicity must be a positive integer: {!r}"
+BAD_SHAPE = "edge record must be [src, dst] or [src, dst, mult]: {!r}"
+BAD_NAME = "vertex names must be nonempty strings"
+
+# fault: (bad record made from a good one's endpoints, the message template
+# of DirectedGraph, of build_graph and of parse_graph; None: no error)
+RECORD_FAULTS = {
+    "zero multiplicity": (lambda s, d: (s, d, 0), BAD_MULT, BAD_MULT, BAD_MULT),
+    "negative multiplicity": (lambda s, d: (s, d, -1), BAD_MULT, BAD_MULT, BAD_MULT),
+    "float multiplicity": (lambda s, d: (s, d, 1.5), BAD_MULT, BAD_MULT, BAD_MULT),
+    "bool multiplicity": (lambda s, d: (s, d, True), BAD_MULT, BAD_MULT, BAD_MULT),
+    "int endpoint": (lambda s, d: (s, 1, 1), NOT_KNOWN, NOT_STRINGS, NOT_STRINGS),
+    "unhashable endpoint": (lambda s, d: ([s], d, 1), NOT_KNOWN, NOT_STRINGS, NOT_STRINGS),
+    "unknown endpoint": (lambda s, d: (s, "nowhere", 1), NOT_KNOWN, NOT_KNOWN, NOT_KNOWN),
+    "empty endpoint": (lambda s, d: ("", d, 1), NOT_KNOWN, NOT_KNOWN, NOT_KNOWN),
+    "two fields": (lambda s, d: (s, d), NOT_KNOWN, NOT_THREE, None),
+    "one field": (lambda s, d: (s,), NOT_KNOWN, NOT_THREE, BAD_SHAPE),
+    "four fields": (lambda s, d: (s, d, 1, 1), NOT_KNOWN, NOT_THREE, BAD_SHAPE),
+    "not a record": (lambda s, d: None, NOT_KNOWN, NOT_THREE, BAD_SHAPE),
+}
+
+VERTEX_FAULTS = {
+    "empty name": "",
+    "int name": 7,
+    "unhashable name": ["v0"],
+}
+
+
+def _valid_graph(rng, n=40, count=200):
+    """n vertex names and count records with distinct (src, dst) pairs."""
+    names = [f"v{i}" for i in range(n)]
+    pairs = rng.sample([(s, d) for s in names for d in names], count)
+    return names, [(s, d, rng.randint(1, 3)) for s, d in pairs]
+
+
+def _as_given(records, as_lists):
+    return [list(r) if as_lists and isinstance(r, tuple) else r for r in records]
+
+
+def _document(names, records):
+    edges = [list(r) if isinstance(r, tuple) else r for r in records]
+    return json.dumps({"vertices": names, "edges": edges})
+
+
+def _merged(names, records):
+    """The graph build_graph should return: pairs summed, first appearance first."""
+    merged = {}
+    for s, d, m in records:
+        merged[s, d] = merged.get((s, d), 0) + m
+    return DirectedGraph(names, [(s, d, m) for (s, d), m in merged.items()])
+
+
+def _raises(message, build, *args):
+    with pytest.raises(GraphFormatError) as info:
+        build(*args)
+    assert str(info.value) == message
+
+
+class TestBulkChecks:
+    """Bulk checking names the same first bad record, with the same message,
+    as a check of each record in turn: one fault at a random position of a
+    200-record graph, through each of the three entry points."""
+
+    ROUNDS = 6
+
+    @pytest.mark.parametrize("fault", sorted(RECORD_FAULTS))
+    def test_record_fault(self, fault):
+        make, directed, built, parsed = RECORD_FAULTS[fault]
+        rng = random.Random(f"record fault {fault}")
+        for _ in range(self.ROUNDS):
+            names, records = _valid_graph(rng)
+            k = rng.randrange(len(records))
+            records[k] = make(*records[k][:2])
+            for as_lists in (False, True):
+                given = _as_given(records, as_lists)
+                _raises(directed.format(given[k]), DirectedGraph, names, given)
+                # build_graph hands DirectedGraph the records as tuples
+                named = tuple(given[k]) if built is NOT_KNOWN else given[k]
+                _raises(built.format(named), build_graph, names, given)
+            text = _document(names, records)
+            if parsed is None:
+                two_fields_mean_one = [r + (1,) * (3 - len(r)) for r in records]
+                assert parse_graph(text) == _merged(names, two_fields_mean_one)
+            else:
+                # parse_graph names a bad shape as read, and makes tuples of the rest
+                json_bad = json.loads(text)["edges"][k]
+                _raises(parsed.format(json_bad if parsed is BAD_SHAPE else tuple(json_bad)),
+                        parse_graph, text)
+
+    def test_duplicate_pair(self):
+        rng = random.Random("duplicate pair")
+        for _ in range(self.ROUNDS):
+            names, records = _valid_graph(rng)
+            j, k = rng.sample(range(len(records)), 2)
+            s, d, _ = records[j]
+            records[k] = (s, d, rng.randint(1, 3))
+            for as_lists in (False, True):
+                _raises(f"duplicate edge record for ({s!r}, {d!r})",
+                        DirectedGraph, names, _as_given(records, as_lists))
+                assert build_graph(names, _as_given(records, as_lists)) == _merged(names, records)
+            assert parse_graph(_document(names, records)) == _merged(names, records)
+
+    def test_negative_multiplicity_on_a_duplicate_pair(self):
+        # merging would give a positive sum; the record is named first
+        rng = random.Random("negative duplicate")
+        for _ in range(self.ROUNDS):
+            names, records = _valid_graph(rng)
+            j, k = rng.sample(range(len(records)), 2)
+            records[k] = records[j][:2] + (-1,)
+            message = BAD_MULT.format(records[k])
+            _raises(message, DirectedGraph, names, records)
+            _raises(message, build_graph, names, records)
+            _raises(message, parse_graph, _document(names, records))
+
+    @pytest.mark.parametrize("fault", sorted(VERTEX_FAULTS) + ["duplicate name"])
+    def test_vertex_fault(self, fault):
+        rng = random.Random(f"vertex fault {fault}")
+        for _ in range(self.ROUNDS):
+            names, records = _valid_graph(rng)
+            k = rng.randrange(1, len(names))
+            if fault == "duplicate name":
+                names[k] = names[rng.randrange(k)]
+                message = f"duplicate vertex name {names[k]!r}"
+            else:
+                names[k] = VERTEX_FAULTS[fault]
+                message = BAD_NAME
+            _raises(message, DirectedGraph, names, records)
+            _raises(message, build_graph, names, records)
+            _raises(message, parse_graph, _document(names, records))
+
+    def test_records_given_as_lists(self):
+        rng = random.Random("lists")
+        for _ in range(self.ROUNDS):
+            names, records = _valid_graph(rng)
+            from_tuples = DirectedGraph(tuple(names), tuple(records))
+            for build in (DirectedGraph, build_graph):
+                from_lists = build(names, _as_given(records, True))
+                assert from_lists == from_tuples and hash(from_lists) == hash(from_tuples)
+                assert all(type(record) is tuple for record in from_lists.edges)
+            assert parse_graph(_document(names, records)) == from_tuples
+
+
 class TestAdjacencyMatrix:
     def test_rose3(self):
         assert adjacency_matrix(rose(3)).to_lists() == [[3]]
@@ -179,7 +324,7 @@ class TestEveryCycleHasExit:
                 [renamed[v] for v in names],
                 [(renamed[s], renamed[t], m) for s, t, m in edges],
             )
-            assert every_cycle_has_exit(g) == every_cycle_has_exit(h)
+            assert purely_infinite_simple(g) == purely_infinite_simple(h)
 
 
 class TestTrivialHereditarySaturated:
@@ -452,6 +597,35 @@ class TestLargeGraphs:
             every_vertex_connects_to_cycle(g),
         )
         return flags
+
+    def test_long_chains_do_not_recurse(self):
+        n = 200_000
+        names = [f"p{i}" for i in range(n)] + ["v"]
+        path = [(names[i], names[i + 1], 1) for i in range(n)]
+        into_rose = DirectedGraph(names, path + [("v", "v", 2)])
+        assert purely_infinite_simple(into_rose) == PisReport(True, True, True)
+        into_sink = DirectedGraph(names, path)
+        assert purely_infinite_simple(into_sink) == PisReport(True, True, False)
+        assert not every_vertex_connects_to_cycle(into_sink)
+
+    def test_flags_ignore_vertex_and_record_order(self):
+        rng = random.Random(31)
+        graphs = [
+            _condition_graph(kind, rng.randint(12, 160), rng)
+            for kind in self.EXPECTED
+            for _ in range(5)
+        ]
+        for g in itertools.chain(graphs, _random_graphs(104, 150)):
+            report = purely_infinite_simple(g)
+            names, edges = list(g.vertices), list(g.edges)
+            renamed = dict(zip(names, rng.sample(names, len(names))))
+            moved = [
+                DirectedGraph(rng.sample(names, len(names)), edges),
+                DirectedGraph(names, rng.sample(edges, len(edges))),
+                DirectedGraph(names, [(renamed[s], renamed[t], m) for s, t, m in edges]),
+            ]
+            for h in moved:
+                assert purely_infinite_simple(h) == report, g.to_json()
 
     def test_constructions_keep_their_flags_under_relabelling(self):
         rng = random.Random(29)
