@@ -25,17 +25,17 @@ class GraphFormatError(ValueError):
     """Raised for malformed graph documents."""
 
 
-def _plain(records: tuple, names: set | None = None) -> bool:
+def _plain(records: tuple, names: set) -> bool:
     """True when there are records, each a tuple or list (src, dst, mult)
-    with str endpoints (in names, when given) and an int multiplicity (not
-    a bool) above 0, and no (src, dst) pair repeats.  Checked per column."""
+    with str endpoints in names and an int multiplicity (not a bool) above
+    0, and no (src, dst) pair repeats.  Checked per column."""
     if not set(map(type, records)) <= {tuple, list} or set(map(len, records)) != {3}:
         return False
     srcs, dsts, mults = zip(*records)
     ends = srcs + dsts
     if set(map(type, ends)) != {str} or set(map(type, mults)) != {int} or min(mults) < 1:
         return False
-    return (names is None or names.issuperset(ends)) and len(set(zip(srcs, dsts))) == len(records)
+    return names.issuperset(ends) and len(set(zip(srcs, dsts))) == len(records)
 
 
 class DirectedGraph(Record):
@@ -129,10 +129,16 @@ def build_graph(
     """Build a graph, merging duplicate (source, target) records by summing.
 
     Each record is checked before the merge, so a sum cannot hide a bad one.
+    DirectedGraph's bulk check runs first and is the only one when nothing
+    needs merging; when it fails, the records are checked here one by one,
+    to name the first bad one or to merge, and the merged graph is built.
     """
     records = tuple(edges)
-    if _plain(records):
-        return DirectedGraph(tuple(vertices), map(tuple, records))  # nothing to merge
+    vertices = tuple(vertices)
+    try:
+        return DirectedGraph(vertices, records)
+    except GraphFormatError:
+        pass  # a bad record or vertex name, or a repeated pair to merge
     merged: dict[tuple[str, str], int] = {}  # in order of first appearance
     for record in records:
         try:
@@ -144,7 +150,7 @@ def build_graph(
         if isinstance(mult, bool) or not isinstance(mult, int) or mult < 1:
             raise GraphFormatError(f"edge multiplicity must be a positive integer: {record!r}")
         merged[src, dst] = merged.get((src, dst), 0) + mult
-    return DirectedGraph(tuple(vertices), tuple((s, d, k) for (s, d), k in merged.items()))
+    return DirectedGraph(vertices, tuple((s, d, k) for (s, d), k in merged.items()))
 
 
 def parse_graph(text: str) -> DirectedGraph:

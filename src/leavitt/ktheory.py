@@ -10,6 +10,18 @@ the sum of the vertex idempotents).  The Smith normal form of that
 presentation gives the invariant factors and, through one row of its left
 transform per cyclic summand, the coordinate map from vertex-basis vectors
 into the group.
+
+Link vertices are substituted away first.  A link is a vertex whose only
+edge record is (v, w, 1) with w != v, such as every head vertex of
+matrixtype.m_graph.  Its column of I - A^T is e_v - e_w, so its relation
+says [v] = [w]: using it to replace the generator v by w everywhere
+removes one generator and one relation and leaves the cokernel unchanged.
+Chains of links are followed to their end, so each vertex stands for its
+representative: the first vertex down its chain that is not a link, or,
+when the chain closes into a cycle of links, one vertex of that cycle,
+whose own relation becomes 0 and leaves the free summand Z of that cycle.
+The presentation keeps only the representatives, and a vertex's coordinate
+is its representative's.
 """
 
 from __future__ import annotations
@@ -29,7 +41,9 @@ class K0Data(Record):
     unit: GroupElement
     unit_order: OrderValue
     # rows of the Smith left transform U, one per cyclic summand, torsion rows
-    # first and reduced modulo d_i, free rows exact (intmat.smith_coordinates)
+    # first and reduced modulo d_i, free rows exact (intmat.smith_coordinates);
+    # for a graph, of its presentation with links substituted away, and with
+    # each vertex's entry taken from its representative
     coordinate_map: tuple[tuple[int, ...], ...]
     generators: int  # length of the vectors that coordinate accepts
 
@@ -89,29 +103,69 @@ def cokernel(matrix: IntMatrix) -> tuple[FGAbelianGroup, Callable[[Sequence[int]
     return group, data.coordinate
 
 
+def _representatives(link: Sequence[int]) -> list[int]:
+    """The representative of each vertex index, given what each emits: the
+    target of its one link record, or a negative number for a vertex that
+    is not a link.  A link's representative is the end of its chain of
+    links, or, for a chain that closes into a cycle of links, the vertex at
+    which the first walk into that cycle re-entered it.  Each chain is
+    walked once, iteratively, so a long chain cannot exhaust the stack."""
+    rep = [v if t < 0 else -1 for v, t in enumerate(link)]  # -1: a link not yet resolved
+    for v in range(len(link)):
+        if rep[v] != -1:
+            continue
+        walk = []
+        w = v
+        while rep[w] == -1:
+            rep[w] = -2  # on the current walk
+            walk.append(w)
+            w = link[w]
+        r = w if rep[w] == -2 else rep[w]  # the walk closed a cycle, or met a resolved vertex
+        for u in walk:
+            rep[u] = r
+    return rep
+
+
 def k0_of_graph(graph: DirectedGraph) -> K0Data:
     """Compute (K0(L(E)), [1_{L(E)}]) and the order of the unit class.
 
     K0 is presented by the columns of I - A^T at the vertices that emit
-    edges, in vertex order; a graph without edges gives Z^n with
-    [1] = (1, ..., 1).  The rows are built from the edge list, which
-    DirectedGraph has validated: the edge v -> w of multiplicity k puts -k
-    in row w and in the column of v.
+    edges; a graph without edges gives Z^n with [1] = (1, ..., 1).  Link
+    vertices (only record (v, w, 1), w != v) are substituted away first:
+    column v of I - A^T is e_v - e_w, so the relation identifies the
+    generators v and w, and replacing v by w in every other relation
+    removes one generator and one relation without changing the cokernel.
+    The rows are the kept vertices (_representatives) in vertex order, the
+    columns the kept ones that emit edges, and an edge u -> x of
+    multiplicity k from a kept u puts -k in the row of x's representative;
+    a graph without links gets I - A^T itself.  The rows come from the edge
+    list, which DirectedGraph has validated, and each vertex's coordinate
+    column is its representative's.
 
     >>> from leavitt.graphs import rose
     >>> k0 = k0_of_graph(rose(3))
     >>> k0.group, k0.unit, k0.unit_order
     (FGAbelianGroup(invariant_factors=(2,), free_rank=0), GroupElement(torsion=(1,), free=()), 2)
     """
-    pos = {v: i for i, v in enumerate(graph.vertices)}
-    n = len(pos)
-    regular = sorted({pos[src] for src, _, _ in graph.edges})
-    slot = {j: s for s, j in enumerate(regular)}
-    rows = [[0] * len(regular) for _ in range(n)]
-    for s, j in enumerate(regular):
-        rows[j][s] = 1
-    for src, dst, mult in graph.edges:
-        rows[pos[dst]][slot[pos[src]]] -= mult
+    n = len(graph.vertices)
+    index_of = dict(zip(graph.vertices, range(n)))
+    edges = [(index_of[s], index_of[t], mult) for s, t, mult in graph.edges]
+    link = [-1] * n  # -1: a sink, -2: emits other than one link record, else its target
+    for s, t, mult in edges:
+        link[s] = t if link[s] == -1 and mult == 1 and s != t else -2
+    rep = _representatives(link)
+    kept = [v for v in range(n) if rep[v] == v]
+    row = dict(zip(kept, range(len(kept))))
+    regular = [v for v in kept if link[v] != -1]
+    slot = dict(zip(regular, range(len(regular))))
+    rows = [[0] * len(regular) for _ in kept]
+    for v, j in slot.items():
+        rows[row[v]][j] = 1
+    for s, t, mult in edges:
+        if rep[s] == s:
+            rows[row[rep[t]]][slot[s]] -= mult
     group, coordinate_map = _presented_group(rows)
+    column = list(map(row.__getitem__, rep))
+    coordinate_map = tuple(tuple(map(c.__getitem__, column)) for c in coordinate_map)
     unit = _class_of(group, coordinate_map, [1] * n)
     return K0Data(group, unit, element_order(group, unit), coordinate_map, n)

@@ -11,6 +11,7 @@ the regime where the classification holds.
 from __future__ import annotations
 
 from enum import Enum
+from itertools import repeat
 from math import gcd
 
 from .abelian import (
@@ -95,31 +96,35 @@ def m_graph(graph: DirectedGraph, m: int) -> DirectedGraph:
     """Graph whose Leavitt path algebra is M_m of the original one.
 
     Attaches to every vertex v a head of m-1 fresh vertices
-    w1 -> w2 -> ... -> w_{m-1} -> v.  Each head vertex has a single edge, so
+    w1 -> w2 -> ... -> w_{m-1} -> v, named v__h1, ..., v__h{m-1} (with "_"
+    appended while a name is taken).  Each head vertex has a single edge, so
     its K0 class equals [v]; the unit class of the new graph is m times the
-    old one while the group itself is unchanged.
+    old one while the group itself is unchanged.  k0_of_graph contracts the
+    heads away (each head vertex is a link), so K0 of the new graph costs
+    what K0 of the old one does.
     """
     require_ints((m,), "m")
     if m < 1:
         raise ValueError("m must be a positive integer")
     if m == 1:
         return graph
-    vertices = list(graph.vertices)
-    taken = set(vertices)
-    edges = list(graph.edges)
-    for v in graph.vertices:
-        head = []
-        for j in range(1, m):
-            name = f"{v}__h{j}"
-            while name in taken:
-                name += "_"
-            taken.add(name)
-            head.append(name)
-        vertices.extend(head)
-        for a, b in zip(head, head[1:]):
-            edges.append((a, b, 1))
-        edges.append((head[-1], v, 1))
-    return DirectedGraph(tuple(vertices), tuple(edges))
+    # head names cannot collide with each other (each ends in __h and the
+    # digits of j), so only a clash with a vertex name needs the slow path
+    names = [f"{v}__h{j}" for v in graph.vertices for j in range(1, m)]
+    taken = set(graph.vertices)
+    if not taken.isdisjoint(names):
+        names = []
+        for v in graph.vertices:
+            for j in range(1, m):
+                name = f"{v}__h{j}"
+                while name in taken:
+                    name += "_"
+                taken.add(name)
+                names.append(name)
+    targets = names[1:] + [""]
+    targets[m - 2 :: m - 1] = graph.vertices  # the last head vertex of v points to v
+    edges = graph.edges + tuple(zip(names, targets, repeat(1)))
+    return DirectedGraph(graph.vertices + tuple(names), edges)
 
 
 class IsoReason(Enum):

@@ -186,6 +186,55 @@ def _presentation(graph: DirectedGraph) -> IntMatrix:
     return IntMatrix([[int(i == j) - a[j][i] for j in regular] for i in range(a.rows)])
 
 
+def _contracted_presentation(graph: DirectedGraph) -> tuple[list[list[int]], list[int]]:
+    """I - A^T with its link vertices (one edge, of multiplicity 1, not a
+    loop) substituted away, and for each vertex the row of its
+    representative.  The walk from each vertex, in vertex order, follows
+    links to a vertex that is not one, or around a cycle of links, where the
+    vertex the first such walk re-entered it at is kept.  The rows may be
+    empty: a graph whose vertices all lead to sinks has no relation left."""
+    a = adjacency_matrix(graph)
+    n = a.rows
+    link = {v: a[v].index(1) for v in range(n) if sum(a[v]) == 1 and a[v][v] == 0}
+    kept_for_cycle: dict[frozenset, int] = {}
+    rep = []
+    for v in range(n):
+        walk = [v]
+        while walk[-1] in link and link[walk[-1]] not in walk:
+            walk.append(link[walk[-1]])
+        end = walk[-1]
+        if end in link:
+            entry = link[end]
+            end = kept_for_cycle.setdefault(frozenset(walk[walk.index(entry):]), entry)
+        rep.append(end)
+    kept = [v for v in range(n) if rep[v] == v]
+    regular = [u for u in kept if any(a[u])]
+    rows = [
+        [int(i == u) - sum(a[u][x] for x in range(n) if rep[x] == i) for u in regular]
+        for i in kept
+    ]
+    return rows, [kept.index(r) for r in rep]
+
+
+def _check_full_presentation(full: IntMatrix, k0) -> None:
+    """k0 against the full presentation I - A^T: its Smith invariants, and
+    coordinate rows that kill it (modulo d_i, exactly when free) and map
+    onto the group (the Smith form of [rows | diag(d)] is all ones)."""
+    diagonal = smith_normal_form(full).diagonal
+    assert k0.group.invariant_factors == tuple(d for d in diagonal if d > 1)
+    assert k0.group.free_rank == full.rows - sum(1 for d in diagonal if d)
+    factors = k0.group.invariant_factors + (0,) * k0.group.free_rank
+    assert len(k0.coordinate_map) == len(factors)
+    for d, row in zip(factors, k0.coordinate_map):
+        image = [sum(x * y for x, y in zip(row, column)) for column in zip(*full)]
+        assert not any(x % d if d else x for x in image)
+    onto = [
+        list(row) + [d * (i == j) for j in range(len(factors))]
+        for i, (d, row) in enumerate(zip(factors, k0.coordinate_map))
+    ]
+    assert not onto or smith_normal_form(IntMatrix(onto)).diagonal == (1,) * len(onto)
+
+
 def _random_graph(rng: random.Random) -> DirectedGraph:
     names = [f"v{i}" for i in range(rng.randint(1, 6))]
     edges = [
@@ -310,22 +359,35 @@ class TestK0Certificate:
     divide in turn."""
 
     def test_matches_smith_normal_form(self):
+        # the coordinate rows are those of the presentation with its links
+        # substituted away (built here, independently of ktheory), expanded
+        # to every vertex; against the full I - A^T they must still give its
+        # invariants, kill it, and map onto the group
         rng = random.Random(47)
         graphs = [infinite_order_graph(), rose(1), rose(2), rose(5)]
         graphs += [_random_graph(rng) for _ in range(300)]
-        singular = sinks = modular = 0
+        singular = sinks = modular = contracted = 0
         for graph in graphs:
             if not graph.edges:
                 continue  # no relations at all: test_sinks_give_no_relation
-            m = _presentation(graph)
+            relations, column = _contracted_presentation(graph)
+            k0 = k0_of_graph(graph)
+            contracted += len(relations) < len(graph.vertices)
+            _check_full_presentation(_presentation(graph), k0)
+            if not relations[0]:  # every vertex leads to a sink: Z^kept, the identity rows
+                rows = [[int(i == j) for j in range(len(relations))] for i in range(len(relations))]
+                assert k0.coordinate_map == tuple(tuple(row[i] for i in column) for row in rows)
+                continue
+            m = IntMatrix(relations)
             rows = _check_coordinates(m, smith_normal_form(m))
-            assert k0_of_graph(graph).coordinate_map == rows
+            assert k0.coordinate_map == tuple(tuple(row[i] for i in column) for row in rows)
             singular += m.rows == m.cols and determinant(m) == 0
             sinks += m.rows > m.cols
             modular += _modular_route(m.to_lists())
         assert singular >= 20  # free summands are covered
         assert sinks >= 50  # so are the non-square presentations of graphs with sinks
         assert modular >= 50  # and the route modulo D
+        assert contracted >= 20  # and graphs with links
 
     def test_matches_on_rectangular(self):
         rng = random.Random(53)
@@ -533,6 +595,66 @@ class TestK0Certificate:
         # 18,792 when every pivot came from the dense gcd loop's row-major scan
         log, _ = intmat._smith_log(_presentation(scc_graph(200, 0)).to_lists(), modular=False)
         assert sum(step[0] == "row_add" for step in log) < 18_500
+
+
+def _columns(k0) -> list[tuple[int, ...]]:
+    """The coordinate column of each vertex."""
+    return [tuple(row[v] for row in k0.coordinate_map) for v in range(k0.generators)]
+
+
+class TestLinkContraction:
+    """Vertices whose only record is (v, w, 1), w != v, are substituted
+    away before the elimination; each case is also checked against the full
+    presentation I - A^T."""
+
+    def _k0(self, vertices, edges):
+        graph = build_graph(vertices, edges)
+        k0 = k0_of_graph(graph)
+        _check_full_presentation(_presentation(graph), k0)
+        return k0
+
+    def test_chains_into_sinks(self):
+        # a -> b -> c -> s: every class is [s], K0 = Z with [1] = 4
+        k0 = self._k0(list("abcs"), [("a", "b", 1), ("b", "c", 1), ("c", "s", 1)])
+        assert k0.group == FGAbelianGroup((), 1) and k0.unit.free == (4,)
+        assert k0.coordinate_map == ((1, 1, 1, 1),)
+        # x = 2x + a + y, a -> b -> s, y -> s: K0 = Z^2 / (x + 2s) = Z
+        k0 = self._k0(list("xabys"), [("x", "x", 2), ("x", "a", 1), ("x", "y", 1),
+                                      ("a", "b", 1), ("b", "s", 1), ("y", "s", 1)])
+        assert k0.group == FGAbelianGroup((), 1)
+        assert len(set(_columns(k0)[1:])) == 1  # a, b and y are all [s]
+
+    def test_closed_link_cycles_give_a_free_summand(self):
+        # a -> b -> c -> a has no exit: K0 = Z, generated by the one class
+        k0 = self._k0(list("abc"), [("a", "b", 1), ("b", "c", 1), ("c", "a", 1)])
+        assert k0.group == FGAbelianGroup((), 1) and k0.unit_order is INFINITE
+        assert k0.coordinate_map in (((1, 1, 1),), ((-1, -1, -1),))
+        # beside rose(3), and entered from a chain x -> y -> b
+        k0 = self._k0(list("vxyabc"), [("v", "v", 3), ("x", "y", 1), ("y", "b", 1),
+                                       ("a", "b", 1), ("b", "c", 1), ("c", "a", 1)])
+        assert k0.group == FGAbelianGroup((2,), 1)
+        assert len(set(_columns(k0)[1:])) == 1
+        assert element_order(k0.group, k0.unit) is INFINITE
+
+    def test_links_into_cycles(self):
+        # x -> v on rose(3): [x] = [v], [1] = 2[v] = 0 in Z/2
+        k0 = self._k0(["v", "x"], [("v", "v", 3), ("x", "v", 1)])
+        assert k0.group == FGAbelianGroup((2,), 0) and k0.unit_order == 1
+        # x -> a on the cycle a -> b -> a with an exit b -> b
+        k0 = self._k0(list("abx"), [("a", "b", 1), ("b", "a", 1), ("b", "b", 1), ("x", "a", 1)])
+        columns = _columns(k0)
+        assert columns[0] == columns[1] == columns[2]
+        # a self-loop of multiplicity 1 is no link: rose(1) keeps its zero relation
+        k0 = self._k0(["v", "x"], [("v", "v", 1), ("x", "v", 1)])
+        assert k0.group == FGAbelianGroup((), 1) and k0.unit.free in ((2,), (-2,))
+
+    def test_a_long_chain(self):
+        # 99,999 head vertices in one chain; the dense presentation would
+        # have 10^10 entries, and a recursive walk would exhaust the stack
+        k0 = k0_of_graph(m_graph(rose(3), 100_000))
+        assert k0.group == FGAbelianGroup((2,), 0)
+        assert k0.unit_order == 1
+        assert k0.coordinate_map == ((1,) * 100_000,)
 
 
 def _unit_rich_rows(rng: random.Random, rows: int, cols: int) -> list[list[int]]:

@@ -17,7 +17,7 @@ from leavitt.abelian import (
     negate,
     scale,
 )
-from leavitt.graphs import rose, purely_infinite_simple
+from leavitt.graphs import build_graph, rose, purely_infinite_simple
 from leavitt.ktheory import k0_of_graph
 from leavitt.matrixtype import (
     IsoReason,
@@ -149,12 +149,27 @@ class TestMGraph:
             assert sum(m for _, m in out[h]) == 1  # single edge along the head
 
     def test_name_collision_avoided(self):
-        from leavitt.graphs import build_graph
-
         g = build_graph(["v", "v__h1"], [("v", "v", 2), ("v__h1", "v", 1), ("v__h1", "v__h1", 1)])
         h = m_graph(g, 2)
         assert len(h.vertices) == 4
         assert len(set(h.vertices)) == 4
+
+    def test_head_names(self):
+        # v__h1, ..., v__h{m-1} per vertex, in vertex order; a name that is
+        # already a vertex gets "_" appended until it is free
+        g = m_graph(build_graph(["a", "b"], [("a", "b", 2), ("b", "a", 1)]), 3)
+        assert g.vertices == ("a", "b", "a__h1", "a__h2", "b__h1", "b__h2")
+        assert g.edges[2:] == (("a__h1", "a__h2", 1), ("a__h2", "a", 1),
+                               ("b__h1", "b__h2", 1), ("b__h2", "b", 1))
+        g = build_graph(["v", "v__h1", "v__h1_"], [("v", "v", 2), ("v__h1", "v", 1)])
+        h = m_graph(g, 3)
+        assert h.vertices == ("v", "v__h1", "v__h1_", "v__h1__", "v__h2",
+                              "v__h1__h1", "v__h1__h2", "v__h1___h1", "v__h1___h2")
+        assert h.edges[2:] == (
+            ("v__h1__", "v__h2", 1), ("v__h2", "v", 1),
+            ("v__h1__h1", "v__h1__h2", 1), ("v__h1__h2", "v__h1", 1),
+            ("v__h1___h1", "v__h1___h2", 1), ("v__h1___h2", "v__h1_", 1),
+        )
 
     def test_unit_scaling_law(self):
         for q in (2, 3, 5, 7):

@@ -9,7 +9,9 @@ Each graph move below has a known effect on (K0, [1]):
   Abrams, Louly, Pardo & Smith, "Flow invariants in the classification of
   Leavitt path algebras", J. Algebra 333 (2011));
 * m_graph(E, m) realizes M_m(L(E)): the group is kept and the unit becomes
-  m * [1], of order n / gcd(m, n).
+  m * [1], of order n / gcd(m, n).  Its head vertices are links (one edge,
+  of multiplicity 1, not a loop), which k0_of_graph substitutes away, so
+  each gets its base vertex's coordinates.
 
 The splittings act on single edges, so an edge of multiplicity k counts as
 k edges that may land in different classes.  They are checked on graphs
@@ -21,7 +23,7 @@ generator and no relation.
 import random
 from math import gcd
 
-from leavitt.abelian import INFINITE
+from leavitt.abelian import INFINITE, scale
 from leavitt.graphs import DirectedGraph, build_graph, purely_infinite_simple
 from leavitt.ktheory import k0_of_graph
 from leavitt.matrixtype import IsoReason, compare_pointed_k0, m_graph
@@ -87,6 +89,12 @@ def _graphs(seed: int, count: int, sinks: int = 0):
         yield rng, build_graph(core.vertices + names, core.edges + feeds)
 
 
+def _links(graph: DirectedGraph) -> set[str]:
+    """Vertices whose only record is (v, w, 1) with w != v."""
+    records = [s for s, _, _ in graph.edges]
+    return {s for s, d, mult in graph.edges if mult == 1 and s != d and records.count(s) == 1}
+
+
 def _out_splittings_keep_the_pointed_group(graphs) -> int:
     """Out-split each graph at a vertex emitting at least two edges; returns
     how many of the groups have torsion."""
@@ -127,6 +135,22 @@ class TestSplittings:
     def test_in_splitting_with_sinks_keeps_the_group(self):
         _in_splittings_keep_the_group(_graphs(127, 80, sinks=2))
 
+    def test_out_splitting_into_links_keeps_the_pointed_group(self):
+        # a class of one edge to another vertex makes that half a link
+        linked = 0
+        for rng, graph in _graphs(139, 60, sinks=1):
+            assert not _links(graph)
+            edges = _single_edges(graph)
+            v = rng.choice([u for u in graph.vertices if sum(s == u for s, _ in edges) >= 2])
+            for _ in range(8):
+                split = out_split(graph, v, rng)
+                if _links(split):
+                    break
+            a, b = k0_of_graph(graph), k0_of_graph(split)
+            assert compare_pointed_k0(a, b).reason is IsoReason.UNIT_ORBIT_MATCH, (graph, v)
+            linked += bool(_links(split))
+        assert linked >= 30
+
     def test_splittings_move_the_graph(self):
         rng = random.Random(107)
         graph = scc_graph(3, 5)
@@ -150,3 +174,26 @@ class TestMGraphOnRandomGraphs:
                 assert head.unit_order == n // gcd(m, n), (graph, m)
                 finite += gcd(m, n) > 1
         assert finite >= 10  # cases where the scaling changes the order
+
+    def test_heads_contract_to_the_base(self):
+        # the head graph's presentation, heads substituted away, is the base
+        # graph's: the same group and coordinate rows on the base vertices,
+        # each head vertex with its base vertex's column, and the unit is
+        # c * [1_E] as an element, not just up to an automorphism
+        cases = 0
+        for graphs in (_graphs(131, 25), _graphs(137, 25, sinks=2)):
+            for _, graph in graphs:
+                base = k0_of_graph(graph)
+                n = len(graph.vertices)
+                base_columns = [tuple(row[v] for row in base.coordinate_map) for v in range(n)]
+                for c in range(1, 7):
+                    head = k0_of_graph(m_graph(graph, c))
+                    assert head.group == base.group
+                    assert head.unit == scale(base.group, c, base.unit), (graph, c)
+                    columns = [tuple(row[v] for row in head.coordinate_map) for v in range(n * c)]
+                    assert columns[:n] == base_columns
+                    for v in range(n):
+                        heads = columns[n + v * (c - 1) : n + (v + 1) * (c - 1)]
+                        assert heads == [base_columns[v]] * (c - 1)
+                    cases += base.group.torsion_size > 1 or base.group.free_rank > 0
+        assert cases >= 250  # most cases have a group to place the unit in
