@@ -6,11 +6,13 @@ fixed-width fast path anywhere.
 
 ``_smith_log`` runs the one Smith elimination, a sparse unit phase
 (``_clear_units``) and a dense gcd phase (``_reduce``), and returns its
-log of steps.  Each answer is certified: ``smith_normal_form`` builds U
-and V from the log and checks U * A * V == D; ``smith_coordinates``, the
-cokernel path of ``ktheory``, builds neither, and modulo D = |det A| it
-checks its answer, not its steps: the coordinate rows kill A and map onto
-the sum of the Z/d_i, and the d_i divide in turn and multiply to D.
+log of steps.  The unit phase's row steps alone must bring A to a unit
+upper-triangular block over R, so |det A| = |det R|.  Each answer is
+certified: ``smith_normal_form`` builds U and V from the log and checks
+U * A * V == D; ``smith_coordinates``, the cokernel path of ``ktheory``,
+builds neither, and modulo D = |det A| it checks its answer, not its
+steps: the coordinate rows kill A and map onto the sum of the Z/d_i, and
+the d_i divide in turn and multiply to D.
 
 ``Record`` is the package's immutable record base, which the frozen
 records of every module (``SmithDecomposition`` here, the groups, graphs,
@@ -253,6 +255,8 @@ def _clear_units(a: Sequence[Sequence[int]]) -> tuple[list[_Step], int]:
     and the number k of pivots: the log applied to A gives diag(1, ..., 1)
     + R, with k ones and a residual block R that holds no unit.
     """
+    if not any(1 in row or -1 in row for row in a):
+        return [], 0
     m, n = len(a), len(a[0])
     rows = [dict(compress(enumerate(row), row)) for row in a]
     holders: list[set[int]] = [set() for _ in range(n)]
@@ -340,6 +344,11 @@ def _reduce(a: list[list[int]], log: list[_Step], modulus: int = 0) -> None:
     entry that c does not divide is added to row k and the passes repeat,
     so each diagonal entry divides the next; a negative diagonal entry is
     negated at the end.
+
+    A pivot search stops at the first gcd of 1.  Modulo D a step whose
+    pivot is a unit (c == 1) ends after its row pass: the column pass would
+    only clear the rest of row k and log nothing, and nothing reads row k
+    again but its diagonal entry.
     """
     m, n = len(a), (len(a[0]) if a else 0)
     col_log = [] if modulus else log  # modulo D nothing reads the column steps
@@ -367,7 +376,14 @@ def _reduce(a: list[list[int]], log: list[_Step], modulus: int = 0) -> None:
                     row[k], row[j] = row[j], row[k]
                 col_log.append(("col_swap", k, j, 0))
                 continue
-            pi = min(column, key=lambda i: gcd(a[i][k], modulus))
+            pi, least = column[0], 0
+            for i in column:  # the first entry of least gcd, and no gcd is below 1
+                g = gcd(a[i][k], modulus)
+                if g == 1:
+                    pi = i
+                    break
+                if not least or g < least:
+                    pi, least = i, g
             if pi != k:
                 a[k], a[pi] = a[pi], a[k]
                 log.append(("row_swap", k, pi, 0))
@@ -400,6 +416,8 @@ def _reduce(a: list[list[int]], log: list[_Step], modulus: int = 0) -> None:
                 if modulus:
                     row[k] %= modulus  # zero
                 log.append(("row_add", k, i, q))
+            if modulus and c == 1:
+                break
             touched = [row for row in a[k:] if row[k]]
             for j in range(k + 1, n):
                 y = row_k[j]
@@ -453,26 +471,31 @@ def _replay(rows: Iterable[Sequence[int]], steps: Iterable[_Step]) -> list[list[
     Each step acts on whole rows or columns; the only entries it skips are
     zeros, as the copy holds them.  A row addition walks the nonzeros of its
     source row, and a column addition the rows that hold its source column.
-    A run of additions from one source column finds those rows once, since
-    col j += q * col i never makes a zero of column i nonzero.  Nothing is
-    assumed about which entries the elimination left zero.
+    A run of additions from one source finds those once: row j += q * row i
+    never makes a zero of row i nonzero, nor a column addition one of its
+    source.  Nothing is assumed about which entries the elimination left
+    zero.
     """
     b = [list(row) for row in rows]
     n = len(b[0]) if b else 0
-    source, moving = -1, []
+    source, moving = None, []
     for kind, i, j, q in steps:
+        if kind == "row_add":
+            if source != (kind, i):
+                src = b[i]
+                source, moving = (kind, i), list(compress(range(n), src))
+            dst = b[j]
+            for col in moving:
+                dst[col] += q * src[col]
+            continue
         if kind == "col_add":
-            if i != source:
-                source, moving = i, [row for row in b if row[i]]
+            if source != (kind, i):
+                source, moving = (kind, i), [row for row in b if row[i]]
             for row in moving:
                 row[j] += q * row[i]
             continue
-        source = -1  # any other step may change which rows move
-        if kind == "row_add":
-            src, dst = b[i], b[j]
-            for col in compress(range(n), src):
-                dst[col] += q * src[col]
-        elif kind == "row_swap":
+        source = None  # any other step may change what a run moves
+        if kind == "row_swap":
             b[i], b[j] = b[j], b[i]
         elif kind == "row_neg":
             b[i] = [-x for x in b[i]]
@@ -513,29 +536,53 @@ def _smith_log(
     """The Smith elimination of A (plain integer rows, read and not
     changed): its log of steps and its diagonal.
 
-    The unit phase (_clear_units) picks its steps, and they are replayed
-    exactly on a fresh copy of A, which must give diag(1, ..., 1) + R for a
-    block R, so |det A| = |det R|.  The gcd phase (_reduce) then reduces a
-    copy of R over the integers, or modulo D = |det R| (Bareiss on R alone)
-    when modular is set, A is square and D > 0.  As D * Z^r lies in im(R),
-    the invariant factors are then the d_i = gcd(g_i, D) of the diagonal g
-    it reaches; they must multiply to D and divide in turn, no gcd step is
-    replayed, and smith_coordinates certifies the rest of its answer.
-    Over the integers the log's row steps applied to I give U, and its
-    column steps V, with U * A * V the diagonal: smith_normal_form checks
-    that product, and smith_coordinates replays the gcd steps on R, which
-    must give diag(g).  The diagonal is k ones, then g or the d_i.
+    The unit phase (_clear_units) picks its steps, and its row steps are
+    replayed exactly on a fresh copy of A; its column steps only clear the
+    pivot rows, and smith_normal_form's U * A * V == D check covers them.
+    With order[t] the column that its column swaps move to slot t, the
+    replay must hold 1 at (t, order[t]) for t < k, and 0 below it in that
+    column.  Taking the columns in that order, it is then [[T, X], [0, R]]
+    with T unit upper triangular, and R, its rows past k, is the block that
+    the whole log leaves.  Column steps [[T^-1, -T^-1 X], [0, I]] turn it
+    into diag(I, R), so coker A is coker R and |det A| = |det R|.
+
+    The gcd phase (_reduce) then reduces a copy of R over the integers, or
+    modulo D = |det R| (Bareiss on R alone) when modular is set, A is square
+    and D > 0.  As D * Z^r lies in im(R), the invariant factors are then the
+    d_i = gcd(g_i, D) of the diagonal g it reaches; they must multiply to D
+    and divide in turn, no gcd step is replayed, and smith_coordinates
+    certifies the rest of its answer.  Over the integers the log's row steps
+    applied to I give U, and its column steps V, with U * A * V the
+    diagonal: smith_normal_form checks that product, and smith_coordinates
+    replays the gcd steps on R, which must give diag(g).  The diagonal is k
+    ones, then g or the d_i.
     """
     log, k = _clear_units(rows)
-    b = _replay(rows, log)
-    m, n = len(b), len(b[0])
-    if any(b[i][i] != 1 or b[i].count(0) != n - 1 for i in range(k)) or any(
-        any(row[:k]) for row in b[k:]
-    ):
-        raise RuntimeError("internal error: replayed unit steps do not give I + R")
-    residual = [row[k:] for row in b[k:]]
+    m, n = len(rows), len(rows[0])
+    if not k:  # no unit: R is A
+        residual = [list(row) for row in rows]
+    else:
+        order, row_steps = list(range(n)), []
+        for step in log:
+            kind, i, j, _ = step
+            if kind == "col_swap":
+                order[i], order[j] = order[j], order[i]
+            elif kind != "col_add":
+                row_steps.append(step)
+        b = _replay(rows, row_steps)
+        pivots, rest = order[:k], order[k:]
+        residual = [[row[j] for j in rest] for row in b[k:]]
+        rank = [k] * n  # t for the pivot column order[t], k for the others
+        for t, c in enumerate(pivots):
+            rank[c] = t
+        # a row past k has as many more zeros than its part of R as there are
+        # pivot columns
+        if any(
+            row[c] != 1 or min(compress(rank, row)) < t for t, (row, c) in enumerate(zip(b, pivots))
+        ) or any(row.count(0) - part.count(0) != k for row, part in zip(b[k:], residual)):
+            raise RuntimeError("internal error: replayed unit steps do not give [[T, X], [0, R]]")
     modulus = abs(_bareiss([row[:] for row in residual])) if modular and m == n else 0
-    block = [row[:] for row in residual]
+    block = [row[:] for row in residual] if modular and not modulus else residual
     steps: list[_Step] = []
     _reduce(block, steps, modulus)
     g = tuple(block[i][i] for i in range(min(m, n) - k))

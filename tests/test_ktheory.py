@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -341,6 +342,14 @@ def _corrupting(phase, corrupt: str):
     return corrupted
 
 
+def _k0_answers(matrices, graphs) -> list:
+    """The Smith diagonal and coordinate rows of each matrix, and the K0
+    data of each graph."""
+    return [smith_coordinates(matrix.to_lists()) for matrix in matrices] + [
+        k0_of_graph(graph) for graph in graphs
+    ]
+
+
 def _raises(match: str, matrices, graphs) -> None:
     for matrix in matrices:
         with pytest.raises(RuntimeError, match=match):
@@ -352,8 +361,9 @@ def _raises(match: str, matrices, graphs) -> None:
 
 class TestK0Certificate:
     """The K0 path derives only the coordinate rows from the elimination log,
-    without building U or V.  The unit steps are replayed exactly.  Over the
-    integers the gcd steps are replayed too, and each row must kill A.
+    without building U or V.  The unit phase's row steps are replayed
+    exactly and must give a triangular form.  Over the integers the gcd
+    steps are replayed too, and each row must kill A.
     Modulo D = |det| the answer itself is certified: each row kills A, the
     rows map onto the sum of the Z/d_i, and the d_i multiply to D and
     divide in turn."""
@@ -420,15 +430,38 @@ class TestK0Certificate:
         assert modular >= 30 and integer >= 30 and sinks >= 20
 
     @pytest.mark.parametrize(
-        "corrupt", ["row_add", "row_swap", "row_neg", "col_add", "col_swap", "col_add-dropped"]
+        "corrupt",
+        ["row_add", "row_swap", "row_neg", "col_add", "col_swap", "col_add-dropped",
+         "row_add-last-dropped"],
     )
     def test_corrupted_log_raises(self, monkeypatch, corrupt):
         # the unit phase on both routes, then the gcd phase over the integers
+        matrices, graphs = [_MODULAR_MATRIX, _INTEGER_MATRIX], [_MODULAR_GRAPH, _INTEGER_GRAPH]
+        answers = _k0_answers(matrices, graphs)
         monkeypatch.setattr(intmat, "_clear_units", _corrupting(intmat._clear_units, corrupt))
-        _raises("replayed", [_MODULAR_MATRIX, _INTEGER_MATRIX], [_MODULAR_GRAPH, _INTEGER_GRAPH])
+        if corrupt.startswith("col_add"):
+            # K0 replays only the unit phase's row steps, so its answers
+            # stand; the dense U*A*V == D check of snf reads the column steps
+            for matrix in matrices + [_presentation(graph) for graph in graphs]:
+                with pytest.raises(RuntimeError, match="transform identity"):
+                    smith_normal_form(matrix)
+            assert _k0_answers(matrices, graphs) == answers
+        else:
+            _raises("replayed", matrices, graphs)
         monkeypatch.undo()
         monkeypatch.setattr(intmat, "_reduce", _corrupting(intmat._reduce, corrupt))
         _raises("replayed", [_INTEGER_MATRIX], [_INTEGER_GRAPH])
+
+    def test_unit_pivots_must_be_triangular(self, monkeypatch):
+        # a unit phase that takes both rows of [[1, 1], [1, 1]] as pivots
+        # with no step: each row holds 1 at its pivot, but row 1 also holds
+        # pivot 0's column, so T is not triangular; taken as it stands, it
+        # would give the trivial group instead of Z
+        monkeypatch.setattr(intmat, "_clear_units", lambda a: ([], len(a)))
+        matrix = IntMatrix([[1, 1], [1, 1]])
+        _raises("replayed", [matrix], [])
+        with pytest.raises(RuntimeError, match="replayed"):
+            smith_normal_form(matrix)
 
     @pytest.mark.parametrize(
         "corrupt",
@@ -702,3 +735,54 @@ class TestUnitPhase:
             ours = smith_normal_form(IntMatrix(rows)).diagonal
             theirs = sympy_snf(sympy.Matrix(rows), domain=sympy.ZZ)
             assert sorted(abs(int(theirs[i, i])) for i in range(len(ours))) == sorted(ours)
+
+
+def _complete_graph(r: int, p: int, b: int) -> DirectedGraph:
+    """The complete graph on r vertices with p edges between distinct
+    vertices and p * b + 1 loops (the benchmark catalog's Kr_p_b)."""
+    names = [f"u{i}" for i in range(r)]
+    return build_graph(names, [(s, t, p * b + 1 if s == t else p) for s in names for t in names])
+
+
+def _digest(values) -> str:
+    return hashlib.sha256(repr(values).encode()).hexdigest()
+
+
+class TestGoldenOutputs:
+    """The K0 data and the Smith transforms of fixed inputs, pinned by a
+    sha256 of their reprs.  A change to the elimination that is meant to
+    leave every output byte-identical must keep both digests."""
+
+    def test_k0_of_graph(self):
+        graphs = [scc_graph(n, seed) for n in (24, 48, 72, 96) for seed in range(4)]
+        graphs += [m_graph(rose(p), c) for p in (2, 3, 5, 8) for c in (1, 2, 3, 4)]
+        graphs += [_complete_graph(*rpb) for rpb in
+                   [(2, 2, 7), (2, 4, 5), (2, 6, 4), (3, 2, 3), (3, 3, 3), (4, 2, 2), (5, 2, 2)]]
+        graphs += [
+            build_graph(["w0", "w1", "w2"],  # the catalog's free_a, with a free summand
+                        [("w0", "w1", 6), ("w0", "w2", 1), ("w1", "w2", 2), ("w1", "w0", 4),
+                         ("w1", "w1", 1), ("w2", "w0", 4), ("w2", "w2", 3)]),
+            infinite_order_graph(),
+            _MODULAR_GRAPH,
+            _INTEGER_GRAPH,
+        ]
+        outputs = []
+        for graph in graphs:
+            k0 = k0_of_graph(graph)
+            outputs.append((k0.group, k0.unit, k0.unit_order, k0.coordinate_map))
+        assert _digest(outputs) == _K0_DIGEST
+
+    def test_smith_normal_form(self):
+        rng = random.Random(2009)
+        outputs = []
+        for _ in range(50):
+            rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+            snf = smith_normal_form(
+                IntMatrix([[rng.randint(-5, 5) for _ in range(cols)] for _ in range(rows)])
+            )
+            outputs.append((snf.U, snf.V, snf.diagonal))
+        assert _digest(outputs) == _SNF_DIGEST
+
+
+_K0_DIGEST = "c8ca5a4c09469f704740182fca89d7b7c0e86fb7919db3442f63857015fd694e"
+_SNF_DIGEST = "cf534ec0c0e391bb101652a98abe28c1de6054479ac2d890852e3d18414b526c"
