@@ -4,15 +4,29 @@ Everything here works over Python's arbitrary-precision integers.  Smith
 normal form intermediates routinely outgrow machine words, so there is no
 fixed-width fast path anywhere.
 
-``_smith_log`` runs the one Smith elimination, a sparse unit phase
-(``_clear_units``) and a dense gcd phase (``_reduce``), and returns its
-log of steps.  The unit phase's row steps alone must bring A to a unit
-upper-triangular block over R, so |det A| = |det R|.  Each answer is
-certified: ``smith_normal_form`` builds U and V from the log and checks
-U * A * V == D; ``smith_coordinates``, the cokernel path of ``ktheory``,
-builds neither, and modulo D = |det A| it checks its answer, not its
-steps: the coordinate rows kill A and map onto the sum of the Z/d_i, and
-the d_i divide in turn and multiply to D.
+Every Smith computation starts with a sparse unit phase (``_clear_units``,
+certified by ``_unit_phase``), whose row steps alone must bring A to a
+unit upper-triangular block over a residual block R, so coker A = coker R
+and |det A| = |det R|.  ``_smith_log`` then runs the dense gcd phase
+(``_reduce``) on R over Z and returns the log of steps;
+``smith_normal_form`` builds U and V from it and checks U * A * V == D.
+
+``smith_coordinates``, the cokernel path of ``ktheory``, builds neither.
+On a square A with D = |det A| > 0 it makes one fraction-free solve
+(``_solve``): Bareiss on the rows of [R^T | 1] gives D and, by
+back-substitution, an integer z with R^T z = +-det(R) * 1.  With
+t = gcd(D, content z) and s = D / t, the row c = z / t kills R modulo s,
+and its content is prime to s, so c maps coker R onto Z/s.  When t = 1,
+coker R is Z/D with coordinate row c.  Otherwise (``_local_factors``)
+D_t, the part of D on the primes of t (``_prime_part``, gcds only), is
+split off: the gcd phase modulo D_t gives the invariant factors f_i of
+the D_t-part of coker R and their rows, the part of s prime to f_r is
+cyclic with row c, and CRT joins it to the largest f_r.  The rows are
+then pulled back through the unit phase's row steps.  Each answer is
+checked, not its steps: the coordinate rows kill A and map onto the sum
+of the Z/d_i, and the d_i divide in turn and multiply to D, which
+Bareiss computed.  Singular and non-square presentations take the gcd
+phase over Z instead, whose steps are replayed.
 
 ``Record`` is the package's immutable record base, which the frozen
 records of every module (``SmithDecomposition`` here, the groups, graphs,
@@ -24,7 +38,7 @@ from __future__ import annotations
 from heapq import heapify, heappop, heappush
 from itertools import compress
 from math import gcd, prod
-from operator import attrgetter
+from operator import attrgetter, mul
 from typing import Iterable, Sequence
 
 
@@ -147,8 +161,11 @@ class SmithDecomposition(Record):
 
 
 def _bareiss(a: list[list[int]]) -> int:
-    """Determinant of a square list of rows (changed in place) by
-    fraction-free (Bareiss) elimination; 1 for no rows."""
+    """Determinant of the leading square block of a list of rows (changed
+    in place) by fraction-free (Bareiss) elimination; 1 for no rows.  Rows
+    longer than their number carry their extra columns through every step,
+    and rows may be swapped: a nonsingular block ends upper triangular,
+    with the determinant up to sign as its last pivot."""
     n = len(a)
     sign = 1
     prev = 1
@@ -210,7 +227,7 @@ def _diagonal_rows(m: int, n: int, diagonal: Sequence[int]) -> list[list[int]]:
 
 # (kind, i, j, q): "row_add"/"col_add" add q * row/col i to row/col j,
 # "row_swap"/"col_swap" swap i and j, "row_neg" negates row i (j == i);
-# "row_mix", logged only modulo D, carries q = (s, t, u, v) with
+# "row_mix", logged only modulo a modulus, carries q = (s, t, u, v) with
 # s*v - t*u == 1 and sets row i to s*i + t*j and row j to u*i + v*j
 _Step = tuple[str, int, int, int | tuple[int, int, int, int]]
 
@@ -324,8 +341,10 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 def _reduce(a: list[list[int]], log: list[_Step], modulus: int = 0) -> None:
     """The gcd phase: diagonalise a (changed in place) over Z when modulus
-    is 0 and modulo modulus otherwise, appending its steps to log; modulo
-    D only the row steps, the coordinate rows' source.
+    is 0 and modulo M = modulus otherwise, appending its steps to log;
+    modulo M only the row steps, the coordinate rows' source.  For M
+    dividing the order of coker a, the d_i = gcd(g_i, M) of the diagonal g
+    it reaches are the invariant factors of coker a / M coker a.
 
     At step k it pivots on the entry of column k, from row k on, with the
     least gcd(x, modulus): over Z, since gcd(x, 0) == |x|, the least
@@ -334,24 +353,24 @@ def _reduce(a: list[list[int]], log: list[_Step], modulus: int = 0) -> None:
     and one addition clears it.  The rings differ only in the other
     entries.  Over Z a division step leaves a remainder below c, which
     becomes the next pivot: one left in column k by the next pass's pivot
-    rule, one left in row k by a column swap.  Modulo D a unimodular 2x2
+    rule, one left in row k by a column swap.  Modulo M a unimodular 2x2
     extended-gcd step (a row_mix, or one on columns) makes gcd(pivot, x)
-    the pivot, and entries are reduced modulo D where a decision reads them
+    the pivot, and entries are reduced modulo M where a decision reads them
     (column k and the pivot row, and both rows of a mix), so every
-    multiplier and coefficient stays below D; a row addition leaves its
-    target unreduced, below r * D**2, which saves a division per entry.  In
+    multiplier and coefficient stays below M; a row addition leaves its
+    target unreduced, below r * M**2, which saves a division per entry.  In
     both rings, once the pivot's row and column are clear, a row holding an
     entry that c does not divide is added to row k and the passes repeat,
     so each diagonal entry divides the next; a negative diagonal entry is
     negated at the end.
 
-    A pivot search stops at the first gcd of 1.  Modulo D a step whose
+    A pivot search stops at the first gcd of 1.  Modulo M a step whose
     pivot is a unit (c == 1) ends after its row pass: the column pass would
     only clear the rest of row k and log nothing, and nothing reads row k
     again but its diagonal entry.
     """
     m, n = len(a), (len(a[0]) if a else 0)
-    col_log = [] if modulus else log  # modulo D nothing reads the column steps
+    col_log = [] if modulus else log  # modulo M nothing reads the column steps
 
     def settle(p: int) -> tuple[int, int]:
         # c = gcd(p, modulus) and the inverse of p / c modulo modulus / c
@@ -360,6 +379,9 @@ def _reduce(a: list[list[int]], log: list[_Step], modulus: int = 0) -> None:
         return c, pow(p // c, -1, modulus // c) if modulus else p // c
 
     for k in range(min(m, n)):
+        if modulus and k == m - 1 == n - 1:
+            a[k][k] %= modulus  # a last 1 x 1 block holds nothing to clear
+            break
         while True:
             if modulus:
                 for row in a[k:]:
@@ -499,42 +521,41 @@ def _replay(rows: Iterable[Sequence[int]], steps: Iterable[_Step]) -> list[list[
             b[i], b[j] = b[j], b[i]
         elif kind == "row_neg":
             b[i] = [-x for x in b[i]]
-        else:  # col_swap: mixes occur only modulo D, where nothing is replayed
+        else:  # col_swap: mixes occur only modulo a modulus, where nothing is replayed
             for row in b:
                 row[i], row[j] = row[j], row[i]
     return b
 
 
-def _coordinate_rows(m: int, log: list[_Step], wanted: list[tuple[int, int]]) -> list[list[int]]:
-    """Row i of U = R_t ... R_1 for each (i, d) in wanted, reduced modulo its
-    own d (exact when d == 0), all in one reverse pass over the row steps:
-    e_i^T times the steps in reverse order, row j += q * row i acting as
-    x[i] += q * x[j], and a row mix (s, t, u, v) of rows i and j as
-    (x[i], x[j]) = (s*x[i] + u*x[j], t*x[i] + v*x[j])."""
-    rows = [([int(r == i) for r in range(m)], d) for i, d in wanted]
+def _coordinate_rows(log: list[_Step], wanted: list[tuple[list[int], int]]) -> list[list[int]]:
+    """x^T R_t ... R_1 for each (x, d) in wanted, where R_1, ..., R_t are
+    the row steps of log: each x (changed in place) is reduced modulo its
+    own d (exact when d == 0), all in one reverse pass over the steps, row
+    j += q * row i acting as x[i] += q * x[j], and a row mix (s, t, u, v)
+    of rows i and j as (x[i], x[j]) = (s*x[i] + u*x[j], t*x[i] + v*x[j]).
+    From x = e_i this is row i of U = R_t ... R_1."""
     for kind, i, j, q in reversed(log):
         if kind == "row_add":
-            for x, d in rows:
+            for x, d in wanted:
                 if x[j]:
                     x[i] = (x[i] + q * x[j]) % d if d else x[i] + q * x[j]
         elif kind == "row_swap":
-            for x, _ in rows:
+            for x, _ in wanted:
                 x[i], x[j] = x[j], x[i]
         elif kind == "row_neg":
-            for x, d in rows:
+            for x, d in wanted:
                 x[i] = -x[i] % d if d else -x[i]
         elif kind == "row_mix":
             s, t, u, v = q
-            for x, d in rows:  # d != 0: mixes come from the gcd phase modulo D
+            for x, d in wanted:  # d != 0: mixes come from a gcd phase modulo d's multiple
                 x[i], x[j] = (s * x[i] + u * x[j]) % d, (t * x[i] + v * x[j]) % d
-    return [x for x, _ in rows]
+    return [x for x, _ in wanted]
 
 
-def _smith_log(
-    rows: Sequence[Sequence[int]], modular: bool
-) -> tuple[list[_Step], tuple[int, ...]]:
-    """The Smith elimination of A (plain integer rows, read and not
-    changed): its log of steps and its diagonal.
+def _unit_phase(rows: Sequence[Sequence[int]]) -> tuple[list[_Step], int, list[list[int]]]:
+    """The unit phase of A (plain integer rows, read and not changed) and
+    its certificate: its log, its number k of pivots, and the residual
+    block R that the log leaves, as fresh lists.
 
     The unit phase (_clear_units) picks its steps, and its row steps are
     replayed exactly on a fresh copy of A; its column steps only clear the
@@ -544,58 +565,57 @@ def _smith_log(
     column.  Taking the columns in that order, it is then [[T, X], [0, R]]
     with T unit upper triangular, and R, its rows past k, is the block that
     the whole log leaves.  Column steps [[T^-1, -T^-1 X], [0, I]] turn it
-    into diag(I, R), so coker A is coker R and |det A| = |det R|.
-
-    The gcd phase (_reduce) then reduces a copy of R over the integers, or
-    modulo D = |det R| (Bareiss on R alone) when modular is set, A is square
-    and D > 0.  As D * Z^r lies in im(R), the invariant factors are then the
-    d_i = gcd(g_i, D) of the diagonal g it reaches; they must multiply to D
-    and divide in turn, no gcd step is replayed, and smith_coordinates
-    certifies the rest of its answer.  Over the integers the log's row steps
-    applied to I give U, and its column steps V, with U * A * V the
-    diagonal: smith_normal_form checks that product, and smith_coordinates
-    replays the gcd steps on R, which must give diag(g).  The diagonal is k
-    ones, then g or the d_i.
+    into diag(I, R), so coker A is coker R and |det A| = |det R|.  A row
+    vector (0, c) on the replay's rows that kills R modulo d, pulled back
+    through the row steps, kills A modulo d.
     """
     log, k = _clear_units(rows)
-    m, n = len(rows), len(rows[0])
     if not k:  # no unit: R is A
-        residual = [list(row) for row in rows]
-    else:
-        order, row_steps = list(range(n)), []
-        for step in log:
-            kind, i, j, _ = step
-            if kind == "col_swap":
-                order[i], order[j] = order[j], order[i]
-            elif kind != "col_add":
-                row_steps.append(step)
-        b = _replay(rows, row_steps)
-        pivots, rest = order[:k], order[k:]
-        residual = [[row[j] for j in rest] for row in b[k:]]
-        rank = [k] * n  # t for the pivot column order[t], k for the others
-        for t, c in enumerate(pivots):
-            rank[c] = t
-        # a row past k has as many more zeros than its part of R as there are
-        # pivot columns
-        if any(
-            row[c] != 1 or min(compress(rank, row)) < t for t, (row, c) in enumerate(zip(b, pivots))
-        ) or any(row.count(0) - part.count(0) != k for row, part in zip(b[k:], residual)):
-            raise RuntimeError("internal error: replayed unit steps do not give [[T, X], [0, R]]")
-    modulus = abs(_bareiss([row[:] for row in residual])) if modular and m == n else 0
-    block = [row[:] for row in residual] if modular and not modulus else residual
+        return log, 0, [list(row) for row in rows]
+    n = len(rows[0])
+    order, row_steps = list(range(n)), []
+    for step in log:
+        kind, i, j, _ = step
+        if kind == "col_swap":
+            order[i], order[j] = order[j], order[i]
+        elif kind != "col_add":
+            row_steps.append(step)
+    b = _replay(rows, row_steps)
+    pivots, rest = order[:k], order[k:]
+    residual = [[row[j] for j in rest] for row in b[k:]]
+    rank = [k] * n  # t for the pivot column order[t], k for the others
+    for t, c in enumerate(pivots):
+        rank[c] = t
+    # a row past k has as many more zeros than its part of R as there are
+    # pivot columns
+    if any(
+        row[c] != 1 or min(compress(rank, row)) < t for t, (row, c) in enumerate(zip(b, pivots))
+    ) or any(row.count(0) - part.count(0) != k for row, part in zip(b[k:], residual)):
+        raise RuntimeError("internal error: replayed unit steps do not give [[T, X], [0, R]]")
+    return log, k, residual
+
+
+def _integer_phase(
+    log: list[_Step], k: int, block: list[list[int]]
+) -> tuple[list[_Step], tuple[int, ...]]:
+    """The gcd phase over Z on the residual block (changed in place): its
+    steps, which are also appended to log at A's indices, and the Smith
+    diagonal of A, k ones and then the block's diagonal."""
     steps: list[_Step] = []
-    _reduce(block, steps, modulus)
-    g = tuple(block[i][i] for i in range(min(m, n) - k))
-    if modulus:
-        g = tuple(gcd(x, modulus) for x in g)
-        if prod(g) != modulus:
-            raise RuntimeError("internal error: the invariant factors do not multiply to |det|")
-        if any(y % x for x, y in zip(g, g[1:])):
-            raise RuntimeError("internal error: the invariant factors do not divide in turn")
-    elif modular and _replay(residual, steps) != _diagonal_rows(m - k, n - k, g):
-        raise RuntimeError("internal error: replayed gcd steps do not give diag(g)")
+    _reduce(block, steps)
     log += [(kind, i + k, j + k, q) for kind, i, j, q in steps]
-    return log, (1,) * k + g
+    size = min(len(block), len(block[0])) if block else 0
+    return steps, (1,) * k + tuple(block[i][i] for i in range(size))
+
+
+def _smith_log(rows: Sequence[Sequence[int]]) -> tuple[list[_Step], tuple[int, ...]]:
+    """The Smith elimination of A over Z (plain integer rows, read and not
+    changed): the unit phase, then the gcd phase on R.  Returns the log of
+    steps and the diagonal; the log's row steps applied to I give U, and
+    its column steps V, with U * A * V the diagonal, which
+    smith_normal_form checks."""
+    log, k, residual = _unit_phase(rows)
+    return log, _integer_phase(log, k, residual)[1]
 
 
 def smith_normal_form(matrix: IntMatrix) -> SmithDecomposition:
@@ -608,7 +628,7 @@ def smith_normal_form(matrix: IntMatrix) -> SmithDecomposition:
     (1, 6)
     """
     m, n = matrix.rows, matrix.cols
-    log, diagonal = _smith_log(list(matrix), modular=False)
+    log, diagonal = _smith_log(list(matrix))
     # U is the row steps applied to I, V the column steps
     u = _replay(_identity_rows(m), (step for step in log if step[0].startswith("row")))
     v = _replay(_identity_rows(n), (step for step in log if step[0].startswith("col")))
@@ -616,6 +636,86 @@ def smith_normal_form(matrix: IntMatrix) -> SmithDecomposition:
     if (U @ matrix) @ V != D:
         raise RuntimeError("internal error: transform identity U*A*V == D failed")
     return SmithDecomposition(U=U, D=D, V=V, diagonal=diagonal)
+
+
+def _solve(residual: list[list[int]]) -> tuple[int, list[int]]:
+    """D = |det R| and, when D > 0, an integer z with R^T z = delta * 1 for
+    delta = +-det R, from one fraction-free solve.
+
+    Bareiss runs on the rows of [R^T | 1] and carries the right-hand side
+    along; delta is its last pivot.  Back-substitution then gives
+    z = delta * R^-T 1, which Cramer's rule makes integral, so every
+    division is exact.  Returns (0, []) for a singular R and (1, []) for
+    an empty one.
+    """
+    a = [[*column, 1] for column in zip(*residual)]
+    D = abs(_bareiss(a))
+    n = len(a)
+    if not D or not n:
+        return D, []
+    delta = a[-1][-2]
+    z = [0] * n
+    for k in range(n - 1, -1, -1):
+        row = a[k]
+        z[k] = (delta * row[n] - sum(map(mul, row[k + 1 : n], z[k + 1 :]))) // row[k]
+    return D, z
+
+
+def _prime_part(n: int, t: int) -> int:
+    """The largest divisor of n > 0 whose primes all divide t > 0, by
+    repeated gcds and no factoring: g holds the primes of t that still
+    divide the rest of n, and the loop ends when none does."""
+    rest, g = n, gcd(n, t)
+    while g > 1:
+        rest //= g
+        g = gcd(rest, g)
+    return n // rest
+
+
+def _local_factors(
+    residual: list[list[int]], D: int, z: list[int]
+) -> tuple[tuple[int, ...], list[list[int]]]:
+    """The invariant factors of coker R, with D = |det R| > 1 and z from
+    _solve, and a coordinate row for each factor other than 1, in R's row
+    indices and reduced modulo its factor; R may be changed in place.
+
+    With t = gcd(D, content z) and s = D / t, the row c = z / t kills R
+    modulo s, as c R = +-s * 1, and maps onto Z/s: at a prime p of s,
+    v_p(t) = v_p(content z) < v_p(D), so p does not divide content c.  So
+    Z/s is a cyclic quotient of coker R, and s divides the largest
+    invariant factor.  When t = 1 that makes coker R cyclic of order D,
+    with coordinate row c.
+
+    Otherwise let D_t be the part of D on the primes of t.  The gcd phase
+    modulo D_t gives f_i = gcd(g_i, D_t), the invariant factors of the
+    D_t-part of coker R, and the rows of its log.  At every other prime p
+    the p-part of coker R is that of Z/s, so it is cyclic, of order
+    e = s / (the part of s on the primes of f_r), with row c modulo e.  As
+    e and f_r are coprime, the invariant factors are f_1, ..., f_(r-1),
+    f_r * e, and by CRT the last row is the one that is f_r's row modulo
+    f_r and c modulo e.  Nothing here is trusted: smith_coordinates checks
+    that the factors multiply to D and divide in turn and that the rows
+    kill A and map onto the group.
+    """
+    r = len(residual)
+    t = gcd(D, *z)
+    if t == 1:
+        return (1,) * (r - 1) + (D,), [[x % D for x in z]]
+    modulus = _prime_part(D, t)
+    steps: list[_Step] = []
+    _reduce(residual, steps, modulus)
+    f = [gcd(residual[i][i], modulus) for i in range(r)]
+    # the last row is always wanted: CRT gives it the cyclic part
+    wanted = [([int(j == i) for j in range(r)], d) for i, d in enumerate(f) if d != 1 or i == r - 1]
+    rows = _coordinate_rows(steps, wanted)
+    s, last = D // t, f[-1]
+    e = s // _prime_part(s, last)
+    if e > 1:
+        d = f[-1] = last * e
+        # alpha is 1 modulo last and 0 modulo e, beta the other way round
+        alpha, beta = e * pow(e, -1, last), last * pow(last, -1, e)
+        rows[-1] = [(alpha * u + beta * (x // t)) % d for u, x in zip(rows[-1], z)]
+    return tuple(f), rows
 
 
 def _onto(rows: Sequence[Sequence[int]], factors: Sequence[int]) -> bool:
@@ -631,6 +731,8 @@ def _onto(rows: Sequence[Sequence[int]], factors: Sequence[int]) -> bool:
     column keeps the span.  With one factor d this is gcd(d, row) == 1.
     """
     k = len(factors)
+    if k == 1:
+        return gcd(factors[0], *rows[0]) == 1
     columns = [[x % d for x, d in zip(col, factors)] for col in zip(*rows)]
     for r, d in enumerate(factors):
         if gcd(d, *(col[r] for col in columns)) != 1:
@@ -648,25 +750,53 @@ def smith_coordinates(
     rows: Sequence[Sequence[int]],
 ) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
     """The Smith diagonal of A (plain integer rows, not validated) and the
-    rows i of U with d_i != 1 (d_i = 0 past the diagonal), the coordinates
-    of Z^m / im(A): torsion rows reduced modulo d_i, free rows exact.
+    coordinates of Z^m / im(A): one row for each d_i != 1 (d_i = 0 past
+    the diagonal), torsion rows reduced modulo d_i, free rows exact.
 
-    U and V are never built: the rows come from the row steps of
-    _smith_log, modulo |det A| where it can be, in one reverse pass.  Each
-    row c_i must kill A, c_i * A == 0 modulo d_i (exactly when free), summed
-    over the nonzeros of A's rows, and for a finite group the rows must map
-    Z^m onto the sum of the Z/d_i (_onto).  Modulo D, with the d_i
-    multiplying to D = |det A|, that certifies the answer: kill gives a
-    homomorphism from coker A, onto makes it surjective, and a surjection
-    between finite groups of the same order is an isomorphism.
+    U and V are never built.  After the unit phase, a square A with
+    D = |det A| > 0 takes one fraction-free solve (_solve) and, when the
+    solve's row c does not reach all of D, the gcd phase modulo the part
+    D_t of D on the primes of t = gcd(D, content z) alone (_local_factors).
+    The rows found in R's coordinates, padded with k zeros, are pulled back
+    through the unit phase's row steps in one reverse pass.  Any other A
+    takes the gcd phase over Z, whose steps are replayed on R and must give
+    its diagonal, and the rows are those of U.
+
+    Each row c_i must kill A, c_i * A == 0 modulo d_i (exactly when free),
+    summed over the nonzeros of A's rows, and for a finite group the rows
+    must map Z^m onto the sum of the Z/d_i (_onto).  For D > 0 the d_i must
+    also multiply to D and divide in turn.  That certifies the answer
+    however it was found: kill gives a homomorphism from coker A, onto
+    makes it surjective, and a surjection between finite groups of the same
+    order, |coker A| = D, is an isomorphism.
     """
-    log, diagonal = _smith_log(rows, modular=True)
-    m = len(rows)
-    wanted = [(i, d) for i, d in enumerate(diagonal + (0,) * (m - len(diagonal))) if d != 1]
-    coordinate_rows = tuple(map(tuple, _coordinate_rows(m, log, wanted)))
-    columns = range(len(rows[0]))
+    m, n = len(rows), len(rows[0])
+    log, k, residual = _unit_phase(rows)
+    D, z = _solve(residual) if m == n else (0, [])
+    if D:
+        factors, starts = _local_factors(residual, D, z) if D > 1 else ((1,) * (m - k), [])
+        if prod(factors) != D:
+            raise RuntimeError("internal error: the invariant factors do not multiply to |det|")
+        if any(y % x for x, y in zip(factors, factors[1:])):
+            raise RuntimeError("internal error: the invariant factors do not divide in turn")
+        diagonal = (1,) * k + factors
+        if k:
+            starts = [[0] * k + row for row in starts]
+        wanted = list(zip(starts, [d for d in factors if d != 1]))
+    else:
+        block = [row[:] for row in residual]
+        steps, diagonal = _integer_phase(log, k, block)
+        if _replay(residual, steps) != _diagonal_rows(m - k, n - k, diagonal[k:]):
+            raise RuntimeError("internal error: replayed gcd steps do not give diag(g)")
+        wanted = [
+            ([int(r == i) for r in range(m)], d)
+            for i, d in enumerate(diagonal + (0,) * (m - len(diagonal)))
+            if d != 1
+        ]
+    coordinate_rows = tuple(map(tuple, _coordinate_rows(log, wanted)))
+    columns = range(n)
     for (_, d), row in zip(wanted, coordinate_rows):
-        image = [0] * len(columns)
+        image = [0] * n
         for y, a_row in zip(row, rows):
             if y:
                 for j in compress(columns, a_row):

@@ -22,15 +22,22 @@ when the chain closes into a cycle of links, one vertex of that cycle,
 whose own relation becomes 0 and leaves the free summand Z of that cycle.
 The presentation keeps only the representatives, and a vertex's coordinate
 is its representative's.
+
+When K0 is finite and cyclic, Z/d, its coordinate row is scaled by a unit
+modulo d that carries the unit class to gcd(u, d), where u is its
+coordinate (_cyclic_normal_form).  Two graphs then have the same unit
+exactly when (K0, [1]) are isomorphic, whatever basis the elimination
+chose.  Other groups keep the elimination's basis.
 """
 
 from __future__ import annotations
 
+from math import gcd
 from typing import Callable, Sequence
 
 from .abelian import FGAbelianGroup, GroupElement, OrderValue, element_order
 from .graphs import DirectedGraph
-from .intmat import IntMatrix, Record, smith_coordinates
+from .intmat import IntMatrix, Record, _prime_part, smith_coordinates
 
 
 class K0Data(Record):
@@ -40,10 +47,12 @@ class K0Data(Record):
     group: FGAbelianGroup
     unit: GroupElement
     unit_order: OrderValue
-    # rows of the Smith left transform U, one per cyclic summand, torsion rows
-    # first and reduced modulo d_i, free rows exact (intmat.smith_coordinates);
-    # for a graph, of its presentation with links substituted away, and with
-    # each vertex's entry taken from its representative
+    # one row per cyclic summand, torsion rows first and reduced modulo d_i,
+    # free rows exact: a row kills the presentation (modulo d_i) and the rows
+    # map onto the group (intmat.smith_coordinates); for a graph, of its
+    # presentation with links substituted away, with each vertex's entry
+    # taken from its representative, and for K0 = Z/d scaled so that the
+    # unit is gcd(u, d) (_cyclic_normal_form)
     coordinate_map: tuple[tuple[int, ...], ...]
     generators: int  # length of the vectors that coordinate accepts
 
@@ -103,6 +112,25 @@ def cokernel(matrix: IntMatrix) -> tuple[FGAbelianGroup, Callable[[Sequence[int]
     return group, data.coordinate
 
 
+def _cyclic_normal_form(d: int, row: tuple[int, ...]) -> tuple[tuple[int, ...]]:
+    """The coordinate row of K0 = Z/d, scaled by the unit lam modulo d that
+    carries the unit's coordinate u to gcd(u, d), so that the unit no
+    longer depends on the basis the elimination chose.
+
+    With g = gcd(u, d), lam is (u/g)^-1 modulo d/g and 1 modulo the part of
+    d prime to d/g (_prime_part), joined by CRT without a search.  A prime
+    of d divides d/g, where lam is invertible, or only the other part,
+    where lam is 1, so lam is a unit modulo d, and lam * u = g modulo d.
+    """
+    u = sum(row) % d
+    g = gcd(u, d)
+    m = d // g
+    other = d // _prime_part(d, m)
+    lam = pow(u // g, -1, m)
+    lam += m * ((1 - lam) * pow(m, -1, other) % other)
+    return (tuple(lam * x % d for x in row),)
+
+
 def _representatives(link: Sequence[int]) -> list[int]:
     """The representative of each vertex index, given what each emits: the
     target of its one link record, or a negative number for a vertex that
@@ -140,7 +168,8 @@ def k0_of_graph(graph: DirectedGraph) -> K0Data:
     multiplicity k from a kept u puts -k in the row of x's representative;
     a graph without links gets I - A^T itself.  The rows come from the edge
     list, which DirectedGraph has validated, and each vertex's coordinate
-    column is its representative's.
+    column is its representative's.  A finite cyclic K0 = Z/d gets the unit
+    gcd(u, d) (_cyclic_normal_form).
 
     >>> from leavitt.graphs import rose
     >>> k0 = k0_of_graph(rose(3))
@@ -167,5 +196,7 @@ def k0_of_graph(graph: DirectedGraph) -> K0Data:
     group, coordinate_map = _presented_group(rows)
     column = list(map(row.__getitem__, rep))
     coordinate_map = tuple(tuple(map(c.__getitem__, column)) for c in coordinate_map)
+    if not group.free_rank and len(group.invariant_factors) == 1:
+        coordinate_map = _cyclic_normal_form(group.invariant_factors[0], coordinate_map[0])
     unit = _class_of(group, coordinate_map, [1] * n)
     return K0Data(group, unit, element_order(group, unit), coordinate_map, n)

@@ -1,5 +1,6 @@
 import json
 import random
+from math import gcd
 
 import pytest
 
@@ -31,6 +32,32 @@ def mat_vec(matrix: IntMatrix, vector) -> tuple[int, ...]:
     """Matrix-vector product over the integers."""
     assert len(vector) == matrix.cols
     return tuple(sum(a * b for a, b in zip(row, vector)) for row in matrix)
+
+
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, s, t) with s*a + t*b == g, where |g| == gcd(a, b)."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    return a, s0, t0
+
+
+def unit_scalar(source, target, d: int):
+    """The unit mu modulo d with target == mu * source modulo d, entry by
+    entry, or None if there is none; source must map onto Z/d.  Euclid over
+    the entries finds a with a . source == g, g prime to d, and mu is then
+    (a . target) / g."""
+    g = image = 0
+    for x, y in zip(source, target):
+        g, p, q = _xgcd(g, x)
+        image = p * image + q * y
+    mu = image * pow(g, -1, d) % d
+    if gcd(mu, d) == 1 and all((y - mu * x) % d == 0 for x, y in zip(source, target)):
+        return mu
+    return None
 
 
 def infinite_order_graph() -> DirectedGraph:

@@ -180,8 +180,8 @@ class TestSmithNormalForm:
         # break the dense U @ A @ V == D check
         smith_log = intmat._smith_log
 
-        def corrupted(rows, modular):
-            log, diagonal = smith_log(rows, modular)
+        def corrupted(rows):
+            log, diagonal = smith_log(rows)
             first = next(i for i, step in enumerate(log) if step[0] == kind)
             _, src, dst, q = log[first]
             log[first] = (kind, src, dst, q + 1)
@@ -195,7 +195,7 @@ class TestSmithNormalForm:
     def test_entries_left_off_the_diagonal_raise(self, monkeypatch):
         # D is built from the diagonal, so an elimination that stops early
         # cannot pass its leftovers off as part of D
-        monkeypatch.setattr(intmat, "_smith_log", lambda rows, modular: ([], (1, 4)))
+        monkeypatch.setattr(intmat, "_smith_log", lambda rows: ([], (1, 4)))
         with pytest.raises(RuntimeError, match="transform identity"):
             smith_normal_form(IntMatrix([[1, 2], [3, 4]]))
 

@@ -1,5 +1,7 @@
 import hashlib
 import random
+from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 
@@ -10,7 +12,7 @@ from leavitt.intmat import IntMatrix, determinant, smith_coordinates, smith_norm
 from leavitt.ktheory import cokernel, k0_of_graph
 from leavitt.matrixtype import IsoReason, compare_pointed_k0, m_graph
 
-from conftest import infinite_order_graph, scc_graph
+from conftest import infinite_order_graph, scc_graph, unit_scalar
 
 
 class TestCokernel:
@@ -236,6 +238,10 @@ def _check_full_presentation(full: IntMatrix, k0) -> None:
     assert not onto or smith_normal_form(IntMatrix(onto)).diagonal == (1,) * len(onto)
 
 
+def _finite_cyclic(group: FGAbelianGroup) -> bool:
+    return not group.free_rank and len(group.invariant_factors) == 1
+
+
 def _random_graph(rng: random.Random) -> DirectedGraph:
     names = [f"v{i}" for i in range(rng.randint(1, 6))]
     edges = [
@@ -287,9 +293,10 @@ def _check_coordinates(rows, snf) -> tuple[tuple[int, ...], ...]:
 
 
 # inputs whose eliminations use every step kind of their phases: the first
-# pair takes the route modulo D (the unit phase, then the gcd phase modulo
-# D), the second the integer route (the unit phase, then the gcd phase over
-# Z, which here also logs a row_neg), by det == 0 and by a sink
+# pair takes the route modulo D, where the unit phase and the solve reach all
+# of D (t = 1: Z/6 and Z/30), the second the integer route (the unit phase,
+# then the gcd phase over Z, which here also logs a row_neg), by det == 0 and
+# by a sink; the third pair (after these) takes the local step modulo D_t
 _MODULAR_MATRIX = IntMatrix(
     [[0, -3, -2, 4, 2], [-3, -4, 4, 0, -2], [5, -2, 2, -5, -1], [2, -4, 5, -2, 0],
      [-2, 5, 0, 2, 2]]
@@ -308,6 +315,28 @@ _INTEGER_GRAPH = build_graph(
     list("abcde"),
     [("b", "b", 1), ("b", "c", 3), ("b", "d", 2), ("b", "e", 2), ("c", "c", 1), ("c", "e", 3),
      ("d", "c", 1), ("d", "e", 3), ("e", "a", 2), ("e", "c", 2), ("e", "d", 3)],
+)
+# the solve leaves t > 1, and the gcd phase modulo D_t logs row_add, row_swap
+# and row_mix: Z/2 + Z/2088 with D = 4176, t = 18 and D_t = 144 < D (a CRT
+# step joins Z/29 to the 2- and 3-parts), and Z/2 + Z/36 with D = D_t = 72
+_LOCAL_MATRIX = IntMatrix(
+    [[4, 5, -5, 1, -4], [3, -4, 5, 2, -5], [3, -2, -5, -5, -1], [2, -1, 1, -3, 4],
+     [-3, 3, 0, 3, 5]]
+)
+# the local step of a presentation with units: Z/35 with D = 35, t = 7 (the
+# solve misses the 7-part of the one factor) and D_t = 7, a CRT step joining
+# the Z/5 part
+_SPLIT_GRAPH = build_graph(
+    list("abcd"),
+    [("a", "a", 1), ("a", "b", 1), ("a", "c", 3), ("a", "d", 3), ("b", "a", 3), ("b", "b", 1),
+     ("b", "c", 1), ("b", "d", 3), ("c", "a", 3), ("c", "b", 1), ("c", "d", 1), ("d", "a", 2),
+     ("d", "b", 1), ("d", "c", 1), ("d", "d", 1)],
+)
+_LOCAL_GRAPH = build_graph(
+    list("abcde"),
+    [("a", "a", 3), ("a", "d", 3), ("b", "a", 3), ("b", "b", 1), ("b", "d", 2), ("b", "e", 3),
+     ("c", "c", 1), ("c", "d", 2), ("d", "a", 2), ("d", "b", 1), ("d", "c", 3), ("d", "e", 1),
+     ("e", "b", 3), ("e", "c", 3), ("e", "d", 2), ("e", "e", 2)],
 )
 
 
@@ -376,7 +405,7 @@ class TestK0Certificate:
         rng = random.Random(47)
         graphs = [infinite_order_graph(), rose(1), rose(2), rose(5)]
         graphs += [_random_graph(rng) for _ in range(300)]
-        singular = sinks = modular = contracted = 0
+        singular = sinks = modular = contracted = cyclic = 0
         for graph in graphs:
             if not graph.edges:
                 continue  # no relations at all: test_sinks_give_no_relation
@@ -390,7 +419,15 @@ class TestK0Certificate:
                 continue
             m = IntMatrix(relations)
             rows = _check_coordinates(m, smith_normal_form(m))
-            assert k0.coordinate_map == tuple(tuple(row[i] for i in column) for row in rows)
+            expected = tuple(tuple(row[i] for i in column) for row in rows)
+            if _finite_cyclic(k0.group):
+                # scaled by a unit modulo d, which puts the unit in normal form
+                (d,) = k0.group.invariant_factors
+                assert unit_scalar(expected[0], k0.coordinate_map[0], d) is not None
+                assert k0.unit.torsion == (gcd(sum(expected[0]), d) % d,)
+                cyclic += 1
+            else:
+                assert k0.coordinate_map == expected
             singular += m.rows == m.cols and determinant(m) == 0
             sinks += m.rows > m.cols
             modular += _modular_route(m.to_lists())
@@ -398,6 +435,7 @@ class TestK0Certificate:
         assert sinks >= 50  # so are the non-square presentations of graphs with sinks
         assert modular >= 50  # and the route modulo D
         assert contracted >= 20  # and graphs with links
+        assert cyclic >= 50  # and the normal form of a finite cyclic K0
 
     def test_matches_on_rectangular(self):
         rng = random.Random(53)
@@ -472,19 +510,22 @@ class TestK0Certificate:
          "row_mix-dropped", "row_add-last-dropped"],
     )
     def test_corrupted_modular_log_raises(self, monkeypatch, corrupt):
-        # modulo D the log holds only row steps, and the certificate checks
-        # the rows they give; dropping the first row_add changes no answer
-        # here, so the last one is dropped. The first four ids are the ones
-        # these cases had when the gcd steps modulo D were replayed, which
-        # refused them as 'replayed' or 'not unimodular'; each must now fail
-        # the kill check instead
+        # modulo D_t the log holds only row steps, and the certificate checks
+        # the rows they give; the last row_add is dropped as well as the
+        # first changed. The first four ids are the ones these cases had when
+        # the gcd steps modulo D were replayed, which refused them as
+        # 'replayed' or 'not unimodular'; each must now fail the kill check
+        # instead. The inputs take the local step, once with D_t < D and a
+        # CRT step and once with D_t == D: the solve alone answers for
+        # _MODULAR_MATRIX and _MODULAR_GRAPH, which no longer reach the gcd
+        # phase
         monkeypatch.setattr(intmat, "_reduce", _corrupting(intmat._reduce, corrupt))
-        _raises("does not kill A", [_MODULAR_MATRIX], [_MODULAR_GRAPH])
+        _raises("does not kill A", [_LOCAL_MATRIX], [_LOCAL_GRAPH])
 
     def test_corrupted_modular_row_step_never_passes(self, monkeypatch):
-        # one random row step of the log modulo D changed: either the
+        # one random row step of the log modulo D_t changed: either the
         # certificate refuses the answer, or the answer is right; a change
-        # that keeps the step modulo D (q + D) must pass
+        # that keeps the step modulo D_t (q + D_t) must pass
         rng = random.Random(97)
         reduce = intmat._reduce
         changed = []
@@ -534,8 +575,8 @@ class TestK0Certificate:
         # Z/6, and (c_1, c_1) in Z/2 + Z/2, where each row alone is onto
         coordinate_rows = intmat._coordinate_rows
 
-        def shrunk(m, log, wanted):
-            rows = coordinate_rows(m, log, wanted)
+        def shrunk(log, wanted):
+            rows = coordinate_rows(log, wanted)
             return [rows[0], rows[0]] if len(rows) == 2 else [[2 * x % 6 for x in rows[0]]]
 
         monkeypatch.setattr(intmat, "_coordinate_rows", shrunk)
@@ -557,22 +598,83 @@ class TestK0Certificate:
 
     @pytest.mark.parametrize("wrong", [lambda d: 2 * d, lambda d: -d - 1], ids=["double", "next"])
     def test_wrong_determinant_raises(self, monkeypatch, wrong):
-        # D comes from Bareiss on the residual block alone; a wrong D must
-        # not pass check 3 (the invariant factors multiply to D)
+        # D comes from Bareiss on [R^T | 1] alone; a wrong D must not pass
+        # the certificate.  Where the local step runs, a doubled D leaves
+        # the factors short of it (the invariant factors multiply to D);
+        # elsewhere the answer is Z/D' with the solve's row z / t, and
+        # z R = +-D * 1 / t is not 0 modulo the wrong D' (the kill check)
         bareiss = intmat._bareiss
         monkeypatch.setattr(intmat, "_bareiss", lambda a: wrong(bareiss(a)))
-        _raises("multiply", [_MODULAR_MATRIX], [_MODULAR_GRAPH])
+        _raises("does not kill A", [_MODULAR_MATRIX], [_MODULAR_GRAPH])
+        doubled = wrong(3) == 6
+        _raises("multiply" if doubled else "does not kill A", [_LOCAL_MATRIX], [_LOCAL_GRAPH])
 
     def test_corrupted_coordinate_row_raises(self, monkeypatch):
         coordinate_rows = intmat._coordinate_rows
 
-        def corrupted(m, log, wanted):
-            rows = coordinate_rows(m, log, wanted)
+        def corrupted(log, wanted):
+            rows = coordinate_rows(log, wanted)
             rows[0][0] += 1
             return rows
 
         monkeypatch.setattr(intmat, "_coordinate_rows", corrupted)
         _raises("coordinate row", [_MODULAR_MATRIX, _INTEGER_MATRIX], [_MODULAR_GRAPH, _INTEGER_GRAPH])
+
+    @pytest.mark.parametrize("entry", [0, -1])
+    def test_corrupted_solve_raises(self, monkeypatch, entry):
+        # one entry of z off by one, on the route that takes the solve's row
+        # as it is (t = 1) and on both kinds of local step; the row z / t no
+        # longer kills R, or t changes and the rows miss part of the group
+        solve = intmat._solve
+
+        def corrupted(residual):
+            D, z = solve(residual)
+            z[entry] += 1
+            return D, z
+
+        monkeypatch.setattr(intmat, "_solve", corrupted)
+        _raises("does not kill A|not onto", [_MODULAR_MATRIX, _LOCAL_MATRIX],
+                [_MODULAR_GRAPH, _LOCAL_GRAPH, _SPLIT_GRAPH])
+
+    @pytest.mark.parametrize("entry", [0, -1])
+    def test_corrupted_crt_row_raises(self, monkeypatch, entry):
+        # the row that CRT builds for the largest factor, one entry off by
+        # one before the pull-back (D_t < D: the Z/29 and Z/5 parts join
+        # the local factor)
+        local_factors = intmat._local_factors
+
+        def corrupted(residual, D, z):
+            factors, rows = local_factors(residual, D, z)
+            # a CRT step ran: the last factor has a prime that t lacks
+            assert intmat._prime_part(factors[-1], gcd(D, *z)) < factors[-1]
+            rows[-1][entry] += 1
+            return factors, rows
+
+        monkeypatch.setattr(intmat, "_local_factors", corrupted)
+        _raises("does not kill A|not onto", [_LOCAL_MATRIX], [_SPLIT_GRAPH])
+
+    def test_dropped_prime_power_raises(self, monkeypatch):
+        # D_t with the power of one prime of t dropped: the local step then
+        # misses that prime, and the part of s left for the cyclic row is
+        # smaller than D's, so the factors no longer multiply to D
+        prime_part = intmat._prime_part
+        calls = []
+
+        def dropped(n, t):
+            part = prime_part(n, t)
+            calls.append(part)
+            if len(calls) > 1:  # only D_t, the first call of each answer
+                return part
+            p = next(p for p in range(2, t + 1) if t % p == 0)
+            while part % p == 0:
+                part //= p
+            return part
+
+        monkeypatch.setattr(intmat, "_prime_part", dropped)
+        for matrix in (_LOCAL_MATRIX, _presentation(_LOCAL_GRAPH), _presentation(_SPLIT_GRAPH)):
+            calls.clear()
+            with pytest.raises(RuntimeError, match="multiply"):
+                smith_coordinates(matrix.to_lists())
 
     def test_k0_path_builds_no_dense_product(self, monkeypatch):
         def refuse(self, other):
@@ -603,31 +705,133 @@ class TestK0Certificate:
             assert all(0 <= x < d for x in row)
 
     def test_modular_route_stays_below_the_determinant(self, monkeypatch):
-        # every multiplier and mix coefficient in the K0 log, and every
+        # every multiplier and mix coefficient in the K0 logs (the local
+        # step's, modulo D_t = 18 here, and the unit phase's), and every
         # coordinate-row entry, has at most D's bits (461 here); the integer
         # gcd phase's multipliers reached 756 bits
         logs = []
         coordinate_rows = intmat._coordinate_rows
 
-        def recording(m, log, wanted):
+        def recording(log, wanted):
             logs.append(log)
-            return coordinate_rows(m, log, wanted)
+            return coordinate_rows(log, wanted)
 
         monkeypatch.setattr(intmat, "_coordinate_rows", recording)
         k0 = k0_of_graph(scc_graph(400, 0))
         bits = k0.group.torsion_size.bit_length()
         assert k0.group.free_rank == 0 and bits == 461
-        (log,) = logs
-        coefficients = [x for *_, q in log for x in (q if isinstance(q, tuple) else (q,))]
+        assert len(logs) == 2  # the local step's rows, then the pull-back
+        coefficients = [x for log in logs for *_, q in log
+                        for x in (q if isinstance(q, tuple) else (q,))]
         assert max(abs(x).bit_length() for x in coefficients) <= bits
         assert max(x.bit_length() for row in k0.coordinate_map for x in row) <= bits
-        assert any(isinstance(q, tuple) for *_, q in log)  # mix steps ran
+        assert any(isinstance(q, tuple) for *_, q in logs[0])  # mix steps ran
 
     def test_row_additions_stay_bounded(self):
         # 17,330 row additions with the unit phase and the column pivot rule;
         # 18,792 when every pivot came from the dense gcd loop's row-major scan
-        log, _ = intmat._smith_log(_presentation(scc_graph(200, 0)).to_lists(), modular=False)
+        log, _ = intmat._smith_log(_presentation(scc_graph(200, 0)).to_lists())
         assert sum(step[0] == "row_add" for step in log) < 18_500
+
+
+def _reduce_moduli(monkeypatch) -> list[int]:
+    """The moduli of the gcd-phase calls from here on (0 for one over Z)."""
+    moduli = []
+    reduce = intmat._reduce
+
+    def recording(a, log, modulus=0):
+        moduli.append(modulus)
+        reduce(a, log, modulus)
+
+    monkeypatch.setattr(intmat, "_reduce", recording)
+    return moduli
+
+
+def _unit_order_by_fractions(m: IntMatrix) -> int:
+    """The order of the class of the all-ones vector in Z^n / im(M), M square
+    and nonsingular: the least k with k M^-1 1 integral, the lcm of the
+    denominators of M^-1 1, by Gauss-Jordan elimination over the rationals."""
+    n = m.rows
+    a = [[Fraction(x) for x in row] + [Fraction(1)] for row in m]
+    for k in range(n):
+        p = next(i for i in range(k, n) if a[i][k])
+        a[k], a[p] = a[p], a[k]
+        a[k] = [x / a[k][k] for x in a[k]]
+        for i in range(n):
+            if i != k and a[i][k]:
+                f = a[i][k]
+                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
+    return lcm(*(row[n].denominator for row in a))
+
+
+class TestSolveRoutes:
+    """Every route of smith_coordinates modulo D, and the unit class of K0
+    against references that share no code with the elimination."""
+
+    @pytest.mark.parametrize(
+        "rows, route",
+        [
+            (_MODULAR_MATRIX.to_lists(), "t = 1"),  # with a unit phase
+            ([[4, 3], [2, 5]], "t = 1"),  # Z/14, no unit
+            ([[12]], "t = 1"),
+            ([[-1]], "t = 1"),  # the trivial group
+            (_LOCAL_MATRIX.to_lists(), "D_t < D"),
+            (_presentation(_LOCAL_GRAPH).to_lists(), "D_t == D"),
+            ([[2, 0], [0, 4]], "D_t == D"),
+            ([[4, -1, 0], [5, 3, -5], [2, -2, 5]], "b misses"),  # Z/55, D_t = 11
+            ([[2, 3, 0], [0, 2, 3], [3, 0, 2]], "b misses"),  # Z/35, D_t = 7, no unit
+            (_presentation(_SPLIT_GRAPH).to_lists(), "b misses"),  # Z/35, D_t = 7
+        ],
+    )
+    def test_routes_match_the_references(self, monkeypatch, rows, route):
+        moduli = _reduce_moduli(monkeypatch)
+        smith_coordinates(rows)
+        monkeypatch.undo()
+        _check_coordinates(rows, snf := smith_normal_form(IntMatrix(rows)))
+        D = abs(determinant(IntMatrix(rows)))
+        cyclic = sum(d != 1 for d in snf.diagonal) <= 1
+        if route == "t = 1":
+            assert moduli == [] and cyclic
+        elif route == "D_t < D":
+            assert len(moduli) == 1 and 1 < moduli[0] < D and not cyclic
+        elif route == "D_t == D":
+            assert moduli == [D] and not cyclic
+        else:
+            assert len(moduli) == 1 and 1 < moduli[0] < D and cyclic
+
+        sympy = pytest.importorskip("sympy")
+        from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+
+        theirs = sympy_snf(sympy.Matrix(rows), domain=sympy.ZZ)
+        diagonal = sorted(abs(int(theirs[i, i])) for i in range(len(rows)))
+        assert diagonal == sorted(smith_coordinates(rows)[0])
+
+    def test_unit_order_and_cyclic_unit(self):
+        # the unit order against the lcm of the denominators of M^-1 1, for
+        # every graph whose I - A^T is square and nonsingular; a finite
+        # cyclic K0 = Z/d must hold the unit gcd(u, d), with u read off a row
+        # of the Smith transform U of I - A^T
+        rng = random.Random(151)
+        graphs = [_random_graph(rng) for _ in range(300)]
+        graphs += [scc_graph(24, seed) for seed in range(8)]
+        graphs += [m_graph(graph, c) for graph, c in zip(graphs[:60], rng.choices(range(2, 5), k=60))]
+        checked = cyclic = 0
+        for graph in graphs:
+            if not graph.edges or _sinks(graph):
+                continue
+            m = _presentation(graph)
+            if not determinant(m):
+                continue
+            k0 = k0_of_graph(graph)
+            assert k0.unit_order == _unit_order_by_fractions(m), graph
+            checked += 1
+            if _finite_cyclic(k0.group):
+                (d,) = k0.group.invariant_factors
+                snf = smith_normal_form(m)
+                u = sum(snf.U[snf.diagonal.index(d)]) % d
+                assert k0.unit.torsion == (gcd(u, d) % d,), graph
+                cyclic += 1
+        assert checked >= 140 and cyclic >= 100
 
 
 def _columns(k0) -> list[tuple[int, ...]]:
@@ -748,29 +952,38 @@ def _digest(values) -> str:
     return hashlib.sha256(repr(values).encode()).hexdigest()
 
 
+def _golden_graphs() -> list[DirectedGraph]:
+    graphs = [scc_graph(n, seed) for n in (24, 48, 72, 96) for seed in range(4)]
+    graphs += [m_graph(rose(p), c) for p in (2, 3, 5, 8) for c in (1, 2, 3, 4)]
+    graphs += [_complete_graph(*rpb) for rpb in
+               [(2, 2, 7), (2, 4, 5), (2, 6, 4), (3, 2, 3), (3, 3, 3), (4, 2, 2), (5, 2, 2)]]
+    graphs += [
+        build_graph(["w0", "w1", "w2"],  # the catalog's free_a, with a free summand
+                    [("w0", "w1", 6), ("w0", "w2", 1), ("w1", "w2", 2), ("w1", "w0", 4),
+                     ("w1", "w1", 1), ("w2", "w0", 4), ("w2", "w2", 3)]),
+        infinite_order_graph(),
+        _MODULAR_GRAPH,
+        _INTEGER_GRAPH,
+    ]
+    return graphs
+
+
 class TestGoldenOutputs:
     """The K0 data and the Smith transforms of fixed inputs, pinned by a
-    sha256 of their reprs.  A change to the elimination that is meant to
-    leave every output byte-identical must keep both digests."""
+    sha256 of their reprs.  The groups and unit orders do not depend on the
+    basis the elimination chooses, so their digest must never change.  The
+    units and coordinate maps do, as do snf's U and V: a change to the
+    elimination that is meant to leave outputs byte-identical must keep
+    those digests, and one that changes the basis re-pins them and says so
+    in CHANGES.md."""
 
     def test_k0_of_graph(self):
-        graphs = [scc_graph(n, seed) for n in (24, 48, 72, 96) for seed in range(4)]
-        graphs += [m_graph(rose(p), c) for p in (2, 3, 5, 8) for c in (1, 2, 3, 4)]
-        graphs += [_complete_graph(*rpb) for rpb in
-                   [(2, 2, 7), (2, 4, 5), (2, 6, 4), (3, 2, 3), (3, 3, 3), (4, 2, 2), (5, 2, 2)]]
-        graphs += [
-            build_graph(["w0", "w1", "w2"],  # the catalog's free_a, with a free summand
-                        [("w0", "w1", 6), ("w0", "w2", 1), ("w1", "w2", 2), ("w1", "w0", 4),
-                         ("w1", "w1", 1), ("w2", "w0", 4), ("w2", "w2", 3)]),
-            infinite_order_graph(),
-            _MODULAR_GRAPH,
-            _INTEGER_GRAPH,
-        ]
-        outputs = []
-        for graph in graphs:
-            k0 = k0_of_graph(graph)
-            outputs.append((k0.group, k0.unit, k0.unit_order, k0.coordinate_map))
+        outputs = [(k0.group, k0.unit_order) for k0 in map(k0_of_graph, _golden_graphs())]
         assert _digest(outputs) == _K0_DIGEST
+
+    def test_k0_coordinates(self):
+        outputs = [(k0.unit, k0.coordinate_map) for k0 in map(k0_of_graph, _golden_graphs())]
+        assert _digest(outputs) == _K0_BASIS_DIGEST
 
     def test_smith_normal_form(self):
         rng = random.Random(2009)
@@ -784,5 +997,6 @@ class TestGoldenOutputs:
         assert _digest(outputs) == _SNF_DIGEST
 
 
-_K0_DIGEST = "c8ca5a4c09469f704740182fca89d7b7c0e86fb7919db3442f63857015fd694e"
+_K0_DIGEST = "f812b0257e869ab7bb919ee8385d846e3a49ce4566cc4a893e18f1b72797d18e"
+_K0_BASIS_DIGEST = "ea8074c050424d017c8b2fb042dd6aebd2101c0f438f091019dc9636e29d9505"
 _SNF_DIGEST = "cf534ec0c0e391bb101652a98abe28c1de6054479ac2d890852e3d18414b526c"

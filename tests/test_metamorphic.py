@@ -28,7 +28,7 @@ from leavitt.graphs import DirectedGraph, build_graph, purely_infinite_simple
 from leavitt.ktheory import k0_of_graph
 from leavitt.matrixtype import IsoReason, compare_pointed_k0, m_graph
 
-from conftest import scc_graph
+from conftest import scc_graph, unit_scalar
 
 
 def _single_edges(graph: DirectedGraph) -> list[tuple[str, str]]:
@@ -179,7 +179,9 @@ class TestMGraphOnRandomGraphs:
         # the head graph's presentation, heads substituted away, is the base
         # graph's: the same group and coordinate rows on the base vertices,
         # each head vertex with its base vertex's column, and the unit is
-        # c * [1_E] as an element, not just up to an automorphism
+        # c * [1_E] as an element, not just up to an automorphism; for a
+        # finite cyclic K0, whose unit k0_of_graph puts in normal form, the
+        # rows agree up to the one unit of Z/d that carries c * [1_E] to it
         cases = 0
         for graphs in (_graphs(131, 25), _graphs(137, 25, sinks=2)):
             for _, graph in graphs:
@@ -189,11 +191,20 @@ class TestMGraphOnRandomGraphs:
                 for c in range(1, 7):
                     head = k0_of_graph(m_graph(graph, c))
                     assert head.group == base.group
-                    assert head.unit == scale(base.group, c, base.unit), (graph, c)
                     columns = [tuple(row[v] for row in head.coordinate_map) for v in range(n * c)]
-                    assert columns[:n] == base_columns
+                    if not base.group.free_rank and len(base.group.invariant_factors) == 1:
+                        # each unit of Z/d is in normal form, so the rows differ
+                        # by the unit mu modulo d that carries c * [1_E] there
+                        (d,) = base.group.invariant_factors
+                        mu = unit_scalar(base.coordinate_map[0], head.coordinate_map[0][:n], d)
+                        assert mu is not None, (graph, c)
+                        assert head.unit == scale(base.group, mu * c, base.unit), (graph, c)
+                        assert head.unit.torsion == (gcd(c * base.unit.torsion[0], d) % d,)
+                    else:
+                        assert head.unit == scale(base.group, c, base.unit), (graph, c)
+                        assert columns[:n] == base_columns
                     for v in range(n):
                         heads = columns[n + v * (c - 1) : n + (v + 1) * (c - 1)]
-                        assert heads == [base_columns[v]] * (c - 1)
+                        assert heads == [columns[v]] * (c - 1)
                     cases += base.group.torsion_size > 1 or base.group.free_rank > 0
         assert cases >= 250  # most cases have a group to place the unit in
