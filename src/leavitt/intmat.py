@@ -342,9 +342,9 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
 def _reduce(a: list[list[int]], log: list[_Step], modulus: int = 0) -> None:
     """The gcd phase: diagonalise a (changed in place) over Z when modulus
     is 0 and modulo M = modulus otherwise, appending its steps to log;
-    modulo M only the row steps, the coordinate rows' source.  For M
-    dividing the order of coker a, the d_i = gcd(g_i, M) of the diagonal g
-    it reaches are the invariant factors of coker a / M coker a.
+    modulo M only the row steps, the coordinate rows' source.  Modulo M
+    the d_i = gcd(g_i, M) of the diagonal g it reaches are the invariant
+    factors of coker a / M coker a.
 
     At step k it pivots on the entry of column k, from row k on, with the
     least gcd(x, modulus): over Z, since gcd(x, 0) == |x|, the least
@@ -547,15 +547,17 @@ def _coordinate_rows(log: list[_Step], wanted: list[tuple[list[int], int]]) -> l
                 x[i] = -x[i] % d if d else -x[i]
         elif kind == "row_mix":
             s, t, u, v = q
-            for x, d in wanted:  # d != 0: mixes come from a gcd phase modulo d's multiple
+            for x, d in wanted:  # d != 0: mixes come only from a gcd phase modulo a modulus
                 x[i], x[j] = (s * x[i] + u * x[j]) % d, (t * x[i] + v * x[j]) % d
     return [x for x, _ in wanted]
 
 
-def _unit_phase(rows: Sequence[Sequence[int]]) -> tuple[list[_Step], int, list[list[int]]]:
+def _unit_phase(
+    rows: Sequence[Sequence[int]],
+) -> tuple[list[_Step], list[_Step], int, list[list[int]]]:
     """The unit phase of A (plain integer rows, read and not changed) and
-    its certificate: its log, its number k of pivots, and the residual
-    block R that the log leaves, as fresh lists.
+    its certificate: its log, the log's row steps, its number k of pivots,
+    and the residual block R that the log leaves, as fresh lists.
 
     The unit phase (_clear_units) picks its steps, and its row steps are
     replayed exactly on a fresh copy of A; its column steps only clear the
@@ -571,7 +573,7 @@ def _unit_phase(rows: Sequence[Sequence[int]]) -> tuple[list[_Step], int, list[l
     """
     log, k = _clear_units(rows)
     if not k:  # no unit: R is A
-        return log, 0, [list(row) for row in rows]
+        return log, log, 0, [list(row) for row in rows]
     n = len(rows[0])
     order, row_steps = list(range(n)), []
     for step in log:
@@ -592,7 +594,7 @@ def _unit_phase(rows: Sequence[Sequence[int]]) -> tuple[list[_Step], int, list[l
         row[c] != 1 or min(compress(rank, row)) < t for t, (row, c) in enumerate(zip(b, pivots))
     ) or any(row.count(0) - part.count(0) != k for row, part in zip(b[k:], residual)):
         raise RuntimeError("internal error: replayed unit steps do not give [[T, X], [0, R]]")
-    return log, k, residual
+    return log, row_steps, k, residual
 
 
 def _integer_phase(
@@ -614,7 +616,7 @@ def _smith_log(rows: Sequence[Sequence[int]]) -> tuple[list[_Step], tuple[int, .
     steps and the diagonal; the log's row steps applied to I give U, and
     its column steps V, with U * A * V the diagonal, which
     smith_normal_form checks."""
-    log, k, residual = _unit_phase(rows)
+    log, _, k, residual = _unit_phase(rows)
     return log, _integer_phase(log, k, residual)[1]
 
 
@@ -688,14 +690,16 @@ def _local_factors(
 
     Otherwise let D_t be the part of D on the primes of t.  The gcd phase
     modulo D_t gives f_i = gcd(g_i, D_t), the invariant factors of the
-    D_t-part of coker R, and the rows of its log.  At every other prime p
-    the p-part of coker R is that of Z/s, so it is cyclic, of order
-    e = s / (the part of s on the primes of f_r), with row c modulo e.  As
-    e and f_r are coprime, the invariant factors are f_1, ..., f_(r-1),
-    f_r * e, and by CRT the last row is the one that is f_r's row modulo
-    f_r and c modulo e.  Nothing here is trusted: smith_coordinates checks
-    that the factors multiply to D and divide in turn and that the rows
-    kill A and map onto the group.
+    D_t-part of coker R, and the rows of its log.  At every other prime p,
+    v_p(s) = v_p(D), so the p-part of coker R is that of Z/s: it is
+    cyclic, and all of these parts together are Z/e with row c modulo e,
+    where e is the part of s prime to f_r (the primes of f_r are those of
+    t, as each prime of D divides the largest factor).  As e and f_r are
+    coprime, the invariant factors are f_1, ..., f_(r-1), f_r * e, and by
+    CRT the last row is the one that is f_r's row modulo f_r and c modulo
+    e.  Nothing here is trusted: smith_coordinates checks that the factors
+    multiply to D and divide in turn and that the rows kill A and map onto
+    the group.
     """
     r = len(residual)
     t = gcd(D, *z)
@@ -760,7 +764,8 @@ def smith_coordinates(
     The rows found in R's coordinates, padded with k zeros, are pulled back
     through the unit phase's row steps in one reverse pass.  Any other A
     takes the gcd phase over Z, whose steps are replayed on R and must give
-    its diagonal, and the rows are those of U.
+    its diagonal, and the rows are those of U, pulled back through the row
+    steps of both phases.
 
     Each row c_i must kill A, c_i * A == 0 modulo d_i (exactly when free),
     summed over the nonzeros of A's rows, and for a finite group the rows
@@ -771,7 +776,7 @@ def smith_coordinates(
     order, |coker A| = D, is an isomorphism.
     """
     m, n = len(rows), len(rows[0])
-    log, k, residual = _unit_phase(rows)
+    _, row_steps, k, residual = _unit_phase(rows)
     D, z = _solve(residual) if m == n else (0, [])
     if D:
         factors, starts = _local_factors(residual, D, z) if D > 1 else ((1,) * (m - k), [])
@@ -785,7 +790,7 @@ def smith_coordinates(
         wanted = list(zip(starts, [d for d in factors if d != 1]))
     else:
         block = [row[:] for row in residual]
-        steps, diagonal = _integer_phase(log, k, block)
+        steps, diagonal = _integer_phase(row_steps, k, block)
         if _replay(residual, steps) != _diagonal_rows(m - k, n - k, diagonal[k:]):
             raise RuntimeError("internal error: replayed gcd steps do not give diag(g)")
         wanted = [
@@ -793,7 +798,7 @@ def smith_coordinates(
             for i, d in enumerate(diagonal + (0,) * (m - len(diagonal)))
             if d != 1
         ]
-    coordinate_rows = tuple(map(tuple, _coordinate_rows(log, wanted)))
+    coordinate_rows = tuple(map(tuple, _coordinate_rows(row_steps, wanted)))
     columns = range(n)
     for (_, d), row in zip(wanted, coordinate_rows):
         image = [0] * n

@@ -221,3 +221,81 @@ class TestSmithNormalForm:
             theirs = sympy_snf(sympy.Matrix(rows), domain=sympy.ZZ)
             diag = [abs(int(theirs[i, i])) for i in range(n)]
             assert sorted(diag) == sorted(ours)
+
+
+class TestSolve:
+    """The fraction-free solve and the gcd-only prime split behind the
+    cokernel route modulo D (smith_coordinates)."""
+
+    def test_solve_gives_the_determinant_and_an_integer_solution(self):
+        rng = random.Random(17)
+        nonsingular = 0
+        for _ in range(200):
+            n = rng.randint(1, 6)
+            rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+            det = determinant(IntMatrix(rows))
+            D, z = intmat._solve(rows)
+            assert D == abs(det)
+            if not det:
+                assert z == []
+                continue
+            # R^T z = delta * 1 with delta = +-det R, so z = +-adj(R^T) 1
+            image = [sum(z[i] * rows[i][j] for i in range(n)) for j in range(n)]
+            assert image in ([det] * n, [-det] * n)
+            nonsingular += 1
+        assert nonsingular >= 150
+        assert intmat._solve([]) == (1, [])
+
+    def test_solve_leaves_its_argument(self):
+        rows = [[0, 2, 1], [3, 0, 1], [1, 1, 0]]  # the first pivot needs a row swap
+        copy = [row[:] for row in rows]
+        D, z = intmat._solve(rows)
+        assert rows == copy and D == 5
+
+    def test_prime_part_matches_factoring(self):
+        def by_factoring(n, t):
+            part = 1
+            for p in range(2, t + 1):
+                if t % p == 0 and all(p % q for q in range(2, p)):
+                    while n % p == 0:
+                        n //= p
+                        part *= p
+            return part
+
+        for n in range(1, 200):
+            for t in range(1, 40):
+                assert intmat._prime_part(n, t) == by_factoring(n, t), (n, t)
+        big = 2**89 * 3**5 * (2**61 - 1)
+        assert intmat._prime_part(big, 6) == 2**89 * 3**5
+        assert intmat._prime_part(big, 2**61 - 1) == 2**61 - 1
+
+    def test_routes_modulo_d(self, monkeypatch):
+        # random nonsingular matrices take every route: the solve alone
+        # (t = 1), the gcd phase modulo D_t < D, or modulo D_t == D; each
+        # gives snf's diagonal
+        moduli = []
+        reduce = intmat._reduce
+
+        def recording(a, log, modulus=0):
+            moduli.append(modulus)
+            reduce(a, log, modulus)
+
+        rng = random.Random(19)
+        routes = {"t = 1": 0, "D_t < D": 0, "D_t == D": 0}
+        while min(routes.values()) < 30:
+            n = rng.randint(1, 5)
+            rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+            D = abs(determinant(IntMatrix(rows)))
+            if not D:
+                continue
+            diagonal = smith_normal_form(IntMatrix(rows)).diagonal
+            monkeypatch.setattr(intmat, "_reduce", recording)
+            moduli.clear()
+            assert intmat.smith_coordinates(rows)[0] == diagonal
+            monkeypatch.undo()
+            if not moduli:
+                routes["t = 1"] += 1
+            else:
+                (modulus,) = moduli
+                assert 1 < modulus <= D and D % modulus == 0
+                routes["D_t < D" if modulus < D else "D_t == D"] += 1

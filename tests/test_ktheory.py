@@ -814,7 +814,7 @@ class TestSolveRoutes:
         rng = random.Random(151)
         graphs = [_random_graph(rng) for _ in range(300)]
         graphs += [scc_graph(24, seed) for seed in range(8)]
-        graphs += [m_graph(graph, c) for graph, c in zip(graphs[:60], rng.choices(range(2, 5), k=60))]
+        graphs += [m_graph(graph, rng.randint(2, 4)) for graph in graphs[:60]]
         checked = cyclic = 0
         for graph in graphs:
             if not graph.edges or _sinks(graph):
