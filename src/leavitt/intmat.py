@@ -7,26 +7,16 @@ fixed-width fast path anywhere.
 Every Smith computation starts with a sparse unit phase (``_clear_units``,
 certified by ``_unit_phase``), whose row steps alone must bring A to a
 unit upper-triangular block over a residual block R, so coker A = coker R
-and |det A| = |det R|.  ``_smith_log`` then runs the dense gcd phase
-(``_reduce``) on R over Z and returns the log of steps;
-``smith_normal_form`` builds U and V from it and checks U * A * V == D.
-
-``smith_coordinates``, the cokernel path of ``ktheory``, builds neither.
-On a square A with D = |det A| > 0 it makes one fraction-free solve
-(``_solve``): Bareiss on the rows of [R^T | 1] gives D and, by
-back-substitution, an integer z with R^T z = +-det(R) * 1.  With
-t = gcd(D, content z) and s = D / t, the row c = z / t kills R modulo s,
-and its content is prime to s, so c maps coker R onto Z/s.  When t = 1,
-coker R is Z/D with coordinate row c.  Otherwise (``_local_factors``)
-D_t, the part of D on the primes of t (``_prime_part``, gcds only), is
-split off: the gcd phase modulo D_t gives the invariant factors f_i of
-the D_t-part of coker R and their rows, the part of s prime to f_r is
-cyclic with row c, and CRT joins it to the largest f_r.  The rows are
-then pulled back through the unit phase's row steps.  Each answer is
-checked, not its steps: the coordinate rows kill A and map onto the sum
-of the Z/d_i, and the d_i divide in turn and multiply to D, which
-Bareiss computed.  Singular and non-square presentations take the gcd
-phase over Z instead, whose steps are replayed.
+and |det A| = |det R|.  ``smith_normal_form`` then runs the gcd phase
+(``_reduce``) on R over Z, builds U and V from the log and checks
+U * A * V == D.  ``smith_coordinates``, the cokernel path of ``ktheory``,
+builds neither.  For D = |det A| > 0 one fraction-free solve (``_solve``)
+gives D and a row c onto a cyclic quotient Z/s of coker R, with
+t = D / s; the gcd phase runs only when t > 1, modulo the part D_t of D
+on the primes of t, and CRT joins the cyclic rest to its largest factor
+(``_local_factors``).  The answer is checked, not its steps: the rows
+kill A and map onto the sum of the Z/d_i, and the d_i divide in turn and
+multiply to D, the determinant Bareiss computed.
 
 ``Record`` is the package's immutable record base, which the frozen
 records of every module (``SmithDecomposition`` here, the groups, graphs,
@@ -757,23 +747,18 @@ def smith_coordinates(
     coordinates of Z^m / im(A): one row for each d_i != 1 (d_i = 0 past
     the diagonal), torsion rows reduced modulo d_i, free rows exact.
 
-    U and V are never built.  After the unit phase, a square A with
-    D = |det A| > 0 takes one fraction-free solve (_solve) and, when the
-    solve's row c does not reach all of D, the gcd phase modulo the part
-    D_t of D on the primes of t = gcd(D, content z) alone (_local_factors).
-    The rows found in R's coordinates, padded with k zeros, are pulled back
-    through the unit phase's row steps in one reverse pass.  Any other A
-    takes the gcd phase over Z, whose steps are replayed on R and must give
-    its diagonal, and the rows are those of U, pulled back through the row
-    steps of both phases.
+    U and V are never built.  A square A with D = |det A| > 0 takes the
+    solve and the local step (_local_factors), whose rows, padded with k
+    zeros, are pulled back through the unit phase's row steps in one
+    reverse pass.  Any other A takes the gcd phase over Z, whose steps are
+    replayed on R and must give its diagonal.
 
     Each row c_i must kill A, c_i * A == 0 modulo d_i (exactly when free),
-    summed over the nonzeros of A's rows, and for a finite group the rows
-    must map Z^m onto the sum of the Z/d_i (_onto).  For D > 0 the d_i must
-    also multiply to D and divide in turn.  That certifies the answer
-    however it was found: kill gives a homomorphism from coker A, onto
-    makes it surjective, and a surjection between finite groups of the same
-    order, |coker A| = D, is an isomorphism.
+    and for a finite group the rows must map Z^m onto the sum of the Z/d_i
+    (_onto); for D > 0 the d_i must multiply to D and divide in turn.  That
+    certifies the answer however it was found: kill gives a homomorphism
+    from coker A, onto makes it surjective, and a surjection between finite
+    groups of the same order is an isomorphism.
     """
     m, n = len(rows), len(rows[0])
     _, row_steps, k, residual = _unit_phase(rows)

@@ -4,6 +4,7 @@ from math import gcd
 
 import pytest
 
+from leavitt import intmat
 from leavitt.graphs import DirectedGraph, build_graph, parse_graph
 from leavitt.intmat import IntMatrix
 
@@ -58,6 +59,19 @@ def unit_scalar(source, target, d: int):
     if gcd(mu, d) == 1 and all((y - mu * x) % d == 0 for x, y in zip(source, target)):
         return mu
     return None
+
+
+def reduce_moduli(monkeypatch) -> list[int]:
+    """The moduli of the gcd-phase calls from here on (0 for one over Z)."""
+    moduli = []
+    reduce = intmat._reduce
+
+    def recording(a, log, modulus=0):
+        moduli.append(modulus)
+        reduce(a, log, modulus)
+
+    monkeypatch.setattr(intmat, "_reduce", recording)
+    return moduli
 
 
 def infinite_order_graph() -> DirectedGraph:

@@ -12,7 +12,7 @@ from leavitt.intmat import (
     unimodular_check,
 )
 
-from conftest import mat_vec
+from conftest import mat_vec, reduce_moduli
 
 
 def check_decomposition(a, snf):
@@ -273,13 +273,6 @@ class TestSolve:
         # random nonsingular matrices take every route: the solve alone
         # (t = 1), the gcd phase modulo D_t < D, or modulo D_t == D; each
         # gives snf's diagonal
-        moduli = []
-        reduce = intmat._reduce
-
-        def recording(a, log, modulus=0):
-            moduli.append(modulus)
-            reduce(a, log, modulus)
-
         rng = random.Random(19)
         routes = {"t = 1": 0, "D_t < D": 0, "D_t == D": 0}
         while min(routes.values()) < 30:
@@ -289,8 +282,7 @@ class TestSolve:
             if not D:
                 continue
             diagonal = smith_normal_form(IntMatrix(rows)).diagonal
-            monkeypatch.setattr(intmat, "_reduce", recording)
-            moduli.clear()
+            moduli = reduce_moduli(monkeypatch)
             assert intmat.smith_coordinates(rows)[0] == diagonal
             monkeypatch.undo()
             if not moduli:

@@ -12,7 +12,7 @@ from leavitt.intmat import IntMatrix, determinant, smith_coordinates, smith_norm
 from leavitt.ktheory import cokernel, k0_of_graph
 from leavitt.matrixtype import IsoReason, compare_pointed_k0, m_graph
 
-from conftest import infinite_order_graph, scc_graph, unit_scalar
+from conftest import infinite_order_graph, reduce_moduli, scc_graph, unit_scalar
 
 
 class TestCokernel:
@@ -734,19 +734,6 @@ class TestK0Certificate:
         assert sum(step[0] == "row_add" for step in log) < 18_500
 
 
-def _reduce_moduli(monkeypatch) -> list[int]:
-    """The moduli of the gcd-phase calls from here on (0 for one over Z)."""
-    moduli = []
-    reduce = intmat._reduce
-
-    def recording(a, log, modulus=0):
-        moduli.append(modulus)
-        reduce(a, log, modulus)
-
-    monkeypatch.setattr(intmat, "_reduce", recording)
-    return moduli
-
-
 def _unit_order_by_fractions(m: IntMatrix) -> int:
     """The order of the class of the all-ones vector in Z^n / im(M), M square
     and nonsingular: the least k with k M^-1 1 integral, the lcm of the
@@ -784,7 +771,7 @@ class TestSolveRoutes:
         ],
     )
     def test_routes_match_the_references(self, monkeypatch, rows, route):
-        moduli = _reduce_moduli(monkeypatch)
+        moduli = reduce_moduli(monkeypatch)
         smith_coordinates(rows)
         monkeypatch.undo()
         _check_coordinates(rows, snf := smith_normal_form(IntMatrix(rows)))
