@@ -758,16 +758,16 @@ class TestSolveRoutes:
     @pytest.mark.parametrize(
         "rows, route",
         [
-            (_MODULAR_MATRIX.to_lists(), "t = 1"),  # with a unit phase
-            ([[4, 3], [2, 5]], "t = 1"),  # Z/14, no unit
-            ([[12]], "t = 1"),
-            ([[-1]], "t = 1"),  # the trivial group
-            (_LOCAL_MATRIX.to_lists(), "D_t < D"),
-            (_presentation(_LOCAL_GRAPH).to_lists(), "D_t == D"),
-            ([[2, 0], [0, 4]], "D_t == D"),
-            ([[4, -1, 0], [5, 3, -5], [2, -2, 5]], "b misses"),  # Z/55, D_t = 11
-            ([[2, 3, 0], [0, 2, 3], [3, 0, 2]], "b misses"),  # Z/35, D_t = 7, no unit
-            (_presentation(_SPLIT_GRAPH).to_lists(), "b misses"),  # Z/35, D_t = 7
+            pytest.param(_MODULAR_MATRIX.to_lists(), "t = 1", id="t1-units"),
+            pytest.param([[4, 3], [2, 5]], "t = 1", id="t1-Z14"),
+            pytest.param([[12]], "t = 1", id="t1-1x1"),
+            pytest.param([[-1]], "t = 1", id="t1-trivial"),
+            pytest.param(_LOCAL_MATRIX.to_lists(), "D_t < D", id="split-units"),
+            pytest.param(_presentation(_LOCAL_GRAPH).to_lists(), "D_t == D", id="whole-graph"),
+            pytest.param([[2, 0], [0, 4]], "D_t == D", id="whole-Z2+Z4"),
+            pytest.param([[4, -1, 0], [5, 3, -5], [2, -2, 5]], "b misses", id="missed-Z55"),
+            pytest.param([[2, 3, 0], [0, 2, 3], [3, 0, 2]], "b misses", id="missed-Z35"),
+            pytest.param(_presentation(_SPLIT_GRAPH).to_lists(), "b misses", id="missed-graph"),
         ],
     )
     def test_routes_match_the_references(self, monkeypatch, rows, route):
