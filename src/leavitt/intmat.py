@@ -646,10 +646,11 @@ def _solve(residual: list[list[int]]) -> tuple[int, list[int]]:
     if not D or not n:
         return D, []
     delta = a[-1][-2]
-    z = [0] * n
+    z = []  # z_(n-1), ..., z_(k+1), then z_k appended
     for k in range(n - 1, -1, -1):
         row = a[k]
-        z[k] = (delta * row[n] - sum(map(mul, row[k + 1 : n], z[k + 1 :]))) // row[k]
+        z.append((delta * row[n] - sum(map(mul, row[n - 1 : k : -1], z))) // row[k])
+    z.reverse()
     return D, z
 
 
