@@ -280,7 +280,7 @@ def _ulm_key(group: FGAbelianGroup, x: GroupElement, c: int, base: Sequence[int]
 
 def _check_coset(group: FGAbelianGroup, x: GroupElement, c: int) -> None:
     check_member(group, x)
-    if not isinstance(c, int) or c < 0:
+    if isinstance(c, bool) or not isinstance(c, int) or c < 0:
         raise ValueError("c must be a nonnegative integer")
 
 

@@ -104,16 +104,6 @@ class PisReport(Record):
     trivial_hereditary_saturated: bool
     every_vertex_connects_to_cycle: bool
 
-    def __init__(
-        self,
-        every_cycle_has_exit: bool,
-        trivial_hereditary_saturated: bool,
-        every_vertex_connects_to_cycle: bool,
-    ):
-        object.__setattr__(self, "every_cycle_has_exit", every_cycle_has_exit)
-        object.__setattr__(self, "trivial_hereditary_saturated", trivial_hereditary_saturated)
-        object.__setattr__(self, "every_vertex_connects_to_cycle", every_vertex_connects_to_cycle)
-
     @property
     def purely_infinite_simple(self) -> bool:
         return (
@@ -161,7 +151,7 @@ def parse_graph(text: str) -> DirectedGraph:
     """
     try:
         doc = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON, or an int past the digit limit
         raise GraphFormatError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise GraphFormatError("graph document must be a JSON object")
@@ -299,7 +289,7 @@ def purely_infinite_simple(graph: DirectedGraph) -> PisReport:
     # count - len(exits - cyclic) components are terminal or cyclic, and some
     # component is terminal: so one means one terminal, every other acyclic
     return PisReport(
-        every_cycle_has_exit=cyclic <= branching,
-        trivial_hereditary_saturated=count - len(exits - cyclic) == 1,
-        every_vertex_connects_to_cycle=0 not in out_degree,
+        cyclic <= branching,  # every_cycle_has_exit
+        count - len(exits - cyclic) == 1,  # trivial_hereditary_saturated
+        0 not in out_degree,  # every_vertex_connects_to_cycle
     )

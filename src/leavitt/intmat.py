@@ -46,14 +46,30 @@ def require_ints(values: Sequence[int], what: str) -> None:
 class Record:
     """Immutable record whose fields are its subclass's ``__slots__``.
 
-    A subclass names two or more fields in ``__slots__`` and sets each one
-    once in its ``__init__`` with ``object.__setattr__``.  Records compare
+    A subclass names two or more fields in ``__slots__``; the constructor
+    takes them in slot order or by name and raises TypeError for a missing,
+    unknown, repeated or extra field.  A subclass writes its own
+    ``__init__`` only to check, convert or default its arguments, and sets
+    each field there once with ``object.__setattr__``.  Records compare
     equal, and hash, by their field values in slot order; a record never
     equals one of another class.  The repr reads ``Name(field=value, ...)``,
     and pickling or copying calls the class again with the field values.
     """
 
     __slots__ = ()
+
+    def __init__(self, *values, **named):
+        names = self.__slots__
+        if named or len(values) != len(names):
+            rest = names[len(values):]  # the fields left to be named
+            if len(values) > len(names) or named.keys() != set(rest):
+                raise TypeError(
+                    f"{self.__class__.__qualname__}() takes the fields {names} by position"
+                    f" or name, got {len(values)} by position and {sorted(named)} by name"
+                )
+            values += tuple(map(named.get, rest))
+        for name, value in zip(names, values):
+            object.__setattr__(self, name, value)
 
     def __init_subclass__(cls):
         super().__init_subclass__()
@@ -142,12 +158,6 @@ class SmithDecomposition(Record):
     D: IntMatrix
     V: IntMatrix
     diagonal: tuple[int, ...]
-
-    def __init__(self, U: IntMatrix, D: IntMatrix, V: IntMatrix, diagonal: tuple[int, ...]):
-        object.__setattr__(self, "U", U)
-        object.__setattr__(self, "D", D)
-        object.__setattr__(self, "V", V)
-        object.__setattr__(self, "diagonal", diagonal)
 
 
 def _bareiss(a: list[list[int]]) -> int:
@@ -627,7 +637,7 @@ def smith_normal_form(matrix: IntMatrix) -> SmithDecomposition:
     U, D, V = IntMatrix(u), IntMatrix(_diagonal_rows(m, n, diagonal)), IntMatrix(v)
     if (U @ matrix) @ V != D:
         raise RuntimeError("internal error: transform identity U*A*V == D failed")
-    return SmithDecomposition(U=U, D=D, V=V, diagonal=diagonal)
+    return SmithDecomposition(U, D, V, diagonal)
 
 
 def _solve(residual: list[list[int]]) -> tuple[int, list[int]]:

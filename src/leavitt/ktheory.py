@@ -56,20 +56,6 @@ class K0Data(Record):
     coordinate_map: tuple[tuple[int, ...], ...]
     generators: int  # length of the vectors that coordinate accepts
 
-    def __init__(
-        self,
-        group: FGAbelianGroup,
-        unit: GroupElement,
-        unit_order: OrderValue,
-        coordinate_map: tuple[tuple[int, ...], ...],
-        generators: int,
-    ):
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "unit", unit)
-        object.__setattr__(self, "unit_order", unit_order)
-        object.__setattr__(self, "coordinate_map", coordinate_map)
-        object.__setattr__(self, "generators", generators)
-
     def coordinate(self, vector: Sequence[int]) -> GroupElement:
         """Class of an integer vector on the vertex basis."""
         if len(vector) != self.generators:

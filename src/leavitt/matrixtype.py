@@ -44,10 +44,6 @@ class MatrixTypeVerdict(Record):
     regime: str  # "finite" or "infinite"
     unit_order: int | None  # n in the finite regime, None otherwise
 
-    def __init__(self, regime: str, unit_order: int | None):
-        object.__setattr__(self, "regime", regime)
-        object.__setattr__(self, "unit_order", unit_order)
-
     def class_label(self, c: int) -> int | None:
         """Isomorphism-class label of size c: gcd(c, n), or c itself."""
         if self.regime == "finite":
@@ -64,8 +60,8 @@ def matrix_type_verdict(k0: K0Data, pis: PisReport) -> MatrixTypeVerdict:
     """
     _require_pis(pis)
     if k0.unit_order is INFINITE:
-        return MatrixTypeVerdict(regime="infinite", unit_order=None)
-    return MatrixTypeVerdict(regime="finite", unit_order=k0.unit_order)
+        return MatrixTypeVerdict("infinite", None)
+    return MatrixTypeVerdict("finite", k0.unit_order)
 
 
 def matrix_type_equal(k0: K0Data, pis: PisReport, c: int, d: int) -> bool:

@@ -48,6 +48,8 @@ class TestGroupConstruction:
         assert g.element([-1], [5]) == GroupElement((3,), (5,))
         with pytest.raises(ValueError):
             g.element([1, 2], [0])
+        with pytest.raises(ValueError, match="wrong number of free coordinates"):
+            g.element([1], [])
         for torsion, free in ([1.7], [0]), (["1"], [0]), ([True], [0]), ([1], [2.0]), ([1], [False]):
             with pytest.raises(ValueError, match="coordinates must be integers"):
                 g.element(torsion, free)
@@ -80,6 +82,8 @@ class TestElementOrder:
         g = FGAbelianGroup((4,))
         with pytest.raises(ValueError):
             element_order(g, GroupElement((1, 2)))
+        with pytest.raises(ValueError, match="canonical representatives"):
+            element_order(g, GroupElement((4,)))
 
     def test_order_divides_exponent(self):
         for factors in chains_upto(36, include_trivial=False):
@@ -156,6 +160,14 @@ class TestEnumerateAutomorphisms:
     def test_bound_exceeded(self):
         with pytest.raises(BoundExceeded):
             list(enumerate_automorphisms(FGAbelianGroup((64,)), size_bound=32))
+
+    def test_apply_rejects_bad_input(self):
+        g = FGAbelianGroup((2,), free_rank=1)
+        with pytest.raises(ValueError, match="maps of finite groups"):
+            apply_automorphism(g, [g.element([1], [0])], g.identity())
+        g4 = FGAbelianGroup((4,))
+        with pytest.raises(ValueError, match="one image per canonical generator"):
+            apply_automorphism(g4, [], g4.element([1]))
 
     def test_lexicographic_order(self):
         # the coordinate tuples of the generator images strictly increase
@@ -278,6 +290,8 @@ class TestOrbitInvariant:
             orbit_invariant(g, g.element([1]), -2)
         with pytest.raises(ValueError):
             orbit_invariant(g, GroupElement((1, 2)))
+        with pytest.raises(ValueError, match="c must be a nonnegative integer"):
+            orbit_invariant(g, g.element([1]), True)  # not taken as c = 1
 
     def test_matches_exact_oracle_beyond_32_elements(self):
         # y has the order of x: there the order alone does not decide
@@ -319,6 +333,8 @@ class TestSameOrbit:
             same_orbit(g, g.element([1]), g.element([1]), -2)
         with pytest.raises(ValueError):
             same_orbit(g, g.element([1]), GroupElement((1, 2)))
+        with pytest.raises(ValueError, match="c must be a nonnegative integer"):
+            same_orbit(g, g.element([1]), g.element([3]), True)  # not taken as c = 1
 
     def test_matches_the_prime_key(self):
         # chains whose gcds with x and y split the primes unevenly, every c
@@ -385,3 +401,7 @@ class TestEigenSearch:
             eigen_search(1, 3, [1.5], 1, 1)
         with pytest.raises(ValueError, match="x must be integers"):
             eigen_search(2, 3, [True, 0], 1, 1)
+        with pytest.raises(ValueError, match="dimension t must be >= 1"):
+            eigen_search(0, 3, [], 1, 1)
+        with pytest.raises(ValueError, match="entry bound must be >= 1"):
+            eigen_search(1, 0, [1], 1, 1)

@@ -354,6 +354,12 @@ class TestSnf:
         error_document(2, out)
         assert code == 2
 
+    def test_json_object_exit_2(self, capsys, monkeypatch):
+        code, out = run_cli(capsys, ["snf"], stdin='{"a": [1]}', monkeypatch=monkeypatch)
+        error_document(2, out)
+        assert code == 2
+        assert json.loads(out)["message"] == "matrix must be a JSON array of arrays"
+
 
 class TestOracle:
     def test_gcd_oracle_agreement(self, capsys):
@@ -397,6 +403,20 @@ class TestOracle:
         error_document(4, out)
         assert code == 4
 
+    @pytest.mark.parametrize(
+        "option, message",
+        [
+            (["--x", "1,a", "--c", "1"], "expected a comma-separated integer list, got '1,a'"),
+            (["--x", "1", "--c", "0"], "c and d must be positive integers"),
+        ],
+        ids=["non_integer_x", "zero_c"],
+    )
+    def test_gcd_oracle_bad_input_exit_2(self, capsys, option, message):
+        code, out = run_cli(capsys, ["oracle", "lemma1", "--factors", "4", "--d", "2", *option])
+        error_document(2, out)
+        assert code == 2
+        assert json.loads(out)["message"] == message
+
     def test_eigen_no_witness(self, capsys):
         code, out = run_cli(
             capsys,
@@ -432,6 +452,16 @@ class TestErrors:
         code, out = run_cli(capsys, ["snf"], stdin=deep, monkeypatch=monkeypatch)
         error_document(2, out)
         assert code == 2
+
+    def test_integer_past_the_digit_limit_exit_2(self, capsys, monkeypatch):
+        digits = "9" * (sys.get_int_max_str_digits() + 1)
+        graph = '{"vertices":["v"],"edges":[["v","v",%s]]}' % digits
+        code, out = run_cli(
+            capsys, ["analyze", "--graph", "-"], stdin=graph, monkeypatch=monkeypatch
+        )
+        error_document(2, out)
+        assert code == 2
+        assert json.loads(out)["message"].startswith("invalid JSON: ")
 
     def test_deeply_nested_graph_exit_2(self, capsys, monkeypatch):
         deep = "[" * 100_000 + "]" * 100_000

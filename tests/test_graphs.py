@@ -2,6 +2,7 @@ import itertools
 import json
 import random
 import re
+import sys
 
 import pytest
 
@@ -69,10 +70,23 @@ class TestParseGraph:
         for text in bad_documents:
             with pytest.raises(GraphFormatError):
                 parse_graph(text)
+        with pytest.raises(GraphFormatError, match='"edges" must be a list'):
+            parse_graph('{"vertices":["v"],"edges":{"v":"v"}}')
+
+    def test_integer_past_the_digit_limit(self):
+        # json.loads raises a plain ValueError here, not JSONDecodeError
+        digits = "9" * (sys.get_int_max_str_digits() + 1)
+        with pytest.raises(GraphFormatError, match="^invalid JSON: "):
+            parse_graph('{"vertices":["v"],"edges":[["v","v",%s]]}' % digits)
 
     def test_roundtrip(self):
         g = infinite_order_graph()
         assert parse_graph(g.to_json()) == g
+
+
+def test_rose_rejects_a_negative_petal_count():
+    with pytest.raises(ValueError, match="petal count must be nonnegative"):
+        rose(-1)
 
 
 class TestBuildGraph:

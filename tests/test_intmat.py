@@ -49,6 +49,8 @@ class TestIntMatrix:
         b = IntMatrix([[0, 1], [1, 0]])
         assert (a @ b).to_lists() == [[2, 1], [4, 3]]
         assert mat_vec(a, [1, 1]) == (3, 7)
+        with pytest.raises(ValueError, match="dimensions do not match"):
+            IntMatrix([[1, 2]]) @ IntMatrix([[1, 2]])
 
 
 class TestDeterminant:

@@ -127,6 +127,30 @@ class TestRecord:
             assert repr(twin) == text
 
 
+# the records whose constructor is Record's own, built from __slots__
+SLOT_BUILT = [
+    (cls, fields)
+    for cls, fields, _ in RECORDS
+    if cls in (PisReport, SmithDecomposition, K0Data, MatrixTypeVerdict)
+]
+
+
+@pytest.mark.parametrize("cls, fields", SLOT_BUILT, ids=[cls.__name__ for cls, _ in SLOT_BUILT])
+def test_slot_built_records_reject_bad_fields(cls, fields):
+    assert cls.__init__ is Record.__init__
+    values = list(fields.values())
+    bad_calls = [
+        (values[:-1], {}),  # missing
+        ((), {name: fields[name] for name in list(fields)[:-1]}),  # missing, by name
+        (values, {"extra": 1}),  # unknown
+        (values[:1], fields),  # repeated
+        (values + values[:1], {}),  # extra
+    ]
+    for args, named in bad_calls:
+        with pytest.raises(TypeError, match=rf"^{cls.__name__}\(\) takes the fields"):
+            cls(*args, **named)
+
+
 def test_record_defaults():
     assert FGAbelianGroup() == FGAbelianGroup((), 0)
     assert GroupElement((1,)) == GroupElement((1,), ())
