@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 from typing import Iterable
 
-from .intmat import IntMatrix, Record
+from .intmat import IntMatrix, Record, require_ints
 
 
 class GraphFormatError(ValueError):
@@ -180,6 +180,7 @@ def rose(petals: int) -> DirectedGraph:
     >>> rose(2)
     DirectedGraph(vertices=('v',), edges=(('v', 'v', 2),))
     """
+    require_ints((petals,), "petal count")
     if petals < 0:
         raise ValueError("petal count must be nonnegative")
     edges = (("v", "v", petals),) if petals else ()

@@ -37,7 +37,7 @@ from typing import Callable, Sequence
 
 from .abelian import FGAbelianGroup, GroupElement, OrderValue, element_order
 from .graphs import DirectedGraph
-from .intmat import IntMatrix, Record, _prime_part, smith_coordinates
+from .intmat import IntMatrix, Record, _prime_part, require_ints, smith_coordinates
 
 
 class K0Data(Record):
@@ -60,6 +60,7 @@ class K0Data(Record):
         """Class of an integer vector on the vertex basis."""
         if len(vector) != self.generators:
             raise ValueError("vector length does not match matrix width")
+        require_ints(vector, "vector entries")
         return _class_of(self.group, self.coordinate_map, vector)
 
 

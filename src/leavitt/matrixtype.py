@@ -98,17 +98,27 @@ def m_graph(graph: DirectedGraph, m: int) -> DirectedGraph:
     old one while the group itself is unchanged.  k0_of_graph contracts the
     heads away (each head vertex is a link), so K0 of the new graph costs
     what K0 of the old one does.
+
+    graph is a DirectedGraph (else TypeError, even for m = 1), so its
+    vertices and records passed the check; the head names are distinct
+    from each other and from those vertices, or the "_" path makes them
+    so; and each head record is (fresh name, known vertex, 1) from a
+    source that emits nothing else, so no (src, dst) pair repeats.  So the
+    result is valid without DirectedGraph's check and costs its head records.
+
+    >>> m_graph(DirectedGraph(["v"], [("v", "v", 2)]), 3).vertices
+    ('v', 'v__h1', 'v__h2')
     """
+    if not isinstance(graph, DirectedGraph):
+        raise TypeError(f"m_graph takes a DirectedGraph, got {type(graph).__name__}")
     require_ints((m,), "m")
     if m < 1:
         raise ValueError("m must be a positive integer")
     if m == 1:
         return graph
-    # head names cannot collide with each other (each ends in __h and the
-    # digits of j), so only a clash with a vertex name needs the slow path
     names = [f"{v}__h{j}" for v in graph.vertices for j in range(1, m)]
     taken = set(graph.vertices)
-    if not taken.isdisjoint(names):
+    if len(taken.union(names)) < len(taken) + len(names):
         names = []
         for v in graph.vertices:
             for j in range(1, m):
@@ -120,7 +130,9 @@ def m_graph(graph: DirectedGraph, m: int) -> DirectedGraph:
     targets = names[1:] + [""]
     targets[m - 2 :: m - 1] = graph.vertices  # the last head vertex of v points to v
     edges = graph.edges + tuple(zip(names, targets, repeat(1)))
-    return DirectedGraph(graph.vertices + tuple(names), edges)
+    head = DirectedGraph.__new__(DirectedGraph)
+    Record.__init__(head, graph.vertices + tuple(names), edges)
+    return head
 
 
 class IsoReason(Enum):

@@ -89,6 +89,12 @@ def test_rose_rejects_a_negative_petal_count():
         rose(-1)
 
 
+@pytest.mark.parametrize("petals", [False, True, 2.0, "3"])
+def test_rose_rejects_a_petal_count_that_is_not_an_int(petals):
+    with pytest.raises(ValueError, match="petal count must be integers"):
+        rose(petals)
+
+
 class TestBuildGraph:
     def test_merges_in_order_of_first_appearance(self):
         g = build_graph(["a", "b"], [("b", "a", 1), ("a", "b", 2), ("b", "a", 3)])

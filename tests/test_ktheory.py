@@ -44,6 +44,13 @@ class TestCokernel:
             with pytest.raises(ValueError):
                 coordinate([1] * (len(matrix) + 1))
 
+    def test_coordinate_rejects_entries_that_are_not_ints(self):
+        coordinates = (cokernel(IntMatrix([[2]]))[1], k0_of_graph(rose(3)).coordinate)
+        for coordinate in coordinates:
+            for vector in ([True], ["1"], [1.0]):
+                with pytest.raises(ValueError, match="vector entries must be integers"):
+                    coordinate(vector)
+
     def test_coordinate_is_homomorphism(self):
         rng = random.Random(23)
         for _ in range(40):

@@ -1,7 +1,10 @@
 import ast
+import copy
 import inspect
 import itertools
+import pickle
 import random
+import types
 from math import gcd
 
 import pytest
@@ -17,7 +20,7 @@ from leavitt.abelian import (
     negate,
     scale,
 )
-from leavitt.graphs import build_graph, rose, purely_infinite_simple
+from leavitt.graphs import DirectedGraph, build_graph, rose, purely_infinite_simple
 from leavitt.ktheory import k0_of_graph
 from leavitt.matrixtype import (
     IsoReason,
@@ -170,6 +173,41 @@ class TestMGraph:
             ("v__h1__h1", "v__h1__h2", 1), ("v__h1__h2", "v__h1", 1),
             ("v__h1___h1", "v__h1___h2", 1), ("v__h1___h2", "v__h1_", 1),
         )
+
+    def test_built_graph_equals_the_checked_one(self):
+        # m_graph builds its result without DirectedGraph's check; over random
+        # graphs whose names collide with head names, the result must be what
+        # the check would build, and survive pickle and deepcopy
+        rng = random.Random(23)
+        pool = ["v", "v__h1", "v__h1_", "v__h2", "v__h1__h1", "w", "w__h1", "w__h1_"]
+        for _ in range(60):
+            names = rng.sample(pool, rng.randint(1, len(pool)))
+            pairs = {(rng.choice(names), rng.choice(names)) for _ in range(2 * len(names))}
+            g = DirectedGraph(names, [(s, d, rng.randint(1, 3)) for s, d in sorted(pairs)])
+            for m in range(1, 6):
+                h = m_graph(g, m)
+                assert type(h) is DirectedGraph
+                assert h == DirectedGraph(h.vertices, h.edges)
+                assert pickle.loads(pickle.dumps(h)) == h
+                assert copy.deepcopy(h) == h
+
+    def test_head_names_stay_distinct_for_a_str_subclass(self):
+        # names are built by formatting the vertex, which a str subclass may
+        # override, so two vertices can give the same head name
+        class Name(str):
+            def __str__(self):
+                return "x"
+
+        g = DirectedGraph((Name("a"), Name("b")), ((Name("a"), Name("b"), 1),))
+        h = m_graph(g, 2)
+        assert h.vertices[2:] == ("x__h1", "x__h1_")
+        assert h == DirectedGraph(h.vertices, h.edges)
+
+    def test_rejects_a_graph_that_is_not_a_directed_graph(self):
+        fake = types.SimpleNamespace(vertices=("v",), edges=())
+        for m in (1, 2):
+            with pytest.raises(TypeError, match="m_graph takes a DirectedGraph, got SimpleNamespace"):
+                m_graph(fake, m)
 
     def test_unit_scaling_law(self):
         for q in (2, 3, 5, 7):

@@ -1,6 +1,7 @@
-"""Package-wide behaviour: the immutable records, the module doctests, and
-what importing the CLI loads."""
+"""Package-wide behaviour: the immutable records, the module doctests,
+README's library example, and what importing the CLI loads."""
 
+import ast
 import copy
 import doctest
 import importlib
@@ -173,6 +174,24 @@ MODULES = sorted(
 def test_doctests(name):
     failures, _ = doctest.testmod(importlib.import_module(name))
     assert failures == 0
+
+
+def test_readme_library_block():
+    # run the python block under README's "## Library" statement by
+    # statement and check the values its comments state
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    block = readme.read_text(encoding="utf-8").split("## Library", 1)[1]
+    source = block.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace, values = {}, []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Expr):
+            values.append(eval(compile(ast.Expression(node.value), "README.md", "eval"), namespace))
+        else:
+            exec(compile(ast.Module([node], []), "README.md", "exec"), namespace)
+    k0 = namespace["k0"]
+    assert (k0.group.invariant_factors, k0.group.free_rank, k0.unit_order) == ((4,), 0, 4)
+    assert values == [True, False]
+    assert leavitt.k0_of_graph(namespace["bigger"]).unit_order == 2  # 2*[1] in Z/4
 
 
 def test_cli_import_leaves_out_dataclasses_and_inspect():
