@@ -1,9 +1,10 @@
 """Command-line interface: JSON in, one JSON document out, fixed exit codes.
 
-Exit codes: 0 success, 2 malformed or unreadable input, an unwritable
-``--out`` file, or a usage error, 3 hypothesis not satisfied (the graph is
-not purely infinite simple), 4 size bound exceeded (``oracle lemma1``, or
-``compare`` when ``--bound`` is given).  Handlers return their payload and
+Exit codes: 0 success, 2 malformed or unreadable input, an argument past
+its cap (``MAX_CLASSES``, ``MAX_HEAD_VERTICES``, ``MAX_EIGEN_MATRICES``),
+an unwritable ``--out`` file, or a usage error, 3 hypothesis not satisfied
+(the graph is not purely infinite simple), 4 size bound exceeded (``oracle
+lemma1``, or ``compare`` when ``--bound`` is given).  Handlers return their payload and
 signal failure by raising; ``main`` maps each exception to its exit code
 through one table, so every failure prints one ``{"error": code,
 "message": ...}`` document.
@@ -45,6 +46,12 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_HYPOTHESIS = 3
 EXIT_BOUND = 4
+
+# Caps on the arguments whose size sets a call's cost, each checked before
+# the work it would buy; a call past a cap exits 2 (EXIT_INPUT)
+MAX_CLASSES = 100_000  # classes --max: the numbers 1..max are built and printed
+MAX_HEAD_VERTICES = 100_000  # mgraph --m: (m - 1) * |V| head vertices
+MAX_EIGEN_MATRICES = 1_000_000  # oracle eigen: (2 * bound + 1) ** (t * t) matrices in range
 
 # exception -> exit code; main catches exactly these
 _EXIT_CODES = {
@@ -115,6 +122,8 @@ def _cmd_matrix_type(args) -> object:
 
 
 def _cmd_classes(args) -> object:
+    if args.max > MAX_CLASSES:
+        raise ValueError(f"--max {args.max} is over the cap of {MAX_CLASSES}")
     graph = _load_graph(args.graph)
     report = purely_infinite_simple(graph)
     k0 = k0_of_graph(graph)
@@ -123,6 +132,9 @@ def _cmd_classes(args) -> object:
 
 def _cmd_mgraph(args) -> object:
     graph = _load_graph(args.graph)
+    if (args.m - 1) * len(graph.vertices) > MAX_HEAD_VERTICES:
+        raise ValueError(f"--m {args.m} on {len(graph.vertices)} vertices would add more"
+                         f" than the cap of {MAX_HEAD_VERTICES} head vertices")
     built = m_graph(graph, args.m)
     doc = built.to_json_dict()
     if args.out != "-":
@@ -177,6 +189,13 @@ def _cmd_oracle_lemma1(args) -> object:
 
 
 def _cmd_oracle_eigen(args) -> object:
+    if args.t >= 1 and args.bound >= 1:  # else eigen_search names the bad value
+        matrices = 1
+        for _ in range(args.t * args.t):  # ends once past the cap: each factor is at least 3
+            matrices *= 2 * args.bound + 1
+            if matrices > MAX_EIGEN_MATRICES:
+                raise ValueError(f"--t {args.t} and --bound {args.bound} give more than the cap"
+                                 f" of {MAX_EIGEN_MATRICES} matrices, (2*bound+1)**(t*t), to search")
     witness = eigen_search(args.t, args.bound, _int_list(args.x), args.m, args.n)
     return {"witness": None if witness is None else witness.to_lists()}
 

@@ -4,8 +4,9 @@ Parallel edges are stored as a single record with a multiplicity, so the
 data model is canonical: at most one (source, target) record per ordered
 pair.  Vertex order in the file is the basis order for every matrix derived
 from the graph, which keeps all downstream output reproducible.  Records are
-checked in bulk, a column at a time; only when that check fails does a loop
-over the records run, to name the first bad one.
+checked in bulk, a column at a time; only when that check fails does the
+one loop over the records, shared by DirectedGraph and build_graph, run to
+name the first bad one or to merge repeated pairs.
 
 The purely-infinite-simple conditions of Abrams and Aranda Pino, each read
 off the strongly connected components as its docstring says, come from one
@@ -38,45 +39,57 @@ def _plain(records: tuple, names: set) -> bool:
     return names.issuperset(ends) and len(set(zip(srcs, dsts))) == len(records)
 
 
+def _checked(vertices: Iterable[str], edges: Iterable, merge: bool) -> tuple[tuple, tuple]:
+    """The vertex names and records as tuples, checked as DirectedGraph says,
+    and with merge, repeated pairs summed into their first appearance.  When
+    the bulk checks fail, one loop names the first bad name or record."""
+    vertices = tuple(vertices or ())
+    if not vertices:
+        raise GraphFormatError("vertex list must be nonempty")
+    names = set(vertices) if set(map(type, vertices)) == {str} else set()
+    if len(names) < len(vertices) or "" in names:  # name the first bad name
+        names = set()
+        for v in vertices:
+            if type(v) is not str or not v:
+                raise GraphFormatError("vertex names must be nonempty strings")
+            if v in names:
+                raise GraphFormatError(f"duplicate vertex name {v!r}")
+            names.add(v)
+    records = tuple(edges)
+    if _plain(records, names):
+        return vertices, tuple(map(tuple, records))
+    pairs: dict[tuple[str, str], int] = {}  # in order of first appearance
+    for record in records:
+        try:
+            src, dst, mult = record
+        except (TypeError, ValueError):  # not three fields
+            src = dst = mult = None
+        if type(src) is not str or type(dst) is not str or not names.issuperset((src, dst)):
+            raise GraphFormatError(f"edge {record!r} is not (src, dst, mult) of known vertices")
+        if type(mult) is not int or mult < 1:
+            raise GraphFormatError(f"edge multiplicity must be a positive integer: {record!r}")
+        if (src, dst) in pairs:
+            if not merge:
+                raise GraphFormatError(f"duplicate edge record for ({src!r}, {dst!r})")
+            mult += pairs[src, dst]
+        pairs[src, dst] = mult
+    return vertices, tuple((src, dst, mult) for (src, dst), mult in pairs.items())
+
+
 class DirectedGraph(Record):
+    """Vertex names in basis order and one (src, dst, mult) record per pair.
+
+    Names are distinct nonempty str; each record unpacks to str endpoints
+    among them and an int multiplicity (no bool or other subclass) of at
+    least 1.  A repeated pair is refused (build_graph merges it), and a
+    fault raises GraphFormatError naming the first bad name or record."""
+
     __slots__ = ("vertices", "edges")
     vertices: tuple[str, ...]
     edges: tuple[tuple[str, str, int], ...]
 
     def __init__(self, vertices: Iterable[str], edges: Iterable[tuple[str, str, int]]):
-        vertices = tuple(vertices or ())
-        if not vertices:
-            raise GraphFormatError("vertex list must be nonempty")
-        seen = set(vertices) if set(map(type, vertices)) == {str} else set()
-        if len(seen) < len(vertices) or "" in seen:  # name the first bad name
-            seen = set()
-            for v in vertices:
-                if not isinstance(v, str) or not v:
-                    raise GraphFormatError("vertex names must be nonempty strings")
-                if v in seen:
-                    raise GraphFormatError(f"duplicate vertex name {v!r}")
-                seen.add(v)
-        records = tuple(edges)
-        if _plain(records, seen):
-            records = tuple(map(tuple, records))
-        else:  # name the first bad record
-            checked: dict[tuple[str, str], int] = {}
-            for record in records:
-                try:
-                    src, dst, mult = record
-                    known = src in seen and dst in seen
-                except (TypeError, ValueError):  # not three fields, or an unhashable endpoint
-                    known = False
-                if not known:
-                    raise GraphFormatError(f"edge {record!r} is not (src, dst, mult) of known vertices")
-                if isinstance(mult, bool) or not isinstance(mult, int) or mult < 1:
-                    raise GraphFormatError(f"edge multiplicity must be a positive integer: {record!r}")
-                if (src, dst) in checked:
-                    raise GraphFormatError(f"duplicate edge record for ({src!r}, {dst!r})")
-                checked[src, dst] = mult
-            records = tuple((src, dst, mult) for (src, dst), mult in checked.items())
-        object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "edges", records)
+        Record.__init__(self, *_checked(vertices, edges, merge=False))
 
     def out_edges(self) -> dict[str, list[tuple[str, int]]]:
         out: dict[str, list[tuple[str, int]]] = {v: [] for v in self.vertices}
@@ -118,29 +131,13 @@ def build_graph(
 ) -> DirectedGraph:
     """Build a graph, merging duplicate (source, target) records by summing.
 
-    Each record is checked before the merge, so a sum cannot hide a bad one.
-    DirectedGraph's bulk check runs first and is the only one when nothing
-    needs merging; when it fails, the records are checked here one by one,
-    to name the first bad one or to merge, and the merged graph is built.
+    The names and records are checked as DirectedGraph checks them, with
+    the same messages, and each record before the merge, so a sum cannot
+    hide a bad one.  Merged pairs keep the place of their first appearance.
     """
-    records = tuple(edges)
-    vertices = tuple(vertices)
-    try:
-        return DirectedGraph(vertices, records)
-    except GraphFormatError:
-        pass  # a bad record or vertex name, or a repeated pair to merge
-    merged: dict[tuple[str, str], int] = {}  # in order of first appearance
-    for record in records:
-        try:
-            src, dst, mult = record
-        except (TypeError, ValueError):  # not three fields
-            raise GraphFormatError(f"edge {record!r} is not (src, dst, mult)") from None
-        if not isinstance(src, str) or not isinstance(dst, str):
-            raise GraphFormatError(f"edge endpoints must be strings: {record!r}")
-        if isinstance(mult, bool) or not isinstance(mult, int) or mult < 1:
-            raise GraphFormatError(f"edge multiplicity must be a positive integer: {record!r}")
-        merged[src, dst] = merged.get((src, dst), 0) + mult
-    return DirectedGraph(vertices, tuple((s, d, k) for (s, d), k in merged.items()))
+    graph = DirectedGraph.__new__(DirectedGraph)
+    Record.__init__(graph, *_checked(vertices, edges, merge=True))
+    return graph
 
 
 def parse_graph(text: str) -> DirectedGraph:

@@ -36,11 +36,10 @@ _PLAIN_INT = frozenset({int})
 
 
 def require_ints(values: Sequence[int], what: str) -> None:
-    """Raise ValueError unless every value is an int and none is a bool."""
-    if not set(map(type, values)) <= _PLAIN_INT:  # else check each value
-        for value in values:
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"{what} must be integers, got {value!r}")
+    """Raise ValueError naming the first value whose type is not int."""
+    if not set(map(type, values)) <= _PLAIN_INT:
+        value = next(v for v in values if type(v) is not int)
+        raise ValueError(f"{what} must be integers, got {value!r}")
 
 
 class Record:
@@ -50,10 +49,11 @@ class Record:
     takes them in slot order or by name and raises TypeError for a missing,
     unknown, repeated or extra field.  A subclass writes its own
     ``__init__`` only to check, convert or default its arguments, and sets
-    each field there once with ``object.__setattr__``.  Records compare
-    equal, and hash, by their field values in slot order; a record never
-    equals one of another class.  The repr reads ``Name(field=value, ...)``,
-    and pickling or copying calls the class again with the field values.
+    each field there once, by ``object.__setattr__`` or ``Record.__init__``.
+    Records compare equal, and hash, by their field values in slot order; a
+    record never equals one of another class.  The repr reads
+    ``Name(field=value, ...)``, and pickling or copying calls the class
+    again with the field values.
     """
 
     __slots__ = ()

@@ -1,5 +1,6 @@
 import json
 import random
+from enum import IntEnum
 from math import gcd
 
 import pytest
@@ -7,6 +8,16 @@ import pytest
 from leavitt import intmat
 from leavitt.graphs import DirectedGraph, build_graph, parse_graph
 from leavitt.intmat import IntMatrix
+
+
+class Small(IntEnum):
+    """An int subclass, which every integer check refuses."""
+
+    TWO = 2
+
+
+class Name(str):
+    """A str subclass, which the graph check refuses as a name or endpoint."""
 
 
 def chains_upto(bound: int, include_trivial: bool = True):

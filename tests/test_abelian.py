@@ -22,7 +22,7 @@ from leavitt.abelian import (
 )
 from leavitt.intmat import unimodular_check
 
-from conftest import chains_upto, mat_vec
+from conftest import Small, chains_upto, mat_vec
 
 
 class TestGroupConstruction:
@@ -36,7 +36,7 @@ class TestGroupConstruction:
             FGAbelianGroup((2, 3))
         with pytest.raises(ValueError):
             FGAbelianGroup((), free_rank=-1)
-        for factor in (4.9, "6", True, 4.0):  # never truncated or parsed
+        for factor in (4.9, "6", True, 4.0, Small.TWO):  # never truncated or parsed
             with pytest.raises(ValueError, match="invariant factors must be integers"):
                 FGAbelianGroup((factor,))
         for rank in (1.5, True, "1", 1.0):  # 1.5 once built a group with no elements

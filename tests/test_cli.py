@@ -4,12 +4,13 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import leavitt
-from leavitt.cli import main
+from leavitt.cli import MAX_CLASSES, MAX_EIGEN_MATRICES, MAX_HEAD_VERTICES, main
 from leavitt.graphs import build_graph, rose
 from leavitt.intmat import IntMatrix
 from leavitt.matrixtype import m_graph
@@ -501,6 +502,40 @@ class TestErrors:
         assert code == 2
         error_document(code, captured.out)
         assert captured.err.startswith("usage: leavitt")
+
+
+class TestCaps:
+    """An argument just past its cap exits 2 before the work it would buy."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["classes", "--graph", "{rose5}", "--max", str(MAX_CLASSES + 1)],
+            ["mgraph", "--graph", "{rose5}", "--m", str(MAX_HEAD_VERTICES + 2), "--out", "-"],
+            ["mgraph", "--graph", "{pair}", "--m", str(MAX_HEAD_VERTICES // 2 + 2), "--out", "-"],
+            ["oracle", "eigen", "--t", "1", "--bound", str(MAX_EIGEN_MATRICES // 2), "--x", "1",
+             "--m", "1", "--n", "1"],
+            ["oracle", "eigen", "--t", "2", "--bound", "16", "--x", "1,1", "--m", "1", "--n", "1"],
+            ["oracle", "eigen", "--t", "3", "--bound", "2", "--x", "1,0,0", "--m", "1", "--n", "1"],
+            ["oracle", "eigen", "--t", "9" * 4000, "--bound", "1", "--x", "1", "--m", "1", "--n", "1"],
+        ],
+        ids=["classes", "mgraph", "mgraph_two_vertices", "eigen_t1", "eigen_t2", "eigen_t3",
+             "eigen_huge_t"],
+    )
+    def test_just_past_the_cap_exit_2(self, capsys, tmp_path, rose5, argv):
+        pair = write_graph(tmp_path, "pair.json", build_graph(["a", "b"], [("a", "b", 1)]))
+        argv = [arg.format(rose5=rose5, pair=pair) for arg in argv]
+        start = time.perf_counter()
+        code, out = run_cli(capsys, argv)
+        assert time.perf_counter() - start < 0.1
+        error_document(2, out)
+        assert "cap" in json.loads(out)["message"]
+
+    def test_eigen_at_the_cap_runs(self, capsys):
+        # 31 ** 4 = 923521 matrices in range, under the cap
+        argv = ["oracle", "eigen", "--t", "2", "--bound", "15", "--x", "1,1", "--m", "1", "--n", "1"]
+        code, out = run_cli(capsys, argv)
+        assert code == 0 and json.loads(out)["witness"] is not None
 
 
 class TestEntryPoint:

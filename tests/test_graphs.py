@@ -21,7 +21,7 @@ from leavitt.graphs import (
 )
 from leavitt.intmat import IntMatrix
 
-from conftest import infinite_order_graph
+from conftest import Name, Small, infinite_order_graph
 
 
 def graph_from_matrix(matrix: IntMatrix) -> DirectedGraph:
@@ -141,33 +141,36 @@ class TestDirectedGraph:
 
 
 NOT_KNOWN = "edge {!r} is not (src, dst, mult) of known vertices"
-NOT_THREE = "edge {!r} is not (src, dst, mult)"
-NOT_STRINGS = "edge endpoints must be strings: {!r}"
 BAD_MULT = "edge multiplicity must be a positive integer: {!r}"
 BAD_SHAPE = "edge record must be [src, dst] or [src, dst, mult]: {!r}"
 BAD_NAME = "vertex names must be nonempty strings"
 
 # fault: (bad record made from a good one's endpoints, the message template
-# of DirectedGraph, of build_graph and of parse_graph; None: no error)
+# of DirectedGraph and build_graph, and of parse_graph; None: parse_graph
+# reads the record as JSON carries it, a valid one)
 RECORD_FAULTS = {
-    "zero multiplicity": (lambda s, d: (s, d, 0), BAD_MULT, BAD_MULT, BAD_MULT),
-    "negative multiplicity": (lambda s, d: (s, d, -1), BAD_MULT, BAD_MULT, BAD_MULT),
-    "float multiplicity": (lambda s, d: (s, d, 1.5), BAD_MULT, BAD_MULT, BAD_MULT),
-    "bool multiplicity": (lambda s, d: (s, d, True), BAD_MULT, BAD_MULT, BAD_MULT),
-    "int endpoint": (lambda s, d: (s, 1, 1), NOT_KNOWN, NOT_STRINGS, NOT_STRINGS),
-    "unhashable endpoint": (lambda s, d: ([s], d, 1), NOT_KNOWN, NOT_STRINGS, NOT_STRINGS),
-    "unknown endpoint": (lambda s, d: (s, "nowhere", 1), NOT_KNOWN, NOT_KNOWN, NOT_KNOWN),
-    "empty endpoint": (lambda s, d: ("", d, 1), NOT_KNOWN, NOT_KNOWN, NOT_KNOWN),
-    "two fields": (lambda s, d: (s, d), NOT_KNOWN, NOT_THREE, None),
-    "one field": (lambda s, d: (s,), NOT_KNOWN, NOT_THREE, BAD_SHAPE),
-    "four fields": (lambda s, d: (s, d, 1, 1), NOT_KNOWN, NOT_THREE, BAD_SHAPE),
-    "not a record": (lambda s, d: None, NOT_KNOWN, NOT_THREE, BAD_SHAPE),
+    "zero multiplicity": (lambda s, d: (s, d, 0), BAD_MULT, BAD_MULT),
+    "negative multiplicity": (lambda s, d: (s, d, -1), BAD_MULT, BAD_MULT),
+    "float multiplicity": (lambda s, d: (s, d, 1.5), BAD_MULT, BAD_MULT),
+    "bool multiplicity": (lambda s, d: (s, d, True), BAD_MULT, BAD_MULT),
+    "int-subclass multiplicity": (lambda s, d: (s, d, Small.TWO), BAD_MULT, None),
+    "int endpoint": (lambda s, d: (s, 1, 1), NOT_KNOWN, NOT_KNOWN),
+    "unhashable endpoint": (lambda s, d: ([s], d, 1), NOT_KNOWN, NOT_KNOWN),
+    "str-subclass endpoint": (lambda s, d: (s, Name(d), 1), NOT_KNOWN, None),
+    "unknown endpoint": (lambda s, d: (s, "nowhere", 1), NOT_KNOWN, NOT_KNOWN),
+    "empty endpoint": (lambda s, d: ("", d, 1), NOT_KNOWN, NOT_KNOWN),
+    "two fields": (lambda s, d: (s, d), NOT_KNOWN, None),
+    "one field": (lambda s, d: (s,), NOT_KNOWN, BAD_SHAPE),
+    "four fields": (lambda s, d: (s, d, 1, 1), NOT_KNOWN, BAD_SHAPE),
+    "not a record": (lambda s, d: None, NOT_KNOWN, BAD_SHAPE),
 }
 
+# fault: the bad name made from a good one
 VERTEX_FAULTS = {
-    "empty name": "",
-    "int name": 7,
-    "unhashable name": ["v0"],
+    "empty name": lambda v: "",
+    "int name": lambda v: 7,
+    "unhashable name": lambda v: [v],
+    "str-subclass name": Name,  # JSON carries it as a valid str
 }
 
 
@@ -210,7 +213,7 @@ class TestBulkChecks:
 
     @pytest.mark.parametrize("fault", sorted(RECORD_FAULTS))
     def test_record_fault(self, fault):
-        make, directed, built, parsed = RECORD_FAULTS[fault]
+        make, checked, parsed = RECORD_FAULTS[fault]
         rng = random.Random(f"record fault {fault}")
         for _ in range(self.ROUNDS):
             names, records = _valid_graph(rng)
@@ -218,19 +221,25 @@ class TestBulkChecks:
             records[k] = make(*records[k][:2])
             for as_lists in (False, True):
                 given = _as_given(records, as_lists)
-                _raises(directed.format(given[k]), DirectedGraph, names, given)
-                # build_graph hands DirectedGraph the records as tuples
-                named = tuple(given[k]) if built is NOT_KNOWN else given[k]
-                _raises(built.format(named), build_graph, names, given)
+                # both name the record as given
+                _raises(checked.format(given[k]), DirectedGraph, names, given)
+                _raises(checked.format(given[k]), build_graph, names, given)
             text = _document(names, records)
+            read = json.loads(text)["edges"]
             if parsed is None:
-                two_fields_mean_one = [r + (1,) * (3 - len(r)) for r in records]
+                two_fields_mean_one = [tuple(r) + (1,) * (3 - len(r)) for r in read]
                 assert parse_graph(text) == _merged(names, two_fields_mean_one)
             else:
                 # parse_graph names a bad shape as read, and makes tuples of the rest
-                json_bad = json.loads(text)["edges"][k]
-                _raises(parsed.format(json_bad if parsed is BAD_SHAPE else tuple(json_bad)),
+                _raises(parsed.format(read[k] if parsed is BAD_SHAPE else tuple(read[k])),
                         parse_graph, text)
+
+    def test_first_of_two_bad_records(self):
+        names, records = ["a"], [("a", "zzz", 1), ("a", 1, 1)]
+        message = NOT_KNOWN.format(records[0])
+        _raises(message, DirectedGraph, names, records)
+        _raises(message, build_graph, names, records)
+        _raises(message, parse_graph, _document(names, records))
 
     def test_duplicate_pair(self):
         rng = random.Random("duplicate pair")
@@ -267,11 +276,15 @@ class TestBulkChecks:
                 names[k] = names[rng.randrange(k)]
                 message = f"duplicate vertex name {names[k]!r}"
             else:
-                names[k] = VERTEX_FAULTS[fault]
+                names[k] = VERTEX_FAULTS[fault](names[k])
                 message = BAD_NAME
             _raises(message, DirectedGraph, names, records)
             _raises(message, build_graph, names, records)
-            _raises(message, parse_graph, _document(names, records))
+            text = _document(names, records)
+            if fault == "str-subclass name":
+                assert parse_graph(text) == DirectedGraph(json.loads(text)["vertices"], records)
+            else:
+                _raises(message, parse_graph, text)
 
     def test_records_given_as_lists(self):
         rng = random.Random("lists")

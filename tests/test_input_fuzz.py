@@ -1,0 +1,209 @@
+"""Seeded fuzz test of the input contract.
+
+Mutated graph documents and arguments around the three CLI caps go through
+``cli.main`` in process: every call prints exactly one JSON document, exits
+0, 2, 3 or 4 without a traceback, and a failed call's document carries its
+exit code.  On the library path, ``str`` and ``int`` subclasses go to
+``DirectedGraph`` and ``build_graph``, which must name the same first bad
+record.  The seed and the case counts are fixed, so every run tries the
+same cases, in a few seconds.
+"""
+
+import io
+import json
+import random
+import sys
+
+import pytest
+
+from leavitt.cli import MAX_CLASSES, MAX_EIGEN_MATRICES, MAX_HEAD_VERTICES, main
+from leavitt.graphs import DirectedGraph, GraphFormatError, build_graph
+
+from conftest import Name, Small
+
+SEED = 26
+CLI_CASES = 300
+LIBRARY_CASES = 300
+
+
+class Raw(str):
+    """JSON text put into a document as it is."""
+
+
+def _dump(value) -> str:
+    if isinstance(value, Raw):
+        return value
+    if isinstance(value, list):
+        return "[" + ",".join(map(_dump, value)) + "]"
+    if isinstance(value, dict):
+        return "{" + ",".join(f"{json.dumps(k)}:{_dump(v)}" for k, v in value.items()) + "}"
+    return json.dumps(value)
+
+
+def _near_the_digit_limit(rng) -> Raw:
+    digits = sys.get_int_max_str_digits() + rng.choice((-1, 0, 1))
+    return Raw(rng.choice(("", "-")) + "9" * digits)
+
+
+def _nested(rng) -> Raw:
+    depth = rng.choice((2, 50, 900, 5000, 100_000))
+    return Raw("[" * depth + "]" * depth)
+
+
+BAD_VALUES = [True, False, 1.5, 0, -1, 2.0, None, "", "nowhere", "1", [], ["v0"], {"v0": 1}]
+
+
+def _record(rng, edges):
+    """A random record still of the form [src, dst] or [src, dst, mult], or None."""
+    plain = [r for r in edges if type(r) is list and len(r) in (2, 3)]
+    return rng.choice(plain) if plain else None
+
+
+def _mutate(rng, names, edges):
+    """Apply one random fault to the document's names or records."""
+    kind = rng.randrange(8)
+    record = _record(rng, edges)
+    if kind == 0 and record:  # a record of another shape
+        s, d = record[:2]
+        edges[edges.index(record)] = rng.choice(
+            ([], [s], [s, d, 1, 1], s, {"src": s}, None, 5, [[s, d, 1]]))
+    elif kind == 1 and record:  # an endpoint of another type or value
+        record[rng.randrange(2)] = rng.choice(BAD_VALUES)
+    elif kind == 2 and record:  # a multiplicity of another type or value
+        record[2:] = [rng.choice(BAD_VALUES + [_near_the_digit_limit(rng), 10**rng.randint(1, 40)])]
+    elif kind == 3:  # a repeated name
+        names.insert(rng.randrange(len(names) + 1), rng.choice(names))
+    elif kind == 4:  # a bad name
+        names[rng.randrange(len(names))] = rng.choice(BAD_VALUES)
+    elif kind == 5 and record:  # a repeated pair, merged by the file format
+        edges.insert(rng.randrange(len(edges) + 1), list(record))
+    elif kind == 6:  # deep nesting in a record, a name or a multiplicity
+        where = rng.randrange(3)
+        if where == 0 and record:
+            edges[edges.index(record)] = _nested(rng)
+        elif where == 1:
+            names[rng.randrange(len(names))] = _nested(rng)
+        else:
+            edges.append([names[0], names[0], _nested(rng)])
+    elif record:  # a two-field record, multiplicity 1 by default
+        del record[2:]
+
+
+def _document(rng) -> str:
+    n = rng.randint(1, 5)
+    names = [f"v{i}" for i in range(n)]
+    edges = [[rng.choice(names), rng.choice(names), rng.randint(1, 3)]
+             for _ in range(rng.randint(0, 2 * n + 2))]
+    for _ in range(rng.choice((0, 1, 1, 2, 3))):
+        _mutate(rng, names, edges)
+    doc = {"vertices": names, "edges": edges}
+    if rng.random() < 0.05:
+        doc[rng.choice(("extra", "edges"))] = rng.choice((1, "x", {}, []))
+    return _dump(doc) if rng.random() < 0.97 else _dump(rng.choice(([], "x", None, 3)))
+
+
+def _around(rng, cap: int) -> int:
+    return rng.choice((cap - 1, cap, cap + 1, cap + 2, 2 * cap, 10**60, 1, 0, -1))
+
+
+def _call(rng, graph_file: str) -> list[str]:
+    """One argument list; the graph, when there is one, comes from stdin."""
+    kind = rng.randrange(7)
+    if kind == 0:
+        return ["analyze", "--graph", "-"]
+    if kind == 1:
+        c, d = rng.choice((1, 2, 5, 0, -3)), rng.choice((1, 3, 12, 0))
+        return ["matrix-type", "--graph", "-", "--c", str(c), "--d", str(d)]
+    if kind == 2:
+        top = rng.choice((24, _around(rng, MAX_CLASSES)))
+        return ["classes", "--graph", "-", "--max", str(top)]
+    if kind == 3:
+        # with n vertices, m - 1 = cap // n + k heads per vertex lands near the cap
+        m = rng.choice((2, 4, MAX_HEAD_VERTICES // rng.randint(1, 5) + rng.choice((-1, 0, 1, 2)),
+                        _around(rng, MAX_HEAD_VERTICES)))
+        return ["mgraph", "--graph", "-", "--m", str(m), "--out", "-"]
+    if kind == 4:
+        bound = [] if rng.random() < 0.5 else ["--bound", str(rng.choice((1, 2, 100)))]
+        return ["compare", "--graph-a", graph_file, "--graph-b", "-", *bound]
+    if kind == 5:
+        # t = 2, bound = 15 is the last pair under the cap; t = 1 runs the
+        # scan alone, so its pairs stay well under or just over the cap
+        t, bound = rng.choice(((2, 15), (2, 16), (3, 1), (3, 2), (4, 1), (1, 3),
+                               (1, MAX_EIGEN_MATRICES // 2), (1, 10**60), (10**60, 1),
+                               (0, 1), (1, 0), (-2, 1), (2, -1)))
+        x = ",".join(str(rng.randint(-2, 2)) for _ in range(max(1, min(t, 4))))
+        m, n = rng.choice((1, 2, 3, 0, -1)), rng.choice((1, 2, 0))
+        return ["oracle", "eigen", "--t", str(t), "--bound", str(bound), "--x", x,
+                "--m", str(m), "--n", str(n)]
+    factors = rng.choice(("2,4", "12", "", "0", "3,2", "x"))
+    return ["oracle", "lemma1", "--factors", factors, "--x", rng.choice(("1,1", "1", "")),
+            "--c", str(rng.randint(-1, 4)), "--d", str(rng.randint(1, 4)),
+            "--bound", str(rng.choice((1, 8, 1024)))]
+
+
+def test_cli_calls_keep_the_output_contract(capsys, monkeypatch, tmp_path):
+    graph_file = tmp_path / "rose2.json"
+    graph_file.write_text('{"vertices": ["v"], "edges": [["v", "v", 2]]}\n', encoding="utf-8")
+    rng = random.Random(SEED)
+    seen = set()
+    for case in range(CLI_CASES):
+        argv = _call(rng, str(graph_file))
+        monkeypatch.setattr("sys.stdin", io.StringIO(_document(rng)))
+        code = main(argv)
+        captured = capsys.readouterr()
+        where = f"case {case}: {argv[:2]}"
+        assert code in (0, 2, 3, 4), where
+        assert captured.out.endswith("\n") and captured.out.count("\n") == 1, where
+        doc = json.loads(captured.out)
+        assert "Traceback" not in captured.err, where
+        if code:
+            assert isinstance(doc, dict) and set(doc) == {"error", "message"}, where
+            assert doc["error"] == code, where
+        seen.add(code)
+    assert seen == {0, 2, 3, 4}  # the cases reach every exit
+
+
+def _valid_graph(rng):
+    n = rng.randint(1, 8)
+    names = [f"v{i}" for i in range(n)]
+    pairs = rng.sample([(s, d) for s in names for d in names], rng.randint(1, n * n))
+    return names, [(s, d, rng.randint(1, 3)) for s, d in pairs]
+
+
+def _first_fault(names, records):
+    """The message the check of each name and record in turn gives."""
+    for v in names:
+        if type(v) is not str:
+            return "vertex names must be nonempty strings"
+    for record in records:
+        src, dst, mult = record
+        if type(src) is not str or type(dst) is not str:
+            return f"edge {record!r} is not (src, dst, mult) of known vertices"
+        if type(mult) is not int:
+            return f"edge multiplicity must be a positive integer: {record!r}"
+    return None
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_subclass_values_are_named_alike(seed):
+    rng = random.Random(f"{SEED} library {seed}")
+    for _ in range(LIBRARY_CASES // 3):
+        names, records = _valid_graph(rng)
+        for _ in range(rng.randint(1, 3)):
+            where = rng.randrange(4)
+            if where == 0:
+                k = rng.randrange(len(names))
+                names[k] = Name(names[k])
+            else:
+                k = rng.randrange(len(records))
+                record = list(records[k])
+                if where == 3:
+                    record[2] = rng.choice((Small.TWO, True))
+                else:
+                    record[where - 1] = Name(record[where - 1])
+                records[k] = tuple(record)
+        message = _first_fault(names, records)
+        for build in (DirectedGraph, build_graph):
+            with pytest.raises(GraphFormatError) as info:
+                build(names, records)
+            assert str(info.value) == message

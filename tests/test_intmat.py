@@ -12,7 +12,7 @@ from leavitt.intmat import (
     unimodular_check,
 )
 
-from conftest import mat_vec, reduce_moduli
+from conftest import Small, mat_vec, reduce_moduli
 
 
 def check_decomposition(a, snf):
@@ -43,6 +43,8 @@ class TestIntMatrix:
             IntMatrix([[1.5]])
         with pytest.raises(ValueError):
             IntMatrix([[True]])
+        with pytest.raises(ValueError, match="got <Small.TWO: 2>"):
+            IntMatrix([[1, Small.TWO]])
 
     def test_matmul_and_apply(self):
         a = IntMatrix([[1, 2], [3, 4]])
