@@ -71,16 +71,11 @@ class FGAbelianGroup(Record):
 
     def __init__(self, invariant_factors: Iterable[int] = (), free_rank: int = 0):
         factors = tuple(invariant_factors)
-        require_ints(factors, "invariant factors")
-        for d in factors:
-            if d < 2:
-                raise ValueError("invariant factors must be >= 2")
+        require_ints(factors, "invariant factors", least=2)
         for a, b in zip(factors, factors[1:]):
             if b % a:
                 raise ValueError("invariant factors must form a divisibility chain")
-        require_ints((free_rank,), "free rank")
-        if free_rank < 0:
-            raise ValueError("free rank must be nonnegative")
+        require_ints((free_rank,), "free rank", least=0)
         object.__setattr__(self, "invariant_factors", factors)
         object.__setattr__(self, "free_rank", free_rank)
 
@@ -162,9 +157,7 @@ def element_order(group: FGAbelianGroup, x: GroupElement) -> OrderValue:
 
 def scale(group: FGAbelianGroup, c: int, x: GroupElement) -> GroupElement:
     """c * x for a positive integer c."""
-    require_ints((c,), "scalar")
-    if c < 1:
-        raise ValueError("scalar must be a positive integer")
+    require_ints((c,), "scalar", least=1)
     check_member(group, x)
     return group.element(
         torsion=(c * v for v in x.torsion),
@@ -197,9 +190,7 @@ def gcd_criterion(n: int, c: int, d: int) -> bool:
     >>> gcd_criterion(4, 1, 2)
     False
     """
-    require_ints((n, c, d), "n, c, d")
-    if min(n, c, d) < 1:
-        raise ValueError("n, c, d must be positive integers")
+    require_ints((n, c, d), "n, c, d", least=1)
     return gcd(c, n) == gcd(d, n)
 
 
@@ -280,8 +271,7 @@ def _ulm_key(group: FGAbelianGroup, x: GroupElement, c: int, base: Sequence[int]
 
 def _check_coset(group: FGAbelianGroup, x: GroupElement, c: int) -> None:
     check_member(group, x)
-    if isinstance(c, bool) or not isinstance(c, int) or c < 0:
-        raise ValueError("c must be a nonnegative integer")
+    require_ints((c,), "c", least=0)
 
 
 def orbit_invariant(group: FGAbelianGroup, x: GroupElement, c: int = 0) -> tuple:
@@ -624,18 +614,15 @@ def eigen_search(
     whole range is exhausted.  For positive m != n no witness should exist;
     keep t small (the range has (2b+1)^(t*t) matrices).
     """
-    if t < 1:
-        raise ValueError("dimension t must be >= 1")
-    if entry_bound < 1:
-        raise ValueError("entry bound must be >= 1")
+    require_ints((t,), "dimension t", least=1)
+    require_ints((entry_bound,), "entry bound", least=1)
     x = tuple(x)
     require_ints(x, "x")
     if len(x) != t:
         raise ValueError("x must have length t")
     if not any(x):
         raise ValueError("x must be a nonzero vector")
-    if m < 1 or n < 1:
-        raise ValueError("m and n must be positive integers")
+    require_ints((m, n), "m and n", least=1)
     values = range(-entry_bound, entry_bound + 1)
     # row k of a witness satisfies n * (row . x) == m * x[k]; filtering each
     # row's range keeps the lexicographic order of the whole matrix

@@ -2,10 +2,11 @@
 
 Exit codes: 0 success, 2 malformed or unreadable input, an argument past
 its cap (``MAX_CLASSES``, ``MAX_HEAD_VERTICES``, ``MAX_EIGEN_MATRICES``),
-an unwritable ``--out`` file, or a usage error, 3 hypothesis not satisfied
-(the graph is not purely infinite simple), 4 size bound exceeded (``oracle
-lemma1``, or ``compare`` when ``--bound`` is given).  Handlers return their payload and
-signal failure by raising; ``main`` maps each exception to its exit code
+an input too large for memory, an unwritable ``--out`` file, or a usage
+error, 3 hypothesis not satisfied (the graph is not purely infinite
+simple), 4 size bound exceeded (``oracle lemma1``, or ``compare`` when
+``--bound`` is given).  Handlers return their payload and signal failure
+by raising; ``main`` maps each exception to its exit code
 through one table, so every failure prints one ``{"error": code,
 "message": ...}`` document.
 """
@@ -58,6 +59,7 @@ _EXIT_CODES = {
     ValueError: EXIT_INPUT,  # GraphFormatError, bad JSON and usage errors are ValueErrors
     OSError: EXIT_INPUT,  # an input file that cannot be read, an --out file that cannot be written
     RecursionError: EXIT_INPUT,  # JSON nested too deep to decode; no other recursion runs deep
+    MemoryError: EXIT_INPUT,  # an input too large to hold that no cap catches first
     NotPurelyInfiniteSimple: EXIT_HYPOTHESIS,
     BoundExceeded: EXIT_BOUND,
 }
@@ -174,8 +176,6 @@ def _cmd_snf(args) -> object:
 def _cmd_oracle_lemma1(args) -> object:
     group = FGAbelianGroup(tuple(_int_list(args.factors)))
     x = group.element(_int_list(args.x))
-    if args.c < 1 or args.d < 1:
-        raise ValueError("c and d must be positive integers")
     n = element_order(group, x)
     criterion = gcd_criterion(n, args.c, args.d)
     brute = automorphism_maps_x_to_y(
@@ -297,8 +297,9 @@ def main(argv: list[str] | None = None) -> int:
         payload = args.handler(args)
     except tuple(_EXIT_CODES) as exc:
         code = next(c for kind, c in _EXIT_CODES.items() if isinstance(exc, kind))
-        _emit({"error": code, "message": str(exc)})
-        print(f"error: {exc}", file=sys.stderr)
+        message = str(exc) or type(exc).__name__  # a MemoryError often carries no text
+        _emit({"error": code, "message": message})
+        print(f"error: {message}", file=sys.stderr)
         return code
     _emit(payload)
     return EXIT_OK

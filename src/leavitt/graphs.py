@@ -4,9 +4,9 @@ Parallel edges are stored as a single record with a multiplicity, so the
 data model is canonical: at most one (source, target) record per ordered
 pair.  Vertex order in the file is the basis order for every matrix derived
 from the graph, which keeps all downstream output reproducible.  Records are
-checked in bulk, a column at a time; only when that check fails does the
-one loop over the records, shared by DirectedGraph and build_graph, run to
-name the first bad one or to merge repeated pairs.
+checked one at a time, in order, by one loop shared by DirectedGraph and
+build_graph, which names the first bad name or record and merges repeated
+pairs for build_graph.
 
 The purely-infinite-simple conditions of Abrams and Aranda Pino, each read
 off the strongly connected components as its docstring says, come from one
@@ -26,54 +26,37 @@ class GraphFormatError(ValueError):
     """Raised for malformed graph documents."""
 
 
-def _plain(records: tuple, names: set) -> bool:
-    """True when there are records, each a tuple or list (src, dst, mult)
-    with str endpoints in names and an int multiplicity (not a bool) above
-    0, and no (src, dst) pair repeats.  Checked per column."""
-    if not set(map(type, records)) <= {tuple, list} or set(map(len, records)) != {3}:
-        return False
-    srcs, dsts, mults = zip(*records)
-    ends = srcs + dsts
-    if set(map(type, ends)) != {str} or set(map(type, mults)) != {int} or min(mults) < 1:
-        return False
-    return names.issuperset(ends) and len(set(zip(srcs, dsts))) == len(records)
-
-
 def _checked(vertices: Iterable[str], edges: Iterable, merge: bool) -> tuple[tuple, tuple]:
     """The vertex names and records as tuples, checked as DirectedGraph says,
-    and with merge, repeated pairs summed into their first appearance.  When
-    the bulk checks fail, one loop names the first bad name or record."""
+    and with merge, repeated pairs summed into their first appearance.  The
+    names and then the records are checked one at a time, in order, so the
+    first bad one is named."""
     vertices = tuple(vertices or ())
     if not vertices:
         raise GraphFormatError("vertex list must be nonempty")
-    names = set(vertices) if set(map(type, vertices)) == {str} else set()
-    if len(names) < len(vertices) or "" in names:  # name the first bad name
-        names = set()
-        for v in vertices:
-            if type(v) is not str or not v:
-                raise GraphFormatError("vertex names must be nonempty strings")
-            if v in names:
-                raise GraphFormatError(f"duplicate vertex name {v!r}")
-            names.add(v)
-    records = tuple(edges)
-    if _plain(records, names):
-        return vertices, tuple(map(tuple, records))
-    pairs: dict[tuple[str, str], int] = {}  # in order of first appearance
-    for record in records:
+    names = set()
+    for v in vertices:
+        if type(v) is not str or not v:
+            raise GraphFormatError("vertex names must be nonempty strings")
+        if v in names:
+            raise GraphFormatError(f"duplicate vertex name {v!r}")
+        names.add(v)
+    pairs: dict[tuple[str, str], tuple] = {}  # each pair's record, in order of first appearance
+    for record in edges:
         try:
             src, dst, mult = record
         except (TypeError, ValueError):  # not three fields
             src = dst = mult = None
-        if type(src) is not str or type(dst) is not str or not names.issuperset((src, dst)):
+        if type(src) is not str or type(dst) is not str or src not in names or dst not in names:
             raise GraphFormatError(f"edge {record!r} is not (src, dst, mult) of known vertices")
         if type(mult) is not int or mult < 1:
             raise GraphFormatError(f"edge multiplicity must be a positive integer: {record!r}")
-        if (src, dst) in pairs:
+        checked = src, dst, mult
+        if pairs.setdefault((src, dst), checked) is not checked:  # a repeated pair
             if not merge:
                 raise GraphFormatError(f"duplicate edge record for ({src!r}, {dst!r})")
-            mult += pairs[src, dst]
-        pairs[src, dst] = mult
-    return vertices, tuple((src, dst, mult) for (src, dst), mult in pairs.items())
+            pairs[src, dst] = (src, dst, pairs[src, dst][2] + mult)
+    return vertices, tuple(pairs.values())
 
 
 class DirectedGraph(Record):
@@ -161,13 +144,11 @@ def parse_graph(text: str) -> DirectedGraph:
         raise GraphFormatError('"vertices" must be a list of names')
     if not isinstance(raw_edges, list):
         raise GraphFormatError('"edges" must be a list of edge records')
-    if set(map(type, raw_edges)) <= {list} and set(map(len, raw_edges)) <= {3}:
-        return build_graph(vertices, map(tuple, raw_edges))
     edges = []
     for record in raw_edges:
         if not isinstance(record, list) or len(record) not in (2, 3):
             raise GraphFormatError(f"edge record must be [src, dst] or [src, dst, mult]: {record!r}")
-        edges.append((record[0], record[1], record[2] if len(record) == 3 else 1))
+        edges.append((*record, 1) if len(record) == 2 else tuple(record))
     return build_graph(vertices, edges)
 
 
@@ -177,9 +158,7 @@ def rose(petals: int) -> DirectedGraph:
     >>> rose(2)
     DirectedGraph(vertices=('v',), edges=(('v', 'v', 2),))
     """
-    require_ints((petals,), "petal count")
-    if petals < 0:
-        raise ValueError("petal count must be nonnegative")
+    require_ints((petals,), "petal count", least=0)
     edges = (("v", "v", petals),) if petals else ()
     return DirectedGraph(("v",), edges)
 

@@ -35,11 +35,16 @@ from typing import Iterable, Sequence
 _PLAIN_INT = frozenset({int})
 
 
-def require_ints(values: Sequence[int], what: str) -> None:
-    """Raise ValueError naming the first value whose type is not int."""
+def require_ints(values: Sequence[int], what: str, least: int | None = None) -> None:
+    """Raise ValueError naming the first value whose type is not int (bool
+    and every other subclass included), then, when least is given, the
+    first value below least."""
     if not set(map(type, values)) <= _PLAIN_INT:
         value = next(v for v in values if type(v) is not int)
         raise ValueError(f"{what} must be integers, got {value!r}")
+    if least is not None and values and min(values) < least:
+        value = next(v for v in values if v < least)
+        raise ValueError(f"{what} must be at least {least}, got {value!r}")
 
 
 class Record:

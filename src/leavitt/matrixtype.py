@@ -66,9 +66,7 @@ def matrix_type_verdict(k0: K0Data, pis: PisReport) -> MatrixTypeVerdict:
 
 def matrix_type_equal(k0: K0Data, pis: PisReport, c: int, d: int) -> bool:
     """Is M_c(L(E)) isomorphic to M_d(L(E))?"""
-    require_ints((c, d), "matrix sizes")
-    if c < 1 or d < 1:
-        raise ValueError("matrix sizes must be positive integers")
+    require_ints((c, d), "matrix sizes", least=1)
     verdict = matrix_type_verdict(k0, pis)
     return verdict.class_label(c) == verdict.class_label(d)
 
@@ -78,9 +76,7 @@ def matrix_type_classes(k0: K0Data, pis: PisReport, max_n: int) -> list[list[int
 
     Blocks are sorted by least element.
     """
-    require_ints((max_n,), "max_n")
-    if max_n < 1:
-        raise ValueError("max_n must be a positive integer")
+    require_ints((max_n,), "max_n", least=1)
     verdict = matrix_type_verdict(k0, pis)
     blocks: dict[int, list[int]] = {}
     for c in range(1, max_n + 1):
@@ -100,33 +96,29 @@ def m_graph(graph: DirectedGraph, m: int) -> DirectedGraph:
     what K0 of the old one does.
 
     graph is a DirectedGraph (else TypeError, even for m = 1), so its
-    vertices and records passed the check; the head names are distinct
-    from each other and from those vertices, or the "_" path makes them
-    so; and each head record is (fresh name, known vertex, 1) from a
-    source that emits nothing else, so no (src, dst) pair repeats.  So the
-    result is valid without DirectedGraph's check and costs its head records.
+    vertices and records passed the check; each head name is made distinct
+    from those vertices and the heads before it as it is chosen; and each
+    head record is (fresh name, known vertex, 1) from a source that emits
+    nothing else, so no (src, dst) pair repeats.  So the result is valid
+    without DirectedGraph's check and costs its head records.
 
     >>> m_graph(DirectedGraph(["v"], [("v", "v", 2)]), 3).vertices
     ('v', 'v__h1', 'v__h2')
     """
     if not isinstance(graph, DirectedGraph):
         raise TypeError(f"m_graph takes a DirectedGraph, got {type(graph).__name__}")
-    require_ints((m,), "m")
-    if m < 1:
-        raise ValueError("m must be a positive integer")
+    require_ints((m,), "m", least=1)
     if m == 1:
         return graph
-    names = [f"{v}__h{j}" for v in graph.vertices for j in range(1, m)]
     taken = set(graph.vertices)
-    if len(taken.union(names)) < len(taken) + len(names):
-        names = []
-        for v in graph.vertices:
-            for j in range(1, m):
-                name = f"{v}__h{j}"
-                while name in taken:
-                    name += "_"
-                taken.add(name)
-                names.append(name)
+    names = []
+    for v in graph.vertices:
+        for j in range(1, m):
+            name = f"{v}__h{j}"
+            while name in taken:
+                name += "_"
+            taken.add(name)
+            names.append(name)
     targets = names[1:] + [""]
     targets[m - 2 :: m - 1] = graph.vertices  # the last head vertex of v points to v
     edges = graph.edges + tuple(zip(names, targets, repeat(1)))

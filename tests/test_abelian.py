@@ -286,12 +286,14 @@ class TestOrbitInvariant:
 
     def test_rejects_bad_input(self):
         g = FGAbelianGroup((4,))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="c must be at least 0, got -2"):
             orbit_invariant(g, g.element([1]), -2)
         with pytest.raises(ValueError):
             orbit_invariant(g, GroupElement((1, 2)))
-        with pytest.raises(ValueError, match="c must be a nonnegative integer"):
+        with pytest.raises(ValueError, match="c must be integers, got True"):
             orbit_invariant(g, g.element([1]), True)  # not taken as c = 1
+        with pytest.raises(ValueError, match="c must be integers, got <Small.TWO: 2>"):
+            orbit_invariant(g, g.element([1]), Small.TWO)
 
     def test_matches_exact_oracle_beyond_32_elements(self):
         # y has the order of x: there the order alone does not decide
@@ -333,8 +335,10 @@ class TestSameOrbit:
             same_orbit(g, g.element([1]), g.element([1]), -2)
         with pytest.raises(ValueError):
             same_orbit(g, g.element([1]), GroupElement((1, 2)))
-        with pytest.raises(ValueError, match="c must be a nonnegative integer"):
+        with pytest.raises(ValueError, match="c must be integers, got True"):
             same_orbit(g, g.element([1]), g.element([3]), True)  # not taken as c = 1
+        with pytest.raises(ValueError, match="c must be integers, got <Small.TWO: 2>"):
+            same_orbit(g, g.element([1]), g.element([1]), Small.TWO)
 
     def test_matches_the_prime_key(self):
         # chains whose gcds with x and y split the primes unevenly, every c
@@ -401,7 +405,15 @@ class TestEigenSearch:
             eigen_search(1, 3, [1.5], 1, 1)
         with pytest.raises(ValueError, match="x must be integers"):
             eigen_search(2, 3, [True, 0], 1, 1)
-        with pytest.raises(ValueError, match="dimension t must be >= 1"):
+        with pytest.raises(ValueError, match="dimension t must be at least 1, got 0"):
             eigen_search(0, 3, [], 1, 1)
-        with pytest.raises(ValueError, match="entry bound must be >= 1"):
+        with pytest.raises(ValueError, match="entry bound must be at least 1, got 0"):
             eigen_search(1, 0, [1], 1, 1)
+        with pytest.raises(ValueError, match="m and n must be at least 1, got 0"):
+            eigen_search(1, 3, [1], 1, 0)
+        with pytest.raises(ValueError, match="m and n must be integers, got 1.5"):
+            eigen_search(1, 3, [2], 1.5, 1)
+        with pytest.raises(ValueError, match="dimension t must be integers, got 2.0"):
+            eigen_search(2.0, 1, [1, 0], 1, 1)
+        with pytest.raises(ValueError, match="entry bound must be integers, got True"):
+            eigen_search(1, True, [1], 1, 1)

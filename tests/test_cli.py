@@ -408,7 +408,7 @@ class TestOracle:
         "option, message",
         [
             (["--x", "1,a", "--c", "1"], "expected a comma-separated integer list, got '1,a'"),
-            (["--x", "1", "--c", "0"], "c and d must be positive integers"),
+            (["--x", "1", "--c", "0"], "n, c, d must be at least 1, got 0"),
         ],
         ids=["non_integer_x", "zero_c"],
     )
@@ -471,6 +471,18 @@ class TestErrors:
         )
         error_document(2, out)
         assert code == 2
+
+    def test_memory_error_exit_2_without_traceback(self, capsys, monkeypatch, rose5):
+        def exhausted(graph):
+            raise MemoryError
+
+        monkeypatch.setattr("leavitt.cli.k0_of_graph", exhausted)
+        code = main(["analyze", "--graph", rose5])
+        captured = capsys.readouterr()
+        assert code == 2
+        error_document(2, captured.out)
+        assert json.loads(captured.out)["message"] == "MemoryError"
+        assert "Traceback" not in captured.err
 
     def test_file_and_json_failures_exit_2_without_traceback(self, tmp_path, rose5):
         # no handler wraps these: the exit table maps OSError and

@@ -85,7 +85,7 @@ class TestParseGraph:
 
 
 def test_rose_rejects_a_negative_petal_count():
-    with pytest.raises(ValueError, match="petal count must be nonnegative"):
+    with pytest.raises(ValueError, match="petal count must be at least 0, got -1"):
         rose(-1)
 
 
@@ -205,8 +205,8 @@ def _raises(message, build, *args):
 
 
 class TestBulkChecks:
-    """Bulk checking names the same first bad record, with the same message,
-    as a check of each record in turn: one fault at a random position of a
+    """The check of each name and record in turn names the first bad one, with
+    one message for every entry point: one fault at a random position of a
     200-record graph, through each of the three entry points."""
 
     ROUNDS = 6

@@ -5,8 +5,10 @@ Mutated graph documents and arguments around the three CLI caps go through
 0, 2, 3 or 4 without a traceback, and a failed call's document carries its
 exit code.  On the library path, ``str`` and ``int`` subclasses go to
 ``DirectedGraph`` and ``build_graph``, which must name the same first bad
-record.  The seed and the case counts are fixed, so every run tries the
-same cases, in a few seconds.
+record, and values of every type around each integer argument's least
+value go to the functions that check it, which must name a bad one or
+accept a good one.  The seed and the case counts are fixed, so every run
+tries the same cases, in a few seconds.
 """
 
 import io
@@ -16,14 +18,31 @@ import sys
 
 import pytest
 
+from leavitt.abelian import (
+    FGAbelianGroup,
+    eigen_search,
+    gcd_criterion,
+    orbit_invariant,
+    same_orbit,
+    scale,
+)
 from leavitt.cli import MAX_CLASSES, MAX_EIGEN_MATRICES, MAX_HEAD_VERTICES, main
-from leavitt.graphs import DirectedGraph, GraphFormatError, build_graph
+from leavitt.graphs import (
+    DirectedGraph,
+    GraphFormatError,
+    build_graph,
+    purely_infinite_simple,
+    rose,
+)
+from leavitt.ktheory import k0_of_graph
+from leavitt.matrixtype import m_graph, matrix_type_classes, matrix_type_equal
 
 from conftest import Name, Small
 
 SEED = 26
 CLI_CASES = 300
 LIBRARY_CASES = 300
+INTEGER_CASES = 300
 
 
 class Raw(str):
@@ -207,3 +226,57 @@ def test_subclass_values_are_named_alike(seed):
             with pytest.raises(GraphFormatError) as info:
                 build(names, records)
             assert str(info.value) == message
+
+
+_GROUP = FGAbelianGroup((4,))
+_X, _Y = _GROUP.element([1]), _GROUP.element([3])
+_ROSE = rose(3)
+_K0, _PIS = k0_of_graph(_ROSE), purely_infinite_simple(_ROSE)
+
+# (name in the message, least value, call with the value, whether a huge
+# value is cheap); a huge t, entry bound, max_n or m sets the cost of the
+# call by its size, which only the CLI caps
+INTEGER_ARGUMENTS = [
+    ("invariant factors", 2, lambda v: FGAbelianGroup((v,)), True),
+    ("free rank", 0, lambda v: FGAbelianGroup((2,), v), True),
+    ("scalar", 1, lambda v: scale(_GROUP, v, _X), True),
+    ("n, c, d", 1, lambda v: gcd_criterion(4, v, 2), True),
+    ("n, c, d", 1, lambda v: gcd_criterion(v, 2, 6), True),
+    ("c", 0, lambda v: same_orbit(_GROUP, _X, _Y, v), True),
+    ("c", 0, lambda v: orbit_invariant(_GROUP, _X, v), True),
+    ("dimension t", 1, lambda v: eigen_search(v, 1, [1] * (v if type(v) is int else 1), 1, 1), False),
+    ("entry bound", 1, lambda v: eigen_search(1, v, [1], 1, 1), False),
+    ("m and n", 1, lambda v: eigen_search(1, 1, [1], v, 1), True),
+    ("m and n", 1, lambda v: eigen_search(1, 1, [1], 1, v), True),
+    ("petal count", 0, lambda v: rose(v), True),
+    ("matrix sizes", 1, lambda v: matrix_type_equal(_K0, _PIS, 2, v), True),
+    ("max_n", 1, lambda v: matrix_type_classes(_K0, _PIS, v), False),
+    ("m", 1, lambda v: m_graph(_ROSE, v), False),
+]
+
+
+def _integer_value(rng, least: int, huge: bool):
+    values = [True, False, Small.TWO, float(least), least + 0.5, str(least),
+              least - 1, least, least + 1]
+    return rng.choice(values + [10**40, -(10**40)] if huge else values)
+
+
+def test_integer_arguments_follow_one_rule():
+    rng = random.Random(f"{SEED} integers")
+    for case in range(INTEGER_CASES):
+        what, least, call, huge = INTEGER_ARGUMENTS[case % len(INTEGER_ARGUMENTS)]
+        value = _integer_value(rng, least, huge)
+        where = f"case {case}: {what} = {value!r}"
+        if type(value) is not int:
+            message = f"{what} must be integers, got {value!r}"
+        elif value < least:
+            message = f"{what} must be at least {least}, got {value!r}"
+        else:
+            call(value)
+            continue
+        try:
+            call(value)
+        except ValueError as exc:
+            assert str(exc) == message, where
+        else:
+            pytest.fail(f"{where}: no ValueError")
