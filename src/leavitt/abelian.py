@@ -128,9 +128,10 @@ class GroupElement(Record):
 
 
 def check_member(group: FGAbelianGroup, x: GroupElement) -> None:
-    """Raise ValueError unless x is a canonical element of group."""
+    """Raise ValueError unless x is a canonical element of group, with int coordinates."""
     if len(x.torsion) != group.torsion_rank or len(x.free) != group.free_rank:
         raise ValueError("element coordinate counts do not match the group")
+    require_ints(x.torsion + x.free, "coordinates")
     for c, d in zip(x.torsion, group.invariant_factors):
         if not 0 <= c < d:
             raise ValueError("torsion coordinates must be canonical representatives")
@@ -354,8 +355,9 @@ class _TorsionTable:
     """Dense index arithmetic for one finite torsion group.
 
     Elements are numbered 0..size-1 in lexicographic coordinate order, with
-    0 the identity.  Rows of the addition table are built lazily, and so
-    is each span S + <g> met during searches, cached by (S, g).
+    0 the identity.  Addition and scalar rows, candidate lists and each span
+    S + <g> met during searches, by (S, g), are built lazily and kept while
+    the table is cached; answers are not, so each query searches again.
 
     One depth-first search, images, serves both oracles: it assigns
     generator images g_p in G[d_p] one position at a time, in a given
@@ -385,7 +387,6 @@ class _TorsionTable:
         self._scalar_rows: dict[int, list[int]] = {}
         self._torsion_cands: dict[int, list[int]] = {}
         self._spans: dict[tuple[frozenset[int], int], frozenset[int]] = {}
-        self._memo: dict = {}
 
     def add_row(self, i: int) -> list[int]:
         row = self._add_rows[i]
@@ -458,19 +459,12 @@ class _TorsionTable:
         """Is there an automorphism phi with phi(x) == target?"""
         if x == 0 or target == 0:
             return x == target  # every automorphism fixes 0 and is injective
-        key = (x, target)
-        memo = self._memo
-        if key in memo:
-            return memo[key]
         # positions with x_p != 0 first, where the reach prune acts; big
         # factors first: their candidate loops are the longest, and the
         # prunes cut them nearest the root
         xt, factors = self.elems[x], self.factors
         order = sorted(range(self.rank), key=lambda i: (not xt[i], -factors[i], i))
-        result = next(self.images(x, target, order), None) is not None
-        memo[key] = result
-        memo[(target, x)] = result  # symmetric via the inverse automorphism
-        return result
+        return next(self.images(x, target, order), None) is not None
 
     def images(self, x: int, target: int, order: Sequence[int]) -> Iterator[tuple[int, ...]]:
         """Generator images, listed in order, of every automorphism phi with

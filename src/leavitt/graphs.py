@@ -127,7 +127,8 @@ def parse_graph(text: str) -> DirectedGraph:
     """Parse the JSON graph document {"vertices": [...], "edges": [...]}.
 
     Edge records are [src, dst] or [src, dst, multiplicity]; a missing
-    multiplicity means 1.  Duplicate records are merged by summing.
+    multiplicity means 1.  Duplicate records are merged by summing, and the
+    first bad name or record in file order is named.
     """
     try:
         doc = json.loads(text)
@@ -144,12 +145,14 @@ def parse_graph(text: str) -> DirectedGraph:
         raise GraphFormatError('"vertices" must be a list of names')
     if not isinstance(raw_edges, list):
         raise GraphFormatError('"edges" must be a list of edge records')
-    edges = []
-    for record in raw_edges:
-        if not isinstance(record, list) or len(record) not in (2, 3):
-            raise GraphFormatError(f"edge record must be [src, dst] or [src, dst, mult]: {record!r}")
-        edges.append((*record, 1) if len(record) == 2 else tuple(record))
-    return build_graph(vertices, edges)
+
+    def records():  # shaped one at a time, as the check meets them
+        for record in raw_edges:
+            if not isinstance(record, list) or len(record) not in (2, 3):
+                raise GraphFormatError(f"edge record must be [src, dst] or [src, dst, mult]: {record!r}")
+            yield (*record, 1) if len(record) == 2 else tuple(record)
+
+    return build_graph(vertices, records())
 
 
 def rose(petals: int) -> DirectedGraph:

@@ -19,8 +19,8 @@ kill A and map onto the sum of the Z/d_i, and the d_i divide in turn and
 multiply to D, the determinant Bareiss computed.
 
 ``Record`` is the package's immutable record base, which the frozen
-records of every module (``SmithDecomposition`` here, the groups, graphs,
-K0 data and verdicts elsewhere) subclass.
+records of every module (``IntMatrix`` and ``SmithDecomposition`` here,
+the groups, graphs, K0 data and verdicts elsewhere) subclass.
 """
 
 from __future__ import annotations
@@ -58,7 +58,8 @@ class Record:
     Records compare equal, and hash, by their field values in slot order; a
     record never equals one of another class.  The repr reads
     ``Name(field=value, ...)``, and pickling or copying calls the class
-    again with the field values.
+    again with the field values (``IntMatrix``, built from its rows alone,
+    writes its own ``__reduce__`` and repr).
     """
 
     __slots__ = ()
@@ -104,10 +105,13 @@ class Record:
         return self.__class__, self._values(self)
 
 
-class IntMatrix:
+class IntMatrix(Record):
     """Dense matrix of exact integers, immutable after construction."""
 
     __slots__ = ("_data", "rows", "cols")
+    _data: tuple[tuple[int, ...], ...]
+    rows: int
+    cols: int
 
     def __init__(self, rows_data: Iterable[Sequence[int]]):
         data = []
@@ -120,9 +124,9 @@ class IntMatrix:
         width = len(data[0])
         if any(len(row) != width for row in data):
             raise ValueError("matrix rows must all have the same length")
-        self._data = tuple(data)
-        self.rows = len(data)
-        self.cols = width
+        object.__setattr__(self, "_data", tuple(data))
+        object.__setattr__(self, "rows", len(data))
+        object.__setattr__(self, "cols", width)
 
     def __getitem__(self, i: int) -> tuple[int, ...]:
         return self._data[i]
@@ -130,14 +134,11 @@ class IntMatrix:
     def __iter__(self):
         return iter(self._data)
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, IntMatrix) and self._data == other._data
-
-    def __hash__(self) -> int:
-        return hash(self._data)
-
     def __repr__(self) -> str:
         return f"IntMatrix({[list(row) for row in self._data]})"
+
+    def __reduce__(self):
+        return IntMatrix, (self._data,)  # the rows alone; the sizes follow from them
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
@@ -212,10 +213,7 @@ def unimodular_check(matrix: IntMatrix) -> bool:
 
 def content(vector: Iterable[int]) -> int:
     """gcd of the absolute values of the entries; 0 for the zero vector."""
-    g = 0
-    for x in vector:
-        g = gcd(g, x)
-    return g
+    return gcd(*vector)
 
 
 def _identity_rows(n: int) -> list[list[int]]:

@@ -1,13 +1,29 @@
 import json
+import os
 import random
+import subprocess
+import sys
 from enum import IntEnum
 from math import gcd
+from pathlib import Path
 
 import pytest
 
+import leavitt
 from leavitt import intmat
+from leavitt.abelian import (
+    add,
+    apply_automorphism,
+    automorphism_maps_x_to_y,
+    element_order,
+    negate,
+    orbit_invariant,
+    same_orbit,
+    scale,
+)
 from leavitt.graphs import DirectedGraph, build_graph, parse_graph
 from leavitt.intmat import IntMatrix
+from leavitt.matrixtype import pointed_iso_exists
 
 
 class Small(IntEnum):
@@ -18,6 +34,48 @@ class Small(IntEnum):
 
 class Name(str):
     """A str subclass, which the graph check refuses as a name or endpoint."""
+
+
+def run_module(*argv, text=True, timeout=None, env=None, stdin=None):
+    """``python -m leavitt`` in a child that imports the package under test,
+    with env added to its environment and stdin as its input."""
+    src = str(Path(leavitt.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "leavitt", *argv],
+        input=stdin,
+        capture_output=True,
+        text=text,
+        env={**os.environ, **(env or {}), "PYTHONPATH": path},
+        timeout=timeout,
+    )
+
+
+def _basis(group):
+    return [group.element([int(i == j) for j in range(group.torsion_rank)])
+            for i in range(group.torsion_rank)]
+
+
+# every function that takes a group element: whether it needs a finite
+# group, and a call with a group g and the probed element x in each place
+# the function takes an element
+ELEMENT_CALLS = {
+    "element_order": (False, lambda g, x: element_order(g, x)),
+    "scale": (False, lambda g, x: scale(g, 3, x)),
+    "add_x": (False, lambda g, x: add(g, x, g.identity())),
+    "add_y": (False, lambda g, x: add(g, g.identity(), x)),
+    "negate": (False, lambda g, x: negate(g, x)),
+    "same_orbit_x": (False, lambda g, x: same_orbit(g, x, g.identity())),
+    "same_orbit_y": (False, lambda g, x: same_orbit(g, g.identity(), x, 2)),
+    "orbit_invariant": (False, lambda g, x: orbit_invariant(g, x)),
+    "pointed_iso_exists_x": (False, lambda g, x: pointed_iso_exists(g, x, g.identity())),
+    "pointed_iso_exists_y": (False, lambda g, x: pointed_iso_exists(g, g.identity(), x)),
+    "automorphism_maps_x_to_y_x": (True, lambda g, x: automorphism_maps_x_to_y(g, x, g.identity())),
+    "automorphism_maps_x_to_y_y": (True, lambda g, x: automorphism_maps_x_to_y(g, g.identity(), x)),
+    "apply_automorphism_x": (True, lambda g, x: apply_automorphism(g, _basis(g), x)),
+    "apply_automorphism_image": (
+        True, lambda g, x: apply_automorphism(g, [x] + _basis(g)[1:], g.identity())),
+}
 
 
 def chains_upto(bound: int, include_trivial: bool = True):

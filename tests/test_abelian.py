@@ -22,7 +22,7 @@ from leavitt.abelian import (
 )
 from leavitt.intmat import unimodular_check
 
-from conftest import Small, chains_upto, mat_vec
+from conftest import ELEMENT_CALLS, Small, chains_upto, mat_vec
 
 
 class TestGroupConstruction:
@@ -120,6 +120,18 @@ class TestScale:
         for c in (2.0, True):
             with pytest.raises(ValueError, match="scalar must be integers"):
                 scale(g, c, g.element([1]))
+
+
+class TestElementCoordinates:
+    """Coordinates follow require_ints' rule in every element-taking call:
+    a bool, IntEnum, float or str coordinate raises ValueError naming it."""
+
+    @pytest.mark.parametrize("value", [True, Small.TWO, 1.0, "1"], ids=repr)
+    @pytest.mark.parametrize("name", list(ELEMENT_CALLS))
+    def test_refuses_coordinates_that_are_not_ints(self, name, value):
+        _, call = ELEMENT_CALLS[name]
+        with pytest.raises(ValueError, match=f"^coordinates must be integers, got {value!r}$"):
+            call(FGAbelianGroup((4,)), GroupElement((value,)))
 
 
 class TestGcdCriterion:

@@ -1,21 +1,18 @@
 import json
-import os
 import re
 import shlex
-import subprocess
 import sys
 import time
 from pathlib import Path
 
 import pytest
 
-import leavitt
 from leavitt.cli import MAX_CLASSES, MAX_EIGEN_MATRICES, MAX_HEAD_VERTICES, main
 from leavitt.graphs import build_graph, rose
 from leavitt.intmat import IntMatrix
 from leavitt.matrixtype import m_graph
 
-from conftest import infinite_order_graph, scc_graph
+from conftest import infinite_order_graph, run_module, scc_graph
 
 
 def run_cli(capsys, argv, stdin=None, monkeypatch=None):
@@ -26,21 +23,6 @@ def run_cli(capsys, argv, stdin=None, monkeypatch=None):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out
-
-
-def run_module(*argv, text=True, timeout=None, env=None, stdin=None):
-    """``python -m leavitt`` in a child that imports the package under test,
-    with env added to its environment and stdin as its input."""
-    src = str(Path(leavitt.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, "-m", "leavitt", *argv],
-        input=stdin,
-        capture_output=True,
-        text=text,
-        env={**os.environ, **(env or {}), "PYTHONPATH": path},
-        timeout=timeout,
-    )
 
 
 def error_document(code, out):
@@ -152,6 +134,16 @@ class TestMatrixType:
         )
         assert code == 0
         assert json.loads(out)["verdict"] is False
+
+    def test_sizes_either_side_of_the_digit_limit(self, capsys, rose5):
+        # 10**3000 + 2 and 6 are both 2 modulo 4; a 4400-digit size is
+        # refused by argparse before any work
+        argv = ["matrix-type", "--graph", rose5, "--d", "6", "--c"]
+        code, out = run_cli(capsys, argv + [str(10**3000 + 2)])
+        assert code == 0 and json.loads(out)["verdict"] is True
+        code, out = run_cli(capsys, argv + ["9" * 4400])
+        error_document(2, out)
+        assert "invalid int value" in json.loads(out)["message"]
 
     def test_infinite_regime(self, capsys, einf_file):
         code, out = run_cli(

@@ -83,6 +83,27 @@ class TestParseGraph:
         g = infinite_order_graph()
         assert parse_graph(g.to_json()) == g
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"vertices": ["a"], "edges": [["a", "zzz", 1], ["a"]]}',
+             "edge ('a', 'zzz', 1) is not (src, dst, mult) of known vertices"),
+            ('{"vertices": ["a", "a"], "edges": [["a"]]}', "duplicate vertex name 'a'"),
+            ('{"vertices": ["a"], "edges": [["a", "a", 0], 5]}',
+             "edge multiplicity must be a positive integer: ('a', 'a', 0)"),
+            ('{"vertices": ["a"], "edges": [["a", "a"], ["a", "a", 1, 1], ["a", "b"]]}',
+             "edge record must be [src, dst] or [src, dst, mult]: ['a', 'a', 1, 1]"),
+        ],
+        ids=["bad_record_before_malformed", "bad_name_before_malformed",
+             "bad_multiplicity_before_malformed", "malformed_before_bad_record"],
+    )
+    def test_names_the_first_fault_in_file_order(self, text, message):
+        # the names come first, then the records in file order, malformed
+        # ones included
+        with pytest.raises(GraphFormatError) as info:
+            parse_graph(text)
+        assert str(info.value) == message
+
 
 def test_rose_rejects_a_negative_petal_count():
     with pytest.raises(ValueError, match="petal count must be at least 0, got -1"):

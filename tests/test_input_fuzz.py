@@ -1,14 +1,17 @@
 """Seeded fuzz test of the input contract.
 
-Mutated graph documents and arguments around the three CLI caps go through
-``cli.main`` in process: every call prints exactly one JSON document, exits
-0, 2, 3 or 4 without a traceback, and a failed call's document carries its
-exit code.  On the library path, ``str`` and ``int`` subclasses go to
-``DirectedGraph`` and ``build_graph``, which must name the same first bad
-record, and values of every type around each integer argument's least
-value go to the functions that check it, which must name a bad one or
-accept a good one.  The seed and the case counts are fixed, so every run
-tries the same cases, in a few seconds.
+Mutated graph documents, arguments around the three CLI caps, and ``--c``,
+``--d`` and ``--bound`` values either side of the int-to-str digit limit go
+through ``cli.main`` in process: every call prints exactly one JSON
+document, exits 0, 2, 3 or 4 without a traceback, and a failed call's
+document carries its exit code.  A few ``python -m leavitt`` children check
+the same contract end to end.  On the library path, ``str`` and ``int``
+subclasses go to ``DirectedGraph`` and ``build_graph``, which must name the
+same first bad record; values of every type around each integer argument's
+least value go to the functions that check it, and coordinates of every
+type and range go to each function that takes a group element, which must
+name a bad one or accept a good one.  The seed and the case counts are
+fixed, so every run tries the same cases, in a few seconds.
 """
 
 import io
@@ -20,6 +23,7 @@ import pytest
 
 from leavitt.abelian import (
     FGAbelianGroup,
+    GroupElement,
     eigen_search,
     gcd_criterion,
     orbit_invariant,
@@ -37,12 +41,13 @@ from leavitt.graphs import (
 from leavitt.ktheory import k0_of_graph
 from leavitt.matrixtype import m_graph, matrix_type_classes, matrix_type_equal
 
-from conftest import Name, Small
+from conftest import ELEMENT_CALLS, Name, Small, run_module
 
 SEED = 26
 CLI_CASES = 300
 LIBRARY_CASES = 300
 INTEGER_CASES = 300
+ELEMENT_CASES = 300
 
 
 class Raw(str):
@@ -121,6 +126,13 @@ def _document(rng) -> str:
     return _dump(doc) if rng.random() < 0.97 else _dump(rng.choice(([], "x", None, 3)))
 
 
+def _digits(rng) -> str:
+    """A value of 3000 or 4400 digits, or one just under, at or just past
+    the int-to-str digit limit."""
+    limit = sys.get_int_max_str_digits()
+    return "9" * rng.choice((3000, limit - 1, limit, limit + 1, 4400))
+
+
 def _around(rng, cap: int) -> int:
     return rng.choice((cap - 1, cap, cap + 1, cap + 2, 2 * cap, 10**60, 1, 0, -1))
 
@@ -131,7 +143,7 @@ def _call(rng, graph_file: str) -> list[str]:
     if kind == 0:
         return ["analyze", "--graph", "-"]
     if kind == 1:
-        c, d = rng.choice((1, 2, 5, 0, -3)), rng.choice((1, 3, 12, 0))
+        c, d = rng.choice((1, 2, 5, 0, -3, _digits(rng))), rng.choice((1, 3, 12, 0, _digits(rng)))
         return ["matrix-type", "--graph", "-", "--c", str(c), "--d", str(d)]
     if kind == 2:
         top = rng.choice((24, _around(rng, MAX_CLASSES)))
@@ -142,7 +154,7 @@ def _call(rng, graph_file: str) -> list[str]:
                         _around(rng, MAX_HEAD_VERTICES)))
         return ["mgraph", "--graph", "-", "--m", str(m), "--out", "-"]
     if kind == 4:
-        bound = [] if rng.random() < 0.5 else ["--bound", str(rng.choice((1, 2, 100)))]
+        bound = [] if rng.random() < 0.5 else ["--bound", str(rng.choice((1, 2, 100, _digits(rng))))]
         return ["compare", "--graph-a", graph_file, "--graph-b", "-", *bound]
     if kind == 5:
         # t = 2, bound = 15 is the last pair under the cap; t = 1 runs the
@@ -156,14 +168,16 @@ def _call(rng, graph_file: str) -> list[str]:
                 "--m", str(m), "--n", str(n)]
     factors = rng.choice(("2,4", "12", "", "0", "3,2", "x"))
     return ["oracle", "lemma1", "--factors", factors, "--x", rng.choice(("1,1", "1", "")),
-            "--c", str(rng.randint(-1, 4)), "--d", str(rng.randint(1, 4)),
-            "--bound", str(rng.choice((1, 8, 1024)))]
+            "--c", str(rng.choice((-1, 0, 1, 2, 3, 4, _digits(rng)))),
+            "--d", str(rng.choice((1, 2, 3, 4, _digits(rng)))),
+            "--bound", str(rng.choice((1, 8, 1024, _digits(rng))))]
 
 
 def test_cli_calls_keep_the_output_contract(capsys, monkeypatch, tmp_path):
     graph_file = tmp_path / "rose2.json"
     graph_file.write_text('{"vertices": ["v"], "edges": [["v", "v", 2]]}\n', encoding="utf-8")
     rng = random.Random(SEED)
+    limit = sys.get_int_max_str_digits()
     seen = set()
     for case in range(CLI_CASES):
         argv = _call(rng, str(graph_file))
@@ -178,8 +192,37 @@ def test_cli_calls_keep_the_output_contract(capsys, monkeypatch, tmp_path):
         if code:
             assert isinstance(doc, dict) and set(doc) == {"error", "message"}, where
             assert doc["error"] == code, where
+        if any(len(arg) > limit for arg in argv):  # argparse refuses the value as an int
+            assert code == 2 and "invalid int value" in doc["message"], where
         seen.add(code)
     assert seen == {0, 2, 3, 4}  # the cases reach every exit
+
+
+# (argv, stdin, exit code): the contract end to end, from stdin to stdout
+MODULE_CALLS = [
+    (["analyze", "--graph", "-"], '{"vertices": ["a"], "edges": [["a", "a"], ["a", "b", 1]]}', 2),
+    (["snf"], "[" * 100_000 + "]" * 100_000, 2),
+    (["snf"], json.dumps([[10**2200, 1], [0, 10**2200]]), 0),  # D has 10**4400 on its diagonal
+]
+
+
+@pytest.mark.parametrize("argv, stdin, code", MODULE_CALLS,
+                         ids=["bad_record", "deep_nesting", "result_past_the_digit_limit"])
+def test_module_calls_keep_the_output_contract(argv, stdin, code):
+    proc = run_module(*argv, stdin=stdin, timeout=60)
+    assert proc.returncode == code
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout.endswith("\n") and proc.stdout.count("\n") == 1
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        doc = json.loads(proc.stdout)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    if code:
+        assert set(doc) == {"error", "message"} and doc["error"] == code
+    else:
+        assert doc["diagonal"] == [1, 10**4400]
 
 
 def _valid_graph(rng):
@@ -276,6 +319,44 @@ def test_integer_arguments_follow_one_rule():
             continue
         try:
             call(value)
+        except ValueError as exc:
+            assert str(exc) == message, where
+        else:
+            pytest.fail(f"{where}: no ValueError")
+
+
+# groups with and without torsion and free parts
+GROUPS = [FGAbelianGroup((4,)), FGAbelianGroup((2, 6)), FGAbelianGroup((3,), 1), FGAbelianGroup((), 2)]
+
+
+def _coordinate(rng, d: int | None):
+    """A coordinate of any type or value; d is its factor, None for a free one."""
+    top = 5 if d is None else d
+    return rng.choice([True, False, Small.TWO, 1.0, "1", -1, top, top + 1, 10**40, -(10**40),
+                       rng.randrange(top), rng.randrange(top)])
+
+
+def test_element_coordinates_follow_one_rule():
+    rng = random.Random(f"{SEED} elements")
+    names = list(ELEMENT_CALLS)
+    for case in range(ELEMENT_CASES):
+        name = names[case % len(names)]
+        finite, call = ELEMENT_CALLS[name]
+        group = rng.choice([g for g in GROUPS if g.is_finite or not finite])
+        factors = group.invariant_factors + (None,) * group.free_rank
+        coords = [_coordinate(rng, d) for d in factors]
+        x = GroupElement(coords[:group.torsion_rank], coords[group.torsion_rank:])
+        where = f"case {case}: {name} of {x!r} in {group!r}"
+        bad = [v for v in coords if type(v) is not int]
+        if bad:
+            message = f"coordinates must be integers, got {bad[0]!r}"
+        elif not all(0 <= v < d for v, d in zip(coords, group.invariant_factors)):
+            message = "torsion coordinates must be canonical representatives"
+        else:
+            call(group, x)
+            continue
+        try:
+            call(group, x)
         except ValueError as exc:
             assert str(exc) == message, where
         else:

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from math import prod
 
@@ -53,6 +55,26 @@ class TestIntMatrix:
         assert mat_vec(a, [1, 1]) == (3, 7)
         with pytest.raises(ValueError, match="dimensions do not match"):
             IntMatrix([[1, 2]]) @ IntMatrix([[1, 2]])
+
+    @pytest.mark.parametrize("name", ["rows", "cols", "_data"])
+    def test_fields_are_immutable(self, name):
+        # a matrix is a Record, so no field can be replaced by unchecked data
+        m = IntMatrix([[1, 2], [3, 4]])
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+            setattr(m, name, ((True, "x"),) if name == "_data" else 1)
+        with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
+            delattr(m, name)
+        assert m == IntMatrix([[1, 2], [3, 4]]) and (m.rows, m.cols) == (2, 2)
+
+    def test_pickle_copy_hash_and_repr(self):
+        m = IntMatrix([[1, -2, 3], [4, 5, -(10**30)]])
+        for twin in (pickle.loads(pickle.dumps(m)), copy.copy(m), copy.deepcopy(m)):
+            assert type(twin) is IntMatrix
+            assert twin == m and hash(twin) == hash(m)
+            assert (twin.rows, twin.cols) == (2, 3)
+        assert hash(IntMatrix(m.to_lists())) == hash(m)
+        assert m != IntMatrix([[1, -2, 3]]) and m != m.to_lists()
+        assert repr(m) == f"IntMatrix([[1, -2, 3], [4, 5, {-(10**30)}]])"
 
 
 class TestDeterminant:
