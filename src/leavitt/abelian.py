@@ -7,8 +7,9 @@ criterion for mapping cx to dx), the module holds the closed-form orbit
 rule, which decides whether an automorphism of the torsion subgroup moves
 one element (or coset of c*T) to another: orbit_invariant keys it by the
 primes of the exponent, and same_orbit decides it for a pair over a
-coprime base found with gcds alone, so it never factors.  Two exhaustive
-search oracles validate the classification decisions:
+coprime base found with gcds alone, so it never factors; pointed_iso_exists
+adds the free part.  Two exhaustive search oracles validate the
+classification decisions:
 
 * one depth-first search over candidate generator images of a small finite
   group, which yields every automorphism sending a given x to a given
@@ -34,7 +35,7 @@ from functools import lru_cache
 from math import gcd, lcm, prod
 from typing import Iterable, Iterator, Sequence
 
-from .intmat import IntMatrix, Record, determinant, require_ints
+from .intmat import IntMatrix, Record, content, determinant, require_ints
 
 DEFAULT_SIZE_BOUND = 1024
 
@@ -338,12 +339,35 @@ def same_orbit(group: FGAbelianGroup, x: GroupElement, y: GroupElement, c: int =
     """
     _check_coset(group, x, c)
     _check_coset(group, y, c)
+    return _same_orbit(group, x, y, c)
+
+
+def _same_orbit(group: FGAbelianGroup, x: GroupElement, y: GroupElement, c: int) -> bool:
+    # same_orbit on arguments already checked
     factors = group.invariant_factors
     base = _coprime_base(
         g for d, xi, yi in zip(factors, x.torsion, y.torsion)
         for g in (d, gcd(xi, d), gcd(yi, d), gcd(c, d))
     )
     return _ulm_key(group, x, c, base) == _ulm_key(group, y, c, base)
+
+
+def pointed_iso_exists(group: FGAbelianGroup, x: GroupElement, y: GroupElement) -> bool:
+    """Does an automorphism of group = T + Z^t send x to y?
+
+    Automorphisms of T + Z^t are block-triangular: an automorphism of T,
+    a unimodular map on Z^t, and an arbitrary homomorphism from Z^t into T
+    (nothing maps torsion into the free part).  Hence x maps to y iff the
+    free parts have the same content c and some automorphism of T moves the
+    torsion part of x into y_T + c*T.  same_orbit's rule decides the
+    torsion side in closed form, with no search and no factoring, so its
+    cost stays polynomial in the bit length of the invariant factors; each
+    element is checked once, before content reads it.
+    """
+    check_member(group, x)
+    check_member(group, y)
+    c = content(x.free)
+    return content(y.free) == c and _same_orbit(group, x, y, c)
 
 
 # ---------------------------------------------------------------------------

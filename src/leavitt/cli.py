@@ -73,6 +73,12 @@ def _load_graph(path: str) -> DirectedGraph:
     return parse_graph(_read_text(path))
 
 
+def _clip(message: str, limit: int = 120) -> str:
+    """message cut short: one quoting a 4400-digit argument would fill both streams."""
+    cut = len(message) - limit
+    return f"{message[:limit]}... [{cut} more characters]" if cut > 0 else message
+
+
 def _int_list(text: str) -> list[int]:
     text = text.strip()
     if not text:
@@ -80,7 +86,7 @@ def _int_list(text: str) -> list[int]:
     try:
         return [int(part) for part in text.split(",")]
     except ValueError as exc:
-        raise ValueError(f"expected a comma-separated integer list, got {text!r}") from exc
+        raise ValueError(_clip(f"expected a comma-separated integer list, got {text!r}")) from exc
 
 
 def _order_json(order) -> object:
@@ -205,7 +211,7 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message: str) -> NoReturn:
         self.print_usage(sys.stderr)
-        raise ValueError(message)
+        raise ValueError(_clip(message))  # argparse quotes a bad value whole
 
 
 def build_parser() -> argparse.ArgumentParser:

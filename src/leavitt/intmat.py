@@ -4,19 +4,20 @@ Everything here works over Python's arbitrary-precision integers.  Smith
 normal form intermediates routinely outgrow machine words, so there is no
 fixed-width fast path anywhere.
 
-Every Smith computation starts with a sparse unit phase (``_clear_units``,
-certified by ``_unit_phase``), whose row steps alone must bring A to a
-unit upper-triangular block over a residual block R, so coker A = coker R
-and |det A| = |det R|.  ``smith_normal_form`` then runs the gcd phase
-(``_reduce``) on R over Z, builds U and V from the log and checks
-U * A * V == D.  ``smith_coordinates``, the cokernel path of ``ktheory``,
-builds neither.  For D = |det A| > 0 one fraction-free solve (``_solve``)
-gives D and a row c onto a cyclic quotient Z/s of coker R, with
-t = D / s; the gcd phase runs only when t > 1, modulo the part D_t of D
-on the primes of t, and CRT joins the cyclic rest to its largest factor
-(``_local_factors``).  The answer is checked, not its steps: the rows
-kill A and map onto the sum of the Z/d_i, and the d_i divide in turn and
-multiply to D, the determinant Bareiss computed.
+Every Smith computation starts with a unit phase (``_clear_units``) on a
+dense copy of A that only whole-row elementary steps change, and whose
+form check (``_unit_phase``) finds a unit upper-triangular block over a
+residual block R, so coker A = coker R and |det A| = |det R|.
+``smith_normal_form`` then runs the gcd phase (``_reduce``) on R over Z,
+builds U and V from the log and checks U * A * V == D.
+``smith_coordinates``, the cokernel path of ``ktheory``, builds neither.
+For D = |det A| > 0 one fraction-free solve (``_solve``) gives D and a
+row c onto a cyclic quotient Z/s of coker R, with t = D / s; the gcd
+phase runs only when t > 1, modulo the part D_t of D on the primes of t,
+and CRT joins the cyclic rest to its largest factor (``_local_factors``).
+The answer is checked, not its steps: the rows, pulled back through the
+logged row steps, kill A and map onto the sum of the Z/d_i, and the d_i
+divide in turn and multiply to D, the determinant Bareiss computed.
 
 ``Record`` is the package's immutable record base, which the frozen
 records of every module (``IntMatrix`` and ``SmithDecomposition`` here,
@@ -235,13 +236,8 @@ def _diagonal_rows(m: int, n: int, diagonal: Sequence[int]) -> list[list[int]]:
 _Step = tuple[str, int, int, int | tuple[int, int, int, int]]
 
 
-def _has_unit(row: dict[int, int]) -> bool:
-    values = row.values()
-    return 1 in values or -1 in values
-
-
-def _place(log: list[_Step], kind: str, targets: list[int], size: int) -> None:
-    """Log the swaps of the given kind that move index targets[t] to slot t."""
+def _place(log: list[_Step], kind: str, targets: list[int], size: int) -> list[int]:
+    """Log the swaps of the given kind that move targets[t] to slot t; return slot -> index."""
     at, slot = list(range(size)), list(range(size))
     for t, i in enumerate(targets):
         s = slot[i]
@@ -250,84 +246,87 @@ def _place(log: list[_Step], kind: str, targets: list[int], size: int) -> None:
             moved = at[t]
             at[t], at[s] = i, moved
             slot[i], slot[moved] = t, s
+    return at
 
 
-def _clear_units(a: Sequence[Sequence[int]]) -> tuple[list[_Step], int]:
-    """The unit phase, which reads A and does not change it: the steps that
-    pivot on a +-1 entry while any row holds one and clear the pivot's row
-    and column exactly.
+def _clear_units(b: list[list[int]]) -> tuple[list[_Step], list[_Step], int]:
+    """The unit phase on b, a dense copy of A that it changes in place: it
+    pivots on a +-1 entry while any row holds one and clears the pivot's
+    row and column exactly.  Returns its row steps, each applied to b as it
+    is logged, its column steps, only logged, and its number k of pivots.
 
-    Rows are {column: value} dicts of their nonzeros, and each column keeps
-    the set of rows that hold it.  The pivot row is the row with the fewest
-    nonzeros among those holding a unit, kept in a lazy heap keyed
-    (len(row), row); a popped key whose row was pivoted, has changed length
-    or holds no unit any more is skipped, and every changed row that holds
-    a unit is pushed again.  Its pivot is the unit whose column has the
-    fewest nonzeros, then the lowest column.  Row additions clear the
-    pivot column, which brings the pivot row's other entries into those
-    rows (the fill this order keeps small); column additions then clear the
-    pivot row, and a -1 pivot is negated.  Steps are logged at original
-    indices; the rows of a column are walked in sorted order and a row's
-    entries in the order they entered it, so the log does not depend on the
-    hash seed.
-
-    Finally row and column swaps move pivot t to slot t.  Returns the log
-    and the number k of pivots: the log applied to A gives diag(1, ..., 1)
-    + R, with k ones and a residual block R that holds no unit.
+    Each column keeps the set of rows that hold it, and each row its number
+    of nonzeros and of +-1 entries, updated at each entry change.  The
+    pivot row is the row with the fewest nonzeros among those holding a
+    unit, kept in a lazy heap keyed (nonzeros, row); a popped key whose row
+    was pivoted, has changed its number of nonzeros or holds no unit any
+    more is skipped, and every changed row that holds a unit is pushed
+    again.  Its pivot is the unit whose column has the fewest holders, then
+    the lowest column.  Row additions clear the pivot column, which brings
+    the pivot row's other entries into those rows (the fill this order
+    keeps small); column additions would clear the pivot row, and a -1
+    pivot row is negated.  Steps are logged at original indices and the
+    rows of a column are walked in sorted order, so the log does not depend
+    on the hash seed.  Finally row swaps, applied to b too, and column
+    swaps move pivot t to slot t: the log applied to A gives
+    diag(1, ..., 1) + R, with k ones and a residual block R with no unit.
     """
-    if not any(1 in row or -1 in row for row in a):
-        return [], 0
-    m, n = len(a), len(a[0])
-    rows = [dict(compress(enumerate(row), row)) for row in a]
-    holders: list[set[int]] = [set() for _ in range(n)]
-    for i, row in enumerate(rows):
-        for j in row:
-            holders[j].add(i)
-    heap = [(len(row), i) for i, row in enumerate(rows) if _has_unit(row)]
+    units = [row.count(1) + row.count(-1) for row in b]
+    if not any(units):
+        return [], [], 0
+    m, n = len(b), len(b[0])
+    counts = [n - row.count(0) for row in b]
+    holders = [set(compress(range(m), column)) for column in zip(*b)]
+    heap = [(counts[i], i) for i in range(m) if units[i]]
     heapify(heap)
-    log: list[_Step] = []
-    pivot_rows: list[int] = []
-    pivot_cols: list[int] = []
-    done = [False] * m
+    row_log, col_log, pivot_rows, pivot_cols = [], [], [], []
     while heap:
         size, r = heappop(heap)
-        row = rows[r]
-        if done[r] or size != len(row) or not _has_unit(row):
+        if size != counts[r] or not units[r]:
             continue  # a stale key
-        units = [j for j, x in row.items() if x == 1 or x == -1]
-        c = units[0] if len(units) == 1 else min(units, key=lambda j: (len(holders[j]), j))
+        row = b[r]
+        entries = [(j, row[j]) for j in compress(range(n), row)]
+        c = min((j for j, x in entries if x == 1 or x == -1), key=lambda j: (len(holders[j]), j))
         u = row[c]
         for i in sorted(holders[c]):
             if i == r:
                 continue
-            target = rows[i]
+            target = b[i]
             q = -target[c] * u  # u * u == 1
-            for j, x in row.items():
-                y = target.get(j)
-                if y is None:
-                    target[j] = q * x
-                    holders[j].add(i)
-                elif y + q * x:
-                    target[j] = y + q * x
+            count, unit = counts[i], units[i]
+            for j, x in entries:
+                y = target[j]
+                z = target[j] = y + q * x
+                if y:
+                    if y == 1 or y == -1:
+                        unit -= 1
+                    if not z:
+                        count -= 1
+                        holders[j].discard(i)
+                        continue
                 else:
-                    del target[j]
-                    holders[j].discard(i)
-            log.append(("row_add", r, i, q))
-            if _has_unit(target):
-                heappush(heap, (len(target), i))
-        for j, x in row.items():
+                    count += 1
+                    holders[j].add(i)
+                if z == 1 or z == -1:
+                    unit += 1
+            counts[i], units[i] = count, unit
+            row_log.append(("row_add", r, i, q))
+            if unit:
+                heappush(heap, (count, i))
+        for j, x in entries:
             if j != c:  # column c now holds row r alone
-                log.append(("col_add", c, j, -x * u))
+                col_log.append(("col_add", c, j, -x * u))
                 holders[j].discard(r)
         if u < 0:
-            log.append(("row_neg", r, r, 0))
-        done[r] = True
+            row_log.append(("row_neg", r, r, 0))
+            b[r] = [-x for x in row]
+        counts[r] = 0  # pivoted: no key matches it again
         pivot_rows.append(r)
         pivot_cols.append(c)
 
-    _place(log, "row_swap", pivot_rows, m)
-    _place(log, "col_swap", pivot_cols, n)
-    return log, len(pivot_rows)
+    b[:] = [b[i] for i in _place(row_log, "row_swap", pivot_rows, m)]
+    _place(col_log, "col_swap", pivot_cols, n)
+    return row_log, col_log, len(pivot_rows)
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -559,33 +558,26 @@ def _unit_phase(
     rows: Sequence[Sequence[int]],
 ) -> tuple[list[_Step], list[_Step], int, list[list[int]]]:
     """The unit phase of A (plain integer rows, read and not changed) and
-    its certificate: its log, the log's row steps, its number k of pivots,
-    and the residual block R that the log leaves, as fresh lists.
+    its form check: its row steps, its column steps, its number k of
+    pivots, and the residual block R that it leaves, as fresh lists.
 
-    The unit phase (_clear_units) picks its steps, and its row steps are
-    replayed exactly on a fresh copy of A; its column steps only clear the
-    pivot rows, and smith_normal_form's U * A * V == D check covers them.
-    With order[t] the column that its column swaps move to slot t, the
-    replay must hold 1 at (t, order[t]) for t < k, and 0 below it in that
-    column.  Taking the columns in that order, it is then [[T, X], [0, R]]
-    with T unit upper triangular, and R, its rows past k, is the block that
-    the whole log leaves.  Column steps [[T^-1, -T^-1 X], [0, I]] turn it
-    into diag(I, R), so coker A is coker R and |det A| = |det R|.  A row
-    vector (0, c) on the replay's rows that kills R modulo d, pulled back
-    through the row steps, kills A modulo d.
+    The unit phase (_clear_units) runs on a dense copy of A, which only its
+    row steps change, each a whole-row addition, negation or swap.  With
+    order[t] the column that its column swaps move to slot t, the copy must
+    hold 1 at (t, order[t]) for t < k, and 0 below it in that column.
+    Taking the columns in that order, it is then [[T, X], [0, R]] with T
+    unit upper triangular.  Column steps [[T^-1, -T^-1 X], [0, I]] turn it
+    into diag(I, R), and elementary row steps keep the cokernel and |det|,
+    so coker A is coker R and |det A| = |det R|.  The log is checked
+    downstream, not against the copy: by smith_coordinates' kill and onto
+    checks on A, and by smith_normal_form's U * A * V == D.
     """
-    log, k = _clear_units(rows)
+    b = [list(row) for row in rows]
+    row_steps, col_steps, k = _clear_units(b)
     if not k:  # no unit: R is A
-        return log, log, 0, [list(row) for row in rows]
-    n = len(rows[0])
-    order, row_steps = list(range(n)), []
-    for step in log:
-        kind, i, j, _ = step
-        if kind == "col_swap":
-            order[i], order[j] = order[j], order[i]
-        elif kind != "col_add":
-            row_steps.append(step)
-    b = _replay(rows, row_steps)
+        return row_steps, col_steps, 0, b
+    n = len(b[0])
+    order = _replay([range(n)], (step for step in col_steps if step[0] == "col_swap"))[0]
     pivots, rest = order[:k], order[k:]
     residual = [[row[j] for j in rest] for row in b[k:]]
     rank = [k] * n  # t for the pivot column order[t], k for the others
@@ -596,8 +588,8 @@ def _unit_phase(
     if any(
         row[c] != 1 or min(compress(rank, row)) < t for t, (row, c) in enumerate(zip(b, pivots))
     ) or any(row.count(0) - part.count(0) != k for row, part in zip(b[k:], residual)):
-        raise RuntimeError("internal error: replayed unit steps do not give [[T, X], [0, R]]")
-    return log, row_steps, k, residual
+        raise RuntimeError("internal error: the unit phase does not give [[T, X], [0, R]]")
+    return row_steps, col_steps, k, residual
 
 
 def _integer_phase(
@@ -619,7 +611,8 @@ def _smith_log(rows: Sequence[Sequence[int]]) -> tuple[list[_Step], tuple[int, .
     steps and the diagonal; the log's row steps applied to I give U, and
     its column steps V, with U * A * V the diagonal, which
     smith_normal_form checks."""
-    log, _, k, residual = _unit_phase(rows)
+    row_steps, col_steps, k, residual = _unit_phase(rows)
+    log = row_steps + col_steps
     return log, _integer_phase(log, k, residual)[1]
 
 
@@ -772,10 +765,14 @@ def smith_coordinates(
     (_onto); for D > 0 the d_i must multiply to D and divide in turn.  That
     certifies the answer however it was found: kill gives a homomorphism
     from coker A, onto makes it surjective, and a surjection between finite
-    groups of the same order is an isomorphism.
+    groups of the same order is an isomorphism; |det A| = |det R| = D, as
+    only elementary row steps change the unit phase's copy of A.  On the gcd
+    route the rows come from a product of logged elementary steps, so they
+    are onto; the replayed gcd steps show the group isomorphic to coker A,
+    and a surjection between isomorphic f.g. abelian groups is injective.
     """
     m, n = len(rows), len(rows[0])
-    _, row_steps, k, residual = _unit_phase(rows)
+    row_steps, _, k, residual = _unit_phase(rows)
     D, z = _solve(residual) if m == n else (0, [])
     if D:
         factors, starts = _local_factors(residual, D, z) if D > 1 else ((1,) * (m - k), [])

@@ -33,6 +33,7 @@ chose.  Other groups keep the elimination's basis.
 from __future__ import annotations
 
 from math import gcd
+from operator import mul
 from typing import Callable, Sequence
 
 from .abelian import FGAbelianGroup, GroupElement, OrderValue, element_order
@@ -67,7 +68,7 @@ class K0Data(Record):
 def _class_of(
     group: FGAbelianGroup, coordinate_map: Sequence[Sequence[int]], vector: Sequence[int]
 ) -> GroupElement:
-    w = [sum(a * b for a, b in zip(row, vector)) for row in coordinate_map]
+    w = [sum(map(mul, row, vector)) for row in coordinate_map]
     k = group.torsion_rank
     return group.element(torsion=w[:k], free=w[k:])
 

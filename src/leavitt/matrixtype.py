@@ -14,13 +14,7 @@ from enum import Enum
 from itertools import repeat
 from math import gcd
 
-from .abelian import (
-    FGAbelianGroup,
-    GroupElement,
-    INFINITE,
-    check_member,
-    same_orbit,
-)
+from .abelian import INFINITE, pointed_iso_exists
 from .graphs import DirectedGraph, PisReport
 from .intmat import Record, content, require_ints
 from .ktheory import K0Data
@@ -147,29 +141,6 @@ class IsoVerdict(Record):
     @property
     def isomorphic(self) -> bool:
         return self.reason is IsoReason.UNIT_ORBIT_MATCH
-
-
-def pointed_iso_exists(
-    group: FGAbelianGroup,
-    x: GroupElement,
-    y: GroupElement,
-) -> bool:
-    """Does an automorphism of group = T + Z^t send x to y?
-
-    Automorphisms of T + Z^t are block-triangular: an automorphism of T,
-    a unimodular map on Z^t, and an arbitrary homomorphism from Z^t into T
-    (nothing maps torsion into the free part).  Hence x maps to y iff the
-    free parts have the same content c and some automorphism of T moves the
-    torsion part of x into y_T + c*T.  same_orbit decides the torsion side
-    in closed form, with no search and no factoring, so its cost stays
-    polynomial in the bit length of the invariant factors.
-    """
-    check_member(group, x)
-    check_member(group, y)
-    c = content(x.free)
-    if content(y.free) != c:
-        return False
-    return same_orbit(group, x, y, c)
 
 
 def compare_pointed_k0(k_left: K0Data, k_right: K0Data) -> IsoVerdict:

@@ -145,6 +145,23 @@ class TestMatrixType:
         error_document(2, out)
         assert "invalid int value" in json.loads(out)["message"]
 
+    def test_a_long_bad_value_is_not_echoed_whole(self, capsys, rose5):
+        # argparse and the integer lists quote a bad value; a 4400-digit one
+        # is cut short on both streams, and the message keeps the option
+        calls = [
+            (["matrix-type", "--graph", rose5, "--d", "6", "--c", "9" * 4400], "argument --c: "),
+            (["oracle", "lemma1", "--factors", "4", "--x", "9" * 4400, "--c", "1", "--d", "1"],
+             "expected a comma-separated integer list, got '999"),
+        ]
+        for argv, start in calls:
+            code = main(argv)
+            captured = capsys.readouterr()
+            assert code == 2
+            error_document(2, captured.out)
+            message = json.loads(captured.out)["message"]
+            assert message.startswith(start) and message.endswith(" more characters]")
+            assert len(captured.out) < 300 and len(captured.err) < 300
+
     def test_infinite_regime(self, capsys, einf_file):
         code, out = run_cli(
             capsys, ["matrix-type", "--graph", einf_file, "--c", "3", "--d", "5"]

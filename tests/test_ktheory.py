@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -347,22 +348,26 @@ _LOCAL_GRAPH = build_graph(
 )
 
 
-def _corrupting(phase, corrupt: str):
+def _corrupting(phase, corrupt: str, applied: bool = False):
     """An elimination phase of intmat that corrupts the first step of the
     given kind it logs, or with "-last" the last: an addition's q becomes
     q + 1; a mix (s, t, u, v) becomes (s, t, u + s, v + t), still of
     determinant 1, which adds the new pivot row to the cleared one, or with
     "-det" (s, t, u, v + 1); a swap, a negation, or any step with
-    "-dropped" is deleted."""
+    "-dropped" is deleted.  With applied, the unit phase also leaves the
+    rows that its corrupted row steps give, as a faulty phase would;
+    otherwise only its returned log is wrong."""
     kind, _, how = corrupt.partition("-")
 
     def corrupted(a, *args):
-        # _reduce appends to the list it is given; _clear_units returns its log
+        # _reduce appends to the list it is given; _clear_units returns its
+        # row steps and then its column steps
         log = next((arg for arg in args if isinstance(arg, list)), [])
         start = len(log)
+        rows = [list(row) for row in a]
         result = phase(a, *args)
         if not args:
-            log = result[0]
+            log = result[kind.startswith("col")]
         at = [i for i in range(start, len(log)) if log[i][0] == kind]
         first = at[-1] if how.startswith("last") else at[0]
         _, i, j, q = log[first]
@@ -373,6 +378,8 @@ def _corrupting(phase, corrupt: str):
         else:
             s, t, u, v = q
             log[first] = (kind, i, j, (s, t, u, v + 1) if how == "det" else (s, t, u + s, v + t))
+        if applied:
+            a[:] = intmat._replay(rows, result[0])
         return result
 
     return corrupted
@@ -395,11 +402,34 @@ def _raises(match: str, matrices, graphs) -> None:
             k0_of_graph(graph)
 
 
+def _caught(matrices, graphs, answers) -> int:
+    """How many of the calls of _k0_answers fail a coordinate row's kill or
+    onto check; each of the others must still give its entry of answers."""
+    calls = [(smith_coordinates, m.to_lists()) for m in matrices]
+    calls += [(k0_of_graph, graph) for graph in graphs]
+    caught = 0
+    for (call, arg), answer in zip(calls, answers):
+        try:
+            result = call(arg)
+        except RuntimeError as exc:
+            assert re.search("does not kill A|not onto", str(exc))
+            caught += 1
+        else:
+            assert result == answer
+    return caught
+
+
+def _snf_raises(match: str, matrices) -> None:
+    for matrix in matrices:
+        with pytest.raises(RuntimeError, match=match):
+            smith_normal_form(matrix)
+
+
 class TestK0Certificate:
     """The K0 path derives only the coordinate rows from the elimination log,
-    without building U or V.  The unit phase's row steps are replayed
-    exactly and must give a triangular form.  Over the integers the gcd
-    steps are replayed too, and each row must kill A.
+    without building U or V.  The rows that the unit phase leaves must have
+    a triangular form, and each coordinate row, pulled back through its
+    row steps, must kill A.  Over the integers the gcd steps are replayed.
     Modulo D = |det| the answer itself is certified: each row kills A, the
     rows map onto the sum of the Z/d_i, and the d_i multiply to D and
     divide in turn."""
@@ -482,17 +512,37 @@ class TestK0Certificate:
     def test_corrupted_log_raises(self, monkeypatch, corrupt):
         # the unit phase on both routes, then the gcd phase over the integers
         matrices, graphs = [_MODULAR_MATRIX, _INTEGER_MATRIX], [_MODULAR_GRAPH, _INTEGER_GRAPH]
+        presentations = matrices + [_presentation(graph) for graph in graphs]
         answers = _k0_answers(matrices, graphs)
+        if corrupt.startswith("row"):
+            # a phase that applies the corrupted step leaves rows that are
+            # not [[T, X], [0, R]]
+            monkeypatch.setattr(
+                intmat, "_clear_units", _corrupting(intmat._clear_units, corrupt, applied=True)
+            )
+            _raises("unit phase does not give", matrices, graphs)
+            _snf_raises("unit phase does not give", presentations)
+            monkeypatch.undo()
         monkeypatch.setattr(intmat, "_clear_units", _corrupting(intmat._clear_units, corrupt))
-        if corrupt.startswith("col_add"):
-            # K0 replays only the unit phase's row steps, so its answers
-            # stand; the dense U*A*V == D check of snf reads the column steps
-            for matrix in matrices + [_presentation(graph) for graph in graphs]:
-                with pytest.raises(RuntimeError, match="transform identity"):
-                    smith_normal_form(matrix)
-            assert _k0_answers(matrices, graphs) == answers
+        if corrupt.startswith("row"):
+            # a log that alone is wrong gives a U that fails U*A*V == D, and
+            # each coordinate row that it changes fails its check against
+            # A. A dropped negation changes none: a coordinate row is zero
+            # on a pivot row when pulled back past its negation. Nor does
+            # the last addition of _INTEGER_GRAPH's unit phase, whose
+            # target each coordinate row holds at 0 modulo its factor
+            _snf_raises("transform identity", presentations)
+            caught = {"row_add": 4, "row_swap": 4, "row_neg": 0, "row_add-last-dropped": 3}
+            assert _caught(matrices, graphs, answers) == caught[corrupt]
+        elif corrupt == "col_swap":
+            # the column swaps give the column order that the form check reads
+            _raises("unit phase does not give", matrices, graphs)
+            _snf_raises("unit phase does not give", presentations)
         else:
-            _raises("replayed", matrices, graphs)
+            # K0 reads only the unit phase's row steps, so its answers
+            # stand; the dense U*A*V == D check of snf reads the column steps
+            _snf_raises("transform identity", presentations)
+            assert _k0_answers(matrices, graphs) == answers
         monkeypatch.undo()
         monkeypatch.setattr(intmat, "_reduce", _corrupting(intmat._reduce, corrupt))
         _raises("replayed", [_INTEGER_MATRIX], [_INTEGER_GRAPH])
@@ -502,11 +552,10 @@ class TestK0Certificate:
         # with no step: each row holds 1 at its pivot, but row 1 also holds
         # pivot 0's column, so T is not triangular; taken as it stands, it
         # would give the trivial group instead of Z
-        monkeypatch.setattr(intmat, "_clear_units", lambda a: ([], len(a)))
+        monkeypatch.setattr(intmat, "_clear_units", lambda b: ([], [], len(b)))
         matrix = IntMatrix([[1, 1], [1, 1]])
-        _raises("replayed", [matrix], [])
-        with pytest.raises(RuntimeError, match="replayed"):
-            smith_normal_form(matrix)
+        _raises("unit phase does not give", [matrix], [])
+        _snf_raises("unit phase does not give", [matrix])
 
     @pytest.mark.parametrize(
         "corrupt",
@@ -898,6 +947,19 @@ def _unit_rich_rows(rng: random.Random, rows: int, cols: int) -> list[list[int]]
     ]
 
 
+def _replayed_unit_phase(rows, unit_phase=intmat._unit_phase):
+    """unit_phase(rows), with what the phase itself does not check: it
+    leaves rows unchanged, and its row steps, replayed on a fresh copy of
+    A, give the rows that its form check read."""
+    before = [list(row) for row in rows]
+    result = unit_phase(rows)
+    assert [list(row) for row in rows] == before
+    b = [list(row) for row in rows]
+    assert intmat._clear_units(b) == result[:3]
+    assert intmat._replay(rows, result[0]) == b
+    return result
+
+
 class TestUnitPhase:
     """The sparse unit phase and the gcd phase after it, against the dense
     transforms of smith_normal_form and against sympy."""
@@ -911,15 +973,14 @@ class TestUnitPhase:
         cases += [[[1, 1], [1, 3]], [[-1, 2, 0], [1, 0, 2], [0, 2, 2]]]  # rows that lose their unit
         negated = lost = rectangular = 0
         for rows in cases:
-            a = [list(row) for row in rows]
-            log, k = intmat._clear_units(a)
-            assert a == [list(row) for row in rows]  # the unit phase only reads its argument
-            a = intmat._replay(rows, log)
-            residual = [row[k:] for row in a[k:]]
+            row_steps, col_steps, k, residual = _replayed_unit_phase(rows)
+            # the column steps, after the row steps, leave diag(1, ..., 1) + R
+            a = intmat._replay(intmat._replay(rows, row_steps), col_steps)
+            assert residual == [row[k:] for row in a[k:]]
             assert all(a[i][j] == (i == j) for i in range(k) for j in range(len(a[0])))
             assert all(a[i][j] == 0 for i in range(k, len(a)) for j in range(k))
             assert not any(x in (1, -1) for row in residual for x in row)
-            negated += any(step[0] == "row_neg" for step in log)
+            negated += any(step[0] == "row_neg" for step in row_steps)
             lost += sum(any(x in (1, -1) for x in row) for row in rows) > k
             rectangular += len(rows) != len(rows[0])
 
@@ -933,6 +994,20 @@ class TestUnitPhase:
             ours = smith_normal_form(IntMatrix(rows)).diagonal
             theirs = sympy_snf(sympy.Matrix(rows), domain=sympy.ZZ)
             assert sorted(abs(int(theirs[i, i])) for i in range(len(ours))) == sorted(ours)
+
+    def test_log_replays_on_graphs(self, monkeypatch):
+        # every presentation that K0 takes of the golden graphs and of one
+        # larger graph
+        calls = []
+
+        def replayed(rows):
+            calls.append(rows)
+            return _replayed_unit_phase(rows)
+
+        monkeypatch.setattr(intmat, "_unit_phase", replayed)
+        for graph in _golden_graphs() + [scc_graph(200, 0)]:
+            k0_of_graph(graph)
+        assert len(calls) == len(_golden_graphs()) + 1
 
 
 def _complete_graph(r: int, p: int, b: int) -> DirectedGraph:

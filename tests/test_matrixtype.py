@@ -269,6 +269,19 @@ class TestPointedIsoExists:
         assert pointed_iso_exists(g, x, g.element([3], [-2]))
         assert not pointed_iso_exists(g, x, g.element([2], [2]))
 
+    def test_checks_each_element_once(self, monkeypatch):
+        checked = []
+        check_member = abelian_module.check_member
+        for module in (abelian_module, matrixtype_module):
+            monkeypatch.setattr(
+                module, "check_member", lambda g, x: checked.append(x) or check_member(g, x),
+                raising=False,
+            )
+        g = FGAbelianGroup((4,), free_rank=1)
+        x, y = g.element([1], [2]), g.element([3], [-2])
+        assert pointed_iso_exists(g, x, y)
+        assert checked == [x, y]
+
     def test_brute_force_equivalence_sample(self):
         # structural rule == enumeration over (alpha, beta, delta) on a sample
         rng = random.Random(47)
@@ -344,7 +357,7 @@ class TestDecisionPathOffOracle:
 
     def test_imports_no_private_name(self):
         imported = self._imported_names(matrixtype_module)
-        assert "same_orbit" in imported
+        assert "pointed_iso_exists" in imported
         assert not [name for name in imported if name.startswith("_")]
 
     @pytest.mark.parametrize(
