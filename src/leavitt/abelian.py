@@ -35,7 +35,7 @@ from functools import lru_cache
 from math import gcd, lcm, prod
 from typing import Iterable, Iterator, Sequence
 
-from .intmat import IntMatrix, Record, content, determinant, require_ints
+from .intmat import IntMatrix, Record, content, require_ints, unimodular_check
 
 DEFAULT_SIZE_BOUND = 1024
 
@@ -654,6 +654,6 @@ def eigen_search(
     ]
     for rows in itertools.product(*candidates):
         matrix = IntMatrix(rows)
-        if determinant(matrix) in (1, -1):
+        if unimodular_check(matrix):
             return matrix
     return None

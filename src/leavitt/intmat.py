@@ -145,9 +145,7 @@ class IntMatrix(Record):
         if self.cols != other.rows:
             raise ValueError("matrix dimensions do not match")
         cols = list(zip(*other._data))
-        return IntMatrix(
-            [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in self._data]
-        )
+        return IntMatrix([[sum(map(mul, row, col)) for col in cols] for row in self._data])
 
     def to_lists(self) -> list[list[int]]:
         return [list(row) for row in self._data]
@@ -490,36 +488,18 @@ def _reduce(a: list[list[int]], log: list[_Step], modulus: int = 0) -> None:
 
 
 def _replay(rows: Iterable[Sequence[int]], steps: Iterable[_Step]) -> list[list[int]]:
-    """A copy of the matrix with every step applied exactly.
-
-    Each step acts on whole rows or columns; the only entries it skips are
-    zeros, as the copy holds them.  A row addition walks the nonzeros of its
-    source row, and a column addition the rows that hold its source column.
-    A run of additions from one source finds those once: row j += q * row i
-    never makes a zero of row i nonzero, nor a column addition one of its
-    source.  Nothing is assumed about which entries the elimination left
-    zero.
+    """A copy of the matrix with every step applied exactly to whole rows
+    or columns.  Nothing is assumed about which entries the elimination
+    left zero.
     """
     b = [list(row) for row in rows]
-    n = len(b[0]) if b else 0
-    source, moving = None, []
     for kind, i, j, q in steps:
         if kind == "row_add":
-            if source != (kind, i):
-                src = b[i]
-                source, moving = (kind, i), list(compress(range(n), src))
-            dst = b[j]
-            for col in moving:
-                dst[col] += q * src[col]
-            continue
-        if kind == "col_add":
-            if source != (kind, i):
-                source, moving = (kind, i), [row for row in b if row[i]]
-            for row in moving:
+            b[j] = [y + q * x for x, y in zip(b[i], b[j])]
+        elif kind == "col_add":
+            for row in b:
                 row[j] += q * row[i]
-            continue
-        source = None  # any other step may change what a run moves
-        if kind == "row_swap":
+        elif kind == "row_swap":
             b[i], b[j] = b[j], b[i]
         elif kind == "row_neg":
             b[i] = [-x for x in b[i]]

@@ -3,21 +3,23 @@
 Mutated graph documents, arguments around the three CLI caps, and ``--c``,
 ``--d`` and ``--bound`` values either side of the int-to-str digit limit go
 through ``cli.main`` in process: every call prints exactly one JSON
-document, exits 0, 2, 3 or 4 without a traceback, and a failed call's
-document carries its exit code.  A few ``python -m leavitt`` children check
-the same contract end to end.  On the library path, ``str`` and ``int``
-subclasses go to ``DirectedGraph`` and ``build_graph``, which must name the
-same first bad record; values of every type around each integer argument's
-least value go to the functions that check it, and coordinates of every
-type and range go to each function that takes a group element, which must
-name a bad one or accept a good one.  The seed and the case counts are
-fixed, so every run tries the same cases, in a few seconds.
+document, exits 0, 2, 3 or 4 without a traceback and within a CPU budget,
+and a failed call's document carries its exit code.  A few
+``python -m leavitt`` children check the same contract end to end.  On the
+library path, ``str`` and ``int`` subclasses go to ``DirectedGraph`` and
+``build_graph``, which must name the same first bad record; values of every
+type around each integer argument's least value go to the functions that
+check it, and coordinates of every type and range go to each function that
+takes a group element, which must name a bad one or accept a good one.  The
+seed and the case counts are fixed, so every run tries the same cases, in a
+few seconds.
 """
 
 import io
 import json
 import random
 import sys
+import time
 
 import pytest
 
@@ -48,6 +50,11 @@ CLI_CASES = 300
 LIBRARY_CASES = 300
 INTEGER_CASES = 300
 ELEMENT_CASES = 300
+# CPU seconds one in-process CLI call may take: every input whose cost its
+# size does not bound has a cap, so a call that runs longer has found an
+# uncapped input; the slowest of the 300 calls, mgraph --m 25001, takes
+# about 0.2 s
+CALL_BUDGET_S = 2.0
 
 
 class Raw(str):
@@ -182,9 +189,12 @@ def test_cli_calls_keep_the_output_contract(capsys, monkeypatch, tmp_path):
     for case in range(CLI_CASES):
         argv = _call(rng, str(graph_file))
         monkeypatch.setattr("sys.stdin", io.StringIO(_document(rng)))
+        start = time.process_time()
         code = main(argv)
+        spent = time.process_time() - start
         captured = capsys.readouterr()
         where = f"case {case}: {argv[:2]}"
+        assert spent <= CALL_BUDGET_S, f"case {case}: {argv} took {spent:.2f} s of CPU"
         assert code in (0, 2, 3, 4), where
         assert captured.out.endswith("\n") and captured.out.count("\n") == 1, where
         doc = json.loads(captured.out)

@@ -249,6 +249,73 @@ class TestSmithNormalForm:
             assert sorted(diag) == sorted(ours)
 
 
+class TestReplay:
+    @staticmethod
+    def _factor(size, kind, i, j, q):
+        """The elementary size x size matrix of one step: a row step
+        multiplies from the left, a column step from the right."""
+        e = intmat._identity_rows(size)
+        if kind == "row_add":  # row j += q * row i
+            e[j][i] = q
+        elif kind == "col_add":  # column j += q * column i
+            e[i][j] = q
+        elif kind == "row_neg":
+            e[i][i] = -1
+        else:  # row_swap, col_swap
+            e[i], e[j] = e[j], e[i]
+        return IntMatrix(e)
+
+    @staticmethod
+    def _random_log(rng, m, n, length):
+        """A log of every kind _replay takes, with runs of additions from
+        one source, some of them from a row or column that holds zeros."""
+        log = []
+        while len(log) < length:
+            kind = rng.choice(["row_add", "row_swap", "row_neg", "col_add", "col_swap"])
+            size = m if kind.startswith("row") else n
+            if kind == "row_neg":
+                log.append((kind, rng.randrange(m), 0, 0))
+            elif size == 1:
+                continue
+            elif kind.endswith("swap"):
+                log.append((kind, *rng.sample(range(size), 2), 0))
+            else:  # a run from source i to every other line, in random order
+                i = rng.randrange(size)
+                targets = [j for j in range(size) if j != i]
+                rng.shuffle(targets)
+                log += [(kind, i, j, rng.choice([-3, -2, -1, 1, 2, 5])) for j in targets]
+        return log
+
+    def test_matches_the_product_of_elementary_factors(self):
+        rng = random.Random(30)
+        kinds = set()
+        for _ in range(300):
+            m, n = rng.randint(1, 5), rng.randint(1, 5)
+            rows = [  # mostly zeros
+                [rng.choice([0, 0, 0, 1, -1, rng.randint(-9, 9)]) for _ in range(n)] for _ in range(m)
+            ]
+            log = self._random_log(rng, m, n, rng.randint(0, 12))
+            left, right = IntMatrix(intmat._identity_rows(m)), IntMatrix(intmat._identity_rows(n))
+            for kind, i, j, q in log:
+                if kind.startswith("row"):
+                    left = self._factor(m, kind, i, j, q) @ left
+                else:
+                    right = right @ self._factor(n, kind, i, j, q)
+                kinds.add(kind)
+            before = [row[:] for row in rows]
+            assert intmat._replay(rows, log) == ((left @ IntMatrix(rows)) @ right).to_lists()
+            assert rows == before
+        assert kinds == {"row_add", "row_swap", "row_neg", "col_add", "col_swap"}
+
+    def test_runs_whose_source_changes(self):
+        # a step between two additions from one source swaps or negates
+        # that source: the second addition must read the new one
+        log = [("row_add", 0, 1, 1), ("row_swap", 0, 2, 0), ("row_add", 0, 1, 1)]
+        assert intmat._replay([[1, 0], [0, 0], [0, 1]], log) == [[0, 1], [1, 1], [1, 0]]
+        log = [("col_add", 0, 1, 1), ("row_neg", 1, 0, 0), ("col_add", 0, 1, 1)]
+        assert intmat._replay([[0, 0], [1, 0]], log) == [[0, 0], [-1, -2]]
+
+
 class TestSolve:
     """The fraction-free solve and the gcd-only prime split behind the
     cokernel route modulo D (smith_coordinates)."""
