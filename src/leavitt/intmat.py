@@ -7,9 +7,10 @@ fixed-width fast path anywhere.
 Every Smith computation starts with a unit phase (``_clear_units``) on a
 dense copy of A that only whole-row elementary steps change, and whose
 form check (``_unit_phase``) finds a unit upper-triangular block over a
-residual block R, so coker A = coker R and |det A| = |det R|.
-``smith_normal_form`` then runs the gcd phase (``_reduce``) on R over Z,
-builds U and V from the log and checks U * A * V == D.
+residual block R, so coker A = coker R and |det A| = |det R|.  Each phase
+logs its row and column steps in two lists.  ``smith_normal_form`` then
+runs the gcd phase (``_reduce``) on R over Z, builds U from the row steps
+and V from the column steps, and checks U * A * V == D.
 ``smith_coordinates``, the cokernel path of ``ktheory``, builds neither.
 For D = |det A| > 0 one fraction-free solve (``_solve``) gives D and a
 row c onto a cyclic quotient Z/s of coker R, with t = D / s; the gcd
@@ -230,7 +231,8 @@ def _diagonal_rows(m: int, n: int, diagonal: Sequence[int]) -> list[list[int]]:
 # (kind, i, j, q): "row_add"/"col_add" add q * row/col i to row/col j,
 # "row_swap"/"col_swap" swap i and j, "row_neg" negates row i (j == i);
 # "row_mix", logged only modulo a modulus, carries q = (s, t, u, v) with
-# s*v - t*u == 1 and sets row i to s*i + t*j and row j to u*i + v*j
+# s*v - t*u == 1 and sets row i to s*i + t*j and row j to u*i + v*j.  A
+# phase logs row steps and column steps in two lists, each in step order
 _Step = tuple[str, int, int, int | tuple[int, int, int, int]]
 
 
@@ -247,11 +249,12 @@ def _place(log: list[_Step], kind: str, targets: list[int], size: int) -> list[i
     return at
 
 
-def _clear_units(b: list[list[int]]) -> tuple[list[_Step], list[_Step], int]:
+def _clear_units(b: list[list[int]]) -> tuple[list[_Step], list[_Step], int, list[int]]:
     """The unit phase on b, a dense copy of A that it changes in place: it
     pivots on a +-1 entry while any row holds one and clears the pivot's
     row and column exactly.  Returns its row steps, each applied to b as it
-    is logged, its column steps, only logged, and its number k of pivots.
+    is logged, its column steps, only logged, its number k of pivots, and
+    order, where order[t] is the column its column swaps move to slot t.
 
     Each column keeps the set of rows that hold it, and each row its number
     of nonzeros and of +-1 entries, updated at each entry change.  The
@@ -270,9 +273,9 @@ def _clear_units(b: list[list[int]]) -> tuple[list[_Step], list[_Step], int]:
     diag(1, ..., 1) + R, with k ones and a residual block R with no unit.
     """
     units = [row.count(1) + row.count(-1) for row in b]
-    if not any(units):
-        return [], [], 0
     m, n = len(b), len(b[0])
+    if not any(units):
+        return [], [], 0, list(range(n))
     counts = [n - row.count(0) for row in b]
     holders = [set(compress(range(m), column)) for column in zip(*b)]
     heap = [(counts[i], i) for i in range(m) if units[i]]
@@ -323,8 +326,7 @@ def _clear_units(b: list[list[int]]) -> tuple[list[_Step], list[_Step], int]:
         pivot_cols.append(c)
 
     b[:] = [b[i] for i in _place(row_log, "row_swap", pivot_rows, m)]
-    _place(col_log, "col_swap", pivot_cols, n)
-    return row_log, col_log, len(pivot_rows)
+    return row_log, col_log, len(pivot_rows), _place(col_log, "col_swap", pivot_cols, n)
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -339,12 +341,15 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return a, s, t
 
 
-def _reduce(a: list[list[int]], log: list[_Step], modulus: int = 0) -> None:
+def _reduce(
+    a: list[list[int]], row_log: list[_Step], col_log: list[_Step], modulus: int = 0
+) -> None:
     """The gcd phase: diagonalise a (changed in place) over Z when modulus
-    is 0 and modulo M = modulus otherwise, appending its steps to log;
-    modulo M only the row steps, the coordinate rows' source.  Modulo M
-    the d_i = gcd(g_i, M) of the diagonal g it reaches are the invariant
-    factors of coker a / M coker a.
+    is 0 and modulo M = modulus otherwise, appending its row steps to
+    row_log and its column steps to col_log.  Modulo M the d_i = gcd(g_i, M)
+    of the diagonal g it reaches are the invariant factors of
+    coker a / M coker a, and col_log, which lacks the column mixes, is
+    not read.
 
     At step k it pivots on the entry of column k, from row k on, with the
     least gcd(x, modulus): over Z, since gcd(x, 0) == |x|, the least
@@ -366,11 +371,10 @@ def _reduce(a: list[list[int]], log: list[_Step], modulus: int = 0) -> None:
 
     A pivot search stops at the first gcd of 1.  Modulo M a step whose
     pivot is a unit (c == 1) ends after its row pass: the column pass would
-    only clear the rest of row k and log nothing, and nothing reads row k
-    again but its diagonal entry.
+    only clear the rest of row k, and nothing reads row k again but its
+    diagonal entry.
     """
     m, n = len(a), (len(a[0]) if a else 0)
-    col_log = [] if modulus else log  # modulo M nothing reads the column steps
 
     def settle(p: int) -> tuple[int, int]:
         # c = gcd(p, modulus) and the inverse of p / c modulo modulus / c
@@ -379,9 +383,6 @@ def _reduce(a: list[list[int]], log: list[_Step], modulus: int = 0) -> None:
         return c, pow(p // c, -1, modulus // c) if modulus else p // c
 
     for k in range(min(m, n)):
-        if modulus and k == m - 1 == n - 1:
-            a[k][k] %= modulus  # a last 1 x 1 block holds nothing to clear
-            break
         while True:
             if modulus:
                 for row in a[k:]:
@@ -408,7 +409,7 @@ def _reduce(a: list[list[int]], log: list[_Step], modulus: int = 0) -> None:
                     pi, least = i, g
             if pi != k:
                 a[k], a[pi] = a[pi], a[k]
-                log.append(("row_swap", k, pi, 0))
+                row_log.append(("row_swap", k, pi, 0))
             row_k = a[k]
             if modulus:
                 row_k[k:] = [x % modulus for x in row_k[k:]]
@@ -427,7 +428,7 @@ def _reduce(a: list[list[int]], log: list[_Step], modulus: int = 0) -> None:
                     row_k[k:] = [(s * y + t * z) % modulus for y, z in zip(top, bottom)]
                     row[k:] = [(u * y + v * z) % modulus for y, z in zip(top, bottom)]
                     top = row_k[k:]
-                    log.append(("row_mix", k, i, (s, t, u, v)))
+                    row_log.append(("row_mix", k, i, (s, t, u, v)))
                     c, inverse = settle(p)
                     continue
                 # clears a multiple of c; over Z a remainder x % c stays
@@ -437,7 +438,7 @@ def _reduce(a: list[list[int]], log: list[_Step], modulus: int = 0) -> None:
                 row[k:] = [y + q * z for y, z in zip(row[k:], top)]
                 if modulus:
                     row[k] %= modulus  # zero
-                log.append(("row_add", k, i, q))
+                row_log.append(("row_add", k, i, q))
             if modulus and c == 1:
                 break
             touched = [row for row in a[k:] if row[k]]
@@ -481,10 +482,10 @@ def _reduce(a: list[list[int]], log: list[_Step], modulus: int = 0) -> None:
             row_k[k:] = [y + z for y, z in zip(row_k[k:], a[offender][k:])]
             if modulus:
                 row_k[k:] = [x % modulus for x in row_k[k:]]
-            log.append(("row_add", offender, k, 1))  # drags the non-multiple into row k
+            row_log.append(("row_add", offender, k, 1))  # drags the non-multiple into row k
         if a[k][k] < 0:
             a[k][k] = -a[k][k]
-            log.append(("row_neg", k, k, 0))
+            row_log.append(("row_neg", k, k, 0))
 
 
 def _replay(rows: Iterable[Sequence[int]], steps: Iterable[_Step]) -> list[list[int]]:
@@ -503,20 +504,20 @@ def _replay(rows: Iterable[Sequence[int]], steps: Iterable[_Step]) -> list[list[
             b[i], b[j] = b[j], b[i]
         elif kind == "row_neg":
             b[i] = [-x for x in b[i]]
-        else:  # col_swap: mixes occur only modulo a modulus, where nothing is replayed
+        else:  # col_swap; a row_mix is logged only modulo a modulus, and no such log is replayed
             for row in b:
                 row[i], row[j] = row[j], row[i]
     return b
 
 
-def _coordinate_rows(log: list[_Step], wanted: list[tuple[list[int], int]]) -> list[list[int]]:
+def _coordinate_rows(steps: list[_Step], wanted: list[tuple[list[int], int]]) -> list[list[int]]:
     """x^T R_t ... R_1 for each (x, d) in wanted, where R_1, ..., R_t are
-    the row steps of log: each x (changed in place) is reduced modulo its
-    own d (exact when d == 0), all in one reverse pass over the steps, row
-    j += q * row i acting as x[i] += q * x[j], and a row mix (s, t, u, v)
-    of rows i and j as (x[i], x[j]) = (s*x[i] + u*x[j], t*x[i] + v*x[j]).
-    From x = e_i this is row i of U = R_t ... R_1."""
-    for kind, i, j, q in reversed(log):
+    the steps, all row steps: each x (changed in place) is reduced modulo
+    its own d (exact when d == 0), all in one reverse pass over the steps,
+    row j += q * row i acting as x[i] += q * x[j], and a row mix
+    (s, t, u, v) of rows i and j as (x[i], x[j]) = (s*x[i] + u*x[j],
+    t*x[i] + v*x[j]).  From x = e_i this is row i of U = R_t ... R_1."""
+    for kind, i, j, q in reversed(steps):
         if kind == "row_add":
             for x, d in wanted:
                 if x[j]:
@@ -527,7 +528,7 @@ def _coordinate_rows(log: list[_Step], wanted: list[tuple[list[int], int]]) -> l
         elif kind == "row_neg":
             for x, d in wanted:
                 x[i] = -x[i] % d if d else -x[i]
-        elif kind == "row_mix":
+        else:  # row_mix
             s, t, u, v = q
             for x, d in wanted:  # d != 0: mixes come only from a gcd phase modulo a modulus
                 x[i], x[j] = (s * x[i] + u * x[j]) % d, (t * x[i] + v * x[j]) % d
@@ -553,14 +554,12 @@ def _unit_phase(
     checks on A, and by smith_normal_form's U * A * V == D.
     """
     b = [list(row) for row in rows]
-    row_steps, col_steps, k = _clear_units(b)
+    row_steps, col_steps, k, order = _clear_units(b)
     if not k:  # no unit: R is A
         return row_steps, col_steps, 0, b
-    n = len(b[0])
-    order = _replay([range(n)], (step for step in col_steps if step[0] == "col_swap"))[0]
     pivots, rest = order[:k], order[k:]
     residual = [[row[j] for j in rest] for row in b[k:]]
-    rank = [k] * n  # t for the pivot column order[t], k for the others
+    rank = [k] * len(order)  # t for the pivot column order[t], k for the others
     for t, c in enumerate(pivots):
         rank[c] = t
     # a row past k has as many more zeros than its part of R as there are
@@ -573,27 +572,29 @@ def _unit_phase(
 
 
 def _integer_phase(
-    log: list[_Step], k: int, block: list[list[int]]
-) -> tuple[list[_Step], tuple[int, ...]]:
+    row_log: list[_Step], col_log: list[_Step], k: int, block: list[list[int]]
+) -> tuple[list[_Step], list[_Step], tuple[int, ...]]:
     """The gcd phase over Z on the residual block (changed in place): its
-    steps, which are also appended to log at A's indices, and the Smith
-    diagonal of A, k ones and then the block's diagonal."""
-    steps: list[_Step] = []
-    _reduce(block, steps)
-    log += [(kind, i + k, j + k, q) for kind, i, j, q in steps]
+    row steps and its column steps at the block's indices, each list also
+    appended to row_log or col_log at A's indices, and the Smith diagonal
+    of A, k ones and then the block's diagonal."""
+    row_steps: list[_Step] = []
+    col_steps: list[_Step] = []
+    _reduce(block, row_steps, col_steps)
+    for log, steps in (row_log, row_steps), (col_log, col_steps):
+        log += [(kind, i + k, j + k, q) for kind, i, j, q in steps]
     size = min(len(block), len(block[0])) if block else 0
-    return steps, (1,) * k + tuple(block[i][i] for i in range(size))
+    return row_steps, col_steps, (1,) * k + tuple(block[i][i] for i in range(size))
 
 
-def _smith_log(rows: Sequence[Sequence[int]]) -> tuple[list[_Step], tuple[int, ...]]:
+def _smith_log(rows: Sequence[Sequence[int]]) -> tuple[list[_Step], list[_Step], tuple[int, ...]]:
     """The Smith elimination of A over Z (plain integer rows, read and not
-    changed): the unit phase, then the gcd phase on R.  Returns the log of
-    steps and the diagonal; the log's row steps applied to I give U, and
-    its column steps V, with U * A * V the diagonal, which
+    changed): the unit phase, then the gcd phase on R.  Returns the row
+    steps, the column steps and the diagonal; the row steps applied to I
+    give U, and the column steps V, with U * A * V the diagonal, which
     smith_normal_form checks."""
     row_steps, col_steps, k, residual = _unit_phase(rows)
-    log = row_steps + col_steps
-    return log, _integer_phase(log, k, residual)[1]
+    return row_steps, col_steps, _integer_phase(row_steps, col_steps, k, residual)[2]
 
 
 def smith_normal_form(matrix: IntMatrix) -> SmithDecomposition:
@@ -606,10 +607,8 @@ def smith_normal_form(matrix: IntMatrix) -> SmithDecomposition:
     (1, 6)
     """
     m, n = matrix.rows, matrix.cols
-    log, diagonal = _smith_log(list(matrix))
-    # U is the row steps applied to I, V the column steps
-    u = _replay(_identity_rows(m), (step for step in log if step[0].startswith("row")))
-    v = _replay(_identity_rows(n), (step for step in log if step[0].startswith("col")))
+    row_steps, col_steps, diagonal = _smith_log(list(matrix))
+    u, v = _replay(_identity_rows(m), row_steps), _replay(_identity_rows(n), col_steps)
     U, D, V = IntMatrix(u), IntMatrix(_diagonal_rows(m, n, diagonal)), IntMatrix(v)
     if (U @ matrix) @ V != D:
         raise RuntimeError("internal error: transform identity U*A*V == D failed")
@@ -684,7 +683,7 @@ def _local_factors(
         return (1,) * (r - 1) + (D,), [[x % D for x in z]]
     modulus = _prime_part(D, t)
     steps: list[_Step] = []
-    _reduce(residual, steps, modulus)
+    _reduce(residual, steps, [], modulus)  # nothing reads the column steps
     f = [gcd(residual[i][i], modulus) for i in range(r)]
     # the last row is always wanted: CRT gives it the cyclic part
     wanted = [([int(j == i) for j in range(r)], d) for i, d in enumerate(f) if d != 1 or i == r - 1]
@@ -712,8 +711,6 @@ def _onto(rows: Sequence[Sequence[int]], factors: Sequence[int]) -> bool:
     column keeps the span.  With one factor d this is gcd(d, row) == 1.
     """
     k = len(factors)
-    if k == 1:
-        return gcd(factors[0], *rows[0]) == 1
     columns = [[x % d for x, d in zip(col, factors)] for col in zip(*rows)]
     for r, d in enumerate(factors):
         if gcd(d, *(col[r] for col in columns)) != 1:
@@ -737,8 +734,9 @@ def smith_coordinates(
     U and V are never built.  A square A with D = |det A| > 0 takes the
     solve and the local step (_local_factors), whose rows, padded with k
     zeros, are pulled back through the unit phase's row steps in one
-    reverse pass.  Any other A takes the gcd phase over Z, whose steps are
-    replayed on R and must give its diagonal.
+    reverse pass.  Any other A takes the gcd phase over Z, whose row steps
+    join the unit phase's and whose row and column steps, replayed on R,
+    must give its diagonal.
 
     Each row c_i must kill A, c_i * A == 0 modulo d_i (exactly when free),
     and for a finite group the rows must map Z^m onto the sum of the Z/d_i
@@ -765,9 +763,9 @@ def smith_coordinates(
             starts = [[0] * k + row for row in starts]
         wanted = list(zip(starts, [d for d in factors if d != 1]))
     else:
-        block = [row[:] for row in residual]
-        steps, diagonal = _integer_phase(row_steps, k, block)
-        if _replay(residual, steps) != _diagonal_rows(m - k, n - k, diagonal[k:]):
+        gcd_rows, gcd_cols, diagonal = _integer_phase(row_steps, [], k, [r[:] for r in residual])
+        replayed = _replay(_replay(residual, gcd_rows), gcd_cols)
+        if replayed != _diagonal_rows(m - k, n - k, diagonal[k:]):
             raise RuntimeError("internal error: replayed gcd steps do not give diag(g)")
         wanted = [
             ([int(r == i) for r in range(m)], d)

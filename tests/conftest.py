@@ -135,9 +135,9 @@ def reduce_moduli(monkeypatch) -> list[int]:
     moduli = []
     reduce = intmat._reduce
 
-    def recording(a, log, modulus=0):
+    def recording(a, row_log, col_log, modulus=0):
         moduli.append(modulus)
-        reduce(a, log, modulus)
+        reduce(a, row_log, col_log, modulus)
 
     monkeypatch.setattr(intmat, "_reduce", recording)
     return moduli

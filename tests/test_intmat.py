@@ -207,11 +207,12 @@ class TestSmithNormalForm:
         smith_log = intmat._smith_log
 
         def corrupted(rows):
-            log, diagonal = smith_log(rows)
+            row_steps, col_steps, diagonal = smith_log(rows)
+            log = col_steps if kind == "col_add" else row_steps
             first = next(i for i, step in enumerate(log) if step[0] == kind)
             _, src, dst, q = log[first]
             log[first] = (kind, src, dst, q + 1)
-            return log, diagonal
+            return row_steps, col_steps, diagonal
 
         monkeypatch.setattr(intmat, "_smith_log", corrupted)
         a = IntMatrix([[-4, -1, -4, 3], [5, -2, 3, -2], [0, -4, -4, -2], [5, 0, -1, 1]])
@@ -221,7 +222,7 @@ class TestSmithNormalForm:
     def test_entries_left_off_the_diagonal_raise(self, monkeypatch):
         # D is built from the diagonal, so an elimination that stops early
         # cannot pass its leftovers off as part of D
-        monkeypatch.setattr(intmat, "_smith_log", lambda rows: ([], (1, 4)))
+        monkeypatch.setattr(intmat, "_smith_log", lambda rows: ([], [], (1, 4)))
         with pytest.raises(RuntimeError, match="transform identity"):
             smith_normal_form(IntMatrix([[1, 2], [3, 4]]))
 

@@ -360,14 +360,13 @@ def _corrupting(phase, corrupt: str, applied: bool = False):
     kind, _, how = corrupt.partition("-")
 
     def corrupted(a, *args):
-        # _reduce appends to the list it is given; _clear_units returns its
-        # row steps and then its column steps
-        log = next((arg for arg in args if isinstance(arg, list)), [])
-        start = len(log)
+        # _reduce appends its row steps and its column steps to the two
+        # lists it is given; _clear_units returns them, in that order
+        axis = kind.startswith("col")
+        start = len(args[axis]) if args else 0
         rows = [list(row) for row in a]
         result = phase(a, *args)
-        if not args:
-            log = result[kind.startswith("col")]
+        log = (args or result)[axis]
         at = [i for i in range(start, len(log)) if log[i][0] == kind]
         first = at[-1] if how.startswith("last") else at[0]
         _, i, j, q = log[first]
@@ -534,13 +533,11 @@ class TestK0Certificate:
             _snf_raises("transform identity", presentations)
             caught = {"row_add": 4, "row_swap": 4, "row_neg": 0, "row_add-last-dropped": 3}
             assert _caught(matrices, graphs, answers) == caught[corrupt]
-        elif corrupt == "col_swap":
-            # the column swaps give the column order that the form check reads
-            _raises("unit phase does not give", matrices, graphs)
-            _snf_raises("unit phase does not give", presentations)
         else:
             # K0 reads only the unit phase's row steps, so its answers
-            # stand; the dense U*A*V == D check of snf reads the column steps
+            # stand: the form check takes its column order from the phase,
+            # not from the logged swaps.  The dense U*A*V == D check of snf
+            # reads the column steps
             _snf_raises("transform identity", presentations)
             assert _k0_answers(matrices, graphs) == answers
         monkeypatch.undo()
@@ -552,7 +549,7 @@ class TestK0Certificate:
         # with no step: each row holds 1 at its pivot, but row 1 also holds
         # pivot 0's column, so T is not triangular; taken as it stands, it
         # would give the trivial group instead of Z
-        monkeypatch.setattr(intmat, "_clear_units", lambda b: ([], [], len(b)))
+        monkeypatch.setattr(intmat, "_clear_units", lambda b: ([], [], len(b), [0, 1]))
         matrix = IntMatrix([[1, 1], [1, 1]])
         _raises("unit phase does not give", [matrix], [])
         _snf_raises("unit phase does not give", [matrix])
@@ -586,9 +583,9 @@ class TestK0Certificate:
         reduce = intmat._reduce
         changed = []
 
-        def corrupting(a, log, modulus=0):
+        def corrupting(a, log, col_log, modulus=0):
             start = len(log)
-            reduce(a, log, modulus)
+            reduce(a, log, col_log, modulus)
             if modulus and len(log) > start:
                 at = rng.randrange(start, len(log))
                 kind, i, j, q = log[at]
@@ -644,8 +641,8 @@ class TestK0Certificate:
         # to D = 8
         reduce = intmat._reduce
 
-        def swapped(a, log, modulus=0):
-            reduce(a, log, modulus)
+        def swapped(a, row_log, col_log, modulus=0):
+            reduce(a, row_log, col_log, modulus)
             a[0][0], a[1][1] = a[1][1], a[0][0]
 
         monkeypatch.setattr(intmat, "_reduce", swapped)
@@ -786,8 +783,8 @@ class TestK0Certificate:
     def test_row_additions_stay_bounded(self):
         # 17,330 row additions with the unit phase and the column pivot rule;
         # 18,792 when every pivot came from the dense gcd loop's row-major scan
-        log, _ = intmat._smith_log(_presentation(scc_graph(200, 0)).to_lists())
-        assert sum(step[0] == "row_add" for step in log) < 18_500
+        row_steps, _, _ = intmat._smith_log(_presentation(scc_graph(200, 0)).to_lists())
+        assert sum(step[0] == "row_add" for step in row_steps) < 18_500
 
 
 def _unit_order_by_fractions(m: IntMatrix) -> int:
@@ -949,14 +946,18 @@ def _unit_rich_rows(rng: random.Random, rows: int, cols: int) -> list[list[int]]
 
 def _replayed_unit_phase(rows, unit_phase=intmat._unit_phase):
     """unit_phase(rows), with what the phase itself does not check: it
-    leaves rows unchanged, and its row steps, replayed on a fresh copy of
-    A, give the rows that its form check read."""
+    leaves rows unchanged, its row steps, replayed on a fresh copy of A,
+    give the rows that its form check read, and the column order that the
+    form check took is the one its column swaps give."""
     before = [list(row) for row in rows]
     result = unit_phase(rows)
     assert [list(row) for row in rows] == before
     b = [list(row) for row in rows]
-    assert intmat._clear_units(b) == result[:3]
-    assert intmat._replay(rows, result[0]) == b
+    row_steps, col_steps, k, order = intmat._clear_units(b)
+    assert (row_steps, col_steps, k) == result[:3]
+    assert intmat._replay(rows, row_steps) == b
+    swaps = [step for step in col_steps if step[0] == "col_swap"]
+    assert order == intmat._replay([range(len(b[0]))], swaps)[0]
     return result
 
 
@@ -1008,6 +1009,37 @@ class TestUnitPhase:
         for graph in _golden_graphs() + [scc_graph(200, 0)]:
             k0_of_graph(graph)
         assert len(calls) == len(_golden_graphs()) + 1
+
+    def test_each_list_holds_one_axis(self, monkeypatch):
+        # the unit phase and the gcd phase, over Z and modulo D_t, each log
+        # their row steps and their column steps in two lists, on the
+        # golden presentations and on seeded random matrices
+        rng = random.Random(79)
+        cases = [_presentation(graph).to_lists() for graph in _golden_graphs()]
+        cases += [_unit_rich_rows(rng, rng.randint(1, 9), rng.randint(1, 9)) for _ in range(100)]
+        for _ in range(100):
+            m, n = rng.randint(1, 6), rng.randint(1, 6)
+            cases.append([[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)])
+        row_kinds = {"row_add", "row_swap", "row_neg", "row_mix"}
+        col_kinds = {"col_add", "col_swap"}
+        logged = []
+        reduce = intmat._reduce
+
+        def recording(a, row_log, col_log, modulus=0):
+            reduce(a, row_log, col_log, modulus)
+            logged.append((row_log, col_log))
+
+        monkeypatch.setattr(intmat, "_reduce", recording)
+        for rows in cases:
+            row_steps, col_steps, k, residual = intmat._unit_phase(rows)
+            logged.append((row_steps, col_steps))
+            intmat._integer_phase([], [], k, residual)
+            smith_coordinates(rows)
+        kinds = {kind for logs in logged for log in logs for kind, *_ in log}
+        assert kinds == row_kinds | col_kinds  # mixes come from the gcd phase modulo D_t
+        for row_steps, col_steps in logged:
+            assert {kind for kind, *_ in row_steps} <= row_kinds
+            assert {kind for kind, *_ in col_steps} <= col_kinds
 
 
 def _complete_graph(r: int, p: int, b: int) -> DirectedGraph:
