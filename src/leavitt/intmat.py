@@ -143,6 +143,8 @@ class IntMatrix(Record):
         return IntMatrix, (self._data,)  # the rows alone; the sizes follow from them
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
+        if not isinstance(other, IntMatrix):
+            return NotImplemented  # Python raises TypeError
         if self.cols != other.rows:
             raise ValueError("matrix dimensions do not match")
         cols = list(zip(*other._data))
@@ -257,35 +259,35 @@ def _clear_units(b: list[list[int]]) -> tuple[list[_Step], list[_Step], int, lis
     order, where order[t] is the column its column swaps move to slot t.
 
     Each column keeps the set of rows that hold it, and each row its number
-    of nonzeros and of +-1 entries, updated at each entry change.  The
-    pivot row is the row with the fewest nonzeros among those holding a
-    unit, kept in a lazy heap keyed (nonzeros, row); a popped key whose row
-    was pivoted, has changed its number of nonzeros or holds no unit any
-    more is skipped, and every changed row that holds a unit is pushed
-    again.  Its pivot is the unit whose column has the fewest holders, then
-    the lowest column.  Row additions clear the pivot column, which brings
-    the pivot row's other entries into those rows (the fill this order
-    keeps small); column additions would clear the pivot row, and a -1
-    pivot row is negated.  Steps are logged at original indices and the
-    rows of a column are walked in sorted order, so the log does not depend
-    on the hash seed.  Finally row swaps, applied to b too, and column
-    swaps move pivot t to slot t: the log applied to A gives
-    diag(1, ..., 1) + R, with k ones and a residual block R with no unit.
+    of nonzeros, updated at each entry change.  The pivot row is the row
+    with the fewest nonzeros among those holding a unit: every row starts
+    in a lazy heap keyed (nonzeros, row), and every changed row is pushed
+    again; a popped key whose row was pivoted or has changed its number of
+    nonzeros is skipped, and so is one whose row holds no unit, as only a
+    later change, which pushes the row again, can give it one.  Its pivot
+    is the unit whose column has the fewest holders, then the lowest
+    column.  Row additions clear the pivot column, which brings the pivot
+    row's other entries into those rows (the fill this order keeps small);
+    column additions would clear the pivot row, and a -1 pivot row is
+    negated.  Steps are logged at original indices and the rows of a
+    column are walked in sorted order, so the log does not depend on the
+    hash seed.  Finally row swaps, applied to b too, and column swaps move
+    pivot t to slot t: the log applied to A gives diag(1, ..., 1) + R, with
+    k ones and a residual block R with no unit.
     """
-    units = [row.count(1) + row.count(-1) for row in b]
     m, n = len(b), len(b[0])
-    if not any(units):
+    if not any(1 in row or -1 in row for row in b):
         return [], [], 0, list(range(n))
     counts = [n - row.count(0) for row in b]
     holders = [set(compress(range(m), column)) for column in zip(*b)]
-    heap = [(counts[i], i) for i in range(m) if units[i]]
+    heap = [(count, i) for i, count in enumerate(counts)]
     heapify(heap)
     row_log, col_log, pivot_rows, pivot_cols = [], [], [], []
     while heap:
         size, r = heappop(heap)
-        if size != counts[r] or not units[r]:
-            continue  # a stale key
         row = b[r]
+        if size != counts[r] or (1 not in row and -1 not in row):
+            continue  # a stale key, or a row without a unit
         entries = [(j, row[j]) for j in compress(range(n), row)]
         c = min((j for j, x in entries if x == 1 or x == -1), key=lambda j: (len(holders[j]), j))
         u = row[c]
@@ -294,26 +296,19 @@ def _clear_units(b: list[list[int]]) -> tuple[list[_Step], list[_Step], int, lis
                 continue
             target = b[i]
             q = -target[c] * u  # u * u == 1
-            count, unit = counts[i], units[i]
+            count = counts[i]
             for j, x in entries:
                 y = target[j]
                 z = target[j] = y + q * x
-                if y:
-                    if y == 1 or y == -1:
-                        unit -= 1
-                    if not z:
-                        count -= 1
-                        holders[j].discard(i)
-                        continue
-                else:
+                if not y:
                     count += 1
                     holders[j].add(i)
-                if z == 1 or z == -1:
-                    unit += 1
-            counts[i], units[i] = count, unit
+                elif not z:
+                    count -= 1
+                    holders[j].discard(i)
+            counts[i] = count
             row_log.append(("row_add", r, i, q))
-            if unit:
-                heappush(heap, (count, i))
+            heappush(heap, (count, i))
         for j, x in entries:
             if j != c:  # column c now holds row r alone
                 col_log.append(("col_add", c, j, -x * u))
@@ -330,8 +325,10 @@ def _clear_units(b: list[list[int]]) -> tuple[list[_Step], list[_Step], int, lis
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, s, t) with s*a + t*b == g == gcd(a, b), for a, b >= 0; |s| <= b
-    and |t| <= a."""
+    """(g, s, t) with s*a + t*b == g == gcd(a, b), |s| <= b and |t| <= a,
+    for a, b > 0: the gcd phase calls it on a pivot and an entry that are
+    nonzero and reduced modulo M.  The bounds fail at 0, where b == 0 gives
+    s == 1 and a == 0 gives t == 1."""
     s, s1, t, t1 = 1, 0, 0, 1
     while b:
         q, r = divmod(a, b)
@@ -351,8 +348,8 @@ def _reduce(
     coker a / M coker a, and col_log, which lacks the column mixes, is
     not read.
 
-    At step k it pivots on the entry of column k, from row k on, with the
-    least gcd(x, modulus): over Z, since gcd(x, 0) == |x|, the least
+    At step k it pivots on the first entry of column k, from row k on, with
+    the least gcd(x, modulus): over Z, since gcd(x, 0) == |x|, the least
     magnitude.  With c = gcd(pivot, modulus), an entry of the pivot's
     column or row that c divides is a multiple of the pivot in that ring,
     and one addition clears it.  The rings differ only in the other
@@ -369,10 +366,9 @@ def _reduce(
     so each diagonal entry divides the next; a negative diagonal entry is
     negated at the end.
 
-    A pivot search stops at the first gcd of 1.  Modulo M a step whose
-    pivot is a unit (c == 1) ends after its row pass: the column pass would
-    only clear the rest of row k, and nothing reads row k again but its
-    diagonal entry.
+    Modulo M a step whose pivot is a unit (c == 1) ends after its row pass:
+    the column pass would only clear the rest of row k, and nothing reads
+    row k again but its diagonal entry.
     """
     m, n = len(a), (len(a[0]) if a else 0)
 
@@ -399,14 +395,7 @@ def _reduce(
                     row[k], row[j] = row[j], row[k]
                 col_log.append(("col_swap", k, j, 0))
                 continue
-            pi, least = column[0], 0
-            for i in column:  # the first entry of least gcd, and no gcd is below 1
-                g = gcd(a[i][k], modulus)
-                if g == 1:
-                    pi = i
-                    break
-                if not least or g < least:
-                    pi, least = i, g
+            pi = min(column, key=lambda i: gcd(a[i][k], modulus))
             if pi != k:
                 a[k], a[pi] = a[pi], a[k]
                 row_log.append(("row_swap", k, pi, 0))

@@ -55,6 +55,9 @@ class TestIntMatrix:
         assert mat_vec(a, [1, 1]) == (3, 7)
         with pytest.raises(ValueError, match="dimensions do not match"):
             IntMatrix([[1, 2]]) @ IntMatrix([[1, 2]])
+        for other in ([[1]], 3):  # not a matrix: TypeError, not AttributeError
+            with pytest.raises(TypeError, match="unsupported operand"):
+                IntMatrix([[1]]) @ other
 
     @pytest.mark.parametrize("name", ["rows", "cols", "_data"])
     def test_fields_are_immutable(self, name):

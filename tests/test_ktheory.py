@@ -944,6 +944,50 @@ def _unit_rich_rows(rng: random.Random, rows: int, cols: int) -> list[list[int]]
     ]
 
 
+def _fill_rows(rng: random.Random, rows: int, cols: int) -> list[list[int]]:
+    """A first row of entries 0 and +-1, at least one of them 1, over rows
+    of entries 0, +-2 and +-3, so that the other rows' units appear only as
+    fill: [1, 1] cleared from [2, 3] leaves [0, 1]."""
+    b = [[rng.choice((0, 2, -2, 3, -3)) for _ in range(cols)] for _ in range(rows - 1)]
+    first = [rng.choice((0, 1, -1)) for _ in range(cols)]
+    first[rng.randrange(cols)] = 1
+    return [first] + b
+
+
+def _greedy_unit_phase(rows) -> tuple[list[int], list[list[int]]]:
+    """The unit phase's pivot rule, dense and without bookkeeping: the
+    columns it pivots on, in turn, and its rows after it moves pivot t to
+    row t.  The pivot row is the unpivoted row holding +-1 with the fewest
+    nonzeros, then the lowest index; its pivot is its +-1 column with the
+    fewest unpivoted nonzero rows, then the lowest index.  That column is
+    cleared from the other unpivoted rows, in row order, and a -1 pivot row
+    is negated."""
+    b = [list(row) for row in rows]
+    m, n = len(b), len(b[0])
+    pivot_rows, pivot_cols = [], []
+    while True:
+        free = [i for i in range(m) if i not in pivot_rows]
+        candidates = [i for i in free if 1 in b[i] or -1 in b[i]]
+        if not candidates:
+            break
+        r = min(candidates, key=lambda i: (n - b[i].count(0), i))
+        c = min((j for j in range(n) if b[r][j] in (1, -1)),
+                key=lambda j: (sum(1 for i in free if b[i][j]), j))
+        for i in free:
+            if i != r and b[i][c]:
+                q = -b[i][c] * b[r][c]
+                b[i] = [y + q * x for x, y in zip(b[r], b[i])]
+        if b[r][c] == -1:
+            b[r] = [-x for x in b[r]]
+        pivot_rows.append(r)
+        pivot_cols.append(c)
+    at = list(range(m))  # slot -> row: swap pivot t into slot t
+    for t, r in enumerate(pivot_rows):
+        s = at.index(r)
+        at[t], at[s] = at[s], at[t]
+    return pivot_cols, [b[i] for i in at]
+
+
 def _replayed_unit_phase(rows, unit_phase=intmat._unit_phase):
     """unit_phase(rows), with what the phase itself does not check: it
     leaves rows unchanged, its row steps, replayed on a fresh copy of A,
@@ -972,7 +1016,9 @@ class TestUnitPhase:
         cases += [_unit_rich_rows(rng, n, n) for n in rng.choices(range(2, 11), k=150)]
         cases += [_unit_rich_rows(rng, rng.randint(1, 9), rng.randint(1, 9)) for _ in range(150)]
         cases += [[[1, 1], [1, 3]], [[-1, 2, 0], [1, 0, 2], [0, 2, 2]]]  # rows that lose their unit
-        negated = lost = rectangular = 0
+        cases += [[[1, 2], [2, 3]], [[1, 2, 2], [2, 3, 2], [2, 2, 3]]]  # rows that gain one
+        cases += [_fill_rows(rng, rng.randint(2, 6), rng.randint(2, 6)) for _ in range(60)]
+        negated = lost = gained = rectangular = 0
         for rows in cases:
             row_steps, col_steps, k, residual = _replayed_unit_phase(rows)
             # the column steps, after the row steps, leave diag(1, ..., 1) + R
@@ -982,11 +1028,13 @@ class TestUnitPhase:
             assert all(a[i][j] == 0 for i in range(k, len(a)) for j in range(k))
             assert not any(x in (1, -1) for row in residual for x in row)
             negated += any(step[0] == "row_neg" for step in row_steps)
-            lost += sum(any(x in (1, -1) for x in row) for row in rows) > k
+            holding = sum(any(x in (1, -1) for x in row) for row in rows)
+            lost += holding > k
+            gained += holding < k  # a row pivoted on a unit that fill brought
             rectangular += len(rows) != len(rows[0])
 
             _check_coordinates(rows, smith_normal_form(IntMatrix(rows)))
-        assert negated >= 50 and lost >= 20 and rectangular >= 100
+        assert negated >= 50 and lost >= 20 and gained >= 20 and rectangular >= 100
 
         sympy = pytest.importorskip("sympy")
         from sympy.matrices.normalforms import smith_normal_form as sympy_snf
@@ -995,6 +1043,22 @@ class TestUnitPhase:
             ours = smith_normal_form(IntMatrix(rows)).diagonal
             theirs = sympy_snf(sympy.Matrix(rows), domain=sympy.ZZ)
             assert sorted(abs(int(theirs[i, i])) for i in range(len(ours))) == sorted(ours)
+
+    def test_pivots_follow_the_greedy_rule(self):
+        # the lazy heap and the holder sets choose what a dense scan of
+        # every row and column would, on square and rectangular matrices
+        rng = random.Random(83)
+        cases = [_unit_rich_rows(rng, rng.randint(1, 12), rng.randint(1, 12)) for _ in range(150)]
+        cases += [_fill_rows(rng, rng.randint(2, 8), rng.randint(2, 8)) for _ in range(150)]
+        cases += [[[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)]
+                  for m, n in ((rng.randint(1, 8), rng.randint(1, 8)) for _ in range(150))]
+        gained = 0
+        for rows in cases:
+            b = [list(row) for row in rows]
+            _, _, k, order = intmat._clear_units(b)
+            assert (order[:k], b) == _greedy_unit_phase(rows)
+            gained += sum(any(x in (1, -1) for x in row) for row in rows) < k
+        assert gained >= 60  # rows pivoted on a unit that fill brought
 
     def test_log_replays_on_graphs(self, monkeypatch):
         # every presentation that K0 takes of the golden graphs and of one
