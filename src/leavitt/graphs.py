@@ -31,6 +31,8 @@ def _checked(vertices: Iterable[str], edges: Iterable, merge: bool) -> tuple[tup
     and with merge, repeated pairs summed into their first appearance.  The
     names and then the records are checked one at a time, in order, so the
     first bad one is named."""
+    if isinstance(vertices, str):  # would split into one-letter names
+        raise GraphFormatError(f"vertex list must hold names, not be the string {vertices!r}")
     vertices = tuple(vertices or ())
     if not vertices:
         raise GraphFormatError("vertex list must be nonempty")
@@ -62,10 +64,12 @@ def _checked(vertices: Iterable[str], edges: Iterable, merge: bool) -> tuple[tup
 class DirectedGraph(Record):
     """Vertex names in basis order and one (src, dst, mult) record per pair.
 
-    Names are distinct nonempty str; each record unpacks to str endpoints
-    among them and an int multiplicity (no bool or other subclass) of at
-    least 1.  A repeated pair is refused (build_graph merges it), and a
-    fault raises GraphFormatError naming the first bad name or record."""
+    Names are distinct nonempty str, in a collection that is not itself a
+    str (which would split into letters); each record unpacks to str
+    endpoints among them and an int multiplicity (no bool or other
+    subclass) of at least 1.  A repeated pair is refused (build_graph
+    merges it), and a fault raises GraphFormatError naming the first bad
+    name or record."""
 
     __slots__ = ("vertices", "edges")
     vertices: tuple[str, ...]

@@ -8,7 +8,8 @@ Every Smith computation starts with a unit phase (``_clear_units``) on a
 dense copy of A that only whole-row elementary steps change, and whose
 form check (``_unit_phase``) finds a unit upper-triangular block over a
 residual block R, so coker A = coker R and |det A| = |det R|.  Each phase
-logs its row and column steps in two lists.  ``smith_normal_form`` then
+logs its row and column steps in two lists, of five elementary kinds with
+an int multiplier, which ``_replay`` applies.  ``smith_normal_form`` then
 runs the gcd phase (``_reduce``) on R over Z, builds U from the row steps
 and V from the column steps, and checks U * A * V == D.
 ``smith_coordinates``, the cokernel path of ``ktheory``, builds neither.
@@ -230,12 +231,11 @@ def _diagonal_rows(m: int, n: int, diagonal: Sequence[int]) -> list[list[int]]:
     return rows
 
 
-# (kind, i, j, q): "row_add"/"col_add" add q * row/col i to row/col j,
-# "row_swap"/"col_swap" swap i and j, "row_neg" negates row i (j == i);
-# "row_mix", logged only modulo a modulus, carries q = (s, t, u, v) with
-# s*v - t*u == 1 and sets row i to s*i + t*j and row j to u*i + v*j.  A
-# phase logs row steps and column steps in two lists, each in step order
-_Step = tuple[str, int, int, int | tuple[int, int, int, int]]
+# (kind, i, j, q), one of five kinds with an int q: "row_add"/"col_add" add
+# q * row/col i to row/col j, "row_swap"/"col_swap" swap i and j, "row_neg"
+# negates row i (j == i).  A phase logs row steps and column steps in two
+# lists, each in step order
+_Step = tuple[str, int, int, int]
 
 
 def _place(log: list[_Step], kind: str, targets: list[int], size: int) -> list[int]:
@@ -324,20 +324,6 @@ def _clear_units(b: list[list[int]]) -> tuple[list[_Step], list[_Step], int, lis
     return row_log, col_log, len(pivot_rows), _place(col_log, "col_swap", pivot_cols, n)
 
 
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, s, t) with s*a + t*b == g == gcd(a, b), |s| <= b and |t| <= a,
-    for a, b > 0: the gcd phase calls it on a pivot and an entry that are
-    nonzero and reduced modulo M.  The bounds fail at 0, where b == 0 gives
-    s == 1 and a == 0 gives t == 1."""
-    s, s1, t, t1 = 1, 0, 0, 1
-    while b:
-        q, r = divmod(a, b)
-        a, b = b, r
-        s, s1 = s1, s - q * s1
-        t, t1 = t1, t - q * t1
-    return a, s, t
-
-
 def _reduce(
     a: list[list[int]], row_log: list[_Step], col_log: list[_Step], modulus: int = 0
 ) -> None:
@@ -345,39 +331,36 @@ def _reduce(
     is 0 and modulo M = modulus otherwise, appending its row steps to
     row_log and its column steps to col_log.  Modulo M the d_i = gcd(g_i, M)
     of the diagonal g it reaches are the invariant factors of
-    coker a / M coker a, and col_log, which lacks the column mixes, is
-    not read.
+    coker a / M coker a.
 
     At step k it pivots on the first entry of column k, from row k on, with
     the least gcd(x, modulus): over Z, since gcd(x, 0) == |x|, the least
-    magnitude.  With c = gcd(pivot, modulus), an entry of the pivot's
-    column or row that c divides is a multiple of the pivot in that ring,
-    and one addition clears it.  The rings differ only in the other
-    entries.  Over Z a division step leaves a remainder below c, which
-    becomes the next pivot: one left in column k by the next pass's pivot
-    rule, one left in row k by a column swap.  Modulo M a unimodular 2x2
-    extended-gcd step (a row_mix, or one on columns) makes gcd(pivot, x)
-    the pivot, and entries are reduced modulo M where a decision reads them
-    (column k and the pivot row, and both rows of a mix), so every
-    multiplier and coefficient stays below M; a row addition leaves its
-    target unreduced, below r * M**2, which saves a division per entry.  In
-    both rings, once the pivot's row and column are clear, a row holding an
-    entry that c does not divide is added to row k and the passes repeat,
-    so each diagonal entry divides the next; a negative diagonal entry is
-    negated at the end.
+    magnitude.  One division step serves both rings.  With c = gcd(p,
+    modulus) for the pivot p, and inverse the inverse of p / c modulo M / c
+    (over Z, p / c = +-1 is its own inverse), an entry x of the pivot's
+    column or row gets q * p added for q = -(x // c) * inverse (modulo M / c),
+    which leaves x % c: over Z as p = +-c, and modulo M as q * p is
+    -(x // c) * c there.  That clears an entry that c divides and leaves a
+    remainder below c otherwise, which becomes the next pivot: one left in
+    column k by the next pass's pivot rule, one left in row k by a column
+    swap to the entry of least gcd.  Its gcd with modulus is below c (over
+    Z its magnitude, modulo M gcd(x % c, M) <= x % c), so c falls at every
+    remainder and the passes end.  Modulo M entries are reduced where a
+    decision reads them (column k and the pivot row), so every multiplier
+    stays below M; a row addition leaves the rest of its target unreduced,
+    to grow by less than M**2 a pass, which saves a division per entry.
+    Once the pivot's row and column are clear, a row holding an entry that
+    c does not divide is added to row k and the passes repeat, so each
+    diagonal entry divides the next; a negative diagonal entry is negated
+    at the end.
 
     Modulo M a step whose pivot is a unit (c == 1) ends after its row pass:
     the column pass would only clear the rest of row k, and nothing reads
-    row k again but its diagonal entry.
+    row k again but its diagonal entry.  As later column steps change only
+    the rows from their own step on, the logged steps replayed on a give
+    the matrix left here modulo M, except past the diagonal of such a row.
     """
     m, n = len(a), (len(a[0]) if a else 0)
-
-    def settle(p: int) -> tuple[int, int]:
-        # c = gcd(p, modulus) and the inverse of p / c modulo modulus / c
-        # (over Z, p / c = +-1 is its own inverse)
-        c = gcd(p, modulus)
-        return c, pow(p // c, -1, modulus // c) if modulus else p // c
-
     for k in range(min(m, n)):
         while True:
             if modulus:
@@ -404,29 +387,20 @@ def _reduce(
                 row_k[k:] = [x % modulus for x in row_k[k:]]
             top = row_k[k:]
             p = top[0]
-            c, inverse = settle(p)
+            c = gcd(p, modulus)
+            inverse = pow(p // c, -1, modulus // c) if modulus else p // c
             for i in range(k + 1, m):
                 row = a[i]
                 x = row[k]
                 if not x:
                     continue
-                if modulus and x % c:
-                    h, s, t = _xgcd(p, x)
-                    u, v, p = -(x // h), p // h, h
-                    bottom = row[k:]
-                    row_k[k:] = [(s * y + t * z) % modulus for y, z in zip(top, bottom)]
-                    row[k:] = [(u * y + v * z) % modulus for y, z in zip(top, bottom)]
-                    top = row_k[k:]
-                    row_log.append(("row_mix", k, i, (s, t, u, v)))
-                    c, inverse = settle(p)
-                    continue
-                # clears a multiple of c; over Z a remainder x % c stays
+                # clears a multiple of c and leaves a remainder x % c otherwise
                 q = -(x // c) * inverse
                 if modulus:
                     q %= modulus // c
                 row[k:] = [y + q * z for y, z in zip(row[k:], top)]
                 if modulus:
-                    row[k] %= modulus  # zero
+                    row[k] %= modulus
                 row_log.append(("row_add", k, i, q))
             if modulus and c == 1:
                 break
@@ -434,15 +408,6 @@ def _reduce(
             for j in range(k + 1, n):
                 y = row_k[j]
                 if not y:
-                    continue
-                if modulus and y % c:
-                    h, s, t = _xgcd(p, y)
-                    u, v, p = -(y // h), p // h, h
-                    for row in a[k:]:
-                        x, z = row[k], row[j]
-                        row[k], row[j] = (s * x + t * z) % modulus, (u * x + v * z) % modulus
-                    c, inverse = settle(p)
-                    touched = [row for row in a[k:] if row[k]]
                     continue
                 q = -(y // c) * inverse
                 if modulus:
@@ -452,13 +417,13 @@ def _reduce(
                 else:
                     for row in touched:
                         row[j] += q * row[k]
-                if q:  # over Z, 0 < y < c is its own remainder
+                if q:  # 0 < y < c is its own remainder
                     col_log.append(("col_add", k, j, q))
             if len(touched) > 1:
-                continue  # column k holds remainders, or a column mix refilled it
+                continue  # column k holds remainders
             rest = [j for j in range(k + 1, n) if row_k[j]]
-            if rest:  # over Z, a remainder left in row k becomes the next pivot
-                j = min(rest, key=lambda j: abs(row_k[j]))
+            if rest:  # a remainder left in row k becomes the next pivot
+                j = min(rest, key=lambda j: gcd(row_k[j], modulus))
                 for row in a[k:]:
                     row[k], row[j] = row[j], row[k]
                 col_log.append(("col_swap", k, j, 0))
@@ -493,7 +458,7 @@ def _replay(rows: Iterable[Sequence[int]], steps: Iterable[_Step]) -> list[list[
             b[i], b[j] = b[j], b[i]
         elif kind == "row_neg":
             b[i] = [-x for x in b[i]]
-        else:  # col_swap; a row_mix is logged only modulo a modulus, and no such log is replayed
+        else:  # col_swap
             for row in b:
                 row[i], row[j] = row[j], row[i]
     return b
@@ -503,9 +468,8 @@ def _coordinate_rows(steps: list[_Step], wanted: list[tuple[list[int], int]]) ->
     """x^T R_t ... R_1 for each (x, d) in wanted, where R_1, ..., R_t are
     the steps, all row steps: each x (changed in place) is reduced modulo
     its own d (exact when d == 0), all in one reverse pass over the steps,
-    row j += q * row i acting as x[i] += q * x[j], and a row mix
-    (s, t, u, v) of rows i and j as (x[i], x[j]) = (s*x[i] + u*x[j],
-    t*x[i] + v*x[j]).  From x = e_i this is row i of U = R_t ... R_1."""
+    row j += q * row i acting as x[i] += q * x[j].  From x = e_i this is
+    row i of U = R_t ... R_1."""
     for kind, i, j, q in reversed(steps):
         if kind == "row_add":
             for x, d in wanted:
@@ -514,13 +478,9 @@ def _coordinate_rows(steps: list[_Step], wanted: list[tuple[list[int], int]]) ->
         elif kind == "row_swap":
             for x, _ in wanted:
                 x[i], x[j] = x[j], x[i]
-        elif kind == "row_neg":
+        else:  # row_neg
             for x, d in wanted:
                 x[i] = -x[i] % d if d else -x[i]
-        else:  # row_mix
-            s, t, u, v = q
-            for x, d in wanted:  # d != 0: mixes come only from a gcd phase modulo a modulus
-                x[i], x[j] = (s * x[i] + u * x[j]) % d, (t * x[i] + v * x[j]) % d
     return [x for x, _ in wanted]
 
 

@@ -153,6 +153,14 @@ class TestDirectedGraph:
         with pytest.raises(GraphFormatError, match=re.escape(repr(record))):
             DirectedGraph(("a",), (record,))
 
+    @pytest.mark.parametrize("make", [DirectedGraph, build_graph])
+    @pytest.mark.parametrize("vertices", ["ab", "a", ""])
+    def test_rejects_a_string_of_names(self, make, vertices):
+        # a str is a collection of its letters, which would become the names
+        with pytest.raises(GraphFormatError, match="not be the string"):
+            make(vertices, [])
+        assert make(list("ab"), []).vertices == ("a", "b")
+
     def test_stores_tuples(self):
         from_lists = DirectedGraph(["a", "b"], [["a", "b", 2], ("b", "a", 1)])
         from_tuples = DirectedGraph(("a", "b"), (("a", "b", 2), ("b", "a", 1)))

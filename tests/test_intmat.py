@@ -1,7 +1,7 @@
 import copy
 import pickle
 import random
-from math import prod
+from math import gcd, prod
 
 import pytest
 
@@ -318,6 +318,50 @@ class TestReplay:
         assert intmat._replay([[1, 0], [0, 0], [0, 1]], log) == [[0, 1], [1, 1], [1, 0]]
         log = [("col_add", 0, 1, 1), ("row_neg", 1, 0, 0), ("col_add", 0, 1, 1)]
         assert intmat._replay([[0, 0], [1, 0]], log) == [[0, 0], [-1, -2]]
+
+    def test_gcd_phase_modulo_m(self):
+        # the gcd phase modulo M on seeded matrices whose entries are mostly
+        # multiples of M's primes, so that a pivot's gcd with M often fails
+        # to divide an entry of its column or row: both logs replay on A to
+        # the matrix left modulo M, whose diagonal has sympy's gcds with M
+        sympy = pytest.importorskip("sympy")
+        from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+
+        rng = random.Random(34)
+        moduli = {6: (2, 3), 12: (2, 3), 30: (2, 3, 5), 144: (2, 3), 210: (2, 3, 5, 7),
+                  2**4 * 3**3 * 5: (2, 3, 5)}
+        remainders = 0
+        for _ in range(300):
+            M, primes = rng.choice(list(moduli.items()))
+            m, n = rng.randint(1, 8), rng.randint(1, 8)
+            rows = [[rng.randint(-9, 9) * rng.choice((1, *primes, *primes)) for _ in range(n)]
+                    for _ in range(m)]
+            a = [row[:] for row in rows]
+            row_log, col_log = [], []
+            intmat._reduce(a, row_log, col_log, M)
+            replayed = intmat._replay(intmat._replay(rows, row_log), col_log)
+            size = min(m, n)
+            diagonal = [gcd(a[i][i], M) for i in range(size)]
+            for i in range(m):
+                for j in range(n):
+                    x = replayed[i][j] % M
+                    if j == i:
+                        assert x == a[i][i] % M
+                    # a row whose pivot is a unit modulo M ends after its row
+                    # pass, and later column steps leave its other entries
+                    elif j < i or diagonal[i] != 1:
+                        assert x == a[i][j] % M == 0
+            theirs = sympy_snf(sympy.Matrix(rows), domain=sympy.ZZ)
+            assert diagonal == [gcd(int(theirs[i, i]), M) for i in range(size)]
+            assert all(y % x == 0 for x, y in zip(diagonal, diagonal[1:]))
+            # the first pivot: the entry of least gcd with M in column 0
+            column = [i for i in range(m) if rows[i][0] % M]
+            if column:
+                pivot = min(column, key=lambda i: gcd(rows[i][0], M))
+                c = gcd(rows[pivot][0], M)
+                others = [row[0] for row in rows] + rows[pivot]
+                remainders += any(x % c for x in others)
+        assert remainders >= 150
 
 
 class TestSolve:

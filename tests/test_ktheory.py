@@ -324,9 +324,10 @@ _INTEGER_GRAPH = build_graph(
     [("b", "b", 1), ("b", "c", 3), ("b", "d", 2), ("b", "e", 2), ("c", "c", 1), ("c", "e", 3),
      ("d", "c", 1), ("d", "e", 3), ("e", "a", 2), ("e", "c", 2), ("e", "d", 3)],
 )
-# the solve leaves t > 1, and the gcd phase modulo D_t logs row_add, row_swap
-# and row_mix: Z/2 + Z/2088 with D = 4176, t = 18 and D_t = 144 < D (a CRT
-# step joins Z/29 to the 2- and 3-parts), and Z/2 + Z/36 with D = D_t = 72
+# the solve leaves t > 1, and the gcd phase modulo D_t logs row_add and
+# row_swap and brings a remainder to the pivot: Z/2 + Z/2088 with D = 4176,
+# t = 18 and D_t = 144 < D (a CRT step joins Z/29 to the 2- and 3-parts),
+# and Z/2 + Z/36 with D = D_t = 72
 _LOCAL_MATRIX = IntMatrix(
     [[4, 5, -5, 1, -4], [3, -4, 5, 2, -5], [3, -2, -5, -5, -1], [2, -1, 1, -3, 4],
      [-3, 3, 0, 3, 5]]
@@ -351,12 +352,10 @@ _LOCAL_GRAPH = build_graph(
 def _corrupting(phase, corrupt: str, applied: bool = False):
     """An elimination phase of intmat that corrupts the first step of the
     given kind it logs, or with "-last" the last: an addition's q becomes
-    q + 1; a mix (s, t, u, v) becomes (s, t, u + s, v + t), still of
-    determinant 1, which adds the new pivot row to the cleared one, or with
-    "-det" (s, t, u, v + 1); a swap, a negation, or any step with
-    "-dropped" is deleted.  With applied, the unit phase also leaves the
-    rows that its corrupted row steps give, as a faulty phase would;
-    otherwise only its returned log is wrong."""
+    q + 1; a swap, a negation, or any step with "-dropped" is deleted.
+    With applied, the unit phase also leaves the rows that its corrupted
+    row steps give, as a faulty phase would; otherwise only its returned
+    log is wrong."""
     kind, _, how = corrupt.partition("-")
 
     def corrupted(a, *args):
@@ -370,18 +369,30 @@ def _corrupting(phase, corrupt: str, applied: bool = False):
         at = [i for i in range(start, len(log)) if log[i][0] == kind]
         first = at[-1] if how.startswith("last") else at[0]
         _, i, j, q = log[first]
-        if how.endswith("dropped") or kind in ("row_swap", "col_swap", "row_neg"):
+        if how.endswith("dropped") or not kind.endswith("_add"):
             del log[first]
-        elif kind.endswith("_add"):
-            log[first] = (kind, i, j, q + 1)
         else:
-            s, t, u, v = q
-            log[first] = (kind, i, j, (s, t, u, v + 1) if how == "det" else (s, t, u + s, v + t))
+            log[first] = (kind, i, j, q + 1)
         if applied:
             a[:] = intmat._replay(rows, result[0])
         return result
 
     return corrupted
+
+
+def _remainder_pivots(row_log) -> int:
+    """How many row swaps of a gcd phase's row log bring a remainder to the
+    pivot row k: a swap of row k logged after an addition from row k.  The
+    first pass at step k may swap before it adds; a later one swaps only
+    for a pivot whose gcd with the modulus is below that of row k's, which
+    only a remainder of that pass's row or column division brings about."""
+    added, swaps = set(), 0
+    for kind, i, j, _ in row_log:
+        if kind == "row_add" and i < j:  # from pivot row i; the reverse drags an entry into row j
+            added.add(i)
+        elif kind == "row_swap":
+            swaps += i in added
+    return swaps
 
 
 def _k0_answers(matrices, graphs) -> list:
@@ -558,18 +569,16 @@ class TestK0Certificate:
         "corrupt",
         [pytest.param("row_add", id="row_add-replayed"),
          pytest.param("row_swap", id="row_swap-replayed"),
-         pytest.param("row_mix", id="row_mix-replayed"),
-         pytest.param("row_mix-det", id="row_mix-det-not unimodular"),
-         "row_mix-dropped", "row_add-last-dropped"],
+         "row_add-last", "row_swap-last", "row_add-dropped", "row_add-last-dropped"],
     )
     def test_corrupted_modular_log_raises(self, monkeypatch, corrupt):
-        # modulo D_t the log holds only row steps, and the certificate checks
-        # the rows they give; the last row_add is dropped as well as the
-        # first changed. The first four ids are the ones these cases had when
-        # the gcd steps modulo D were replayed, which refused them as
-        # 'replayed' or 'not unimodular'; each must now fail the kill check
-        # instead. The inputs take the local step, once with D_t < D and a
-        # CRT step and once with D_t == D: the solve alone answers for
+        # modulo D_t the certificate checks the rows that the row steps give;
+        # the first and the last addition and swap are corrupted, and the
+        # first and the last addition dropped. The first two ids are the
+        # ones these cases had when the gcd steps modulo D were replayed,
+        # which refused them as 'replayed'; each must now fail the kill
+        # check instead. The inputs take the local step, once with D_t < D
+        # and a CRT step and once with D_t == D: the solve alone answers for
         # _MODULAR_MATRIX and _MODULAR_GRAPH, which no longer reach the gcd
         # phase
         monkeypatch.setattr(intmat, "_reduce", _corrupting(intmat._reduce, corrupt))
@@ -595,9 +604,6 @@ class TestK0Certificate:
                     kind = "same"
                 elif kind == "row_add" and roll < 0.6:
                     log[at] = (kind, i, j, q + rng.choice((-1, 1)))
-                elif kind == "row_mix" and roll < 0.5:
-                    s, t, u, v = q
-                    log[at] = (kind, i, j, rng.choice([(s, t, u, v + 1), (s, t, u + s, v + t)]))
                 else:
                     del log[at]
                 changed.append(kind)
@@ -621,7 +627,7 @@ class TestK0Certificate:
         assert all(passed for kind, passed in outcomes if kind == "same")
         assert sum(kind == "same" for kind, _ in outcomes) >= 20
         assert sum(not passed for _, passed in outcomes) >= 150
-        assert {"row_add", "row_swap", "row_mix"} <= {kind for kind, _ in outcomes}
+        assert {"row_add", "row_swap"} <= {kind for kind, _ in outcomes}
 
     def test_rows_not_onto_raise(self, monkeypatch):
         # the changed rows still kill A but reach a proper subgroup: 2 * c in
@@ -758,10 +764,10 @@ class TestK0Certificate:
             assert all(0 <= x < d for x in row)
 
     def test_modular_route_stays_below_the_determinant(self, monkeypatch):
-        # every multiplier and mix coefficient in the K0 logs (the local
-        # step's, modulo D_t = 18 here, and the unit phase's), and every
-        # coordinate-row entry, has at most D's bits (461 here); the integer
-        # gcd phase's multipliers reached 756 bits
+        # every multiplier in the K0 logs (the local step's, modulo D_t = 18
+        # here, where remainders become pivots, and the unit phase's), and
+        # every coordinate-row entry, has at most D's bits (461 here); the
+        # integer gcd phase's multipliers reached 756 bits
         logs = []
         coordinate_rows = intmat._coordinate_rows
 
@@ -774,11 +780,9 @@ class TestK0Certificate:
         bits = k0.group.torsion_size.bit_length()
         assert k0.group.free_rank == 0 and bits == 461
         assert len(logs) == 2  # the local step's rows, then the pull-back
-        coefficients = [x for log in logs for *_, q in log
-                        for x in (q if isinstance(q, tuple) else (q,))]
-        assert max(abs(x).bit_length() for x in coefficients) <= bits
+        assert _remainder_pivots(logs[0])
+        assert max(abs(q).bit_length() for log in logs for *_, q in log) <= bits
         assert max(x.bit_length() for row in k0.coordinate_map for x in row) <= bits
-        assert any(isinstance(q, tuple) for *_, q in logs[0])  # mix steps ran
 
     def test_row_additions_stay_bounded(self):
         # 17,330 row additions with the unit phase and the column pivot rule;
@@ -1084,7 +1088,7 @@ class TestUnitPhase:
         for _ in range(100):
             m, n = rng.randint(1, 6), rng.randint(1, 6)
             cases.append([[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)])
-        row_kinds = {"row_add", "row_swap", "row_neg", "row_mix"}
+        row_kinds = {"row_add", "row_swap", "row_neg"}
         col_kinds = {"col_add", "col_swap"}
         logged = []
         reduce = intmat._reduce
@@ -1100,7 +1104,7 @@ class TestUnitPhase:
             intmat._integer_phase([], [], k, residual)
             smith_coordinates(rows)
         kinds = {kind for logs in logged for log in logs for kind, *_ in log}
-        assert kinds == row_kinds | col_kinds  # mixes come from the gcd phase modulo D_t
+        assert kinds == row_kinds | col_kinds
         for row_steps, col_steps in logged:
             assert {kind for kind, *_ in row_steps} <= row_kinds
             assert {kind for kind, *_ in col_steps} <= col_kinds
@@ -1163,5 +1167,5 @@ class TestGoldenOutputs:
 
 
 _K0_DIGEST = "f812b0257e869ab7bb919ee8385d846e3a49ce4566cc4a893e18f1b72797d18e"
-_K0_BASIS_DIGEST = "ea8074c050424d017c8b2fb042dd6aebd2101c0f438f091019dc9636e29d9505"
+_K0_BASIS_DIGEST = "181118163aa193b04372312f05aa6984735677a1d97238f197fd476bd35628f4"
 _SNF_DIGEST = "cf534ec0c0e391bb101652a98abe28c1de6054479ac2d890852e3d18414b526c"
