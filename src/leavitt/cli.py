@@ -2,19 +2,21 @@
 
 Exit codes: 0 success, 2 malformed or unreadable input, an argument past
 its cap (``MAX_CLASSES``, ``MAX_HEAD_VERTICES``, ``MAX_EIGEN_MATRICES``),
-an input too large for memory, an unwritable ``--out`` file, or a usage
-error, 3 hypothesis not satisfied (the graph is not purely infinite
-simple), 4 size bound exceeded (``oracle lemma1``, or ``compare`` when
-``--bound`` is given).  Handlers return their payload and signal failure
-by raising; ``main`` maps each exception to its exit code
-through one table, so every failure prints one ``{"error": code,
-"message": ...}`` document.
+an input too large for memory, an unwritable ``--out`` file, a stdout
+that refuses the result (a closed pipe, a full device), or a usage error,
+3 hypothesis not satisfied (the graph is not purely infinite simple), 4
+size bound exceeded (``oracle lemma1``, or ``compare`` when ``--bound`` is
+given).  Handlers return their payload and signal failure by raising;
+``main`` maps each exception to its exit code through one table, so every
+failure prints one ``{"error": code, "message": ...}`` document, except
+where stdout itself fails, which prints an ``error:`` line on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 from typing import NoReturn
@@ -284,7 +286,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(payload: object) -> None:
+def _emit(payload: object) -> bool:
+    """Write payload to stdout as one line of JSON and flush it.  When
+    stdout refuses the write (a closed pipe, a full device), print one
+    error line on stderr, point stdout at os.devnull, as the Python docs
+    advise for SIGPIPE, so that the flush at exit cannot fail again, and
+    return False."""
     # Python's int-to-str digit limit guards the parsing of inputs, which
     # happens before this; a result of any size is printed whole
     limit = sys.get_int_max_str_digits()
@@ -293,7 +300,16 @@ def _emit(payload: object) -> None:
         text = json.dumps(payload)
     finally:
         sys.set_int_max_str_digits(limit)
-    sys.stdout.write(text + "\n")
+    try:
+        sys.stdout.write(text + "\n")
+        sys.stdout.flush()
+    except OSError as exc:
+        print(f"error: cannot write the result to stdout: {exc}", file=sys.stderr)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return False
+    return True
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -304,11 +320,10 @@ def main(argv: list[str] | None = None) -> int:
     except tuple(_EXIT_CODES) as exc:
         code = next(c for kind, c in _EXIT_CODES.items() if isinstance(exc, kind))
         message = str(exc) or type(exc).__name__  # a MemoryError often carries no text
-        _emit({"error": code, "message": message})
+        written = _emit({"error": code, "message": message})
         print(f"error: {message}", file=sys.stderr)
-        return code
-    _emit(payload)
-    return EXIT_OK
+        return code if written else EXIT_INPUT
+    return EXIT_OK if _emit(payload) else EXIT_INPUT
 
 
 if __name__ == "__main__":

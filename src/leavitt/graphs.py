@@ -17,13 +17,22 @@ time linear in vertices plus edges.
 from __future__ import annotations
 
 import json
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .intmat import IntMatrix, Record, require_ints
 
 
 class GraphFormatError(ValueError):
     """Raised for malformed graph documents."""
+
+
+def _iterable(collection, what: str) -> Iterator:
+    """An iterator over collection, or GraphFormatError naming what when it
+    is not iterable; errors raised while it is iterated pass through."""
+    try:
+        return iter(collection)
+    except TypeError:
+        raise GraphFormatError(f"{what} must be iterable, not {type(collection).__name__}") from None
 
 
 def _checked(vertices: Iterable[str], edges: Iterable, merge: bool) -> tuple[tuple, tuple]:
@@ -33,7 +42,9 @@ def _checked(vertices: Iterable[str], edges: Iterable, merge: bool) -> tuple[tup
     first bad one is named."""
     if isinstance(vertices, str):  # would split into one-letter names
         raise GraphFormatError(f"vertex list must hold names, not be the string {vertices!r}")
-    vertices = tuple(vertices or ())
+    if isinstance(vertices, (set, frozenset)):  # the basis order would follow the hash seed
+        raise GraphFormatError(f"vertex list must be ordered, not a {type(vertices).__name__}")
+    vertices = tuple(_iterable(vertices, "vertex list"))
     if not vertices:
         raise GraphFormatError("vertex list must be nonempty")
     names = set()
@@ -44,7 +55,7 @@ def _checked(vertices: Iterable[str], edges: Iterable, merge: bool) -> tuple[tup
             raise GraphFormatError(f"duplicate vertex name {v!r}")
         names.add(v)
     pairs: dict[tuple[str, str], tuple] = {}  # each pair's record, in order of first appearance
-    for record in edges:
+    for record in _iterable(edges, "edge list"):
         try:
             src, dst, mult = record
         except (TypeError, ValueError):  # not three fields
@@ -64,12 +75,12 @@ def _checked(vertices: Iterable[str], edges: Iterable, merge: bool) -> tuple[tup
 class DirectedGraph(Record):
     """Vertex names in basis order and one (src, dst, mult) record per pair.
 
-    Names are distinct nonempty str, in a collection that is not itself a
-    str (which would split into letters); each record unpacks to str
-    endpoints among them and an int multiplicity (no bool or other
-    subclass) of at least 1.  A repeated pair is refused (build_graph
-    merges it), and a fault raises GraphFormatError naming the first bad
-    name or record."""
+    Names are distinct nonempty str, in an ordered collection that is not
+    a str (which would split into letters) or a set (whose order follows
+    the hash seed); each record unpacks to str endpoints among them and an
+    int multiplicity (no bool or other subclass) of at least 1.  A repeated
+    pair is refused (build_graph merges it), and a fault raises
+    GraphFormatError naming the first bad name or record."""
 
     __slots__ = ("vertices", "edges")
     vertices: tuple[str, ...]

@@ -6,20 +6,21 @@ fixed-width fast path anywhere.
 
 Every Smith computation starts with a unit phase (``_clear_units``) on a
 dense copy of A that only whole-row elementary steps change, and whose
-form check (``_unit_phase``) finds a unit upper-triangular block over a
-residual block R, so coker A = coker R and |det A| = |det R|.  Each phase
-logs its row and column steps in two lists, of five elementary kinds with
-an int multiplier, which ``_replay`` applies.  ``smith_normal_form`` then
-runs the gcd phase (``_reduce``) on R over Z, builds U from the row steps
-and V from the column steps, and checks U * A * V == D.
+form check (``_unit_phase``) finds k pivots, a unit upper-triangular block
+over a residual block R, so coker A = coker R and |det A| = |det R|.  Each
+phase logs its row and column steps in two lists, of five elementary kinds
+with an int multiplier, which ``_replay`` applies, at its own block's
+indices.  ``smith_normal_form`` runs the gcd phase (``_reduce``) on R over
+Z, builds U and V from the unit phase's row and column steps, replays the
+gcd phase's on U's rows and V's columns from k on, and checks U A V == D.
 ``smith_coordinates``, the cokernel path of ``ktheory``, builds neither.
 For D = |det A| > 0 one fraction-free solve (``_solve``) gives D and a
 row c onto a cyclic quotient Z/s of coker R, with t = D / s; the gcd
 phase runs only when t > 1, modulo the part D_t of D on the primes of t,
 and CRT joins the cyclic rest to its largest factor (``_local_factors``).
-The answer is checked, not its steps: the rows, pulled back through the
-logged row steps, kill A and map onto the sum of the Z/d_i, and the d_i
-divide in turn and multiply to D, the determinant Bareiss computed.
+The answer is checked, not its steps: the rows, padded with k zeros and
+pulled back through the unit row steps, kill A and map onto the sum of
+the Z/d_i, and the d_i divide in turn and multiply to D = |det R|.
 
 ``Record`` is the package's immutable record base, which the frozen
 records of every module (``IntMatrix`` and ``SmithDecomposition`` here,
@@ -234,7 +235,8 @@ def _diagonal_rows(m: int, n: int, diagonal: Sequence[int]) -> list[list[int]]:
 # (kind, i, j, q), one of five kinds with an int q: "row_add"/"col_add" add
 # q * row/col i to row/col j, "row_swap"/"col_swap" swap i and j, "row_neg"
 # negates row i (j == i).  A phase logs row steps and column steps in two
-# lists, each in step order
+# lists, each in step order and at the indices of the block it works on:
+# the unit phase at A's, the gcd phase at the residual block R's
 _Step = tuple[str, int, int, int]
 
 
@@ -352,7 +354,8 @@ def _reduce(
     Once the pivot's row and column are clear, a row holding an entry that
     c does not divide is added to row k and the passes repeat, so each
     diagonal entry divides the next; a negative diagonal entry is negated
-    at the end.
+    at the end.  The phase ends once the block from (k, k) on is zero, as
+    every later block is part of it: rescanning them costs cubic time.
 
     Modulo M a step whose pivot is a unit (c == 1) ends after its row pass:
     the column pass would only clear the rest of row k, and nothing reads
@@ -373,7 +376,7 @@ def _reduce(
                         row[k:] = [x % modulus for x in row[k:]]
                 j = next((j for j in range(k + 1, n) if any(row[j] for row in a[k:])), None)
                 if j is None:
-                    break  # the trailing block is zero
+                    return  # the trailing block is zero, and so is every later one
                 for row in a[k:]:
                     row[k], row[j] = row[j], row[k]
                 col_log.append(("col_swap", k, j, 0))
@@ -520,44 +523,35 @@ def _unit_phase(
     return row_steps, col_steps, k, residual
 
 
-def _integer_phase(
-    row_log: list[_Step], col_log: list[_Step], k: int, block: list[list[int]]
-) -> tuple[list[_Step], list[_Step], tuple[int, ...]]:
-    """The gcd phase over Z on the residual block (changed in place): its
-    row steps and its column steps at the block's indices, each list also
-    appended to row_log or col_log at A's indices, and the Smith diagonal
-    of A, k ones and then the block's diagonal."""
+def _gcd_phase(residual: list[list[int]]) -> tuple[list[_Step], list[_Step], tuple[int, ...]]:
+    """The gcd phase over Z on a copy of the residual block R (read and not
+    changed): its row steps and its column steps, both at R's indices, and
+    R's Smith diagonal."""
+    block = [row[:] for row in residual]
     row_steps: list[_Step] = []
     col_steps: list[_Step] = []
     _reduce(block, row_steps, col_steps)
-    for log, steps in (row_log, row_steps), (col_log, col_steps):
-        log += [(kind, i + k, j + k, q) for kind, i, j, q in steps]
     size = min(len(block), len(block[0])) if block else 0
-    return row_steps, col_steps, (1,) * k + tuple(block[i][i] for i in range(size))
-
-
-def _smith_log(rows: Sequence[Sequence[int]]) -> tuple[list[_Step], list[_Step], tuple[int, ...]]:
-    """The Smith elimination of A over Z (plain integer rows, read and not
-    changed): the unit phase, then the gcd phase on R.  Returns the row
-    steps, the column steps and the diagonal; the row steps applied to I
-    give U, and the column steps V, with U * A * V the diagonal, which
-    smith_normal_form checks."""
-    row_steps, col_steps, k, residual = _unit_phase(rows)
-    return row_steps, col_steps, _integer_phase(row_steps, col_steps, k, residual)[2]
+    return row_steps, col_steps, tuple(block[i][i] for i in range(size))
 
 
 def smith_normal_form(matrix: IntMatrix) -> SmithDecomposition:
-    """Smith normal form with both transformation matrices, built from the
-    integer log of _smith_log; U @ A @ V == D is checked densely before
-    returning.  D is built from the diagonal alone, so the check also shows
-    that the elimination left nothing off it.
+    """Smith normal form with both transformation matrices: U is I with the
+    unit row steps applied and then the gcd phase's on its rows from k on,
+    V likewise from the column steps.  U @ A @ V == D is checked densely
+    before returning; D is built from the diagonal alone, so the check also
+    shows that the elimination left nothing off it.
 
     >>> smith_normal_form(IntMatrix([[2, 0], [0, 3]])).diagonal
     (1, 6)
     """
     m, n = matrix.rows, matrix.cols
-    row_steps, col_steps, diagonal = _smith_log(list(matrix))
+    row_steps, col_steps, k, residual = _unit_phase(list(matrix))
+    gcd_rows, gcd_cols, diagonal = _gcd_phase(residual)
     u, v = _replay(_identity_rows(m), row_steps), _replay(_identity_rows(n), col_steps)
+    u[k:] = _replay(u[k:], gcd_rows)
+    v = [row[:k] + tail for row, tail in zip(v, _replay([row[k:] for row in v], gcd_cols))]
+    diagonal = (1,) * k + diagonal
     U, D, V = IntMatrix(u), IntMatrix(_diagonal_rows(m, n, diagonal)), IntMatrix(v)
     if (U @ matrix) @ V != D:
         raise RuntimeError("internal error: transform identity U*A*V == D failed")
@@ -681,11 +675,12 @@ def smith_coordinates(
     the diagonal), torsion rows reduced modulo d_i, free rows exact.
 
     U and V are never built.  A square A with D = |det A| > 0 takes the
-    solve and the local step (_local_factors), whose rows, padded with k
-    zeros, are pulled back through the unit phase's row steps in one
-    reverse pass.  Any other A takes the gcd phase over Z, whose row steps
-    join the unit phase's and whose row and column steps, replayed on R,
-    must give its diagonal.
+    solve and the local step (_local_factors).  Any other A takes the gcd
+    phase over Z (_gcd_phase), whose row and column steps, replayed on R,
+    must give its diagonal, and whose row steps pull each wanted e_i back
+    at R's indices.  Either way the rows, at R's indices, are padded with
+    k zeros and pulled back through the unit phase's row steps in one
+    reverse pass.
 
     Each row c_i must kill A, c_i * A == 0 modulo d_i (exactly when free),
     and for a finite group the rows must map Z^m onto the sum of the Z/d_i
@@ -707,20 +702,18 @@ def smith_coordinates(
             raise RuntimeError("internal error: the invariant factors do not multiply to |det|")
         if any(y % x for x, y in zip(factors, factors[1:])):
             raise RuntimeError("internal error: the invariant factors do not divide in turn")
-        diagonal = (1,) * k + factors
-        if k:
-            starts = [[0] * k + row for row in starts]
         wanted = list(zip(starts, [d for d in factors if d != 1]))
     else:
-        gcd_rows, gcd_cols, diagonal = _integer_phase(row_steps, [], k, [r[:] for r in residual])
-        replayed = _replay(_replay(residual, gcd_rows), gcd_cols)
-        if replayed != _diagonal_rows(m - k, n - k, diagonal[k:]):
+        gcd_rows, gcd_cols, factors = _gcd_phase(residual)
+        if _replay(_replay(residual, gcd_rows), gcd_cols) != _diagonal_rows(m - k, n - k, factors):
             raise RuntimeError("internal error: replayed gcd steps do not give diag(g)")
         wanted = [
-            ([int(r == i) for r in range(m)], d)
-            for i, d in enumerate(diagonal + (0,) * (m - len(diagonal)))
+            ([int(r == i) for r in range(m - k)], d)
+            for i, d in enumerate(factors + (0,) * (m - n))  # free rows past the diagonal
             if d != 1
         ]
+        _coordinate_rows(gcd_rows, wanted)  # pulls each e_i back in place
+    wanted = [([0] * k + x, d) for x, d in wanted]
     coordinate_rows = tuple(map(tuple, _coordinate_rows(row_steps, wanted)))
     columns = range(n)
     for (_, d), row in zip(wanted, coordinate_rows):
@@ -731,7 +724,7 @@ def smith_coordinates(
                     image[j] += y * a_row[j]
         if any(x % d if d else x for x in image):
             raise RuntimeError("internal error: a coordinate row does not kill A")
-    factors = [d for _, d in wanted]
-    if all(factors) and not _onto(coordinate_rows, factors):
+    moduli = [d for _, d in wanted]
+    if all(moduli) and not _onto(coordinate_rows, moduli):
         raise RuntimeError("internal error: the coordinate rows are not onto the group")
-    return diagonal, coordinate_rows
+    return (1,) * k + factors, coordinate_rows

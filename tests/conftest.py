@@ -36,17 +36,23 @@ class Name(str):
     """A str subclass, which the graph check refuses as a name or endpoint."""
 
 
+def module_env(env=None) -> dict:
+    """The environment of a ``python -m leavitt`` child that imports the
+    package under test, with env added."""
+    src = str(Path(leavitt.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, **(env or {}), "PYTHONPATH": path}
+
+
 def run_module(*argv, text=True, timeout=None, env=None, stdin=None):
     """``python -m leavitt`` in a child that imports the package under test,
     with env added to its environment and stdin as its input."""
-    src = str(Path(leavitt.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "leavitt", *argv],
         input=stdin,
         capture_output=True,
         text=text,
-        env={**os.environ, **(env or {}), "PYTHONPATH": path},
+        env=module_env(env),
         timeout=timeout,
     )
 

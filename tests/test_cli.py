@@ -1,6 +1,8 @@
 import json
+import os
 import re
 import shlex
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -12,7 +14,7 @@ from leavitt.graphs import build_graph, rose
 from leavitt.intmat import IntMatrix
 from leavitt.matrixtype import m_graph
 
-from conftest import infinite_order_graph, run_module, scc_graph
+from conftest import infinite_order_graph, module_env, run_module, scc_graph
 
 
 def run_cli(capsys, argv, stdin=None, monkeypatch=None):
@@ -577,6 +579,34 @@ class TestEntryPoint:
         ]
         assert runs[0]
         assert runs[0] == runs[1]
+
+    def test_closed_stdout_pipe_exits_2(self, rose5):
+        # the reader stops after 10 bytes of a 689 KB result, more than a
+        # pipe buffers, so the child's write meets a closed pipe.  Its stdout
+        # is buffered: unbuffered (PYTHONUNBUFFERED), the text layer takes the
+        # partial write that a closing reader ends as a whole one, and the
+        # call exits 0 with the rest of its output dropped
+        argv = [sys.executable, "-m", "leavitt", "classes", "--graph", rose5, "--max", "100000"]
+        env = module_env()
+        env.pop("PYTHONUNBUFFERED", None)
+        with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+            assert proc.stdout.read(10) == b"[[1, 3, 5,"
+            proc.stdout.close()
+            code = proc.wait(timeout=60)
+            err = proc.stderr.read().decode()
+        assert code == 2
+        assert err.startswith("error: cannot write the result to stdout: [Errno 32]")
+        assert err.count("\n") == 1  # no traceback, and no second error at exit
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full to write to")
+    def test_full_stdout_exits_2(self, rose5):
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "leavitt", "analyze", "--graph", rose5],
+                stdout=full, stderr=subprocess.PIPE, text=True, env=module_env(), timeout=60,
+            )
+        assert proc.returncode == 2
+        assert proc.stderr == "error: cannot write the result to stdout: [Errno 28] No space left on device\n"
 
     def test_analyze_ignores_the_hash_seed(self, tmp_path):
         graph = write_graph(tmp_path, "scc96.json", scc_graph(96, 3))

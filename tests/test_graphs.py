@@ -161,6 +161,43 @@ class TestDirectedGraph:
             make(vertices, [])
         assert make(list("ab"), []).vertices == ("a", "b")
 
+    @pytest.mark.parametrize("make", [DirectedGraph, build_graph])
+    @pytest.mark.parametrize("vertices", [{"a", "b", "c"}, frozenset("abc")])
+    def test_rejects_a_set_of_names(self, make, vertices):
+        # a set's order, which would be the basis order, follows the hash seed
+        with pytest.raises(GraphFormatError, match="must be ordered"):
+            make(vertices, [])
+
+    @pytest.mark.parametrize("make", [DirectedGraph, build_graph])
+    def test_keeps_any_ordered_collection(self, make):
+        names = {"c": 0, "a": 1, "b": 2}
+        for vertices in names, names.keys(), (v for v in names), iter(["c", "a", "b"]):
+            assert make(vertices, iter([("a", "b", 1)])).vertices == ("c", "a", "b")
+
+    @pytest.mark.parametrize("make", [DirectedGraph, build_graph])
+    @pytest.mark.parametrize(
+        "vertices, edges, message",
+        [
+            (5, [], "vertex list must be iterable, not int"),
+            (None, [], "vertex list must be iterable, not NoneType"),
+            (["a"], 5, "edge list must be iterable, not int"),
+            (["a"], None, "edge list must be iterable, not NoneType"),
+        ],
+    )
+    def test_rejects_a_collection_that_is_not_iterable(self, make, vertices, edges, message):
+        with pytest.raises(GraphFormatError, match=message):
+            make(vertices, edges)
+
+    @pytest.mark.parametrize("make", [DirectedGraph, build_graph])
+    def test_passes_on_what_iterating_the_records_raises(self, make):
+        # a TypeError from inside the records is not read as a bad collection
+        def records():
+            yield ("a", "a", 1)
+            raise TypeError("raised by the records")
+
+        with pytest.raises(TypeError, match="raised by the records"):
+            make(["a"], records())
+
     def test_stores_tuples(self):
         from_lists = DirectedGraph(["a", "b"], [["a", "b", 2], ("b", "a", 1)])
         from_tuples = DirectedGraph(("a", "b"), (("a", "b", 2), ("b", "a", 1)))

@@ -203,31 +203,42 @@ class TestSmithNormalForm:
             again = smith_normal_form(d)
             assert again.D == d
 
-    @pytest.mark.parametrize("kind", ["row_add", "col_add"])
-    def test_corrupted_log_raises(self, monkeypatch, kind):
-        # U and V are built from the log, so one changed coefficient must
-        # break the dense U @ A @ V == D check
-        smith_log = intmat._smith_log
+    @pytest.mark.parametrize(
+        "phase, kind",
+        [
+            pytest.param("_unit_phase", "row_add", id="row_add"),
+            pytest.param("_unit_phase", "col_add", id="col_add"),
+            pytest.param("_gcd_phase", "row_add", id="gcd-row_add"),
+            pytest.param("_gcd_phase", "col_add", id="gcd-col_add"),
+        ],
+    )
+    def test_corrupted_log_raises(self, monkeypatch, phase, kind):
+        # U and V are built from the two phases' logs, so one changed
+        # coefficient in either must break the dense U @ A @ V == D check;
+        # here the unit phase takes k = 2 pivots and the gcd phase, on the
+        # 2 x 2 block R, logs both kinds
+        logged = getattr(intmat, phase)
 
         def corrupted(rows):
-            row_steps, col_steps, diagonal = smith_log(rows)
+            row_steps, col_steps, *rest = logged(rows)
             log = col_steps if kind == "col_add" else row_steps
             first = next(i for i, step in enumerate(log) if step[0] == kind)
             _, src, dst, q = log[first]
             log[first] = (kind, src, dst, q + 1)
-            return row_steps, col_steps, diagonal
+            return row_steps, col_steps, *rest
 
-        monkeypatch.setattr(intmat, "_smith_log", corrupted)
+        monkeypatch.setattr(intmat, phase, corrupted)
         a = IntMatrix([[-4, -1, -4, 3], [5, -2, 3, -2], [0, -4, -4, -2], [5, 0, -1, 1]])
         with pytest.raises(RuntimeError, match="transform identity"):
             smith_normal_form(a)
 
     def test_entries_left_off_the_diagonal_raise(self, monkeypatch):
         # D is built from the diagonal, so an elimination that stops early
-        # cannot pass its leftovers off as part of D
-        monkeypatch.setattr(intmat, "_smith_log", lambda rows: ([], [], (1, 4)))
+        # cannot pass its leftovers off as part of D: here the gcd phase
+        # logs nothing on R = [[2, 4], [6, 8]] but returns its true diagonal
+        monkeypatch.setattr(intmat, "_gcd_phase", lambda residual: ([], [], (2, 4)))
         with pytest.raises(RuntimeError, match="transform identity"):
-            smith_normal_form(IntMatrix([[1, 2], [3, 4]]))
+            smith_normal_form(IntMatrix([[1, 0, 0], [0, 2, 4], [0, 6, 8]]))
 
     @pytest.mark.parametrize("e", [100, 400, 1000, 2000])
     def test_transforms_stay_bounded(self, e):

@@ -1,6 +1,7 @@
 import hashlib
 import random
 import re
+import time
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -787,8 +788,21 @@ class TestK0Certificate:
     def test_row_additions_stay_bounded(self):
         # 17,330 row additions with the unit phase and the column pivot rule;
         # 18,792 when every pivot came from the dense gcd loop's row-major scan
-        row_steps, _, _ = intmat._smith_log(_presentation(scc_graph(200, 0)).to_lists())
+        row_steps, _, _, residual = intmat._unit_phase(_presentation(scc_graph(200, 0)).to_lists())
+        row_steps += intmat._gcd_phase(residual)[0]
         assert sum(step[0] == "row_add" for step in row_steps) < 18_500
+
+    def test_zero_trailing_block_ends_the_gcd_phase(self):
+        # n disjoint loops give I - A^T = 0: once the block left is zero the
+        # gcd phase stops, where rescanning it at every later pivot took
+        # about 8 s of CPU at n = 800
+        names = [f"v{i}" for i in range(800)]
+        graph = build_graph(names, [(v, v, 1) for v in names])
+        start = time.process_time()
+        k0 = k0_of_graph(graph)
+        spent = time.process_time() - start
+        assert k0.group.free_rank == 800 and k0.group.invariant_factors == ()
+        assert spent <= 2.0, f"K0 of 800 disjoint loops took {spent:.2f} s of CPU"
 
 
 def _unit_order_by_fractions(m: IntMatrix) -> int:
@@ -1081,7 +1095,8 @@ class TestUnitPhase:
     def test_each_list_holds_one_axis(self, monkeypatch):
         # the unit phase and the gcd phase, over Z and modulo D_t, each log
         # their row steps and their column steps in two lists, on the
-        # golden presentations and on seeded random matrices
+        # golden presentations and on seeded random matrices; the gcd phase
+        # logs at R's own indices, so every step of it indexes inside R
         rng = random.Random(79)
         cases = [_presentation(graph).to_lists() for graph in _golden_graphs()]
         cases += [_unit_rich_rows(rng, rng.randint(1, 9), rng.randint(1, 9)) for _ in range(100)]
@@ -1099,9 +1114,12 @@ class TestUnitPhase:
 
         monkeypatch.setattr(intmat, "_reduce", recording)
         for rows in cases:
-            row_steps, col_steps, k, residual = intmat._unit_phase(rows)
+            row_steps, col_steps, _, residual = intmat._unit_phase(rows)
             logged.append((row_steps, col_steps))
-            intmat._integer_phase([], [], k, residual)
+            gcd_rows, gcd_cols, _ = intmat._gcd_phase(residual)
+            height, width = len(residual), len(residual[0]) if residual else 0
+            assert all(i < height and j < height for _, i, j, _ in gcd_rows)
+            assert all(i < width and j < width for _, i, j, _ in gcd_cols)
             smith_coordinates(rows)
         kinds = {kind for logs in logged for log in logs for kind, *_ in log}
         assert kinds == row_kinds | col_kinds
