@@ -33,11 +33,12 @@ from .abelian import (
     gcd_criterion,
     scale,
 )
-from .graphs import DirectedGraph, parse_graph, purely_infinite_simple
-from .intmat import IntMatrix, smith_normal_form
+from .graphs import DirectedGraph, PisReport, parse_graph, purely_infinite_simple
+from .intmat import IntMatrix, require_ints, smith_normal_form
 from .ktheory import k0_of_graph
 from .matrixtype import (
     NotPurelyInfiniteSimple,
+    _require_pis,
     compare_pointed_k0,
     m_graph,
     matrix_type_classes,
@@ -118,9 +119,19 @@ def _cmd_analyze(args) -> object:
     return payload
 
 
-def _cmd_matrix_type(args) -> object:
-    graph = _load_graph(args.graph)
+def _pis_graph(path: str, sizes: tuple[int, ...], what: str) -> tuple[DirectedGraph, PisReport]:
+    """The graph at path and its PIS report, after the matrix sizes are
+    checked (exit 2) and then the graph conditions (exit 3), so that no
+    elimination runs for a call that cannot succeed."""
+    graph = _load_graph(path)
+    require_ints(sizes, what, least=1)
     report = purely_infinite_simple(graph)
+    _require_pis(report)
+    return graph, report
+
+
+def _cmd_matrix_type(args) -> object:
+    graph, report = _pis_graph(args.graph, (args.c, args.d), "matrix sizes")
     k0 = k0_of_graph(graph)
     verdict = matrix_type_equal(k0, report, args.c, args.d)
     regime = matrix_type_verdict(k0, report)
@@ -134,10 +145,8 @@ def _cmd_matrix_type(args) -> object:
 def _cmd_classes(args) -> object:
     if args.max > MAX_CLASSES:
         raise ValueError(f"--max {args.max} is over the cap of {MAX_CLASSES}")
-    graph = _load_graph(args.graph)
-    report = purely_infinite_simple(graph)
-    k0 = k0_of_graph(graph)
-    return matrix_type_classes(k0, report, args.max)
+    graph, report = _pis_graph(args.graph, (args.max,), "max_n")
+    return matrix_type_classes(k0_of_graph(graph), report, args.max)
 
 
 def _cmd_mgraph(args) -> object:
@@ -287,8 +296,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(payload: object) -> bool:
-    """Write payload to stdout as one line of JSON and flush it.  When
-    stdout refuses the write (a closed pipe, a full device), print one
+    """Write payload to stdout as one line of JSON, through its binary
+    layer until every byte is taken, and flush it.  When stdout refuses
+    the write (a closed pipe, a full device), print one
     error line on stderr, point stdout at os.devnull, as the Python docs
     advise for SIGPIPE, so that the flush at exit cannot fail again, and
     return False."""
@@ -300,9 +310,19 @@ def _emit(payload: object) -> bool:
         text = json.dumps(payload)
     finally:
         sys.set_int_max_str_digits(limit)
+    data = (text + "\n").encode()
     try:
-        sys.stdout.write(text + "\n")
         sys.stdout.flush()
+        out = getattr(sys.stdout, "buffer", None)
+        if out is None:  # a text-only stream put in place of stdout
+            sys.stdout.write(text + "\n")
+        else:
+            # an unbuffered stdout is the raw file, whose write may take
+            # part of the bytes, as when the reader closes the pipe midway
+            view = memoryview(data)
+            while view:
+                view = view[out.write(view) :]
+            out.flush()
     except OSError as exc:
         print(f"error: cannot write the result to stdout: {exc}", file=sys.stderr)
         devnull = os.open(os.devnull, os.O_WRONLY)

@@ -54,6 +54,8 @@ def _checked(vertices: Iterable[str], edges: Iterable, merge: bool) -> tuple[tup
         if v in names:
             raise GraphFormatError(f"duplicate vertex name {v!r}")
         names.add(v)
+    if isinstance(edges, (set, frozenset)):  # the record order would follow the hash seed
+        raise GraphFormatError(f"edge list must be ordered, not a {type(edges).__name__}")
     pairs: dict[tuple[str, str], tuple] = {}  # each pair's record, in order of first appearance
     for record in _iterable(edges, "edge list"):
         try:
@@ -77,7 +79,8 @@ class DirectedGraph(Record):
 
     Names are distinct nonempty str, in an ordered collection that is not
     a str (which would split into letters) or a set (whose order follows
-    the hash seed); each record unpacks to str endpoints among them and an
+    the hash seed); the records come in an ordered collection too, not a
+    set, and each unpacks to str endpoints among them and an
     int multiplicity (no bool or other subclass) of at least 1.  A repeated
     pair is refused (build_graph merges it), and a fault raises
     GraphFormatError naming the first bad name or record."""

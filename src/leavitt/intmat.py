@@ -13,14 +13,24 @@ with an int multiplier, which ``_replay`` applies, at its own block's
 indices.  ``smith_normal_form`` runs the gcd phase (``_reduce``) on R over
 Z, builds U and V from the unit phase's row and column steps, replays the
 gcd phase's on U's rows and V's columns from k on, and checks U A V == D.
-``smith_coordinates``, the cokernel path of ``ktheory``, builds neither.
-For D = |det A| > 0 one fraction-free solve (``_solve``) gives D and a
-row c onto a cyclic quotient Z/s of coker R, with t = D / s; the gcd
-phase runs only when t > 1, modulo the part D_t of D on the primes of t,
-and CRT joins the cyclic rest to its largest factor (``_local_factors``).
-The answer is checked, not its steps: the rows, padded with k zeros and
-pulled back through the unit row steps, kill A and map onto the sum of
-the Z/d_i, and the d_i divide in turn and multiply to D = |det R|.
+``smith_coordinates``, the cokernel path of ``ktheory``, builds neither,
+and has one route.  One rank-revealing fraction-free pass (``_bareiss``)
+on [R^T | 1] in ``_solve`` gives R's rank r and, by back-substitution,
+the kernel of R from the left; ``_saturate`` turns it into the free rows
+F and a section G, F G = I, so coker R = Z^f + coker [R | G] with the
+last part finite.  The pass, carried on through the rows of G^T, gives
+D = |det S| for a square block S of [R | G] (S = R = A's block for a
+square nonsingular R) and z with S^T z = +-D * 1.  Then z / t for
+t = gcd(D, z) maps coker [R | G] onto a cyclic quotient Z/s; the gcd
+phase runs only when s < D, modulo the part D_t of D on the primes of
+D / s, and CRT joins the cyclic rest to its largest factor
+(``_local_factors``).  Every integer stays within a minor of [R | G] or
+below D.  The answer is checked, not its steps: the rows, padded with k
+zeros and pulled back through the unit row steps, kill A (the free rows
+exactly) and map onto Z^f plus the sum of the Z/d_i, F G = I, and the d_i
+divide in turn and multiply to D, or, where [R | G] is wider than S, to
+D / D_t times the order that the log modulo D_t, replayed on [R | G],
+shows.
 
 ``Record`` is the package's immutable record base, which the frozen
 records of every module (``IntMatrix`` and ``SmithDecomposition`` here,
@@ -170,42 +180,62 @@ class SmithDecomposition(Record):
     diagonal: tuple[int, ...]
 
 
-def _bareiss(a: list[list[int]]) -> int:
-    """Determinant of the leading square block of a list of rows (changed
-    in place) by fraction-free (Bareiss) elimination; 1 for no rows.  Rows
-    longer than their number carry their extra columns through every step,
-    and rows may be swapped: a nonsingular block ends upper triangular,
-    with the determinant up to sign as its last pivot."""
-    n = len(a)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
+def _bareiss(a: list[list[int]], order: list[int], start: int = 0) -> tuple[int, int]:
+    """Rank-revealing fraction-free (Bareiss) elimination of a list of rows,
+    changed in place, on its first len(order) columns; later columns are
+    carried through every step.  order[t] names the column at column t and
+    is permuted with the columns.  Returns the rank r and the determinant
+    of the leading r x r block that the swaps leave (1 for r = 0; its sign
+    counts only this call's swaps).
+
+    Step k pivots on the first row from k on with a nonzero entry in column
+    k.  Only when no row has one does the first later column with a nonzero
+    entry from row k on swap into column k, so a block whose leading
+    columns are independent, such as a nonsingular square one, is never
+    reordered.  Swapping columns is the elimination of a column-permuted
+    input, so every division stays exact, the rows from r on end zero in
+    the first len(order) columns, and the leading r x r block ends upper
+    triangular, its last pivot a nonzero r x r minor of the input.  With
+    start > 0 the rows before start are pivot rows that an earlier call
+    left, and the rows from start on are new: they first take the steps
+    those pivots took, and the elimination goes on from step start.
+    """
+    rows, width = len(a), len(order)
+    sign, prev = 1, 1
+    for k in range(min(rows, width)):
+        if k >= start and not a[k][k]:
+            i = next((i for i in range(k + 1, rows) if a[i][k]), None)
+            if i is None:
+                j = next((j for j in range(k + 1, width) if any(row[j] for row in a[k:])), None)
+                if j is None:
+                    return k, sign * prev
+                for row in a:
+                    row[k], row[j] = row[j], row[k]
+                order[k], order[j] = order[j], order[k]
+                sign = -sign
+                i = next(i for i in range(k, rows) if a[i][k])
+            if i != k:
+                a[k], a[i] = a[i], a[k]
+                sign = -sign
         pivot_row = a[k]
         pivot = pivot_row[k]
-        for i in range(k + 1, n):
-            row = a[i]
+        for row in a[max(k + 1, start) :]:
             x = row[k]
-            row[k + 1 :] = [
-                (y * pivot - x * z) // prev for y, z in zip(row[k + 1 :], pivot_row[k + 1 :])
-            ]
-            row[k] = 0
+            if x or pivot != prev:  # else the step leaves the row as it is
+                row[k + 1 :] = [
+                    (y * pivot - x * z) // prev for y, z in zip(row[k + 1 :], pivot_row[k + 1 :])
+                ]
+                row[k] = 0
         prev = pivot
-    return sign * a[n - 1][n - 1] if n else 1
+    return min(rows, width), sign * prev
 
 
 def determinant(matrix: IntMatrix) -> int:
     """Exact determinant via fraction-free (Bareiss) elimination."""
     if matrix.rows != matrix.cols:
         raise ValueError("determinant requires a square matrix")
-    return _bareiss(matrix.to_lists())
+    rank, det = _bareiss(matrix.to_lists(), list(range(matrix.cols)))
+    return det if rank == matrix.rows else 0
 
 
 def unimodular_check(matrix: IntMatrix) -> bool:
@@ -445,18 +475,25 @@ def _reduce(
             row_log.append(("row_neg", k, k, 0))
 
 
-def _replay(rows: Iterable[Sequence[int]], steps: Iterable[_Step]) -> list[list[int]]:
-    """A copy of the matrix with every step applied exactly to whole rows
-    or columns.  Nothing is assumed about which entries the elimination
-    left zero.
+def _replay(
+    rows: Iterable[Sequence[int]], steps: Iterable[_Step], modulus: int = 0
+) -> list[list[int]]:
+    """A copy of the matrix with every step applied to whole rows or
+    columns, exactly when modulus is 0 and otherwise with each entry that
+    an addition changes reduced modulo modulus.  Nothing is assumed about
+    which entries the elimination left zero.
     """
     b = [list(row) for row in rows]
     for kind, i, j, q in steps:
         if kind == "row_add":
             b[j] = [y + q * x for x, y in zip(b[i], b[j])]
+            if modulus:
+                b[j] = [y % modulus for y in b[j]]
         elif kind == "col_add":
             for row in b:
                 row[j] += q * row[i]
+                if modulus:
+                    row[j] %= modulus
         elif kind == "row_swap":
             b[i], b[j] = b[j], b[i]
         elif kind == "row_neg":
@@ -558,28 +595,104 @@ def smith_normal_form(matrix: IntMatrix) -> SmithDecomposition:
     return SmithDecomposition(U, D, V, diagonal)
 
 
-def _solve(residual: list[list[int]]) -> tuple[int, list[int]]:
-    """D = |det R| and, when D > 0, an integer z with R^T z = delta * 1 for
-    delta = +-det R, from one fraction-free solve.
-
-    Bareiss runs on the rows of [R^T | 1] and carries the right-hand side
-    along; delta is its last pivot.  Back-substitution then gives
-    z = delta * R^-T 1, which Cramer's rule makes integral, so every
-    division is exact.  Returns (0, []) for a singular R and (1, []) for
-    an empty one.
-    """
-    a = [[*column, 1] for column in zip(*residual)]
-    D = abs(_bareiss(a))
-    n = len(a)
-    if not D or not n:
-        return D, []
-    delta = a[-1][-2]
-    z = []  # z_(n-1), ..., z_(k+1), then z_k appended
-    for k in range(n - 1, -1, -1):
+def _back_substitution(a: list[list[int]], r: int, delta: int, column: int) -> list[int]:
+    """x with T x = delta * c, where T is the leading r x r block of a, upper
+    triangular after _bareiss, and c the first r entries of the given
+    column of a; each division is exact where Cramer's rule makes x
+    integral, as for delta = +-det T."""
+    x = []  # x_(r-1), ..., x_(k+1), then x_k appended
+    for k in range(r - 1, -1, -1):
         row = a[k]
-        z.append((delta * row[n] - sum(map(mul, row[n - 1 : k : -1], z))) // row[k])
-    z.reverse()
-    return D, z
+        x.append((delta * row[column] - sum(map(mul, row[r - 1 : k : -1], x))) // row[k])
+    x.reverse()
+    return x
+
+
+def _solve(
+    residual: list[list[int]],
+) -> tuple[int, int, list[int], list[list[int]], list[list[int]]]:
+    """From one fraction-free pass on R (p x q, read and not changed): its
+    rank r; its free rows F, a basis of {y in Z^p : y R = 0}; the block
+    X = [R' | G] of R's nonzero columns R' and a section G of F, so that
+    coker R is coker X plus Z^f with coker X finite; D = |det S| for a
+    nonsingular p x p block S of X; and an integer z with S^T z = delta *
+    1, delta = +-D.  For R square and nonsingular, X = S = R and D = |det
+    R|.  Returns (0, 1, [], [], []) for an empty R.
+
+    Bareiss (_bareiss) runs on the rows of [R'^T | 1], searching across
+    columns only when no row can supply a pivot, up to the rank r with a
+    pivot block T whose last pivot is delta_r.  For each of the f = p - r
+    columns c_j of R'^T that got no pivot, x_j = delta_r * T^-1 c_j is
+    integral by Cramer's rule, and y_j = delta_r e_j - x_j (x_j at the
+    pivot columns) kills R, as the rows of R'^T past r are combinations of
+    the first r.  _saturate turns the y_j into F and G.  The rows of G^T,
+    with a 1 each, then take the steps the pivots took and complete the
+    elimination to rank p: S is R's pivot columns beside G, delta its last
+    pivot, and back-substitution gives z = delta * S^-T 1, integral by
+    Cramer's rule, so every division is exact.
+    """
+    p = len(residual)
+    columns = [column for column in zip(*residual) if any(column)]  # a zero column adds nothing
+    a = [[*column, 1] for column in columns]
+    order = list(range(p))
+    r, _ = _bareiss(a, order)
+    delta = a[r - 1][r - 1] if r else 1
+    kernel = []
+    for j in range(r, p):
+        y = [0] * p
+        for c, x in zip(order, _back_substitution(a, r, delta, j)):
+            y[c] = -x
+        y[order[j]] = delta
+        kernel.append(y)
+    free, section = _saturate(kernel) if kernel else ([], [])
+    if section:
+        a[r:] = [[g[c] for c in order] + [1] for g in section]
+        if _bareiss(a, order, r)[0] != p:
+            raise RuntimeError("internal error: the section does not complete the rank")
+    delta = a[p - 1][p - 1] if p else 1
+    z = [0] * p
+    for c, x in zip(order, _back_substitution(a, p, delta, p)):
+        z[c] = x
+    return r, abs(delta), z, free, [list(row) for row in zip(*columns, *section)]
+
+
+def _saturate(kernel: list[list[int]]) -> tuple[list[list[int]], list[list[int]]]:
+    """A basis F of the integer vectors in the span of the given f
+    independent rows Y, each of length p, and a section of it: f columns
+    G of length p with F G = I.
+
+    Euclid's steps gather the columns of Y, as vectors in Z^f, into pivots
+    h_0, h_1, ..., where h_s ends zero before s, each step applied also to
+    the combination of input columns that a column is: so Y G = H for the
+    lower triangular H with columns h_s and the combinations G of the
+    pivots.  The h_s span the lattice Y Z^p, and so does C for Y = C B with
+    B a basis of the saturation, which maps Z^p onto Z^f: so H = C U with U
+    unimodular, and F = H^-1 Y = U^-1 B, solved by forward substitution
+    with exact divisions, is a basis too, with F G = H^-1 H = I.
+    """
+    f = len(kernel)
+    p = len(kernel[0]) if kernel else 0
+    # each column of Y, then the combination of input columns it is
+    columns = []
+    for j, column in enumerate(zip(*kernel)):
+        if any(column):
+            columns.append([*column, *[0] * p])
+            columns[-1][f + j] = 1
+    pivots = []
+    for s in range(f):
+        pivot = [0] * (f + p)
+        for column in columns:
+            while column[s]:  # a Euclid step: pivot, column = column, pivot - q * column
+                q = pivot[s] // column[s]
+                pivot, column[:] = column[:], [y - q * z for y, z in zip(pivot, column)]
+        pivots.append(pivot)
+    free: list[list[int]] = []
+    for u, y in enumerate(kernel):
+        for s, row in enumerate(free):
+            if pivots[s][u]:
+                y = [x - pivots[s][u] * z for x, z in zip(y, row)]
+        free.append(y if pivots[u][u] == 1 else [x // pivots[u][u] for x in y])
+    return free, [pivot[f:] for pivot in pivots]
 
 
 def _prime_part(n: int, t: int) -> int:
@@ -593,57 +706,89 @@ def _prime_part(n: int, t: int) -> int:
     return n // rest
 
 
+def _replayed_order(rows: list[list[int]], steps: list[_Step], modulus: int) -> int:
+    """The order of coker(A) / M coker(A), for A given by its p rows, p at
+    most its width, and M = modulus, from the log of the gcd phase modulo
+    M (_reduce): replayed on A modulo M, the log must reach a diagonal with
+    entries left only past the diagonal of a row whose gcd with M is 1;
+    the order is then the product of the gcds of the diagonal with M."""
+    reached = _replay(rows, steps, modulus)
+    gcds = [gcd(reached[i][i], modulus) for i in range(len(reached))]
+    if any(
+        x % modulus for i, row in enumerate(reached) for j, x in enumerate(row)
+        if j < i or j > i and gcds[i] > 1
+    ):
+        raise RuntimeError("internal error: the replayed steps modulo D_t do not give a diagonal")
+    return prod(gcds)
+
+
 def _local_factors(
-    residual: list[list[int]], D: int, z: list[int]
-) -> tuple[tuple[int, ...], list[list[int]]]:
-    """The invariant factors of coker R, with D = |det R| > 1 and z from
-    _solve, and a coordinate row for each factor other than 1, in R's row
-    indices and reduced modulo its factor; R may be changed in place.
+    block: list[list[int]], D: int, z: list[int]
+) -> tuple[tuple[int, ...], list[list[int]], int]:
+    """The invariant factors of coker X, for X = block (p rows, changed in
+    place) with a p x p block S, D = |det S| > 1 and S^T z = +-D * 1 from
+    _solve; a coordinate row for each factor other than 1, in X's row
+    indices and reduced modulo its factor; and a bound that the factors
+    must multiply to.
 
-    With t = gcd(D, content z) and s = D / t, the row c = z / t kills R
-    modulo s, as c R = +-s * 1, and maps onto Z/s: at a prime p of s,
-    v_p(t) = v_p(content z) < v_p(D), so p does not divide content c.  So
-    Z/s is a cyclic quotient of coker R, and s divides the largest
-    invariant factor.  When t = 1 that makes coker R cyclic of order D,
-    with coordinate row c.
+    With t = gcd(D, content z), the row c = z / t gives c S = +-(D / t) * 1,
+    and s = gcd(D / t, c X) is D / t when X = S.  So c kills X modulo s,
+    and it maps onto Z/s: at a prime p of s, v_p(t) = v_p(content z) <
+    v_p(D), so p does not divide content c.  So Z/s is a cyclic quotient of
+    coker X, which is a quotient of coker S, of order D.  When s = D that
+    makes coker X cyclic of order D, with coordinate row c.
 
-    Otherwise let D_t be the part of D on the primes of t.  The gcd phase
-    modulo D_t gives f_i = gcd(g_i, D_t), the invariant factors of the
-    D_t-part of coker R, and the rows of its log.  At every other prime p,
-    v_p(s) = v_p(D), so the p-part of coker R is that of Z/s: it is
+    Otherwise let D_t be the part of D on the primes of D / s.  The gcd
+    phase modulo D_t gives f_i = gcd(g_i, D_t), the invariant factors of
+    the D_t-part of coker X, and the rows of its log.  At every other prime
+    p, v_p(s) = v_p(D), so the p-part of coker X is that of Z/s: it is
     cyclic, and all of these parts together are Z/e with row c modulo e,
-    where e is the part of s prime to f_r (the primes of f_r are those of
-    t, as each prime of D divides the largest factor).  As e and f_r are
-    coprime, the invariant factors are f_1, ..., f_(r-1), f_r * e, and by
-    CRT the last row is the one that is f_r's row modulo f_r and c modulo
-    e.  Nothing here is trusted: smith_coordinates checks that the factors
-    multiply to D and divide in turn and that the rows kill A and map onto
-    the group.
+    where e is the part of s prime to f_r (a prime of D_t that divides s
+    divides f_r, as c maps the p-part of coker X onto that of Z/s).  As e
+    and f_r are coprime, the invariant factors are f_1, ..., f_(r-1),
+    f_r * e, and by CRT the last row is the one that is f_r's row modulo
+    f_r and c modulo e.
+
+    Nothing here is trusted: smith_coordinates checks that the factors
+    divide in turn and multiply to the bound and that the rows kill A and
+    map onto the group.  The bound is D when X = S, as |coker S| = D.  A
+    wider X is a quotient of S by more columns: the bound is then D / D_t
+    times the order of the D_t-part, which the log modulo D_t, replayed on
+    X, shows (_replayed_order); coker X has at most that order, as its
+    part off D_t is a quotient of that of coker S.
     """
-    r = len(residual)
+    p = len(block)
     t = gcd(D, *z)
-    if t == 1:
-        return (1,) * (r - 1) + (D,), [[x % D for x in z]]
-    modulus = _prime_part(D, t)
+    s = D // t
+    wide = len(block[0]) > p
+    if wide:  # c X = +-s on S, and the columns past S may fall short of it
+        s = gcd(s, *(sum(map(mul, z, column)) // t for column in zip(*block)))
+    if s == D:
+        return (1,) * (p - 1) + (D,), [[x % D for x in z]], D
+    modulus = _prime_part(D, D // s)
+    unchanged = [row[:] for row in block] if wide else []
     steps: list[_Step] = []
-    _reduce(residual, steps, [], modulus)  # nothing reads the column steps
-    f = [gcd(residual[i][i], modulus) for i in range(r)]
+    col_steps: list[_Step] = []
+    _reduce(block, steps, col_steps, modulus)
+    f = [gcd(block[i][i], modulus) for i in range(p)]
+    bound = D // modulus * _replayed_order(unchanged, steps + col_steps, modulus) if unchanged else D
     # the last row is always wanted: CRT gives it the cyclic part
-    wanted = [([int(j == i) for j in range(r)], d) for i, d in enumerate(f) if d != 1 or i == r - 1]
+    wanted = [([int(j == i) for j in range(p)], d) for i, d in enumerate(f) if d != 1 or i == p - 1]
     rows = _coordinate_rows(steps, wanted)
-    s, last = D // t, f[-1]
+    last = f[-1]
     e = s // _prime_part(s, last)
     if e > 1:
         d = f[-1] = last * e
         # alpha is 1 modulo last and 0 modulo e, beta the other way round
         alpha, beta = e * pow(e, -1, last), last * pow(last, -1, e)
         rows[-1] = [(alpha * u + beta * (x // t)) % d for u, x in zip(rows[-1], z)]
-    return tuple(f), rows
+    return tuple(f), rows if f[-1] != 1 else [], bound
 
 
 def _onto(rows: Sequence[Sequence[int]], factors: Sequence[int]) -> bool:
-    """True iff x -> (row_i . x mod d_i) maps Z^m onto the sum of the Z/d_i
-    (every d_i > 0), that is iff the columns of [C | diag(d)] span Z^k.
+    """True iff x -> (row_i . x mod d_i) maps Z^m onto the sum of the Z/d_i,
+    where d_i = 0 gives a free summand Z, that is iff the columns of
+    [C | diag(d)] span Z^k.
 
     It shares no code with the elimination it checks.  Row r of the span is
     gcd(d_r, row r) * Z, which must be Z.  Euclid's steps, each an
@@ -651,10 +796,11 @@ def _onto(rows: Sequence[Sequence[int]], factors: Sequence[int]) -> bool:
     starts as d_r e_r and leave row r of the other columns zero; those
     columns and the d_i e_i of the later rows must span the rest.  Entries
     are kept modulo their d_i, since adding a multiple of d_i e_i to a
-    column keeps the span.  With one factor d this is gcd(d, row) == 1.
+    column keeps the span, and exact in a free row.  With one factor d
+    this is gcd(d, row) == 1.
     """
     k = len(factors)
-    columns = [[x % d for x, d in zip(col, factors)] for col in zip(*rows)]
+    columns = [[x % d if d else x for x, d in zip(col, factors)] for col in zip(*rows)]
     for r, d in enumerate(factors):
         if gcd(d, *(col[r] for col in columns)) != 1:
             return False
@@ -663,7 +809,9 @@ def _onto(rows: Sequence[Sequence[int]], factors: Sequence[int]) -> bool:
         for col in columns if r + 1 < k else ():
             while col[r]:  # a Euclid step: pivot, col = col, pivot - q * col
                 q = pivot[r] // col[r]
-                pivot, col[:] = col[:], [(y - q * z) % f for y, z, f in zip(pivot, col, factors)]
+                pivot, col[:] = col[:], [
+                    (y - q * z) % f if f else y - q * z for y, z, f in zip(pivot, col, factors)
+                ]
     return True
 
 
@@ -672,51 +820,52 @@ def smith_coordinates(
 ) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
     """The Smith diagonal of A (plain integer rows, not validated) and the
     coordinates of Z^m / im(A): one row for each d_i != 1 (d_i = 0 past
-    the diagonal), torsion rows reduced modulo d_i, free rows exact.
+    the diagonal), torsion rows reduced modulo d_i, then the free rows,
+    exact.
 
-    U and V are never built.  A square A with D = |det A| > 0 takes the
-    solve and the local step (_local_factors).  Any other A takes the gcd
-    phase over Z (_gcd_phase), whose row and column steps, replayed on R,
-    must give its diagonal, and whose row steps pull each wanted e_i back
-    at R's indices.  Either way the rows, at R's indices, are padded with
-    k zeros and pulled back through the unit phase's row steps in one
-    reverse pass.
+    U and V are never built.  After the unit phase, one rank-revealing
+    solve (_solve) on the residual block R gives its rank r, its free rows
+    F, the finite part coker X of coker R, and D and z for the local step
+    (_local_factors), which gives the torsion rows.  For a square
+    nonsingular R, X = R and D = |det A|.  The rows, at R's indices, are
+    padded with k zeros and pulled back through the unit phase's row steps
+    in one reverse pass.
 
-    Each row c_i must kill A, c_i * A == 0 modulo d_i (exactly when free),
-    and for a finite group the rows must map Z^m onto the sum of the Z/d_i
-    (_onto); for D > 0 the d_i must multiply to D and divide in turn.  That
-    certifies the answer however it was found: kill gives a homomorphism
-    from coker A, onto makes it surjective, and a surjection between finite
-    groups of the same order is an isomorphism; |det A| = |det R| = D, as
-    only elementary row steps change the unit phase's copy of A.  On the gcd
-    route the rows come from a product of logged elementary steps, so they
-    are onto; the replayed gcd steps show the group isomorphic to coker A,
-    and a surjection between isomorphic f.g. abelian groups is injective.
+    The answer is checked, however it was found.  Kill: each torsion row
+    kills A modulo d_i, and each free row kills A exactly.  Onto: the rows
+    map Z^m onto G = Z^f + the sum of the Z/d_i (_onto).  Order: the d_i
+    divide in turn and multiply to the bound of _local_factors, which the
+    order of coker X cannot exceed, and F G = I for the section G of the
+    free rows.  Kill and onto give a surjection psi from coker A = coker R
+    onto G.  As F kills R and F G = I, coker R is K + Z^f for the kernel K
+    of F, and K = coker X, which is finite: so K is the torsion T' of
+    coker R, and |T'| <= |T| for the torsion T of G.  psi maps T' onto T,
+    as a class that psi sends to T has free part zero, so psi is injective
+    on T' and then everywhere.  coker A = coker R, as only elementary row
+    steps change the unit phase's copy of A.
     """
     m, n = len(rows), len(rows[0])
     row_steps, _, k, residual = _unit_phase(rows)
-    D, z = _solve(residual) if m == n else (0, [])
-    if D:
-        factors, starts = _local_factors(residual, D, z) if D > 1 else ((1,) * (m - k), [])
-        if prod(factors) != D:
-            raise RuntimeError("internal error: the invariant factors do not multiply to |det|")
-        if any(y % x for x, y in zip(factors, factors[1:])):
-            raise RuntimeError("internal error: the invariant factors do not divide in turn")
-        wanted = list(zip(starts, [d for d in factors if d != 1]))
-    else:
-        gcd_rows, gcd_cols, factors = _gcd_phase(residual)
-        if _replay(_replay(residual, gcd_rows), gcd_cols) != _diagonal_rows(m - k, n - k, factors):
-            raise RuntimeError("internal error: replayed gcd steps do not give diag(g)")
-        wanted = [
-            ([int(r == i) for r in range(m - k)], d)
-            for i, d in enumerate(factors + (0,) * (m - n))  # free rows past the diagonal
-            if d != 1
-        ]
-        _coordinate_rows(gcd_rows, wanted)  # pulls each e_i back in place
-    wanted = [([0] * k + x, d) for x, d in wanted]
+    r, D, z, free, block = _solve(residual)
+    section = [row[len(row) - len(free) :] for row in block] if free else []
+    for u, y in enumerate(free):
+        image = [0] * len(free)
+        for i in compress(range(m - k), y):
+            image = [x + y[i] * g for x, g in zip(image, section[i])]
+        if image != [int(s == u) for s in range(len(free))]:
+            raise RuntimeError("internal error: the free rows do not split off coker X")
+    factors, starts, bound = _local_factors(block, D, z) if D > 1 else ((1,) * (m - k), [], 1)
+    if prod(factors) != bound:
+        raise RuntimeError("internal error: the invariant factors do not multiply to |det|")
+    if any(y % x for x, y in zip(factors, factors[1:])):
+        raise RuntimeError("internal error: the invariant factors do not divide in turn")
+    moduli = [d for d in factors if d != 1]
+    diagonal = (1,) * (k + r - len(moduli)) + tuple(moduli) + (0,) * (min(m, n) - k - r)
+    moduli += [0] * len(free)
+    wanted = [([0] * k + x, d) for x, d in zip(starts + free, moduli)]
     coordinate_rows = tuple(map(tuple, _coordinate_rows(row_steps, wanted)))
     columns = range(n)
-    for (_, d), row in zip(wanted, coordinate_rows):
+    for d, row in zip(moduli, coordinate_rows):
         image = [0] * n
         for y, a_row in zip(row, rows):
             if y:
@@ -724,7 +873,6 @@ def smith_coordinates(
                     image[j] += y * a_row[j]
         if any(x % d if d else x for x in image):
             raise RuntimeError("internal error: a coordinate row does not kill A")
-    moduli = [d for _, d in wanted]
-    if all(moduli) and not _onto(coordinate_rows, moduli):
+    if not _onto(coordinate_rows, moduli):
         raise RuntimeError("internal error: the coordinate rows are not onto the group")
-    return (1,) * k + factors, coordinate_rows
+    return diagonal, coordinate_rows

@@ -190,6 +190,28 @@ class TestMatrixType:
         assert code == 3
 
 
+@pytest.mark.parametrize("command", ["matrix-type", "classes"])
+def test_graph_conditions_come_before_k0(capsys, monkeypatch, tmp_path, command):
+    # a graph that is not PIS exits 3 without an elimination, and a bad
+    # size still exits 2 before the graph conditions are read, as it did
+    # when K0 came first
+    import leavitt.cli as cli
+
+    def refuse(graph):
+        raise AssertionError("K0 computed for a call that cannot succeed")
+
+    monkeypatch.setattr(cli, "k0_of_graph", refuse)
+    sink = write_graph(tmp_path, "sink.json", build_graph(["a", "b"], [("a", "a", 2), ("a", "b", 1)]))
+    sizes = {"matrix-type": [["--c", "1", "--d", "2"], ["--c", "0", "--d", "2"]],
+             "classes": [["--max", "4"], ["--max", "0"]]}[command]
+    code, out = run_cli(capsys, [command, "--graph", sink, *sizes[0]])
+    error_document(3, out)
+    assert code == 3
+    code, out = run_cli(capsys, [command, "--graph", sink, *sizes[1]])
+    error_document(2, out)
+    assert code == 2 and "at least 1" in json.loads(out)["message"]
+
+
 class TestClasses:
     def test_rose5(self, capsys, rose5):
         code, out = run_cli(capsys, ["classes", "--graph", rose5, "--max", "8"])
@@ -580,15 +602,18 @@ class TestEntryPoint:
         assert runs[0]
         assert runs[0] == runs[1]
 
-    def test_closed_stdout_pipe_exits_2(self, rose5):
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_closed_stdout_pipe_exits_2(self, rose5, unbuffered):
         # the reader stops after 10 bytes of a 689 KB result, more than a
-        # pipe buffers, so the child's write meets a closed pipe.  Its stdout
-        # is buffered: unbuffered (PYTHONUNBUFFERED), the text layer takes the
-        # partial write that a closing reader ends as a whole one, and the
-        # call exits 0 with the rest of its output dropped
+        # pipe buffers, so the child's write meets a closed pipe.  Unbuffered
+        # (PYTHONUNBUFFERED), stdout is the raw file, whose write takes the
+        # part of the bytes that the pipe held before the reader closed it:
+        # the result is written in a loop until every byte is taken
         argv = [sys.executable, "-m", "leavitt", "classes", "--graph", rose5, "--max", "100000"]
         env = module_env()
         env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
         with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
             assert proc.stdout.read(10) == b"[[1, 3, 5,"
             proc.stdout.close()

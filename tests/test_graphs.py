@@ -169,6 +169,16 @@ class TestDirectedGraph:
             make(vertices, [])
 
     @pytest.mark.parametrize("make", [DirectedGraph, build_graph])
+    @pytest.mark.parametrize("kind", [set, frozenset])
+    def test_rejects_a_set_of_edge_records(self, make, kind):
+        # the order of a set of records, which DirectedGraph.edges and
+        # to_json keep, would follow the hash seed
+        records = kind({("a", "b", 1), ("b", "a", 2), ("a", "a", 3)})
+        with pytest.raises(GraphFormatError, match="edge list must be ordered, not a " + kind.__name__):
+            make(["a", "b"], records)
+        assert make(["a", "b"], sorted(records)).edges == (("a", "a", 3), ("a", "b", 1), ("b", "a", 2))
+
+    @pytest.mark.parametrize("make", [DirectedGraph, build_graph])
     def test_keeps_any_ordered_collection(self, make):
         names = {"c": 0, "a": 1, "b": 2}
         for vertices in names, names.keys(), (v for v in names), iter(["c", "a", "b"]):

@@ -1,4 +1,5 @@
 import copy
+import itertools
 import pickle
 import random
 from math import gcd, prod
@@ -386,23 +387,81 @@ class TestSolve:
             n = rng.randint(1, 6)
             rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
             det = determinant(IntMatrix(rows))
-            D, z = intmat._solve(rows)
-            assert D == abs(det)
+            r, D, z, free, block = intmat._solve(rows)
             if not det:
-                assert z == []
+                assert r < n and len(free) == n - r
                 continue
             # R^T z = delta * 1 with delta = +-det R, so z = +-adj(R^T) 1
+            assert (r, D, free, block) == (n, abs(det), [], rows)
             image = [sum(z[i] * rows[i][j] for i in range(n)) for j in range(n)]
             assert image in ([det] * n, [-det] * n)
             nonsingular += 1
         assert nonsingular >= 150
-        assert intmat._solve([]) == (1, [])
+        assert intmat._solve([]) == (0, 1, [], [], [])
+
+    def test_solve_splits_off_the_free_rows(self):
+        # singular and rectangular R of every shape: r is sympy's rank, the
+        # free rows are a basis of the left kernel (they kill R, and their
+        # Smith form is all ones) with F G = I for the section G, the last
+        # columns of [R' | G], and S^T z = delta * 1 for the p columns of
+        # that block whose determinant is +-D
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(18)
+        shapes = set()
+        for _ in range(300):
+            p, q = rng.randint(1, 6), rng.randint(1, 6)
+            rows = [[rng.choice((0, 0, 1, -2, 3, rng.randint(-9, 9))) for _ in range(q)] for _ in range(p)]
+            if rng.random() < 0.4 and p > 1:
+                rows[-1] = [x - 2 * y for x, y in zip(rows[0], rows[1])]
+            r, D, z, free, block = intmat._solve(rows)
+            assert r == sympy.Matrix(rows).rank() and len(free) == p - r
+            for y in free:
+                assert not any(sum(a * b for a, b in zip(y, column)) for column in zip(*rows))
+            if free:
+                assert set(smith_normal_form(IntMatrix(free)).diagonal) == {1}
+                section = [row[len(row) - len(free):] for row in block]
+                product = [[sum(y[i] * section[i][s] for i in range(p)) for s in range(len(free))]
+                           for y in free]
+                assert product == intmat._identity_rows(len(free))
+            columns = [column for column in zip(*block)]
+            assert len(columns) == sum(map(any, zip(*rows))) + len(free)
+            images = [sum(a * b for a, b in zip(z, column)) for column in columns]
+            square = [c for c, x in zip(columns, images) if abs(x) == D]
+            assert D > 0 and len(square) >= p
+            assert any(abs(determinant(IntMatrix(list(map(list, zip(*chosen)))))) == D
+                       for chosen in itertools.combinations(square, p))
+            shapes.add((p < q, p == q, p > q, bool(free)))
+        assert len(shapes) >= 5
 
     def test_solve_leaves_its_argument(self):
         rows = [[0, 2, 1], [3, 0, 1], [1, 1, 0]]  # the first pivot needs a row swap
         copy = [row[:] for row in rows]
-        D, z = intmat._solve(rows)
+        r, D, z, free, block = intmat._solve(rows)
         assert rows == copy and D == 5
+        rows = [[0, 2, 1], [0, 4, 2], [1, 1, 0]]  # singular: the section completes it
+        copy = [row[:] for row in rows]
+        intmat._solve(rows)
+        assert rows == copy
+
+    def test_saturate_gives_a_basis_and_a_section(self):
+        # seeded independent rows Y whose span is rarely saturated: F spans
+        # the integer vectors of their rational span (F kills what Y's
+        # orthogonal complement kills and is primitive), and F G = I
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(29)
+        unsaturated = 0
+        for _ in range(200):
+            f, p = rng.randint(1, 3), rng.randint(3, 6)
+            kernel = [[rng.randint(-6, 6) * rng.choice((1, 2, 3)) for _ in range(p)] for _ in range(f)]
+            if sympy.Matrix(kernel).rank() < f:
+                continue
+            free, section = intmat._saturate(kernel)
+            assert sympy.Matrix(free + kernel).rank() == f
+            assert set(smith_normal_form(IntMatrix(free)).diagonal) == {1}
+            assert [[sum(a * b for a, b in zip(y, g)) for g in section] for y in free] == (
+                intmat._identity_rows(f))
+            unsaturated += set(smith_normal_form(IntMatrix(kernel)).diagonal) != {1}
+        assert unsaturated >= 100
 
     def test_prime_part_matches_factoring(self):
         def by_factoring(n, t):

@@ -143,7 +143,12 @@ class TestK0OfGraph:
             assert a.group.invariant_factors == b.group.invariant_factors
             assert a.group.free_rank == b.group.free_rank
             assert a.unit_order == b.unit_order  # INFINITE is a singleton
-            assert orbit_invariant(a.group, a.unit) == orbit_invariant(b.group, b.unit)
+            # an automorphism of T + Z^f can add any multiple of the free
+            # part's content c to the torsion part, so the unit's invariant is
+            # the orbit of its coset modulo c * T; c = 0 without a free part
+            c = gcd(*a.unit.free)
+            assert c == gcd(*b.unit.free)
+            assert orbit_invariant(a.group, a.unit, c) == orbit_invariant(b.group, b.unit, c)
 
     def test_determinant_is_the_torsion_size(self):
         # only without sinks is the presentation the square I - A^T
@@ -271,28 +276,34 @@ def _expected_rows(snf, rows: int) -> tuple[tuple[int, ...], ...]:
 
 
 def _modular_route(rows) -> bool:
-    """True where smith_coordinates works modulo D = |det| of the residual
-    block: a square presentation with det != 0 (the unit phase keeps |det|)."""
+    """True where smith_coordinates takes a square nonsingular residual
+    block, so that D is |det| (the unit phase keeps |det|)."""
     return len(rows) == len(rows[0]) and determinant(IntMatrix(rows)) != 0
 
 
 def _check_coordinates(rows, snf) -> tuple[tuple[int, ...], ...]:
-    """smith_coordinates(rows) against smith_normal_form: the same diagonal,
-    and the rows of snf.U where the integer route runs.  The route modulo D
-    derives other rows, so there each must kill A modulo its d_i, and
-    together they must map Z^m onto the sum of the Z/d_i: the Smith form of
-    [rows | diag(d)] is all ones.  Returns the coordinate rows."""
+    """smith_coordinates(rows) against smith_normal_form: the same diagonal;
+    torsion rows reduced modulo d_i that kill A modulo d_i; free rows that
+    kill A exactly and span the lattice that the free rows of snf.U span,
+    the left kernel of A (they lie in it, and they span a saturated
+    lattice: their own Smith form is all ones); and rows that together map
+    Z^m onto the group: the Smith form of [rows | diag(d)] is all ones.
+    Returns the coordinate rows."""
     rows = [list(row) for row in rows]
     diagonal, coordinate_rows = smith_coordinates(rows)
     assert diagonal == snf.diagonal
-    if not _modular_route(rows):
-        assert coordinate_rows == _expected_rows(snf, len(rows))
-        return coordinate_rows
-    factors = [d for d in diagonal if d != 1]
+    factors = [d for d in diagonal if d != 1] + [0] * (len(rows) - len(diagonal))
     assert len(coordinate_rows) == len(factors)
     for d, row in zip(factors, coordinate_rows):
-        assert all(0 <= x < d for x in row)
-        assert not any(sum(x * y for x, y in zip(row, column)) % d for column in zip(*rows))
+        assert not d or all(0 <= x < d for x in row)
+        image = [sum(x * y for x, y in zip(row, column)) for column in zip(*rows)]
+        assert not any(x % d if d else x for x in image)
+    free = [row for d, row in zip(factors, coordinate_rows) if not d]
+    if free:
+        kernel = [row for d, row in zip(factors, _expected_rows(snf, len(rows))) if not d]
+        stacked = smith_normal_form(IntMatrix(free + kernel)).diagonal
+        assert sum(1 for d in stacked if d) == len(free)
+        assert set(smith_normal_form(IntMatrix(free)).diagonal) == {1}
     onto = [
         list(row) + [d * (i == j) for j in range(len(factors))]
         for i, (d, row) in enumerate(zip(factors, coordinate_rows))
@@ -302,10 +313,12 @@ def _check_coordinates(rows, snf) -> tuple[tuple[int, ...], ...]:
 
 
 # inputs whose eliminations use every step kind of their phases: the first
-# pair takes the route modulo D, where the unit phase and the solve reach all
-# of D (t = 1: Z/6 and Z/30), the second the integer route (the unit phase,
-# then the gcd phase over Z, which here also logs a row_neg), by det == 0 and
-# by a sink; the third pair (after these) takes the local step modulo D_t
+# pair has a square nonsingular residual block, where the unit phase and the
+# solve reach all of D (t = 1: Z/6 and Z/30); the second has free rows, by
+# det == 0 (Z/3 + Z) and by a sink (Z/30, whose local step is modulo 10 on a
+# square [R | G]); the third pair (after these) takes the local step modulo
+# D_t, and the fourth the local step on an [R | G] wider than it is tall,
+# whose log is replayed
 _MODULAR_MATRIX = IntMatrix(
     [[0, -3, -2, 4, 2], [-3, -4, 4, 0, -2], [5, -2, 2, -5, -1], [2, -4, 5, -2, 0],
      [-2, 5, 0, 2, 2]]
@@ -347,6 +360,18 @@ _LOCAL_GRAPH = build_graph(
     [("a", "a", 3), ("a", "d", 3), ("b", "a", 3), ("b", "b", 1), ("b", "d", 2), ("b", "e", 3),
      ("c", "c", 1), ("c", "d", 2), ("d", "a", 2), ("d", "b", 1), ("d", "c", 3), ("d", "e", 1),
      ("e", "b", 3), ("e", "c", 3), ("e", "d", 2), ("e", "e", 2)],
+)
+
+
+# Z/2 + Z/8 + Z and Z/6 + Z: [R | G] has a column more than rows, and the
+# local step modulo D_t logs row_add, row_swap, col_add and col_swap
+_REPLAYED_MATRIX = IntMatrix(
+    [[3, 4, 2, -4, 3], [-1, 2, 2, -2, 1], [4, 1, -3, 3, 4], [-3, -2, 4, 2, 1], [4, 2, 0, -2, 2]]
+)
+_REPLAYED_GRAPH = build_graph(
+    ["v0", "v1", "v2", "v3"],
+    [("v0", "v0", 1), ("v0", "v3", 3), ("v1", "v2", 2), ("v1", "v3", 3), ("v2", "v1", 2),
+     ("v2", "v2", 3), ("v3", "v2", 2), ("v3", "v3", 3)],
 )
 
 
@@ -440,10 +465,11 @@ class TestK0Certificate:
     """The K0 path derives only the coordinate rows from the elimination log,
     without building U or V.  The rows that the unit phase leaves must have
     a triangular form, and each coordinate row, pulled back through its
-    row steps, must kill A.  Over the integers the gcd steps are replayed.
-    Modulo D = |det| the answer itself is certified: each row kills A, the
-    rows map onto the sum of the Z/d_i, and the d_i multiply to D and
-    divide in turn."""
+    row steps, must kill A.  The answer itself is certified: each row kills
+    A, the rows map onto Z^f plus the sum of the Z/d_i, the free rows split
+    off coker [R | G] (F G = I), and the d_i divide in turn and multiply to
+    D = |det S|, or, for an [R | G] wider than S, to D / D_t times the
+    order that the replayed log modulo D_t shows."""
 
     def test_matches_smith_normal_form(self):
         # the coordinate rows are those of the presentation with its links
@@ -497,7 +523,7 @@ class TestK0Certificate:
         from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
         rng = random.Random(67)
-        modular = integer = sinks = 0
+        modular = free = sinks = 0  # square nonsingular, or with free rows
         for _ in range(150):
             graph = _random_graph(rng)
             if not graph.edges:
@@ -511,9 +537,9 @@ class TestK0Certificate:
             if _modular_route(m.to_lists()):
                 modular += 1
             else:
-                integer += 1
+                free += 1
                 sinks += m.rows > m.cols
-        assert modular >= 30 and integer >= 30 and sinks >= 20
+        assert modular >= 30 and free >= 30 and sinks >= 20
 
     @pytest.mark.parametrize(
         "corrupt",
@@ -521,7 +547,7 @@ class TestK0Certificate:
          "row_add-last-dropped"],
     )
     def test_corrupted_log_raises(self, monkeypatch, corrupt):
-        # the unit phase on both routes, then the gcd phase over the integers
+        # the unit phase with and without free rows, then the local step
         matrices, graphs = [_MODULAR_MATRIX, _INTEGER_MATRIX], [_MODULAR_GRAPH, _INTEGER_GRAPH]
         presentations = matrices + [_presentation(graph) for graph in graphs]
         answers = _k0_answers(matrices, graphs)
@@ -553,8 +579,11 @@ class TestK0Certificate:
             _snf_raises("transform identity", presentations)
             assert _k0_answers(matrices, graphs) == answers
         monkeypatch.undo()
-        monkeypatch.setattr(intmat, "_reduce", _corrupting(intmat._reduce, corrupt))
-        _raises("replayed", [_INTEGER_MATRIX], [_INTEGER_GRAPH])
+        # the local step's log, where [R | G] is wider than tall, is replayed;
+        # modulo D_t no row is negated
+        if corrupt != "row_neg":
+            monkeypatch.setattr(intmat, "_reduce", _corrupting(intmat._reduce, corrupt))
+            _raises("replayed", [_REPLAYED_MATRIX], [_REPLAYED_GRAPH])
 
     def test_unit_pivots_must_be_triangular(self, monkeypatch):
         # a unit phase that takes both rows of [[1, 1], [1, 1]] as pivots
@@ -663,8 +692,13 @@ class TestK0Certificate:
         # the factors short of it (the invariant factors multiply to D);
         # elsewhere the answer is Z/D' with the solve's row z / t, and
         # z R = +-D * 1 / t is not 0 modulo the wrong D' (the kill check)
-        bareiss = intmat._bareiss
-        monkeypatch.setattr(intmat, "_bareiss", lambda a: wrong(bareiss(a)))
+        solve = intmat._solve
+
+        def corrupted(residual):
+            r, D, *rest = solve(residual)
+            return r, abs(wrong(D)), *rest
+
+        monkeypatch.setattr(intmat, "_solve", corrupted)
         _raises("does not kill A", [_MODULAR_MATRIX], [_MODULAR_GRAPH])
         doubled = wrong(3) == 6
         _raises("multiply" if doubled else "does not kill A", [_LOCAL_MATRIX], [_LOCAL_GRAPH])
@@ -688,9 +722,9 @@ class TestK0Certificate:
         solve = intmat._solve
 
         def corrupted(residual):
-            D, z = solve(residual)
+            r, D, z, *rest = solve(residual)
             z[entry] += 1
-            return D, z
+            return r, D, z, *rest
 
         monkeypatch.setattr(intmat, "_solve", corrupted)
         _raises("does not kill A|not onto", [_MODULAR_MATRIX, _LOCAL_MATRIX],
@@ -703,12 +737,12 @@ class TestK0Certificate:
         # the local factor)
         local_factors = intmat._local_factors
 
-        def corrupted(residual, D, z):
-            factors, rows = local_factors(residual, D, z)
+        def corrupted(block, D, z):
+            factors, rows, bound = local_factors(block, D, z)
             # a CRT step ran: the last factor has a prime that t lacks
             assert intmat._prime_part(factors[-1], gcd(D, *z)) < factors[-1]
             rows[-1][entry] += 1
-            return factors, rows
+            return factors, rows, bound
 
         monkeypatch.setattr(intmat, "_local_factors", corrupted)
         _raises("does not kill A|not onto", [_LOCAL_MATRIX], [_SPLIT_GRAPH])
@@ -793,9 +827,10 @@ class TestK0Certificate:
         assert sum(step[0] == "row_add" for step in row_steps) < 18_500
 
     def test_zero_trailing_block_ends_the_gcd_phase(self):
-        # n disjoint loops give I - A^T = 0: once the block left is zero the
-        # gcd phase stops, where rescanning it at every later pivot took
-        # about 8 s of CPU at n = 800
+        # n disjoint loops give I - A^T = 0: the free rows are the kernel's
+        # identity rows and coker [R | G] is trivial, where the gcd phase over
+        # Z, rescanning the zero block at every later pivot, took about 8 s
+        # of CPU at n = 800
         names = [f"v{i}" for i in range(800)]
         graph = build_graph(names, [(v, v, 1) for v in names])
         start = time.process_time()
@@ -803,6 +838,128 @@ class TestK0Certificate:
         spent = time.process_time() - start
         assert k0.group.free_rank == 800 and k0.group.invariant_factors == ()
         assert spent <= 2.0, f"K0 of 800 disjoint loops took {spent:.2f} s of CPU"
+
+    @pytest.mark.parametrize("extra", ["kernel-block", "sink"])
+    def test_free_rows_cost_what_the_twin_costs(self, extra):
+        # scc_graph(400, 0) plus a two-vertex block whose I - A^T has the
+        # kernel vector (1, -1) on x and y, or plus one sink: both have a
+        # free summand, and K0 took 5.9 and 6.5 s of CPU by the gcd phase
+        # over Z, against 0.40 s for the nonsingular twin; now one Bareiss
+        # pass and its extension by the section cost about what the twin's
+        # solve does.  Each is timed against the twin in this process
+        twin = scc_graph(400, 0)
+        if extra == "sink":
+            graph = build_graph([*twin.vertices, "s"], [*twin.edges, ("v0", "s", 1)])
+        else:
+            block = [("x", "x", 2), ("y", "y", 2), ("x", "y", 1), ("y", "x", 1), ("x", "v0", 1),
+                     ("y", "v0", 1), ("v0", "x", 1)]
+            graph = build_graph([*twin.vertices, "x", "y"], [*twin.edges, *block])
+        spent = []
+        for g in (twin, graph, twin, graph):
+            start = time.process_time()
+            k0 = k0_of_graph(g)
+            spent.append(time.process_time() - start)
+        assert k0.group.free_rank == 1 and k0.unit_order is INFINITE
+        ratio = min(spent[1], spent[3]) / min(spent[0], spent[2])
+        assert ratio <= 2.0, f"K0 with a free summand took {ratio:.2f} times its twin's CPU"
+
+    def test_singular_and_rectangular_match_sympy(self):
+        # 200 seeded singular or non-square matrices of 2-7 rows against
+        # sympy's Smith form, each answer checked against snf (the free rows
+        # span its left kernel) and for kill and onto
+        sympy = pytest.importorskip("sympy")
+        from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+
+        rng = random.Random(211)
+        checked = wide = free = 0
+        while checked < 200:
+            m, n = rng.randint(2, 7), rng.randint(1, 7)
+            rows = [[rng.choice((0, 0, 1, -1, 2, rng.randint(-9, 9))) for _ in range(n)]
+                    for _ in range(m)]
+            if m == n:
+                rows[-1] = [x + 2 * y for x, y in zip(rows[0], rows[1])]
+            theirs = sympy_snf(sympy.Matrix(rows), domain=sympy.ZZ)
+            size = min(m, n)
+            diagonal = _check_coordinates(rows, smith_normal_form(IntMatrix(rows)))
+            ours = smith_coordinates(rows)[0]
+            assert sorted(ours) == sorted(abs(int(theirs[i, i])) for i in range(size))
+            checked += 1
+            free += len(diagonal) > sum(1 for d in ours if d > 1)
+            wide += n > m
+        assert free >= 100 and wide >= 50
+
+    @pytest.mark.parametrize("fault", ["rank", "kernel-row"])
+    def test_corrupted_free_rows_raise(self, monkeypatch, fault):
+        # one rank too few, so that a pivot column's vector is taken for a
+        # kernel row, or one free row off by one: the rows no longer kill A
+        # or no longer split off coker [R | G]
+        solve = intmat._solve
+        if fault == "rank":
+            bareiss = intmat._bareiss
+
+            def short(a, order, start=0):
+                rank, det = bareiss(a, order, start)
+                return (rank - 1 if not start and rank else rank), det
+
+            monkeypatch.setattr(intmat, "_bareiss", short)
+        else:
+
+            def corrupted(residual):
+                r, D, z, free, block = solve(residual)
+                free[0][-1] += 1
+                return r, D, z, free, block
+
+            monkeypatch.setattr(intmat, "_solve", corrupted)
+        _raises("does not kill A|split off|section", [_INTEGER_MATRIX, _REPLAYED_MATRIX],
+                [_INTEGER_GRAPH, _REPLAYED_GRAPH, infinite_order_graph()])
+
+    def test_a_free_row_cannot_pass_for_torsion(self, monkeypatch):
+        # [[2, 0], [0, 0]] is Z/2 + Z with torsion row (1, 0) modulo 2 and
+        # free row (0, 1): with the two swapped, (0, 1) still kills A modulo
+        # 2, but (1, 0) does not kill A exactly
+        assert smith_coordinates([[2, 0], [0, 0]]) == ((2, 0), ((1, 0), (0, 1)))
+        coordinate_rows = intmat._coordinate_rows
+
+        def swapped(log, wanted):
+            rows = coordinate_rows(log, wanted)
+            return rows[::-1] if len(rows) == 2 and all(len(row) == 2 for row in rows) else rows
+
+        monkeypatch.setattr(intmat, "_coordinate_rows", swapped)
+        _raises("does not kill A", [IntMatrix([[2, 0], [0, 0]])], [])
+
+    def test_corrupted_replayed_step_raises(self, monkeypatch):
+        # one multiplier of the log modulo D_t off by one, or one step
+        # dropped, at every position of the logs of the inputs whose [R | G]
+        # is wider than tall: the replay refuses the log, or the rows fail
+        # their checks, or the answer is the right one
+        reduce = intmat._reduce
+        answers = _k0_answers([_REPLAYED_MATRIX], [_REPLAYED_GRAPH])
+        outcomes = []
+        for position in range(40):
+            for how in ("bumped", "dropped"):
+
+                def corrupting(a, row_log, col_log, modulus=0):
+                    reduce(a, row_log, col_log, modulus)
+                    log = row_log + col_log
+                    if modulus and position < len(log):
+                        step = log[position]
+                        target = row_log if step in row_log else col_log
+                        at = target.index(step)
+                        if how == "dropped":
+                            del target[at]
+                        else:
+                            target[at] = (*step[:3], step[3] + 1)
+
+                monkeypatch.setattr(intmat, "_reduce", corrupting)
+                calls = [(smith_coordinates, _REPLAYED_MATRIX.to_lists()), (k0_of_graph, _REPLAYED_GRAPH)]
+                for (call, arg), answer in zip(calls, answers):
+                    try:
+                        assert call(arg) == answer
+                        outcomes.append("right")
+                    except RuntimeError as exc:
+                        outcomes.append(str(exc))
+                monkeypatch.undo()
+        assert sum("replayed" in outcome for outcome in outcomes) >= 20
 
 
 def _unit_order_by_fractions(m: IntMatrix) -> int:
@@ -1185,5 +1342,5 @@ class TestGoldenOutputs:
 
 
 _K0_DIGEST = "f812b0257e869ab7bb919ee8385d846e3a49ce4566cc4a893e18f1b72797d18e"
-_K0_BASIS_DIGEST = "181118163aa193b04372312f05aa6984735677a1d97238f197fd476bd35628f4"
+_K0_BASIS_DIGEST = "8774be355ab3f559fe9846694f42cc09e9a82ae5984a86a2ba6667e07d0fb3d7"
 _SNF_DIGEST = "cf534ec0c0e391bb101652a98abe28c1de6054479ac2d890852e3d18414b526c"
