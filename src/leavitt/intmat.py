@@ -617,7 +617,8 @@ def _solve(
     coker R is coker X plus Z^f with coker X finite; D = |det S| for a
     nonsingular p x p block S of X; and an integer z with S^T z = delta *
     1, delta = +-D.  For R square and nonsingular, X = S = R and D = |det
-    R|.  Returns (0, 1, [], [], []) for an empty R.
+    R|.  X is R itself, not a copy, when R has no zero column and F is
+    empty.  Returns (0, 1, [], [], []) for an empty R.
 
     Bareiss (_bareiss) runs on the rows of [R'^T | 1], searching across
     columns only when no row can supply a pivot, up to the rank r with a
@@ -631,7 +632,7 @@ def _solve(
     pivot, and back-substitution gives z = delta * S^-T 1, integral by
     Cramer's rule, so every division is exact.
     """
-    p = len(residual)
+    p, width = len(residual), len(residual[0]) if residual else 0
     columns = [column for column in zip(*residual) if any(column)]  # a zero column adds nothing
     a = [[*column, 1] for column in columns]
     order = list(range(p))
@@ -653,7 +654,9 @@ def _solve(
     z = [0] * p
     for c, x in zip(order, _back_substitution(a, p, delta, p)):
         z[c] = x
-    return r, abs(delta), z, free, [list(row) for row in zip(*columns, *section)]
+    if section or len(columns) < width:
+        return r, abs(delta), z, free, [list(row) for row in zip(*columns, *section)]
+    return r, abs(delta), z, free, residual
 
 
 def _saturate(kernel: list[list[int]]) -> tuple[list[list[int]], list[list[int]]]:
@@ -669,12 +672,27 @@ def _saturate(kernel: list[list[int]]) -> tuple[list[list[int]], list[list[int]]
     B a basis of the saturation, which maps Z^p onto Z^f: so H = C U with U
     unimodular, and F = H^-1 Y = U^-1 B, solved by forward substitution
     with exact divisions, is a basis too, with F G = H^-1 H = I.
+
+    A row +-e_j of Y whose column j is zero in every other row is set aside
+    with its row e_j of F and its column e_j of G.  That is what the steps
+    give it: only column j has an entry in its row, no step for another row
+    takes column j, and no other row's steps bring an entry into its row.
+    So the other rows are gathered alone, and n disjoint loops, whose Y is
+    the identity, cost a scan of Y instead of f dense Euclid passes.
     """
-    f = len(kernel)
     p = len(kernel[0]) if kernel else 0
+    held = [p - column.count(0) for column in zip(*kernel)]  # the rows that hold each column
+    alone = {}  # row index -> j, for each row +-e_j set aside
+    for u, y in enumerate(kernel):
+        if y.count(0) == p - 1:
+            j = next(compress(range(p), y))
+            if held[j] == 1 and y[j] in (1, -1):
+                alone[u] = j
+    rest = [y for u, y in enumerate(kernel) if u not in alone]
+    f = len(rest)
     # each column of Y, then the combination of input columns it is
     columns = []
-    for j, column in enumerate(zip(*kernel)):
+    for j, column in enumerate(zip(*rest)):
         if any(column):
             columns.append([*column, *[0] * p])
             columns[-1][f + j] = 1
@@ -687,12 +705,18 @@ def _saturate(kernel: list[list[int]]) -> tuple[list[list[int]], list[list[int]]
                 pivot, column[:] = column[:], [y - q * z for y, z in zip(pivot, column)]
         pivots.append(pivot)
     free: list[list[int]] = []
-    for u, y in enumerate(kernel):
+    for u, y in enumerate(rest):
         for s, row in enumerate(free):
             if pivots[s][u]:
                 y = [x - pivots[s][u] * z for x, z in zip(y, row)]
         free.append(y if pivots[u][u] == 1 else [x // pivots[u][u] for x in y])
-    return free, [pivot[f:] for pivot in pivots]
+    section = [pivot[f:] for pivot in pivots]
+    for u, j in alone.items():  # in increasing u, so each goes back to its place
+        unit = [0] * p
+        unit[j] = 1
+        free.insert(u, unit)
+        section.insert(u, unit[:])
+    return free, section
 
 
 def _prime_part(n: int, t: int) -> int:
@@ -798,8 +822,22 @@ def _onto(rows: Sequence[Sequence[int]], factors: Sequence[int]) -> bool:
     are kept modulo their d_i, since adding a multiple of d_i e_i to a
     column keeps the span, and exact in a free row.  With one factor d
     this is gcd(d, row) == 1.
+
+    A column x e_r with gcd(x, d_r) == 1 spans row r's summand alone, so
+    the rest must span the quotient by it, which drops row r: such rows are
+    left out before the passes, and an identity C costs one scan.
     """
     k = len(factors)
+    spanned = set()
+    for col in zip(*rows):
+        if col.count(0) == k - 1:
+            r = next(compress(range(k), col))
+            if gcd(col[r], factors[r]) == 1:
+                spanned.add(r)
+    if spanned:
+        rows = [row for r, row in enumerate(rows) if r not in spanned]
+        factors = [d for r, d in enumerate(factors) if r not in spanned]
+        k = len(factors)
     columns = [[x % d if d else x for x, d in zip(col, factors)] for col in zip(*rows)]
     for r, d in enumerate(factors):
         if gcd(d, *(col[r] for col in columns)) != 1:
@@ -849,10 +887,16 @@ def smith_coordinates(
     r, D, z, free, block = _solve(residual)
     section = [row[len(row) - len(free) :] for row in block] if free else []
     for u, y in enumerate(free):
-        image = [0] * len(free)
-        for i in compress(range(m - k), y):
-            image = [x + y[i] * g for x, g in zip(image, section[i])]
-        if image != [int(s == u) for s in range(len(free))]:
+        support = list(compress(range(m - k), y))
+        if len(support) == 1 and y[support[0]] == 1:  # y = e_i: y G is row i of G
+            image = section[support[0]]
+        else:
+            image = [0] * len(free)
+            for i in support:
+                image = [x + y[i] * g for x, g in zip(image, section[i])]
+        target = [0] * len(free)
+        target[u] = 1
+        if image != target:
             raise RuntimeError("internal error: the free rows do not split off coker X")
     factors, starts, bound = _local_factors(block, D, z) if D > 1 else ((1,) * (m - k), [], 1)
     if prod(factors) != bound:
@@ -867,11 +911,10 @@ def smith_coordinates(
     columns = range(n)
     for d, row in zip(moduli, coordinate_rows):
         image = [0] * n
-        for y, a_row in zip(row, rows):
-            if y:
-                for j in compress(columns, a_row):
-                    image[j] += y * a_row[j]
-        if any(x % d if d else x for x in image):
+        for y, a_row in compress(zip(row, rows), row):
+            for j in compress(columns, a_row):
+                image[j] += y * a_row[j]
+        if any(x % d for x in image) if d else any(image):
             raise RuntimeError("internal error: a coordinate row does not kill A")
     if not _onto(coordinate_rows, moduli):
         raise RuntimeError("internal error: the coordinate rows are not onto the group")

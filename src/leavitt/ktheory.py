@@ -23,6 +23,16 @@ whose own relation becomes 0 and leaves the free summand Z of that cycle.
 The presentation keeps only the representatives, and a vertex's coordinate
 is its representative's.
 
+The cokernels of the last _COKERNEL_CACHE_SIZE contracted presentations
+are kept (_contracted_cokernel), keyed by the presentation's sparse
+records, which k0_of_graph lists in the pass that contracts the links; the
+dense rows are built only for a presentation that is not kept.  The head
+graphs matrixtype.m_graph(E, c) of one graph E all contract to E's
+presentation, so they share one elimination.  Equal keys give equal rows,
+and a kept answer passed the kill, onto and order checks of
+smith_coordinates on exactly those rows; the group and the coordinate rows
+are immutable, so callers share them safely.
+
 When K0 is finite and cyclic, Z/d, its coordinate row is scaled by a unit
 modulo d that carries the unit class to gcd(u, d), where u is its
 coordinate (_cyclic_normal_form).  Two graphs then have the same unit
@@ -32,6 +42,7 @@ chose.  Other groups keep the elimination's basis.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import gcd
 from operator import mul
 from typing import Callable, Sequence
@@ -100,6 +111,30 @@ def cokernel(matrix: IntMatrix) -> tuple[FGAbelianGroup, Callable[[Sequence[int]
     return group, data.coordinate
 
 
+# Presentations whose cokernel is kept.  The head graphs m_graph(E, c) of
+# one graph E share E's presentation, so the few last ones suffice.
+_COKERNEL_CACHE_SIZE = 8
+
+
+@lru_cache(maxsize=_COKERNEL_CACHE_SIZE)
+def _contracted_cokernel(
+    key: tuple[int, ...],
+) -> tuple[FGAbelianGroup, tuple[tuple[int, ...], ...]]:
+    """_presented_group of the presentation that key spells out: its number
+    of rows, its number of columns, the row of each column's 1, and then
+    a (row, column, multiplicity) record for each edge that subtracts its
+    multiplicity there (k0_of_graph).  Equal keys build equal rows, and
+    the answer passed smith_coordinates' checks on those rows."""
+    kept, regular = key[0], key[1]
+    rows = [[0] * regular for _ in range(kept)]
+    for j, i in enumerate(key[2 : 2 + regular]):
+        rows[i][j] = 1
+    records = iter(key[2 + regular :])
+    for i, j, mult in zip(records, records, records):
+        rows[i][j] -= mult
+    return _presented_group(rows)
+
+
 def _cyclic_normal_form(d: int, row: tuple[int, ...]) -> tuple[tuple[int, ...]]:
     """The coordinate row of K0 = Z/d, scaled by the unit lam modulo d that
     carries the unit's coordinate u to gcd(u, d), so that the unit no
@@ -154,9 +189,11 @@ def k0_of_graph(graph: DirectedGraph) -> K0Data:
     The rows are the kept vertices (_representatives) in vertex order, the
     columns the kept ones that emit edges, and an edge u -> x of
     multiplicity k from a kept u puts -k in the row of x's representative;
-    a graph without links gets I - A^T itself.  The rows come from the edge
-    list, which DirectedGraph has validated, and each vertex's coordinate
-    column is its representative's.  A finite cyclic K0 = Z/d gets the unit
+    a graph without links gets I - A^T itself.  The presentation is spelled
+    out as records from the edge list, which DirectedGraph has validated,
+    and its cokernel is looked up in the memo (_contracted_cokernel) before
+    any dense row is built.  Each vertex's coordinate column is its
+    representative's.  A finite cyclic K0 = Z/d gets the unit
     gcd(u, d) (_cyclic_normal_form).
 
     >>> from leavitt.graphs import rose
@@ -175,15 +212,14 @@ def k0_of_graph(graph: DirectedGraph) -> K0Data:
     row = dict(zip(kept, range(len(kept))))
     regular = [v for v in kept if link[v] != -1]
     slot = dict(zip(regular, range(len(regular))))
-    rows = [[0] * len(regular) for _ in kept]
-    for v, j in slot.items():
-        rows[row[v]][j] = 1
+    key = [len(kept), len(regular), *map(row.__getitem__, regular)]
     for s, t, mult in edges:
         if rep[s] == s:
-            rows[row[rep[t]]][slot[s]] -= mult
-    group, coordinate_map = _presented_group(rows)
-    column = list(map(row.__getitem__, rep))
-    coordinate_map = tuple(tuple(map(c.__getitem__, column)) for c in coordinate_map)
+            key += (row[rep[t]], slot[s], mult)
+    group, coordinate_map = _contracted_cokernel(tuple(key))
+    if len(kept) < n:  # else each vertex is its own representative, at its own row
+        column = list(map(row.__getitem__, rep))
+        coordinate_map = tuple(tuple(map(c.__getitem__, column)) for c in coordinate_map)
     if not group.free_rank and len(group.invariant_factors) == 1:
         coordinate_map = _cyclic_normal_form(group.invariant_factors[0], coordinate_map[0])
     unit = _class_of(group, coordinate_map, [1] * n)

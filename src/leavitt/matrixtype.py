@@ -86,8 +86,10 @@ def m_graph(graph: DirectedGraph, m: int) -> DirectedGraph:
     appended while a name is taken).  Each head vertex has a single edge, so
     its K0 class equals [v]; the unit class of the new graph is m times the
     old one while the group itself is unchanged.  k0_of_graph contracts the
-    heads away (each head vertex is a link), so K0 of the new graph costs
-    what K0 of the old one does.
+    heads away (each head vertex is a link), which leaves the old graph's
+    presentation row for row, so after K0 of the old graph, K0 of the new
+    one finds that presentation's cokernel in its memo and costs the
+    contraction alone.
 
     graph is a DirectedGraph (else TypeError, even for m = 1), so its
     vertices and records passed the check; each head name is made distinct

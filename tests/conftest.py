@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import leavitt
-from leavitt import intmat
+from leavitt import intmat, ktheory
 from leavitt.abelian import (
     add,
     apply_automorphism,
@@ -134,6 +134,13 @@ def unit_scalar(source, target, d: int):
     if gcd(mu, d) == 1 and all((y - mu * x) % d == 0 for x, y in zip(source, target)):
         return mu
     return None
+
+
+@pytest.fixture(autouse=True)
+def cold_cokernel_memo():
+    """Every test starts with an empty cokernel memo of k0_of_graph, so a
+    graph that an earlier test met runs the elimination again."""
+    ktheory._contracted_cokernel.cache_clear()
 
 
 def reduce_moduli(monkeypatch) -> list[int]:

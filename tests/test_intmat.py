@@ -34,6 +34,31 @@ def check_decomposition(a, snf):
                 assert snf.D[i][j] == 0
 
 
+def _gathered(kernel):
+    """intmat._saturate without setting any row aside: Euclid's steps over
+    every column of Y, then forward substitution, as its docstring says."""
+    f, p = len(kernel), len(kernel[0])
+    columns = []
+    for j, column in enumerate(zip(*kernel)):
+        if any(column):
+            columns.append([*column, *[0] * p])
+            columns[-1][f + j] = 1
+    pivots = []
+    for s in range(f):
+        pivot = [0] * (f + p)
+        for column in columns:
+            while column[s]:
+                q = pivot[s] // column[s]
+                pivot, column[:] = column[:], [y - q * z for y, z in zip(pivot, column)]
+        pivots.append(pivot)
+    free = []
+    for u, y in enumerate(kernel):
+        for s, row in enumerate(free):
+            y = [x - pivots[s][u] * z for x, z in zip(y, row)]
+        free.append([x // pivots[u][u] for x in y])
+    return free, [pivot[f:] for pivot in pivots]
+
+
 class TestIntMatrix:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -391,8 +416,9 @@ class TestSolve:
             if not det:
                 assert r < n and len(free) == n - r
                 continue
-            # R^T z = delta * 1 with delta = +-det R, so z = +-adj(R^T) 1
-            assert (r, D, free, block) == (n, abs(det), [], rows)
+            # R^T z = delta * 1 with delta = +-det R, so z = +-adj(R^T) 1;
+            # R has no zero column and no section, so X is R itself
+            assert (r, D, free, block) == (n, abs(det), [], rows) and block is rows
             image = [sum(z[i] * rows[i][j] for i in range(n)) for j in range(n)]
             assert image in ([det] * n, [-det] * n)
             nonsingular += 1
@@ -462,6 +488,47 @@ class TestSolve:
                 intmat._identity_rows(f))
             unsaturated += set(smith_normal_form(IntMatrix(kernel)).diagonal) != {1}
         assert unsaturated >= 100
+
+    def test_rows_set_aside_match_the_gather(self):
+        # rows +-e_j whose column j is zero elsewhere, mixed with rows that
+        # are not: F and G are those of the gather over every row
+        rng = random.Random(31)
+        aside = 0
+        for _ in range(300):
+            f, p = rng.randint(1, 5), rng.randint(2, 7)
+            kernel = [[rng.choice((0, 0, 0, 1, -1, 2, rng.randint(-6, 6))) for _ in range(p)]
+                      for _ in range(f)]
+            for u in rng.sample(range(f), rng.randint(0, f)):
+                j = rng.randrange(p)
+                for y in kernel:
+                    y[j] = 0
+                kernel[u] = [rng.choice((1, -1)) if i == j else 0 for i in range(p)]
+            if sum(map(bool, smith_normal_form(IntMatrix(kernel)).diagonal)) < f:
+                continue
+            assert intmat._saturate([y[:] for y in kernel]) == _gathered(kernel)
+            aside += any(y.count(0) == p - 1 and y.count(1) + y.count(-1) == 1 for y in kernel)
+        assert aside >= 100
+
+    def test_onto_skips_only_what_a_unit_column_spans(self):
+        # against the Smith form of [C | diag(d)], which is all ones exactly
+        # when the columns span Z^k; inputs where some column is x e_r with
+        # gcd(x, d_r) == 1, which _onto leaves out with its row, come with
+        # either answer
+        rng = random.Random(37)
+        skipped = {True: 0, False: 0}
+        for _ in range(400):
+            k, m = rng.randint(1, 4), rng.randint(1, 5)
+            factors = [rng.choice((0, 2, 3, 4, 6)) for _ in range(k)]
+            rows = [[rng.choice((0, 0, 1, -1, 2, 3)) for _ in range(m)] for _ in range(k)]
+            block = [row + [d * (i == r) for i in range(k)]
+                     for r, (row, d) in enumerate(zip(rows, factors))]
+            expected = set(smith_normal_form(IntMatrix(block)).diagonal) == {1}
+            assert intmat._onto(rows, factors) == expected
+            skipped[expected] += any(
+                col.count(0) == k - 1 and gcd(x, d) == 1
+                for col in zip(*rows) for x, d in zip(col, factors) if x
+            )
+        assert min(skipped.values()) >= 30
 
     def test_prime_part_matches_factoring(self):
         def by_factoring(n, t):

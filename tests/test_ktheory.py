@@ -7,7 +7,7 @@ from math import gcd, lcm
 
 import pytest
 
-from leavitt import intmat
+from leavitt import intmat, ktheory
 from leavitt.abelian import INFINITE, FGAbelianGroup, add, element_order, orbit_invariant
 from leavitt.graphs import DirectedGraph, adjacency_matrix, build_graph, rose
 from leavitt.intmat import IntMatrix, determinant, smith_coordinates, smith_normal_form
@@ -430,21 +430,25 @@ def _k0_answers(matrices, graphs) -> list:
 
 
 def _raises(match: str, matrices, graphs) -> None:
+    # each graph runs the elimination that the caller patched, not the memo
     for matrix in matrices:
         with pytest.raises(RuntimeError, match=match):
             cokernel(matrix)
     for graph in graphs:
+        ktheory._contracted_cokernel.cache_clear()
         with pytest.raises(RuntimeError, match=match):
             k0_of_graph(graph)
 
 
 def _caught(matrices, graphs, answers) -> int:
     """How many of the calls of _k0_answers fail a coordinate row's kill or
-    onto check; each of the others must still give its entry of answers."""
+    onto check; each of the others must still give its entry of answers.
+    Each call runs the elimination, not the memo."""
     calls = [(smith_coordinates, m.to_lists()) for m in matrices]
     calls += [(k0_of_graph, graph) for graph in graphs]
     caught = 0
     for (call, arg), answer in zip(calls, answers):
+        ktheory._contracted_cokernel.cache_clear()
         try:
             result = call(arg)
         except RuntimeError as exc:
@@ -913,6 +917,20 @@ class TestK0Certificate:
         _raises("does not kill A|split off|section", [_INTEGER_MATRIX, _REPLAYED_MATRIX],
                 [_INTEGER_GRAPH, _REPLAYED_GRAPH, infinite_order_graph()])
 
+    def test_corrupted_section_raises(self, monkeypatch):
+        # disjoint loops: I - A^T = 0, the free rows are e_0, e_1, ... and the
+        # section G is the identity; one entry of G changed breaks F G = I
+        solve = intmat._solve
+
+        def corrupted(residual):
+            r, D, z, free, block = solve(residual)
+            block[-1][-1] += 1
+            return r, D, z, free, block
+
+        monkeypatch.setattr(intmat, "_solve", corrupted)
+        loops = build_graph(list("abc"), [(v, v, 1) for v in "abc"])
+        _raises("split off", [IntMatrix([[0, 0], [0, 0]])], [loops])
+
     def test_a_free_row_cannot_pass_for_torsion(self, monkeypatch):
         # [[2, 0], [0, 0]] is Z/2 + Z with torsion row (1, 0) modulo 2 and
         # free row (0, 1): with the two swapped, (0, 1) still kills A modulo
@@ -1109,6 +1127,75 @@ class TestLinkContraction:
         assert k0.coordinate_map == ((1,) * 100_000,)
 
 
+def _cold(graph: DirectedGraph):
+    """K0 of the graph with the cokernel memo emptied first."""
+    ktheory._contracted_cokernel.cache_clear()
+    return k0_of_graph(graph)
+
+
+class TestCokernelMemo:
+    """k0_of_graph keeps the cokernels of the last few contracted
+    presentations, keyed by the presentation's records: a hit must give
+    what the elimination gives, and presentations that differ must not
+    share an entry."""
+
+    def test_a_hit_gives_the_cold_answer(self):
+        memo = ktheory._contracted_cokernel
+        links = build_graph(list("xabys"), [("x", "x", 2), ("x", "a", 1), ("x", "y", 1),
+                                            ("a", "b", 1), ("b", "s", 1), ("y", "s", 1)])
+        graphs = _golden_graphs() + [links]
+        for graph in graphs:
+            cold = _cold(graph)
+            assert repr(k0_of_graph(graph)) == repr(cold)
+            assert memo.cache_info().hits == 1
+        for graph in [g for g in graphs if len(g.vertices) <= 24]:
+            base = _cold(graph)
+            for c in range(2, 7):
+                head = m_graph(graph, c)
+                hits = memo.cache_info().hits
+                warm = k0_of_graph(head)
+                assert memo.cache_info().hits == hits + 1
+                assert repr(warm) == repr(_cold(head))
+                assert warm.group == base.group
+                k0_of_graph(graph)  # the next head graph meets the base graph's entry
+
+    def test_head_graphs_share_one_elimination(self, monkeypatch):
+        graph = _complete_graph(3, 2, 3)
+        first = k0_of_graph(m_graph(graph, 2))
+
+        def refuse(rows):
+            raise AssertionError("the elimination ran on a presentation the memo holds")
+
+        monkeypatch.setattr(intmat, "_unit_phase", refuse)
+        second = k0_of_graph(m_graph(graph, 3))
+        assert ktheory._contracted_cokernel.cache_info()[:2] == (1, 1)  # hits, misses
+        monkeypatch.undo()
+        assert second == _cold(m_graph(graph, 3)) and second.group == first.group
+
+    def test_distinct_presentations_do_not_collide(self):
+        # the same records with the sink at the other kept vertex: rows
+        # [[1], [-2]] against [[0], [-1]]; and one multiplicity changed
+        pairs = [
+            (build_graph(["a", "b"], [("a", "b", 2)]), build_graph(["a", "b"], [("b", "b", 2)])),
+            (build_graph(["a", "b"], [("a", "b", 2), ("b", "a", 1), ("b", "b", 3)]),
+             build_graph(["a", "b"], [("a", "b", 2), ("b", "a", 1), ("b", "b", 4)])),
+        ]
+        memo = ktheory._contracted_cokernel
+        for one, other in pairs:
+            expected = [repr(_cold(one)), repr(_cold(other))]
+            assert expected[0] != expected[1]
+            memo.cache_clear()
+            assert [repr(k0_of_graph(one)), repr(k0_of_graph(other))] == expected
+            assert memo.cache_info()[:2] == (0, 2)  # hits, misses
+
+    def test_the_memo_stays_bounded(self):
+        for p in range(2, 22):
+            k0_of_graph(rose(p))
+        info = ktheory._contracted_cokernel.cache_info()
+        assert info.misses == 20
+        assert info.currsize == info.maxsize == ktheory._COKERNEL_CACHE_SIZE < 20
+
+
 def _unit_rich_rows(rng: random.Random, rows: int, cols: int) -> list[list[int]]:
     """Sparse rows, about three nonzeros each, most of them +-1 (-1 twice
     as often as 1)."""
@@ -1246,6 +1333,7 @@ class TestUnitPhase:
 
         monkeypatch.setattr(intmat, "_unit_phase", replayed)
         for graph in _golden_graphs() + [scc_graph(200, 0)]:
+            ktheory._contracted_cokernel.cache_clear()
             k0_of_graph(graph)
         assert len(calls) == len(_golden_graphs()) + 1
 

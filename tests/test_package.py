@@ -211,3 +211,39 @@ def test_cli_import_leaves_out_dataclasses_and_inspect():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def _cache_uses(tree: ast.AST) -> int:
+    """How many times the module's code names lru_cache or cache."""
+    return sum(
+        isinstance(node, ast.Name) and node.id in ("lru_cache", "cache")
+        or isinstance(node, ast.Attribute) and node.attr in ("lru_cache", "cache")
+        for node in ast.walk(tree)
+    )
+
+
+def _caches(module) -> dict:
+    """The functools caches that the module defines at its top level."""
+    return {
+        attr: value for attr, value in vars(module).items()
+        if hasattr(value, "cache_parameters") and value.__module__ == module.__name__
+    }
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_cache_is_bounded(name):
+    # an unbounded functools cache keeps every argument and result for the
+    # life of the process, as abelian._table_for once did; each cache must
+    # wrap a module-level function, where this finds it, and name a finite
+    # maxsize
+    module = importlib.import_module(name)
+    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+    caches = _caches(module)
+    assert len(caches) == _cache_uses(tree)
+    for attr, cache in caches.items():
+        assert isinstance(cache.cache_parameters()["maxsize"], int), attr
+
+
+def test_the_caches_are_found():
+    found = [f"{name}.{attr}" for name in MODULES for attr in _caches(importlib.import_module(name))]
+    assert found == ["leavitt.abelian._table_for", "leavitt.ktheory._contracted_cokernel"]
