@@ -14,23 +14,25 @@ indices.  ``smith_normal_form`` runs the gcd phase (``_reduce``) on R over
 Z, builds U and V from the unit phase's row and column steps, replays the
 gcd phase's on U's rows and V's columns from k on, and checks U A V == D.
 ``smith_coordinates``, the cokernel path of ``ktheory``, builds neither,
-and has one route.  One rank-revealing fraction-free pass (``_bareiss``)
-on [R^T | 1] in ``_solve`` gives R's rank r and, by back-substitution,
-the kernel of R from the left; ``_saturate`` turns it into the free rows
-F and a section G, F G = I, so coker R = Z^f + coker [R | G] with the
-last part finite.  The pass, carried on through the rows of G^T, gives
-D = |det S| for a square block S of [R | G] (S = R = A's block for a
-square nonsingular R) and z with S^T z = +-D * 1.  Then z / t for
-t = gcd(D, z) maps coker [R | G] onto a cyclic quotient Z/s; the gcd
-phase runs only when s < D, modulo the part D_t of D on the primes of
-D / s, and CRT joins the cyclic rest to its largest factor
-(``_local_factors``).  Every integer stays within a minor of [R | G] or
-below D.  The answer is checked, not its steps: the rows, padded with k
-zeros and pulled back through the unit row steps, kill A (the free rows
-exactly) and map onto Z^f plus the sum of the Z/d_i, F G = I, and the d_i
-divide in turn and multiply to D, or, where [R | G] is wider than S, to
-D / D_t times the order that the log modulo D_t, replayed on [R | G],
-shows.
+and has one route.  It first splits off each zero row i of R as a free
+generator with the free row e_i: no relation involves generator i, so
+coker R = Z + coker (R without row i).  Below, R is the rest of its rows.
+One rank-revealing fraction-free pass (``_bareiss``) on [R^T | 1] in
+``_solve`` gives R's rank r and, by back-substitution, the kernel of R
+from the left; ``_saturate`` turns it into the free rows F and a section
+G, F G = I, so coker R = Z^f + coker [R | G] with the last part finite.
+The pass, carried on through the rows of G^T, gives D = |det S| for a
+square block S of [R | G] (S = R = A's block for a square nonsingular R)
+and z with S^T z = +-D * 1.  Then z / t for t = gcd(D, z) maps
+coker [R | G] onto a cyclic quotient Z/s; the gcd phase runs only when
+s < D, modulo the part D_t of D on the primes of D / s, and CRT joins the
+cyclic rest to its largest factor (``_local_factors``).  Every integer
+stays within a minor of [R | G] or below D.  The answer is checked, not
+its steps: the rows, padded with k zeros and pulled back through the unit
+row steps, kill A (the free rows exactly) and map onto a Z for each free
+row plus the sum of the Z/d_i, F G = I, and the d_i divide in turn and
+multiply to D, or, where [R | G] is wider than S, to D / D_t times the
+order that the log modulo D_t, replayed on [R | G], shows.
 
 ``Record`` is the package's immutable record base, which the frozen
 records of every module (``IntMatrix`` and ``SmithDecomposition`` here,
@@ -618,7 +620,8 @@ def _solve(
     nonsingular p x p block S of X; and an integer z with S^T z = delta *
     1, delta = +-D.  For R square and nonsingular, X = S = R and D = |det
     R|.  X is R itself, not a copy, when R has no zero column and F is
-    empty.  Returns (0, 1, [], [], []) for an empty R.
+    empty.  Returns (0, 1, [], [], []) for an empty R.  smith_coordinates
+    splits R's zero rows off first, so that none reaches the pass.
 
     Bareiss (_bareiss) runs on the rows of [R'^T | 1], searching across
     columns only when no row can supply a pivot, up to the rank r with a
@@ -672,27 +675,11 @@ def _saturate(kernel: list[list[int]]) -> tuple[list[list[int]], list[list[int]]
     B a basis of the saturation, which maps Z^p onto Z^f: so H = C U with U
     unimodular, and F = H^-1 Y = U^-1 B, solved by forward substitution
     with exact divisions, is a basis too, with F G = H^-1 H = I.
-
-    A row +-e_j of Y whose column j is zero in every other row is set aside
-    with its row e_j of F and its column e_j of G.  That is what the steps
-    give it: only column j has an entry in its row, no step for another row
-    takes column j, and no other row's steps bring an entry into its row.
-    So the other rows are gathered alone, and n disjoint loops, whose Y is
-    the identity, cost a scan of Y instead of f dense Euclid passes.
     """
-    p = len(kernel[0]) if kernel else 0
-    held = [p - column.count(0) for column in zip(*kernel)]  # the rows that hold each column
-    alone = {}  # row index -> j, for each row +-e_j set aside
-    for u, y in enumerate(kernel):
-        if y.count(0) == p - 1:
-            j = next(compress(range(p), y))
-            if held[j] == 1 and y[j] in (1, -1):
-                alone[u] = j
-    rest = [y for u, y in enumerate(kernel) if u not in alone]
-    f = len(rest)
+    f, p = len(kernel), len(kernel[0])
     # each column of Y, then the combination of input columns it is
     columns = []
-    for j, column in enumerate(zip(*rest)):
+    for j, column in enumerate(zip(*kernel)):
         if any(column):
             columns.append([*column, *[0] * p])
             columns[-1][f + j] = 1
@@ -705,18 +692,12 @@ def _saturate(kernel: list[list[int]]) -> tuple[list[list[int]], list[list[int]]
                 pivot, column[:] = column[:], [y - q * z for y, z in zip(pivot, column)]
         pivots.append(pivot)
     free: list[list[int]] = []
-    for u, y in enumerate(rest):
+    for u, y in enumerate(kernel):
         for s, row in enumerate(free):
             if pivots[s][u]:
                 y = [x - pivots[s][u] * z for x, z in zip(y, row)]
         free.append(y if pivots[u][u] == 1 else [x // pivots[u][u] for x in y])
-    section = [pivot[f:] for pivot in pivots]
-    for u, j in alone.items():  # in increasing u, so each goes back to its place
-        unit = [0] * p
-        unit[j] = 1
-        free.insert(u, unit)
-        section.insert(u, unit[:])
-    return free, section
+    return free, [pivot[f:] for pivot in pivots]
 
 
 def _prime_part(n: int, t: int) -> int:
@@ -861,50 +842,63 @@ def smith_coordinates(
     the diagonal), torsion rows reduced modulo d_i, then the free rows,
     exact.
 
-    U and V are never built.  After the unit phase, one rank-revealing
-    solve (_solve) on the residual block R gives its rank r, its free rows
-    F, the finite part coker X of coker R, and D and z for the local step
-    (_local_factors), which gives the torsion rows.  For a square
-    nonsingular R, X = R and D = |det A|.  The rows, at R's indices, are
+    U and V are never built.  After the unit phase, each zero row i of the
+    residual block R is split off as a free generator with the free row
+    e_i: no relation involves generator i, so coker R = Z + coker (R
+    without row i).  One rank-revealing solve (_solve) on the block N of
+    the other rows gives its rank r, its free rows F, the finite part coker
+    X of coker N, and D and z for the local step (_local_factors), which
+    gives the torsion rows.  For a square nonsingular R, N = X = R and D =
+    |det A|.  The rows, put back at R's indices with the e_i before F, are
     padded with k zeros and pulled back through the unit phase's row steps
     in one reverse pass.
 
     The answer is checked, however it was found.  Kill: each torsion row
     kills A modulo d_i, and each free row kills A exactly.  Onto: the rows
-    map Z^m onto G = Z^f + the sum of the Z/d_i (_onto).  Order: the d_i
-    divide in turn and multiply to the bound of _local_factors, which the
-    order of coker X cannot exceed, and F G = I for the section G of the
-    free rows.  Kill and onto give a surjection psi from coker A = coker R
-    onto G.  As F kills R and F G = I, coker R is K + Z^f for the kernel K
-    of F, and K = coker X, which is finite: so K is the torsion T' of
-    coker R, and |T'| <= |T| for the torsion T of G.  psi maps T' onto T,
-    as a class that psi sends to T has free part zero, so psi is injective
-    on T' and then everywhere.  coker A = coker R, as only elementary row
-    steps change the unit phase's copy of A.
+    map Z^m onto Z^(e+f) + T, for T the sum of the Z/d_i (_onto).  Order:
+    the d_i divide in turn and multiply to the bound of _local_factors,
+    which the order of coker X cannot exceed, and F G = I for the section
+    G of F.  Kill and onto give a surjection psi from coker A = coker R
+    onto Z^(e+f) + T, for e zero rows.  As F kills N and F G = I, coker N
+    is K + Z^f for the kernel K of F, and K = coker X, which is finite: so
+    K is the torsion T' of coker R = Z^e + coker N, and |T'| <= |T|.  psi
+    maps T' onto T, as a class that psi sends to T has free part zero, so
+    psi is injective on T' and then everywhere.  coker A = coker R, as only
+    elementary row steps change the unit phase's copy of A.
     """
     m, n = len(rows), len(rows[0])
     row_steps, _, k, residual = _unit_phase(rows)
+    zero = [i for i, row in enumerate(residual) if not any(row)]
+    if zero:  # each a generator with no relation, which the solve does not see
+        kept = [i for i, row in enumerate(residual) if any(row)]
+        residual = [residual[i] for i in kept]
     r, D, z, free, block = _solve(residual)
     section = [row[len(row) - len(free) :] for row in block] if free else []
     for u, y in enumerate(free):
-        support = list(compress(range(m - k), y))
-        if len(support) == 1 and y[support[0]] == 1:  # y = e_i: y G is row i of G
-            image = section[support[0]]
-        else:
-            image = [0] * len(free)
-            for i in support:
-                image = [x + y[i] * g for x, g in zip(image, section[i])]
+        image = [0] * len(free)
+        for i in compress(range(len(y)), y):
+            image = [x + y[i] * g for x, g in zip(image, section[i])]
         target = [0] * len(free)
         target[u] = 1
         if image != target:
             raise RuntimeError("internal error: the free rows do not split off coker X")
-    factors, starts, bound = _local_factors(block, D, z) if D > 1 else ((1,) * (m - k), [], 1)
+    factors, starts, bound = _local_factors(block, D, z) if D > 1 else ((1,) * len(block), [], 1)
     if prod(factors) != bound:
         raise RuntimeError("internal error: the invariant factors do not multiply to |det|")
     if any(y % x for x, y in zip(factors, factors[1:])):
         raise RuntimeError("internal error: the invariant factors do not divide in turn")
     moduli = [d for d in factors if d != 1]
     diagonal = (1,) * (k + r - len(moduli)) + tuple(moduli) + (0,) * (min(m, n) - k - r)
+    if zero:  # back at R's indices, with the free row e_i of each zero row i before F
+        p = m - k
+        units = [[0] * p for _ in zero]
+        for y, i in zip(units, zero):
+            y[i] = 1
+        spread = [[0] * p for _ in starts + free]
+        for y, x in zip(spread, starts + free):
+            for i, v in zip(kept, x):
+                y[i] = v
+        starts, free = spread[: len(starts)], units + spread[len(starts) :]
     moduli += [0] * len(free)
     wanted = [([0] * k + x, d) for x, d in zip(starts + free, moduli)]
     coordinate_rows = tuple(map(tuple, _coordinate_rows(row_steps, wanted)))

@@ -34,31 +34,6 @@ def check_decomposition(a, snf):
                 assert snf.D[i][j] == 0
 
 
-def _gathered(kernel):
-    """intmat._saturate without setting any row aside: Euclid's steps over
-    every column of Y, then forward substitution, as its docstring says."""
-    f, p = len(kernel), len(kernel[0])
-    columns = []
-    for j, column in enumerate(zip(*kernel)):
-        if any(column):
-            columns.append([*column, *[0] * p])
-            columns[-1][f + j] = 1
-    pivots = []
-    for s in range(f):
-        pivot = [0] * (f + p)
-        for column in columns:
-            while column[s]:
-                q = pivot[s] // column[s]
-                pivot, column[:] = column[:], [y - q * z for y, z in zip(pivot, column)]
-        pivots.append(pivot)
-    free = []
-    for u, y in enumerate(kernel):
-        for s, row in enumerate(free):
-            y = [x - pivots[s][u] * z for x, z in zip(y, row)]
-        free.append([x // pivots[u][u] for x in y])
-    return free, [pivot[f:] for pivot in pivots]
-
-
 class TestIntMatrix:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -470,10 +445,21 @@ class TestSolve:
         assert rows == copy
 
     def test_saturate_gives_a_basis_and_a_section(self):
-        # seeded independent rows Y whose span is rarely saturated: F spans
-        # the integer vectors of their rational span (F kills what Y's
-        # orthogonal complement kills and is primitive), and F G = I
+        # seeded independent rows Y: first rows whose span is rarely
+        # saturated, then sparse rows among which some are +-e_j with column
+        # j zero in every other row.  F spans the integer vectors of their
+        # rational span (F kills what Y's orthogonal complement kills and is
+        # primitive), and F G = I
         sympy = pytest.importorskip("sympy")
+
+        def check(kernel):
+            f = len(kernel)
+            free, section = intmat._saturate([y[:] for y in kernel])
+            assert sympy.Matrix(free + kernel).rank() == f
+            assert set(smith_normal_form(IntMatrix(free)).diagonal) == {1}
+            assert [[sum(a * b for a, b in zip(y, g)) for g in section] for y in free] == (
+                intmat._identity_rows(f))
+
         rng = random.Random(29)
         unsaturated = 0
         for _ in range(200):
@@ -481,19 +467,11 @@ class TestSolve:
             kernel = [[rng.randint(-6, 6) * rng.choice((1, 2, 3)) for _ in range(p)] for _ in range(f)]
             if sympy.Matrix(kernel).rank() < f:
                 continue
-            free, section = intmat._saturate(kernel)
-            assert sympy.Matrix(free + kernel).rank() == f
-            assert set(smith_normal_form(IntMatrix(free)).diagonal) == {1}
-            assert [[sum(a * b for a, b in zip(y, g)) for g in section] for y in free] == (
-                intmat._identity_rows(f))
+            check(kernel)
             unsaturated += set(smith_normal_form(IntMatrix(kernel)).diagonal) != {1}
         assert unsaturated >= 100
-
-    def test_rows_set_aside_match_the_gather(self):
-        # rows +-e_j whose column j is zero elsewhere, mixed with rows that
-        # are not: F and G are those of the gather over every row
         rng = random.Random(31)
-        aside = 0
+        units = 0
         for _ in range(300):
             f, p = rng.randint(1, 5), rng.randint(2, 7)
             kernel = [[rng.choice((0, 0, 0, 1, -1, 2, rng.randint(-6, 6))) for _ in range(p)]
@@ -503,11 +481,11 @@ class TestSolve:
                 for y in kernel:
                     y[j] = 0
                 kernel[u] = [rng.choice((1, -1)) if i == j else 0 for i in range(p)]
-            if sum(map(bool, smith_normal_form(IntMatrix(kernel)).diagonal)) < f:
+            if sympy.Matrix(kernel).rank() < f:
                 continue
-            assert intmat._saturate([y[:] for y in kernel]) == _gathered(kernel)
-            aside += any(y.count(0) == p - 1 and y.count(1) + y.count(-1) == 1 for y in kernel)
-        assert aside >= 100
+            check(kernel)
+            units += any(y.count(0) == p - 1 and y.count(1) + y.count(-1) == 1 for y in kernel)
+        assert units >= 100
 
     def test_onto_skips_only_what_a_unit_column_spans(self):
         # against the Smith form of [C | diag(d)], which is all ones exactly

@@ -375,6 +375,21 @@ _REPLAYED_GRAPH = build_graph(
 )
 
 
+# a two-vertex block with no unit and a kernel row: I - A^T is
+# [[-2, -2], [-2, -2]], so R is that block, (1, -1) spans its left kernel,
+# and K0 is Z/2 + Z; beside it, a lone loop a that x enters by an edge of
+# multiplicity 2, whose row of R is not zero, and a lone loop b alone,
+# whose row is zero: Z/2 + Z/2 + Z^2
+_KERNEL_GRAPH = build_graph(
+    ["x", "y"], [("x", "x", 3), ("x", "y", 2), ("y", "x", 2), ("y", "y", 3)]
+)
+_LOOPS_BESIDE_KERNEL = build_graph(
+    ["x", "y", "a", "b"],
+    [("x", "x", 3), ("x", "y", 2), ("x", "a", 2), ("y", "x", 2), ("y", "y", 3), ("a", "a", 1),
+     ("b", "b", 1)],
+)
+
+
 def _corrupting(phase, corrupt: str, applied: bool = False):
     """An elimination phase of intmat that corrupts the first step of the
     given kind it logs, or with "-last" the last: an addition's q becomes
@@ -831,10 +846,10 @@ class TestK0Certificate:
         assert sum(step[0] == "row_add" for step in row_steps) < 18_500
 
     def test_zero_trailing_block_ends_the_gcd_phase(self):
-        # n disjoint loops give I - A^T = 0: the free rows are the kernel's
-        # identity rows and coker [R | G] is trivial, where the gcd phase over
-        # Z, rescanning the zero block at every later pivot, took about 8 s
-        # of CPU at n = 800
+        # n disjoint loops give I - A^T = 0: every row of R is zero, so each
+        # is a free generator e_i, split off before the solve, which gets no
+        # rows.  K0 once ran the gcd phase over Z here, which rescanned the
+        # zero block at every later pivot and took about 8 s of CPU at n = 800
         names = [f"v{i}" for i in range(800)]
         graph = build_graph(names, [(v, v, 1) for v in names])
         start = time.process_time()
@@ -892,6 +907,53 @@ class TestK0Certificate:
             wide += n > m
         assert free >= 100 and wide >= 50
 
+    def test_zero_rows_are_split_off_before_the_solve(self, monkeypatch):
+        # a zero row i of R is a generator with no relation, whose free row
+        # is e_i: the solve is given R's other rows alone.  Disjoint loops,
+        # infinite_order_graph (whose R is [[0]]), lone loops beside a
+        # kernel block, and seeded matrices whose zeroed rows sit beside
+        # kernel and torsion rows each match sympy's Smith form and pass
+        # _check_coordinates, and no row that the solve is given is zero
+        sympy = pytest.importorskip("sympy")
+        from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+
+        solve = intmat._solve
+        solved = []
+
+        def nonzero_rows(residual):
+            assert all(map(any, residual)), "the solve was given a zero row"
+            solved.append(solve(residual))
+            return solved[-1]
+
+        monkeypatch.setattr(intmat, "_solve", nonzero_rows)
+        loops = build_graph(list("abcde"), [(v, v, 1) for v in "abcde"])
+        graphs = [loops, infinite_order_graph(), _LOOPS_BESIDE_KERNEL]
+        cases = [_presentation(graph).to_lists() for graph in graphs]
+        rng = random.Random(233)
+        for _ in range(150):
+            m, n = rng.randint(4, 7), rng.randint(2, 7)
+            rows = [[rng.choice((0, 2, -2, 3, 4, rng.randint(-9, 9))) for _ in range(n)]
+                    for _ in range(m)]
+            rows[-1] = [x + 2 * y for x, y in zip(rows[0], rows[1])]  # a kernel row
+            for i in rng.sample(range(2, m - 1), rng.randint(1, m - 3)):  # zeroed beside it
+                rows[i] = [0] * n
+            rng.shuffle(rows)
+            cases.append(rows)
+        beside = 0  # R's nonzero rows have both a kernel row and torsion
+        for rows in cases:
+            assert not all(map(any, intmat._unit_phase(rows)[3]))  # R has a zero row
+            theirs = sympy_snf(sympy.Matrix(rows), domain=sympy.ZZ)
+            snf = smith_normal_form(IntMatrix(rows))
+            size = len(snf.diagonal)
+            assert sorted(snf.diagonal) == sorted(abs(int(theirs[i, i])) for i in range(size))
+            solved.clear()
+            _check_coordinates(rows, snf)  # smith_coordinates gives snf's diagonal
+            _, D, _, free, _ = solved[0]
+            beside += bool(free) and D > 1
+        for graph in graphs:
+            _check_full_presentation(_presentation(graph), _cold(graph))
+        assert beside >= 120
+
     @pytest.mark.parametrize("fault", ["rank", "kernel-row"])
     def test_corrupted_free_rows_raise(self, monkeypatch, fault):
         # one rank too few, so that a pivot column's vector is taken for a
@@ -914,12 +976,15 @@ class TestK0Certificate:
                 return r, D, z, free, block
 
             monkeypatch.setattr(intmat, "_solve", corrupted)
+        # each input's R has nonzero rows with a kernel, which reach the
+        # solve: a zero row of R is split off before it, and has no pass
+        # or kernel row to corrupt
         _raises("does not kill A|split off|section", [_INTEGER_MATRIX, _REPLAYED_MATRIX],
-                [_INTEGER_GRAPH, _REPLAYED_GRAPH, infinite_order_graph()])
+                [_KERNEL_GRAPH, _LOOPS_BESIDE_KERNEL])
 
     def test_corrupted_section_raises(self, monkeypatch):
-        # disjoint loops: I - A^T = 0, the free rows are e_0, e_1, ... and the
-        # section G is the identity; one entry of G changed breaks F G = I
+        # inputs whose free rows come from the solve, each with a nonzero
+        # last entry: one entry of G changed in its last row breaks F G = I
         solve = intmat._solve
 
         def corrupted(residual):
@@ -928,8 +993,7 @@ class TestK0Certificate:
             return r, D, z, free, block
 
         monkeypatch.setattr(intmat, "_solve", corrupted)
-        loops = build_graph(list("abc"), [(v, v, 1) for v in "abc"])
-        _raises("split off", [IntMatrix([[0, 0], [0, 0]])], [loops])
+        _raises("split off", [_INTEGER_MATRIX, _REPLAYED_MATRIX], [_KERNEL_GRAPH])
 
     def test_a_free_row_cannot_pass_for_torsion(self, monkeypatch):
         # [[2, 0], [0, 0]] is Z/2 + Z with torsion row (1, 0) modulo 2 and
