@@ -1492,7 +1492,61 @@ class TestGoldenOutputs:
             outputs.append((snf.U, snf.V, snf.diagonal))
         assert _digest(outputs) == _SNF_DIGEST
 
+    def test_cokernel_route_shapes(self):
+        # shapes the golden graphs lack: matrices with zeroed rows, singular
+        # and non-square ones, and graphs with sinks, lone loops and links,
+        # each graph from a cold memo; many take the gcd phase modulo D_t,
+        # on a block with a section too
+        rng = random.Random(4040)
+        outputs = []
+        for rows in _shape_matrices(rng, 600):
+            outputs.append(repr(smith_coordinates(rows)))
+        for graph in _shape_graphs(rng, 250):
+            ktheory._contracted_cokernel.cache_clear()
+            outputs.append(repr(k0_of_graph(graph)))
+        assert _digest(outputs) == _SHAPES_DIGEST
+
+
+def _shape_matrices(rng: random.Random, count: int) -> list[list[list[int]]]:
+    """Small matrices, some scaled so that the torsion is not cyclic, some
+    with a row that is a combination of two others, some with zeroed rows."""
+    cases = []
+    for _ in range(count):
+        m, n = rng.randint(1, 7), rng.randint(1, 7)
+        scale = rng.choice((1, 1, 2, 3, 6))
+        rows = [[scale * rng.choice((0, 0, 1, -1, 2, rng.randint(-9, 9))) for _ in range(n)]
+                for _ in range(m)]
+        if m > 2 and rng.random() < 0.3:
+            rows[-1] = [x - 2 * y for x, y in zip(rows[0], rows[1])]
+        for i in range(m):
+            if rng.random() < 0.2:
+                rows[i] = [0] * n
+        cases.append(rows)
+    return cases
+
+
+def _shape_graphs(rng: random.Random, count: int) -> list[DirectedGraph]:
+    """Small graphs in which each vertex is a sink, a lone loop, a link or
+    a source of 1-3 edge records of multiplicity 1-4."""
+    graphs = []
+    for _ in range(count):
+        names = [f"v{i}" for i in range(rng.randint(1, 8))]
+        edges = []
+        for v in names:
+            kind = rng.random()
+            if kind < 0.15:
+                continue
+            if kind < 0.3:
+                edges.append((v, v, 1))
+            elif kind < 0.45 and len(names) > 1:
+                edges.append((v, rng.choice([w for w in names if w != v]), 1))
+            else:
+                edges += [(v, rng.choice(names), rng.randint(1, 4)) for _ in range(rng.randint(1, 3))]
+        graphs.append(build_graph(names, edges))
+    return graphs
+
 
 _K0_DIGEST = "f812b0257e869ab7bb919ee8385d846e3a49ce4566cc4a893e18f1b72797d18e"
 _K0_BASIS_DIGEST = "8774be355ab3f559fe9846694f42cc09e9a82ae5984a86a2ba6667e07d0fb3d7"
 _SNF_DIGEST = "cf534ec0c0e391bb101652a98abe28c1de6054479ac2d890852e3d18414b526c"
+_SHAPES_DIGEST = "5c8c43348e4cd86943c8e2697ffc43d0ffc9e09d0772fd107c16df240ef12752"
