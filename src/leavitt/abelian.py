@@ -551,6 +551,7 @@ def _table_for(factors: tuple[int, ...]) -> _TorsionTable:
 
 
 def _require_oracle_group(group: FGAbelianGroup, size_bound: int) -> _TorsionTable:
+    require_ints((size_bound,), "size bound", least=1)
     if not group.is_finite:
         raise ValueError("exhaustive automorphism search needs a finite group")
     if group.torsion_size > size_bound:

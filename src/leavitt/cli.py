@@ -6,10 +6,11 @@ an input too large for memory, an unwritable ``--out`` file, a stdout
 that refuses the result (a closed pipe, a full device), or a usage error,
 3 hypothesis not satisfied (the graph is not purely infinite simple), 4
 size bound exceeded (``oracle lemma1``, or ``compare`` when ``--bound`` is
-given).  Handlers return their payload and signal failure by raising;
-``main`` maps each exception to its exit code through one table, so every
-failure prints one ``{"error": code, "message": ...}`` document, except
-where stdout itself fails, which prints an ``error:`` line on stderr.
+given; a ``--bound`` below 1 is a usage error, exit 2).  Handlers return
+their payload and signal failure by raising; ``main`` maps each exception
+to its exit code through one table, so every failure prints one
+``{"error": code, "message": ...}`` document, except where stdout itself
+fails, which prints an ``error:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ from .matrixtype import (
     compare_pointed_k0,
     m_graph,
     matrix_type_classes,
-    matrix_type_equal,
     matrix_type_verdict,
 )
 
@@ -132,13 +132,11 @@ def _pis_graph(path: str, sizes: tuple[int, ...], what: str) -> tuple[DirectedGr
 
 def _cmd_matrix_type(args) -> object:
     graph, report = _pis_graph(args.graph, (args.c, args.d), "matrix sizes")
-    k0 = k0_of_graph(graph)
-    verdict = matrix_type_equal(k0, report, args.c, args.d)
-    regime = matrix_type_verdict(k0, report)
+    verdict = matrix_type_verdict(k0_of_graph(graph), report)
     return {
-        "verdict": verdict,
-        "regime": regime.regime,
-        "n": regime.unit_order,
+        "verdict": verdict.class_label(args.c) == verdict.class_label(args.d),
+        "regime": verdict.regime,
+        "n": verdict.unit_order,
     }
 
 
@@ -164,6 +162,8 @@ def _cmd_mgraph(args) -> object:
 def _cmd_compare(args) -> object:
     if args.graph_a == args.graph_b == "-":
         raise ValueError("--graph-a and --graph-b cannot both read stdin (-)")
+    if args.bound is not None:
+        require_ints((args.bound,), "size bound", least=1)
     left = k0_of_graph(_load_graph(args.graph_a))
     right = k0_of_graph(_load_graph(args.graph_b))
     size = max(left.group.torsion_size, right.group.torsion_size)

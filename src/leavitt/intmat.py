@@ -27,12 +27,13 @@ and z with S^T z = +-D * 1.  Then z / t for t = gcd(D, z) maps
 coker [R | G] onto a cyclic quotient Z/s; the gcd phase runs only when
 s < D, modulo the part D_t of D on the primes of D / s, and CRT joins the
 cyclic rest to its largest factor (``_local_factors``).  Every integer
-stays within a minor of [R | G] or below D.  The answer is checked, not
-its steps: the rows, padded with k zeros and pulled back through the unit
-row steps, kill A (the free rows exactly) and map onto a Z for each free
-row plus the sum of the Z/d_i, F G = I, and the d_i divide in turn and
-multiply to D, or, where [R | G] is wider than S, to D / D_t times the
-order that the log modulo D_t, replayed on [R | G], shows.
+stays within a minor of [R | G] or below D.  One lift places every row,
+the torsion rows, the e_i and F, at A's indices.  The answer is checked,
+not its steps: the rows, pulled back through the unit row steps, kill A
+(the free rows exactly) and map onto a Z for each free row plus the sum
+of the Z/d_i, F G = I on the G read from [R | G], and the d_i divide in
+turn and multiply to D, or, where [R | G] is wider than S, to D / D_t
+times the order that the log modulo D_t, replayed on [R | G], shows.
 
 ``Record`` is the package's immutable record base, which the frozen
 records of every module (``IntMatrix`` and ``SmithDecomposition`` here,
@@ -379,10 +380,10 @@ def _reduce(
     column k by the next pass's pivot rule, one left in row k by a column
     swap to the entry of least gcd.  Its gcd with modulus is below c (over
     Z its magnitude, modulo M gcd(x % c, M) <= x % c), so c falls at every
-    remainder and the passes end.  Modulo M entries are reduced where a
-    decision reads them (column k and the pivot row), so every multiplier
-    stays below M; a row addition leaves the rest of its target unreduced,
-    to grow by less than M**2 a pass, which saves a division per entry.
+    remainder and the passes end.  Modulo M every entry stays in [0, M):
+    the block is reduced once on entry and each entry that a row or column
+    addition writes is reduced, so every decision reads a residue and every
+    multiplier stays below M.
     Once the pivot's row and column are clear, a row holding an entry that
     c does not divide is added to row k and the passes repeat, so each
     diagonal entry divides the next; a negative diagonal entry is negated
@@ -396,16 +397,13 @@ def _reduce(
     the matrix left here modulo M, except past the diagonal of such a row.
     """
     m, n = len(a), (len(a[0]) if a else 0)
+    if modulus:
+        for row in a:
+            row[:] = [x % modulus for x in row]
     for k in range(min(m, n)):
         while True:
-            if modulus:
-                for row in a[k:]:
-                    row[k] %= modulus
             column = [i for i in range(k, m) if a[i][k]]
             if not column:
-                if modulus:
-                    for row in a[k:]:
-                        row[k:] = [x % modulus for x in row[k:]]
                 j = next((j for j in range(k + 1, n) if any(row[j] for row in a[k:])), None)
                 if j is None:
                     return  # the trailing block is zero, and so is every later one
@@ -418,8 +416,6 @@ def _reduce(
                 a[k], a[pi] = a[pi], a[k]
                 row_log.append(("row_swap", k, pi, 0))
             row_k = a[k]
-            if modulus:
-                row_k[k:] = [x % modulus for x in row_k[k:]]
             top = row_k[k:]
             p = top[0]
             c = gcd(p, modulus)
@@ -433,9 +429,9 @@ def _reduce(
                 q = -(x // c) * inverse
                 if modulus:
                     q %= modulus // c
-                row[k:] = [y + q * z for y, z in zip(row[k:], top)]
-                if modulus:
-                    row[k] %= modulus
+                    row[k:] = [(y + q * z) % modulus for y, z in zip(row[k:], top)]
+                else:
+                    row[k:] = [y + q * z for y, z in zip(row[k:], top)]
                 row_log.append(("row_add", k, i, q))
             if modulus and c == 1:
                 break
@@ -468,9 +464,10 @@ def _reduce(
             offender = next((i for i in range(k + 1, m) if any(x % c for x in a[i][k + 1 :])), None)
             if offender is None:
                 break
-            row_k[k:] = [y + z for y, z in zip(row_k[k:], a[offender][k:])]
             if modulus:
-                row_k[k:] = [x % modulus for x in row_k[k:]]
+                row_k[k:] = [(y + z) % modulus for y, z in zip(row_k[k:], a[offender][k:])]
+            else:
+                row_k[k:] = [y + z for y, z in zip(row_k[k:], a[offender][k:])]
             row_log.append(("row_add", offender, k, 1))  # drags the non-multiple into row k
         if a[k][k] < 0:
             a[k][k] = -a[k][k]
@@ -849,38 +846,33 @@ def smith_coordinates(
     the other rows gives its rank r, its free rows F, the finite part coker
     X of coker N, and D and z for the local step (_local_factors), which
     gives the torsion rows.  For a square nonsingular R, N = X = R and D =
-    |det A|.  The rows, put back at R's indices with the e_i before F, are
-    padded with k zeros and pulled back through the unit phase's row steps
-    in one reverse pass.
+    |det A|.  One lift places every row at A's index k + i of its row i of
+    R: the torsion rows, then the e_i, then F.  The rows are then pulled
+    back through the unit phase's row steps in one reverse pass.
 
     The answer is checked, however it was found.  Kill: each torsion row
     kills A modulo d_i, and each free row kills A exactly.  Onto: the rows
     map Z^m onto Z^(e+f) + T, for T the sum of the Z/d_i (_onto).  Order:
     the d_i divide in turn and multiply to the bound of _local_factors,
-    which the order of coker X cannot exceed, and F G = I for the section
-    G of F.  Kill and onto give a surjection psi from coker A = coker R
-    onto Z^(e+f) + T, for e zero rows.  As F kills N and F G = I, coker N
-    is K + Z^f for the kernel K of F, and K = coker X, which is finite: so
-    K is the torsion T' of coker R = Z^e + coker N, and |T'| <= |T|.  psi
-    maps T' onto T, as a class that psi sends to T has free part zero, so
-    psi is injective on T' and then everywhere.  coker A = coker R, as only
-    elementary row steps change the unit phase's copy of A.
+    which the order of coker X cannot exceed, and F G = I, one identity on
+    the section G that X holds as its last f columns.  Kill and onto give
+    a surjection psi from coker A = coker R onto Z^(e+f) + T, for e zero
+    rows.  As F kills N and F G = I, coker N is K + Z^f for the kernel K
+    of F, and K = coker X, which is finite: so K is the torsion T' of coker
+    R = Z^e + coker N, and |T'| <= |T|.  psi maps T' onto T, as a class
+    that psi sends to T has free part zero, so psi is injective on T' and
+    then everywhere.  coker A = coker R, as only elementary row steps
+    change the unit phase's copy of A.
     """
     m, n = len(rows), len(rows[0])
     row_steps, _, k, residual = _unit_phase(rows)
+    # a zero row is a generator with no relation, which the solve does not see
+    kept = [i for i, row in enumerate(residual) if any(row)]
     zero = [i for i, row in enumerate(residual) if not any(row)]
-    if zero:  # each a generator with no relation, which the solve does not see
-        kept = [i for i, row in enumerate(residual) if any(row)]
-        residual = [residual[i] for i in kept]
-    r, D, z, free, block = _solve(residual)
-    section = [row[len(row) - len(free) :] for row in block] if free else []
-    for u, y in enumerate(free):
-        image = [0] * len(free)
-        for i in compress(range(len(y)), y):
-            image = [x + y[i] * g for x, g in zip(image, section[i])]
-        target = [0] * len(free)
-        target[u] = 1
-        if image != target:
+    r, D, z, free, block = _solve([residual[i] for i in kept])
+    if free:  # F G = I, for G's columns the last f columns of X
+        section = list(zip(*block))[-len(free) :]
+        if [[sum(map(mul, y, g)) for g in section] for y in free] != _identity_rows(len(free)):
             raise RuntimeError("internal error: the free rows do not split off coker X")
     factors, starts, bound = _local_factors(block, D, z) if D > 1 else ((1,) * len(block), [], 1)
     if prod(factors) != bound:
@@ -889,18 +881,17 @@ def smith_coordinates(
         raise RuntimeError("internal error: the invariant factors do not divide in turn")
     moduli = [d for d in factors if d != 1]
     diagonal = (1,) * (k + r - len(moduli)) + tuple(moduli) + (0,) * (min(m, n) - k - r)
-    if zero:  # back at R's indices, with the free row e_i of each zero row i before F
-        p = m - k
-        units = [[0] * p for _ in zero]
-        for y, i in zip(units, zero):
-            y[i] = 1
-        spread = [[0] * p for _ in starts + free]
-        for y, x in zip(spread, starts + free):
-            for i, v in zip(kept, x):
-                y[i] = v
-        starts, free = spread[: len(starts)], units + spread[len(starts) :]
-    moduli += [0] * len(free)
-    wanted = [([0] * k + x, d) for x, d in zip(starts + free, moduli)]
+    moduli += [0] * (len(zero) + len(free))
+    # one lift puts every row at A's indices k + i: the torsion rows, then
+    # the free row e_i of each zero row i, then F
+    at = [k + i for i in kept]
+    lifted = [(x, at) for x in starts] + [((1,), (k + i,)) for i in zero] + [(x, at) for x in free]
+    wanted = []
+    for (x, places), d in zip(lifted, moduli):
+        y = [0] * m
+        for i, v in zip(places, x):
+            y[i] = v
+        wanted.append((y, d))
     coordinate_rows = tuple(map(tuple, _coordinate_rows(row_steps, wanted)))
     columns = range(n)
     for d, row in zip(moduli, coordinate_rows):

@@ -247,6 +247,14 @@ class TestAutomorphismMapsXToY:
         with pytest.raises(BoundExceeded):
             automorphism_maps_x_to_y(g, g.element([1]), g.element([1]), size_bound=8)
 
+    @pytest.mark.parametrize("bound", [0, -5, True, 2.0])
+    def test_bound_must_be_an_int_of_at_least_one(self, bound):
+        g = FGAbelianGroup((2,))
+        with pytest.raises(ValueError, match="size bound must be"):
+            automorphism_maps_x_to_y(g, g.element([1]), g.element([1]), size_bound=bound)
+        with pytest.raises(ValueError, match="size bound must be"):
+            list(enumerate_automorphisms(g, size_bound=bound))
+
     def test_requires_finite_group(self):
         g = FGAbelianGroup((2,), free_rank=1)
         with pytest.raises(ValueError):

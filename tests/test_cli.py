@@ -295,6 +295,17 @@ class TestCompare:
         error_document(4, out)
         assert code == 4
 
+    @pytest.mark.parametrize("bound", ["0", "-5"])
+    def test_bound_below_one_exit_2(self, capsys, tmp_path, bound):
+        # a bound below 1 refuses every group, the trivial one included, so
+        # it is a usage error; it is checked before either graph is read
+        missing = str(tmp_path / "missing.json")
+        code, out = run_cli(capsys, ["compare", "--graph-a", missing, "--graph-b", missing,
+                                     "--bound", bound])
+        error_document(2, out)
+        assert code == 2
+        assert json.loads(out)["message"] == f"size bound must be at least 1, got {bound}"
+
     def test_both_graphs_from_stdin_exit_2(self, capsys, monkeypatch):
         # stdin holds one document; reading it twice left the second graph empty
         code, out = run_cli(
@@ -436,6 +447,14 @@ class TestOracle:
         )
         error_document(4, out)
         assert code == 4
+
+    @pytest.mark.parametrize("bound", ["0", "-5"])
+    def test_gcd_oracle_bound_below_one_exit_2(self, capsys, bound):
+        code, out = run_cli(capsys, ["oracle", "lemma1", "--factors", "2", "--x", "1", "--c", "1",
+                                     "--d", "1", "--bound", bound])
+        error_document(2, out)
+        assert code == 2
+        assert json.loads(out)["message"] == f"size bound must be at least 1, got {bound}"
 
     @pytest.mark.parametrize(
         "option, message",

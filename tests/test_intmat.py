@@ -2,6 +2,7 @@ import copy
 import itertools
 import pickle
 import random
+import time
 from math import gcd, prod
 
 import pytest
@@ -374,6 +375,40 @@ class TestReplay:
                 others = [row[0] for row in rows] + rows[pivot]
                 remainders += any(x % c for x in others)
         assert remainders >= 150
+
+    def test_gcd_phase_modulo_m_keeps_residues(self):
+        # modulo M every entry of the block is in [0, M) after each logged
+        # step: the log lists check the block at each append
+        class Checked(list):
+            def append(self, step):
+                assert all(0 <= x < M for row in a for x in row), step
+                super().append(step)
+
+        rng = random.Random(40)
+        steps = 0
+        for _ in range(200):
+            M = rng.choice((6, 12, 30, 144, 210))
+            m, n = rng.randint(1, 7), rng.randint(1, 7)
+            a = [[rng.randint(-3 * M, 3 * M) * rng.choice((1, 2, 3)) for _ in range(n)]
+                 for _ in range(m)]
+            row_log, col_log = Checked(), Checked()
+            intmat._reduce(a, row_log, col_log, M)
+            assert all(0 <= x < M for row in a for x in row)
+            steps += len(row_log) + len(col_log)
+        assert steps >= 1000
+
+    @pytest.mark.parametrize("modulus", [0, 12])
+    def test_gcd_phase_returns_once_the_trailing_block_is_zero(self, modulus):
+        # a 600 x 600 block that is zero outside its top-left 2 x 2: once
+        # the block from (2, 2) on is zero the phase returns, where a rescan
+        # of each later trailing block would cost cubic time
+        a = [[0] * 600 for _ in range(600)]
+        a[0][:2], a[1][:2] = [4, 6], [10, 3]
+        start = time.process_time()
+        intmat._reduce(a, [], [], modulus)
+        spent = time.process_time() - start
+        assert [gcd(a[i][i], modulus) for i in range(2)] == [1, gcd(48, modulus)]  # det -48
+        assert spent <= 1.0, f"the gcd phase on a 600 x 600 block took {spent:.2f} s of CPU"
 
 
 class TestSolve:
