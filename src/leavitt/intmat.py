@@ -13,27 +13,12 @@ with an int multiplier, which ``_replay`` applies, at its own block's
 indices.  ``smith_normal_form`` runs the gcd phase (``_reduce``) on R over
 Z, builds U and V from the unit phase's row and column steps, replays the
 gcd phase's on U's rows and V's columns from k on, and checks U A V == D.
-``smith_coordinates``, the cokernel path of ``ktheory``, builds neither,
-and has one route.  It first splits off each zero row i of R as a free
-generator with the free row e_i: no relation involves generator i, so
-coker R = Z + coker (R without row i).  Below, R is the rest of its rows.
-One rank-revealing fraction-free pass (``_bareiss``) on [R^T | 1] in
-``_solve`` gives R's rank r and, by back-substitution, the kernel of R
-from the left; ``_saturate`` turns it into the free rows F and a section
-G, F G = I, so coker R = Z^f + coker [R | G] with the last part finite.
-The pass, carried on through the rows of G^T, gives D = |det S| for a
-square block S of [R | G] (S = R = A's block for a square nonsingular R)
-and z with S^T z = +-D * 1.  Then z / t for t = gcd(D, z) maps
-coker [R | G] onto a cyclic quotient Z/s; the gcd phase runs only when
-s < D, modulo the part D_t of D on the primes of D / s, and CRT joins the
-cyclic rest to its largest factor (``_local_factors``).  Every integer
-stays within a minor of [R | G] or below D.  One lift places every row,
-the torsion rows, the e_i and F, at A's indices.  The answer is checked,
-not its steps: the rows, pulled back through the unit row steps, kill A
-(the free rows exactly) and map onto a Z for each free row plus the sum
-of the Z/d_i, F G = I on the G read from [R | G], and the d_i divide in
-turn and multiply to D, or, where [R | G] is wider than S, to D / D_t
-times the order that the log modulo D_t, replayed on [R | G], shows.
+``smith_coordinates``, the cokernel path of ``ktheory``, builds neither:
+it splits R into blocks that no nonzero entry joins (``_blocks``), reads
+each block's cokernel off one fraction-free solve (``_solve``) and a local
+step (``_local_factors``) whose integers stay within a minor or below D,
+joins the blocks' cyclic factors into one chain without factoring
+(``_merge``), and checks the answer once, not its steps (``_certify``).
 
 ``Record`` is the package's immutable record base, which the frozen
 records of every module (``IntMatrix`` and ``SmithDecomposition`` here,
@@ -271,6 +256,7 @@ def _diagonal_rows(m: int, n: int, diagonal: Sequence[int]) -> list[list[int]]:
 # lists, each in step order and at the indices of the block it works on:
 # the unit phase at A's, the gcd phase at the residual block R's
 _Step = tuple[str, int, int, int]
+_Cyclic = tuple[int, list[int]]  # a cyclic factor Z/d and its coordinate row modulo d
 
 
 def _place(log: list[_Step], kind: str, targets: list[int], size: int) -> list[int]:
@@ -538,8 +524,8 @@ def _unit_phase(
     unit upper triangular.  Column steps [[T^-1, -T^-1 X], [0, I]] turn it
     into diag(I, R), and elementary row steps keep the cokernel and |det|,
     so coker A is coker R and |det A| = |det R|.  The log is checked
-    downstream, not against the copy: by smith_coordinates' kill and onto
-    checks on A, and by smith_normal_form's U * A * V == D.
+    downstream, not against the copy: by the kill and onto checks on A of
+    _certify, and by smith_normal_form's U * A * V == D.
     """
     b = [list(row) for row in rows]
     row_steps, col_steps, k, order = _clear_units(b)
@@ -607,33 +593,53 @@ def _back_substitution(a: list[list[int]], r: int, delta: int, column: int) -> l
     return x
 
 
+def _blocks(residual: list[list[int]]) -> list[tuple[list[int], list[int]]]:
+    """The blocks of R, the classes of rows and columns that its nonzero
+    entries join, as (rows, columns), ascending: each zero row alone, then
+    the others by first row; a zero column is in none.  A block grows from
+    the first row left by passes over the rows left, each taking in every
+    row whose columns meet its own, until one takes in none."""
+    columns = range(len(residual[0]) if residual else 0)
+    sets = [set(compress(columns, row)) for row in residual]
+    blocks = [([i], []) for i, held in enumerate(sets) if not held]
+    left = {i for i, held in enumerate(sets) if held}
+    while left:
+        rows, cols = [], sets[min(left)]
+        while joined := [j for j in left if not cols.isdisjoint(sets[j])]:
+            left.difference_update(joined)
+            rows += joined
+            cols.update(*map(sets.__getitem__, joined))
+        blocks.append((sorted(rows), sorted(cols)))
+    return blocks
+
+
 def _solve(
     residual: list[list[int]],
 ) -> tuple[int, int, list[int], list[list[int]], list[list[int]]]:
-    """From one fraction-free pass on R (p x q, read and not changed): its
-    rank r; its free rows F, a basis of {y in Z^p : y R = 0}; the block
-    X = [R' | G] of R's nonzero columns R' and a section G of F, so that
-    coker R is coker X plus Z^f with coker X finite; D = |det S| for a
-    nonsingular p x p block S of X; and an integer z with S^T z = delta *
-    1, delta = +-D.  For R square and nonsingular, X = S = R and D = |det
-    R|.  X is R itself, not a copy, when R has no zero column and F is
-    empty.  Returns (0, 1, [], [], []) for an empty R.  smith_coordinates
-    splits R's zero rows off first, so that none reaches the pass.
+    """From one fraction-free pass on R (p x q, one block of the residual
+    block, read and not changed): its rank r; its free rows F, a basis of
+    {y in Z^p : y R = 0}; the block X = [R | G] with a section G of F, so
+    that coker R is coker X plus Z^f with coker X finite; D = |det S| for
+    a nonsingular p x p block S of X; and an integer z with S^T z = delta
+    * 1, delta = +-D.  For R square and nonsingular, X = S = R and D =
+    |det R|.  X is R itself, not a copy, when F is empty.  Returns (0, 1,
+    [], [], []) for an empty R, and (0, 1, [1], [[1]], [[1]]) for a zero
+    row with no column, a block of its own: F = [e_1] and G = [[1]].
 
-    Bareiss (_bareiss) runs on the rows of [R'^T | 1], searching across
+    Bareiss (_bareiss) runs on the rows of [R^T | 1], searching across
     columns only when no row can supply a pivot, up to the rank r with a
     pivot block T whose last pivot is delta_r.  For each of the f = p - r
-    columns c_j of R'^T that got no pivot, x_j = delta_r * T^-1 c_j is
+    columns c_j of R^T that got no pivot, x_j = delta_r * T^-1 c_j is
     integral by Cramer's rule, and y_j = delta_r e_j - x_j (x_j at the
-    pivot columns) kills R, as the rows of R'^T past r are combinations of
+    pivot columns) kills R, as the rows of R^T past r are combinations of
     the first r.  _saturate turns the y_j into F and G.  The rows of G^T,
     with a 1 each, then take the steps the pivots took and complete the
     elimination to rank p: S is R's pivot columns beside G, delta its last
     pivot, and back-substitution gives z = delta * S^-T 1, integral by
     Cramer's rule, so every division is exact.
     """
-    p, width = len(residual), len(residual[0]) if residual else 0
-    columns = [column for column in zip(*residual) if any(column)]  # a zero column adds nothing
+    p = len(residual)
+    columns = list(zip(*residual))
     a = [[*column, 1] for column in columns]
     order = list(range(p))
     r, _ = _bareiss(a, order)
@@ -654,7 +660,7 @@ def _solve(
     z = [0] * p
     for c, x in zip(order, _back_substitution(a, p, delta, p)):
         z[c] = x
-    if section or len(columns) < width:
+    if section:
         return r, abs(delta), z, free, [list(row) for row in zip(*columns, *section)]
     return r, abs(delta), z, free, residual
 
@@ -751,9 +757,9 @@ def _local_factors(
     f_r * e, and by CRT the last row is the one that is f_r's row modulo
     f_r and c modulo e.
 
-    Nothing here is trusted: smith_coordinates checks that the factors
-    divide in turn and multiply to the bound and that the rows kill A and
-    map onto the group.  The bound is D when X = S, as |coker S| = D.  A
+    Nothing here is trusted: _certify checks that the factors divide in
+    turn and multiply to the bound and that the rows kill A and map onto
+    the group.  The bound is D when X = S, as |coker S| = D.  A
     wider X is a quotient of S by more columns: the bound is then D / D_t
     times the order of the D_t-part, which the log modulo D_t, replayed on
     X, shows (_replayed_order); coker X has at most that order, as its
@@ -780,11 +786,39 @@ def _local_factors(
     last = f[-1]
     e = s // _prime_part(s, last)
     if e > 1:
-        d = f[-1] = last * e
-        # alpha is 1 modulo last and 0 modulo e, beta the other way round
-        alpha, beta = e * pow(e, -1, last), last * pow(last, -1, e)
-        rows[-1] = [(alpha * u + beta * (x // t)) % d for u, x in zip(rows[-1], z)]
+        f[-1] = last * e
+        rows[-1] = _join(rows[-1], last, [x // t for x in z], e)
     return tuple(f), rows if f[-1] != 1 else [], bound
+
+
+def _join(x: Sequence[int], a: int, y: Sequence[int], b: int) -> list[int]:
+    """The row modulo a * b that is x modulo a and y modulo b, a and b coprime (CRT)."""
+    alpha, beta = b * pow(b, -1, a), a * pow(a, -1, b)  # 1 and 0 modulo a, 0 and 1 modulo b
+    return [(alpha * u + beta * v) % (a * b) for u, v in zip(x, y)]
+
+
+def _merge(chain: list[_Cyclic], factors: Iterable[_Cyclic]) -> list[_Cyclic]:
+    """The chain of cyclic factors (d, row), each d dividing the next and
+    each row modulo its d, with the given ones merged in, in
+    invariant-factor form without the factors 1.  Each is moved down past
+    each a above it that does not divide it, b: with a1 and b2 the parts of
+    a and b on the primes of a / gcd(a, b) (_prime_part), CRT on the rows
+    (_join) turns Z/a + Z/b into Z/(a / a1 * b2) + Z/(a1 * b / b2), that
+    is Z/gcd + Z/lcm, without factoring (Newman, Integral Matrices, 1972).
+    That sorts the two exponents at each prime, so the moves are insertion
+    at every prime at once, and stop where a divides b, as every lower
+    factor then does."""
+    for pair in factors:
+        chain.append(pair)
+        j = len(chain) - 1
+        while j and chain[j][0] % chain[j - 1][0]:
+            (a, x), (b, y) = chain[j - 1], chain[j]
+            t = a // gcd(a, b)
+            a1, b2 = _prime_part(a, t), _prime_part(b, t)
+            chain[j - 1] = (a // a1 * b2, _join(x, a // a1, y, b2))
+            chain[j] = (a1 * (b // b2), _join(x, a1, y, b // b2))
+            j -= 1
+    return [(d, row) for d, row in chain if d != 1]
 
 
 def _onto(rows: Sequence[Sequence[int]], factors: Sequence[int]) -> bool:
@@ -831,6 +865,45 @@ def _onto(rows: Sequence[Sequence[int]], factors: Sequence[int]) -> bool:
     return True
 
 
+def _certify(
+    rows: Sequence[Sequence[int]], coordinate_rows: Sequence[Sequence[int]], moduli: list[int],
+    blocks: list[tuple[int, list[list[int]], list[tuple[int, ...]]]],
+) -> None:
+    """Check an answer of smith_coordinates on A (plain rows) once: its
+    coordinate rows with their d_i (0 for a free row), and each block's
+    bound, free rows F and section G (as columns); raise RuntimeError at
+    the first check that fails.  Kill: each row kills A modulo its d_i, a
+    free row exactly.  Onto: the rows map Z^m onto Z^f + T, for T the sum
+    of the Z/d_i (_onto).  They give a surjection psi from coker A = coker
+    R, the sum of the blocks' cokernels, onto Z^f + T.  Order: F G = I in
+    each block N, so coker N is Z^(f_N) plus the kernel of F, which is
+    coker X, finite, of order at most the block's bound (_local_factors);
+    f is the sum of the f_N; and the d_i divide in turn and multiply to the
+    product of the bounds.  So the torsion T' of coker A has |T'| <= |T|,
+    and psi maps T' onto T, as a class that psi sends to T has free part
+    zero: psi is injective on T', and then everywhere."""
+    if moduli.count(0) != sum(len(free) for _, free, _ in blocks) or any(
+        [[sum(map(mul, y, g)) for g in section] for y in free] != _identity_rows(len(free))
+        for _, free, section in blocks
+    ):
+        raise RuntimeError("internal error: the free rows do not split off coker X")
+    factors = [d for d in moduli if d]
+    if prod(factors) != prod(bound for bound, _, _ in blocks):
+        raise RuntimeError("internal error: the invariant factors do not multiply to |det|")
+    if any(y % x for x, y in zip(factors, factors[1:])):
+        raise RuntimeError("internal error: the invariant factors do not divide in turn")
+    columns = range(len(rows[0]))
+    for d, row in zip(moduli, coordinate_rows):
+        image = [0] * len(columns)
+        for y, a_row in compress(zip(row, rows), row):
+            for j in compress(columns, a_row):
+                image[j] += y * a_row[j]
+        if any(x % d for x in image) if d else any(image):
+            raise RuntimeError("internal error: a coordinate row does not kill A")
+    if not _onto(coordinate_rows, moduli):
+        raise RuntimeError("internal error: the coordinate rows are not onto the group")
+
+
 def smith_coordinates(
     rows: Sequence[Sequence[int]],
 ) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
@@ -839,68 +912,39 @@ def smith_coordinates(
     the diagonal), torsion rows reduced modulo d_i, then the free rows,
     exact.
 
-    U and V are never built.  After the unit phase, each zero row i of the
-    residual block R is split off as a free generator with the free row
-    e_i: no relation involves generator i, so coker R = Z + coker (R
-    without row i).  One rank-revealing solve (_solve) on the block N of
-    the other rows gives its rank r, its free rows F, the finite part coker
-    X of coker N, and D and z for the local step (_local_factors), which
-    gives the torsion rows.  For a square nonsingular R, N = X = R and D =
-    |det A|.  One lift places every row at A's index k + i of its row i of
-    R: the torsion rows, then the e_i, then F.  The rows are then pulled
-    back through the unit phase's row steps in one reverse pass.
-
-    The answer is checked, however it was found.  Kill: each torsion row
-    kills A modulo d_i, and each free row kills A exactly.  Onto: the rows
-    map Z^m onto Z^(e+f) + T, for T the sum of the Z/d_i (_onto).  Order:
-    the d_i divide in turn and multiply to the bound of _local_factors,
-    which the order of coker X cannot exceed, and F G = I, one identity on
-    the section G that X holds as its last f columns.  Kill and onto give
-    a surjection psi from coker A = coker R onto Z^(e+f) + T, for e zero
-    rows.  As F kills N and F G = I, coker N is K + Z^f for the kernel K
-    of F, and K = coker X, which is finite: so K is the torsion T' of coker
-    R = Z^e + coker N, and |T'| <= |T|.  psi maps T' onto T, as a class
-    that psi sends to T has free part zero, so psi is injective on T' and
-    then everywhere.  coker A = coker R, as only elementary row steps
-    change the unit phase's copy of A.
+    U and V are never built.  After the unit phase, each block N of R
+    (_blocks) takes one solve (_solve), giving its rank, its free rows F,
+    the finite part coker X of coker N, and D and z for the local step
+    (_local_factors), which gives its cyclic factors, their rows and a
+    bound on |coker X|; a zero row's F is e_i.  Each row is placed at A's
+    index k + i of its row i of R, each block's factors are merged into the
+    chain of the blocks before it (_merge), and one reverse pass pulls the torsion
+    rows and then each block's F back through the unit row steps.  For R
+    one block without a zero row or column, N is R.  _certify checks the
+    answer once, however it was found, and proves it.  The merge steps are
+    automorphisms of the sum of the blocks' groups; nothing rests on them.
     """
     m, n = len(rows), len(rows[0])
     row_steps, _, k, residual = _unit_phase(rows)
-    # a zero row is a generator with no relation, which the solve does not see
-    kept = [i for i, row in enumerate(residual) if any(row)]
-    zero = [i for i, row in enumerate(residual) if not any(row)]
-    r, D, z, free, block = _solve([residual[i] for i in kept])
-    if free:  # F G = I, for G's columns the last f columns of X
-        section = list(zip(*block))[-len(free) :]
-        if [[sum(map(mul, y, g)) for g in section] for y in free] != _identity_rows(len(free)):
-            raise RuntimeError("internal error: the free rows do not split off coker X")
-    factors, starts, bound = _local_factors(block, D, z) if D > 1 else ((1,) * len(block), [], 1)
-    if prod(factors) != bound:
-        raise RuntimeError("internal error: the invariant factors do not multiply to |det|")
-    if any(y % x for x, y in zip(factors, factors[1:])):
-        raise RuntimeError("internal error: the invariant factors do not divide in turn")
-    moduli = [d for d in factors if d != 1]
-    diagonal = (1,) * (k + r - len(moduli)) + tuple(moduli) + (0,) * (min(m, n) - k - r)
-    moduli += [0] * (len(zero) + len(free))
-    # one lift puts every row at A's indices k + i: the torsion rows, then
-    # the free row e_i of each zero row i, then F
-    at = [k + i for i in kept]
-    lifted = [(x, at) for x in starts] + [((1,), (k + i,)) for i in zero] + [(x, at) for x in free]
-    wanted = []
-    for (x, places), d in zip(lifted, moduli):
-        y = [0] * m
-        for i, v in zip(places, x):
-            y[i] = v
-        wanted.append((y, d))
+    rank, torsion, free, blocks = 0, [], [], []
+    for at, cols in _blocks(residual):
+        whole = len(at) + k == m and len(cols) + k == n  # N is R itself
+        block = residual if whole else [[residual[i][j] for j in cols] for i in at]
+        r, D, z, kernel, X = _solve(block)
+        # G, the last f columns of X, is read before the local step changes X
+        section = list(zip(*X))[len(X[0]) - len(kernel) :] if kernel else []
+        factors, starts, bound = _local_factors(X, D, z) if D > 1 else ((), [], 1)
+        rank += r
+        blocks.append((bound, kernel, section))
+        lifted = [[0] * m for _ in range(len(starts) + len(kernel))]
+        for y, x in zip(lifted, starts + kernel):  # each row at A's indices k + i
+            for i, v in zip(at, x):
+                y[k + i] = v
+        pairs = list(zip([d for d in factors if d != 1], lifted))
+        torsion = _merge(torsion, pairs) if torsion else pairs
+        free += lifted[len(starts) :]
+    wanted = [(y, d) for d, y in torsion] + [(y, 0) for y in free]
     coordinate_rows = tuple(map(tuple, _coordinate_rows(row_steps, wanted)))
-    columns = range(n)
-    for d, row in zip(moduli, coordinate_rows):
-        image = [0] * n
-        for y, a_row in compress(zip(row, rows), row):
-            for j in compress(columns, a_row):
-                image[j] += y * a_row[j]
-        if any(x % d for x in image) if d else any(image):
-            raise RuntimeError("internal error: a coordinate row does not kill A")
-    if not _onto(coordinate_rows, moduli):
-        raise RuntimeError("internal error: the coordinate rows are not onto the group")
-    return diagonal, coordinate_rows
+    _certify(rows, coordinate_rows, [d for _, d in wanted], blocks)
+    diagonal = (1,) * (k + rank - len(torsion)) + tuple(d for d, _ in torsion)
+    return diagonal + (0,) * (min(m, n) - k - rank), coordinate_rows

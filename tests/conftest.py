@@ -4,7 +4,7 @@ import random
 import subprocess
 import sys
 from enum import IntEnum
-from math import gcd
+from math import gcd, prod
 from pathlib import Path
 
 import pytest
@@ -180,6 +180,118 @@ def scc_graph(n: int, seed: int) -> DirectedGraph:
     edges = [(names[i], names[(i + 1) % n], rng.randint(1, 3)) for i in range(n)]
     edges += [(s, rng.choice(names), rng.randint(1, 3)) for s in names for _ in range(2)]
     return build_graph(names, edges)
+
+
+def family_graph(family: str, n: int, seed: int = 0) -> DirectedGraph:
+    """A seeded graph on n vertices from one of the input families that
+    K0 is timed on against scc_graph(n, 0), its nonsingular twin:
+    "blocks", n // 2 disjoint blocks x, y with loops of multiplicity 3 and
+    edges x -> y and y -> x of multiplicity 2, so that I - A^T is
+    [[-2, -2], [-2, -2]] on each, with no unit (K0 is Z/2 + Z each);
+    "sinks", scc_graph's ring with 2 random edges per vertex on n - 8
+    vertices, and 8 sinks, each fed from a distinct ring vertex; "dense",
+    each edge, loops too, with probability 1/2 and multiplicity 1."""
+    rng = random.Random(f"{family}/{n}/{seed}")
+    if family == "blocks":
+        names = [f"{v}{b}" for b in range(n // 2) for v in "xy"]
+        edges = [(f"{v}{b}", f"{w}{b}", 3 if v == w else 2)
+                 for b in range(n // 2) for v in "xy" for w in "xy"]
+        return build_graph(names, edges)
+    if family == "sinks":
+        core = scc_graph(n - 8, seed)
+        feeders = rng.sample(core.vertices, 8)
+        return build_graph([*core.vertices, *(f"s{i}" for i in range(8))],
+                           [*core.edges, *((v, f"s{i}", rng.randint(1, 3))
+                                           for i, v in enumerate(feeders))])
+    if family == "dense":
+        names = [f"v{i}" for i in range(n)]
+        return build_graph(names, [(s, t, 1) for s in names for t in names if rng.random() < 0.5])
+    raise ValueError(f"unknown family {family!r}")
+
+
+def presentation_rows(graph: DirectedGraph) -> list[list[int]]:
+    """I - A^T restricted to the columns of the vertices that emit edges,
+    as plain rows built from the edge list alone."""
+    index = {v: i for i, v in enumerate(graph.vertices)}
+    regular = sorted({index[s] for s, _, _ in graph.edges})
+    column = {v: j for j, v in enumerate(regular)}
+    rows = [[int(i == v) for v in regular] for i in range(len(index))]
+    for s, t, mult in graph.edges:
+        rows[index[t]][column[index[s]]] -= mult
+    return rows
+
+
+# the 24 largest primes below 2**61, for exact_rank_det
+PRIMES_61 = tuple(2**61 - d for d in (1, 31, 45, 229, 259, 283, 339, 391, 403, 465, 531, 579,
+                                      675, 759, 799, 819, 829, 843, 859, 939, 985, 1015, 1153, 1195))
+
+
+def rank_mod(rows, p: int) -> tuple[int, int]:
+    """The rank of an integer matrix modulo a prime p and, for a square
+    one, its determinant modulo p (0 for any other).  Gaussian elimination
+    on sparse rows: each pivot is the entry, in a row with the fewest
+    nonzeros, whose column the fewest rows hold, and clears that column in
+    the rows not yet pivoted.  Taken in pivot order, the rows and columns
+    then form an upper triangular matrix with the pivots on its diagonal,
+    so det is the pivots' product times the sign of the permutation that
+    takes each pivot's row to its column.  It shares no code with intmat."""
+    a = [{j: x % p for j, x in enumerate(row) if x % p} for row in rows]
+    holders = [set() for _ in range(len(rows[0]))]
+    for i, row in enumerate(a):
+        for j in row:
+            holders[j].add(i)
+    left, pivots, det = set(range(len(a))), {}, 1
+    while (r := min((i for i in left if a[i]), key=lambda i: (len(a[i]), i), default=None)) is not None:
+        pivot_row = a[r]
+        c = min(pivot_row, key=lambda j: (len(holders[j]), j))
+        left.discard(r)
+        for j in pivot_row:
+            holders[j].discard(r)
+        inverse = pow(pivot_row[c], -1, p)
+        det = det * pivot_row[c] % p
+        pivots[r] = c
+        for i in sorted(holders[c]):
+            row = a[i]
+            f = row[c] * inverse % p
+            for j, x in pivot_row.items():
+                y = (row.get(j, 0) - f * x) % p
+                if y:
+                    holders[j].add(i)
+                    row[j] = y
+                else:
+                    row.pop(j, None)
+                    holders[j].discard(i)
+    if len(pivots) < len(a) or len(a) != len(rows[0]):
+        return len(pivots), 0
+    seen = set()
+    for start in pivots:  # a cycle of even length is an odd permutation
+        length, v = 0, start
+        while v not in seen:
+            seen.add(v)
+            v, length = pivots[v], length + 1
+        det = -det if length % 2 == 0 < length else det
+    return len(pivots), det % p
+
+
+def exact_rank_det(rows) -> tuple[int, int]:
+    """The rank of an integer matrix and its determinant (0 unless it is
+    square and nonsingular), exactly: rank_mod modulo the primes of
+    PRIMES_61 until their product P passes twice the Hadamard bound H,
+    the product of the lengths of the nonzero columns, then CRT.  A nonzero
+    minor of the rank r has absolute value at most H < P, so not every
+    prime divides it: the largest rank modulo a prime is r.  And P > 2 |det
+    A|, so the residue of det A modulo P in (-P/2, P/2) is det A."""
+    bound = prod(sum(x * x for x in column) for column in zip(*rows) if any(column))  # H^2
+    rank, det, modulus = 0, 0, 1
+    for p in PRIMES_61:
+        r, d = rank_mod(rows, p)
+        rank = max(rank, r)
+        # CRT: det is d modulo p and the old det modulo the product so far
+        det += modulus * ((d - det) * pow(modulus, -1, p) % p)
+        modulus *= p
+        if modulus * modulus > 4 * bound:
+            return rank, det if 2 * det < modulus else det - modulus
+    raise ValueError("PRIMES_61 has too few primes for the Hadamard bound of this matrix")
 
 
 @pytest.fixture

@@ -436,11 +436,11 @@ class TestSolve:
         assert intmat._solve([]) == (0, 1, [], [], [])
 
     def test_solve_splits_off_the_free_rows(self):
-        # singular and rectangular R of every shape: r is sympy's rank, the
-        # free rows are a basis of the left kernel (they kill R, and their
-        # Smith form is all ones) with F G = I for the section G, the last
-        # columns of [R' | G], and S^T z = delta * 1 for the p columns of
-        # that block whose determinant is +-D
+        # singular and rectangular R of every shape, zero columns too: r is
+        # sympy's rank, the free rows are a basis of the left kernel (they
+        # kill R, and their Smith form is all ones) with F G = I for the
+        # section G, the last columns of X = [R | G], and S^T z = delta * 1
+        # for the p columns of that block whose determinant is +-D
         sympy = pytest.importorskip("sympy")
         rng = random.Random(18)
         shapes = set()
@@ -460,7 +460,8 @@ class TestSolve:
                            for y in free]
                 assert product == intmat._identity_rows(len(free))
             columns = [column for column in zip(*block)]
-            assert len(columns) == sum(map(any, zip(*rows))) + len(free)
+            assert columns[: len(rows[0])] == list(zip(*rows))  # every column of R, in order
+            assert len(columns) == len(rows[0]) + len(free)
             images = [sum(a * b for a, b in zip(z, column)) for column in columns]
             square = [c for c, x in zip(columns, images) if abs(x) == D]
             assert D > 0 and len(square) >= p
@@ -582,3 +583,95 @@ class TestSolve:
                 (modulus,) = moduli
                 assert 1 < modulus <= D and D % modulus == 0
                 routes["D_t < D" if modulus < D else "D_t == D"] += 1
+
+
+def _diagonal_answer(factors):
+    """A = diag(a_i) with each Z/a_i a block of its own, its row e_i:
+    the rows of A, and the merged chain with its rows and the blocks'
+    (bound, F, G) as smith_coordinates hands them to _certify."""
+    n = len(factors)
+    rows = [[a * (i == j) for j in range(n)] for i, a in enumerate(factors)]
+    unit = intmat._identity_rows(n)
+    chain = intmat._merge([], [(a, unit[i]) for i, a in enumerate(factors)])
+    return rows, chain, [(a, [], []) for a in factors]
+
+
+class TestMergeAndCertificate:
+    """The merge of the blocks' cyclic factors into invariant-factor form,
+    and the one certificate of the cokernel route, called directly."""
+
+    def test_merge_gives_the_invariant_factors(self):
+        # seeded lists of coprime, shared and repeated factors: the chain is
+        # sympy's Smith form of diag(a_i), each row is reduced modulo its
+        # factor, and _certify accepts the rows on A = diag(a_i)
+        sympy = pytest.importorskip("sympy")
+        from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+
+        rng = random.Random(4141)
+        primes = (2, 3, 5, 7, 11)
+        kinds = {"coprime": 0, "shared": 0, "repeated": 0}
+        joined = 0
+        for _ in range(300):
+            kind = rng.choice(sorted(kinds))
+            n = rng.randint(1, 6)
+            if kind == "coprime":
+                factors = [p ** rng.randint(1, 3) for p in rng.sample(primes, min(n, 5))]
+            elif kind == "shared":
+                factors = [prod(p ** rng.randint(0, 2) for p in primes[:3]) for _ in range(n)]
+                factors = [a for a in factors if a > 1] or [12]
+            else:
+                factors = [rng.choice((2, 6, 12))] * n
+            kinds[kind] += 1
+            rows, chain, blocks = _diagonal_answer(factors)
+            theirs = sympy_snf(sympy.Matrix(rows), domain=sympy.ZZ)
+            expected = [abs(int(theirs[i, i])) for i in range(len(rows))]
+            assert [d for d, _ in chain] == sorted(d for d in expected if d != 1)
+            assert all(0 <= x < d for d, row in chain for x in row)
+            intmat._certify(rows, [row for _, row in chain], [d for d, _ in chain], blocks)
+            joined += [d for d, _ in chain] != sorted(factors)
+        assert min(kinds.values()) >= 80 and joined >= 100
+
+    def test_merge_does_not_factor(self, monkeypatch):
+        # factors built from the Mersenne primes 2^89 - 1 and 2^107 - 1,
+        # whose product no trial division splits: the chain is the one read
+        # off the known exponents; and 200 copies of Z/2, each pair of which
+        # divides, take no join
+        big, bigger = 2**89 - 1, 2**107 - 1
+        factors = [6 * big * bigger, 4 * big, 9 * bigger, big * bigger]
+        rows, chain, blocks = _diagonal_answer(factors)
+        assert [d for d, _ in chain] == [big * bigger, 6 * big * bigger, 36 * big * bigger]
+        intmat._certify(rows, [row for _, row in chain], [d for d, _ in chain], blocks)
+        joins = []
+        join = intmat._join
+        monkeypatch.setattr(intmat, "_join", lambda *args: joins.append(args) or join(*args))
+        unit = intmat._identity_rows(200)
+        assert intmat._merge([], [(2, row) for row in unit]) == [(2, row) for row in unit]
+        assert not joins
+
+    @pytest.mark.parametrize("fault", ["row", "order", "bound", "section"])
+    def test_certificate_refuses_a_fault(self, fault):
+        # Z/2 + Z/3 + Z/4 + Z/9 merges into Z/6 + Z/36 by CRT joins: one
+        # merged row off by one, the two factors swapped, one block's bound
+        # doubled, or a free row whose section misses F G = I must raise
+        rows, chain, blocks = _diagonal_answer([2, 3, 4, 9])
+        assert [d for d, _ in chain] == [6, 36]
+        coordinate_rows, moduli = [row[:] for _, row in chain], [d for d, _ in chain]
+        intmat._certify(rows, coordinate_rows, moduli, blocks)
+        if fault == "row":
+            coordinate_rows[1][0] += 1
+            match = "does not kill A|not onto"
+        elif fault == "order":
+            coordinate_rows.reverse()
+            moduli.reverse()
+            match = "divide in turn"
+        elif fault == "bound":
+            blocks[2] = (2 * blocks[2][0], [], [])
+            match = "multiply"
+        else:  # a zero row beside A, a block of its own with F = [e_5]
+            rows.append([0] * 4)
+            coordinate_rows = [row + [0] for row in coordinate_rows] + [[0, 0, 0, 0, 1]]
+            moduli.append(0)
+            blocks.append((1, [[1]], [(2,)]))
+            match = "split off"
+        with pytest.raises(RuntimeError, match=match):
+            intmat._certify(rows, coordinate_rows, moduli, blocks)

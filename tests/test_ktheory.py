@@ -3,7 +3,7 @@ import random
 import re
 import time
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 import pytest
 
@@ -14,7 +14,17 @@ from leavitt.intmat import IntMatrix, determinant, smith_coordinates, smith_norm
 from leavitt.ktheory import cokernel, k0_of_graph
 from leavitt.matrixtype import IsoReason, compare_pointed_k0, m_graph
 
-from conftest import infinite_order_graph, reduce_moduli, scc_graph, unit_scalar
+from conftest import (
+    PRIMES_61,
+    exact_rank_det,
+    family_graph,
+    infinite_order_graph,
+    presentation_rows,
+    rank_mod,
+    reduce_moduli,
+    scc_graph,
+    unit_scalar,
+)
 
 
 class TestCokernel:
@@ -693,7 +703,8 @@ class TestK0Certificate:
 
     def test_factors_out_of_turn_raise(self, monkeypatch):
         # the factors of Z/2 + Z/4 in the wrong order, (4, 2), still multiply
-        # to D = 8
+        # to D = 8; each input is one block, so that the local step runs on
+        # it (diag(2, 4) would split into two blocks, Z/2 and Z/4)
         reduce = intmat._reduce
 
         def swapped(a, row_log, col_log, modulus=0):
@@ -701,8 +712,8 @@ class TestK0Certificate:
             a[0][0], a[1][1] = a[1][1], a[0][0]
 
         monkeypatch.setattr(intmat, "_reduce", swapped)
-        two_roses = build_graph(["a", "b"], [("a", "a", 3), ("b", "b", 5)])  # Z/2 + Z/4
-        _raises("divide in turn", [IntMatrix([[2, 0], [0, 4]])], [two_roses])
+        two_roses = build_graph(["a", "b"], [("a", "a", 3), ("a", "b", 2), ("b", "b", 5)])
+        _raises("divide in turn", [IntMatrix([[2, 2], [0, 4]])], [two_roses])  # Z/2 + Z/4
 
     @pytest.mark.parametrize("wrong", [lambda d: 2 * d, lambda d: -d - 1], ids=["double", "next"])
     def test_wrong_determinant_raises(self, monkeypatch, wrong):
@@ -873,13 +884,8 @@ class TestK0Certificate:
             block = [("x", "x", 2), ("y", "y", 2), ("x", "y", 1), ("y", "x", 1), ("x", "v0", 1),
                      ("y", "v0", 1), ("v0", "x", 1)]
             graph = build_graph([*twin.vertices, "x", "y"], [*twin.edges, *block])
-        spent = []
-        for g in (twin, graph, twin, graph):
-            start = time.process_time()
-            k0 = k0_of_graph(g)
-            spent.append(time.process_time() - start)
+        ratio, k0 = _twin_ratio(graph, twin)
         assert k0.group.free_rank == 1 and k0.unit_order is INFINITE
-        ratio = min(spent[1], spent[3]) / min(spent[0], spent[2])
         assert ratio <= 2.0, f"K0 with a free summand took {ratio:.2f} times its twin's CPU"
 
     def test_singular_and_rectangular_match_sympy(self):
@@ -908,12 +914,14 @@ class TestK0Certificate:
         assert free >= 100 and wide >= 50
 
     def test_zero_rows_are_split_off_before_the_solve(self, monkeypatch):
-        # a zero row i of R is a generator with no relation, whose free row
-        # is e_i: the solve is given R's other rows alone.  Disjoint loops,
+        # a zero row i of R is a generator with no relation, a block of its
+        # own whose free row is e_i: the solve is given it alone, as a row
+        # with no column, and R's other rows apart from it.  Disjoint loops,
         # infinite_order_graph (whose R is [[0]]), lone loops beside a
         # kernel block, and seeded matrices whose zeroed rows sit beside
         # kernel and torsion rows each match sympy's Smith form and pass
-        # _check_coordinates, and no row that the solve is given is zero
+        # _check_coordinates, and every other block that the solve is given
+        # has no zero row or column
         sympy = pytest.importorskip("sympy")
         from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
@@ -921,7 +929,9 @@ class TestK0Certificate:
         solved = []
 
         def nonzero_rows(residual):
-            assert all(map(any, residual)), "the solve was given a zero row"
+            if residual != [[]]:
+                assert all(map(any, residual)), "the solve was given a zero row beside others"
+                assert all(map(any, zip(*residual))), "the solve was given a zero column"
             solved.append(solve(residual))
             return solved[-1]
 
@@ -948,8 +958,9 @@ class TestK0Certificate:
             assert sorted(snf.diagonal) == sorted(abs(int(theirs[i, i])) for i in range(size))
             solved.clear()
             _check_coordinates(rows, snf)  # smith_coordinates gives snf's diagonal
-            _, D, _, free, _ = solved[0]
-            beside += bool(free) and D > 1
+            assert solved.count((0, 1, [1], [[1]], [[1]])) == sum(not any(row) for row in
+                                                                 intmat._unit_phase(rows)[3])
+            beside += any(free and D > 1 for _, D, _, free, _ in solved)
         for graph in graphs:
             _check_full_presentation(_presentation(graph), _cold(graph))
         assert beside >= 120
@@ -1044,6 +1055,71 @@ class TestK0Certificate:
         assert sum("replayed" in outcome for outcome in outcomes) >= 20
 
 
+def _twin_ratio(graph: DirectedGraph, twin: DirectedGraph):
+    """The CPU of K0 of graph over that of its twin, each timed twice in
+    turn from a cold memo (a warm one would time a lookup), the least of
+    each pair; and K0 of graph."""
+    spent = []
+    for g in (twin, graph, twin, graph):
+        ktheory._contracted_cokernel.cache_clear()
+        start = time.process_time()
+        k0 = k0_of_graph(g)
+        spent.append(time.process_time() - start)
+    return min(spent[1], spent[3]) / min(spent[0], spent[2]), k0
+
+
+class TestInputFamilies:
+    """K0 on the input families of conftest.family_graph: its cost against
+    the nonsingular twin scc_graph(n, 0) of the same vertex count, and its
+    Smith diagonal against an exact rank and determinant that share no
+    code with intmat (conftest.exact_rank_det)."""
+
+    @pytest.mark.parametrize("family, n, bound", [("blocks", 400, 3.0), ("sinks", 200, 3.0),
+                                                  ("dense", 120, 30.0)])
+    def test_family_costs_a_bounded_multiple_of_its_twin(self, family, n, bound):
+        # measured here: 200 disjoint blocks 0.25 times the twin's CPU,
+        # where one solve over all of R took 22 times; 8 sinks 1.5 times;
+        # a dense 0/1 graph 13.5 times, as its unit phase handles n^2 / 2
+        # edges against the twin's 3n
+        ratio, k0 = _twin_ratio(family_graph(family, n), scc_graph(n, 0))
+        if family == "blocks":
+            assert k0.group == FGAbelianGroup((2,) * (n // 2), n // 2)
+        assert ratio <= bound, f"K0 of the {family} family took {ratio:.2f} times its twin's CPU"
+
+    @pytest.mark.parametrize("graph", [scc_graph(200, 0), scc_graph(400, 0), family_graph("dense", 60),
+                                       family_graph("blocks", 400), family_graph("sinks", 200)],
+                             ids=["scc200", "scc400", "dense60", "blocks400", "sinks200"])
+    def test_diagonal_against_modular_elimination(self, graph):
+        # the diagonal multiplies to |det A| on a nonsingular presentation,
+        # has rank nonzero entries, and as many entries prime to p as A
+        # has rank modulo p, for p = 2 and 3
+        rows = presentation_rows(graph)
+        diagonal = smith_coordinates(rows)[0]
+        rank, det = exact_rank_det(rows)
+        assert sum(d != 0 for d in diagonal) == rank
+        if det:
+            assert prod(diagonal) == abs(det)
+        else:
+            assert len(rows) != len(rows[0]) or 0 in diagonal
+        for p in (2, 3):
+            assert rank_mod(rows, p)[0] == sum(d % p != 0 for d in diagonal)
+
+    def test_modular_elimination_against_sympy(self):
+        # exact_rank_det on small matrices, singular, non-square and with
+        # large entries, against sympy; the primes are primes
+        sympy = pytest.importorskip("sympy")
+        assert all(map(sympy.isprime, PRIMES_61)) and len(set(PRIMES_61)) == len(PRIMES_61)
+        rng = random.Random(1441)
+        for _ in range(300):
+            m, n = rng.randint(1, 6), rng.randint(1, 6)
+            rows = [[rng.choice((0, 0, 1, -1, 2, rng.randint(-10**6, 10**6))) for _ in range(n)]
+                    for _ in range(m)]
+            if m == n > 1 and rng.random() < 0.3:
+                rows[-1] = [x - 3 * y for x, y in zip(rows[0], rows[1])]
+            matrix = sympy.Matrix(rows)
+            assert exact_rank_det(rows) == (matrix.rank(), matrix.det() if m == n else 0)
+
+
 def _unit_order_by_fractions(m: IntMatrix) -> int:
     """The order of the class of the all-ones vector in Z^n / im(M), M square
     and nonsingular: the least k with k M^-1 1 integral, the lcm of the
@@ -1074,7 +1150,9 @@ class TestSolveRoutes:
             pytest.param([[-1]], "t = 1", id="t1-trivial"),
             pytest.param(_LOCAL_MATRIX.to_lists(), "D_t < D", id="split-units"),
             pytest.param(_presentation(_LOCAL_GRAPH).to_lists(), "D_t == D", id="whole-graph"),
-            pytest.param([[2, 0], [0, 4]], "D_t == D", id="whole-Z2+Z4"),
+            pytest.param([[2, 2], [0, 4]], "D_t == D", id="whole-Z2+Z4"),
+            pytest.param([[2, 0], [0, 4]], "blocks", id="blocks-Z2+Z4"),
+            pytest.param([[4, 0, 0], [0, 0, 6], [0, 9, 0]], "blocks", id="blocks-Z4+Z6+Z9"),
             pytest.param([[4, -1, 0], [5, 3, -5], [2, -2, 5]], "b misses", id="missed-Z55"),
             pytest.param([[2, 3, 0], [0, 2, 3], [3, 0, 2]], "b misses", id="missed-Z35"),
             pytest.param(_presentation(_SPLIT_GRAPH).to_lists(), "b misses", id="missed-graph"),
@@ -1093,6 +1171,8 @@ class TestSolveRoutes:
             assert len(moduli) == 1 and 1 < moduli[0] < D and not cyclic
         elif route == "D_t == D":
             assert moduli == [D] and not cyclic
+        elif route == "blocks":  # each block takes the solve alone, and the merge joins them
+            assert moduli == [] and len(intmat._blocks(rows)) == len(rows)
         else:
             assert len(moduli) == 1 and 1 < moduli[0] < D and cyclic
 
@@ -1549,4 +1629,4 @@ def _shape_graphs(rng: random.Random, count: int) -> list[DirectedGraph]:
 _K0_DIGEST = "f812b0257e869ab7bb919ee8385d846e3a49ce4566cc4a893e18f1b72797d18e"
 _K0_BASIS_DIGEST = "8774be355ab3f559fe9846694f42cc09e9a82ae5984a86a2ba6667e07d0fb3d7"
 _SNF_DIGEST = "cf534ec0c0e391bb101652a98abe28c1de6054479ac2d890852e3d18414b526c"
-_SHAPES_DIGEST = "5c8c43348e4cd86943c8e2697ffc43d0ffc9e09d0772fd107c16df240ef12752"
+_SHAPES_DIGEST = "deb6a12d46e7fb5bc1807e3eaa49e02e9f4e3515fa882e1c289595337b0d00b6"
