@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import random
@@ -21,7 +22,7 @@ from leavitt.abelian import (
     same_orbit,
     scale,
 )
-from leavitt.graphs import DirectedGraph, build_graph, parse_graph
+from leavitt.graphs import DirectedGraph, build_graph, parse_graph, purely_infinite_simple
 from leavitt.intmat import IntMatrix
 from leavitt.matrixtype import pointed_iso_exists
 
@@ -207,6 +208,24 @@ def family_graph(family: str, n: int, seed: int = 0) -> DirectedGraph:
         names = [f"v{i}" for i in range(n)]
         return build_graph(names, [(s, t, 1) for s in names for t in names if rng.random() < 0.5])
     raise ValueError(f"unknown family {family!r}")
+
+
+def small_graphs():
+    """Every graph on 2 vertices with multiplicity 0-3 on each ordered pair
+    of vertices, loops included, then every graph on 3 vertices with
+    multiplicity 0-2: 4^4 + 3^9 = 19,939 graphs, in a fixed order."""
+    for n, top in ((2, 3), (3, 2)):
+        names = [f"v{i}" for i in range(n)]
+        pairs = list(itertools.product(names, repeat=2))
+        for mults in itertools.product(range(top + 1), repeat=len(pairs)):
+            yield build_graph(names, [(s, t, k) for (s, t), k in zip(pairs, mults) if k])
+
+
+@pytest.fixture(scope="session")
+def census() -> tuple[DirectedGraph, ...]:
+    """The purely infinite simple graphs among small_graphs (12,309 of
+    them), built once per session."""
+    return tuple(g for g in small_graphs() if purely_infinite_simple(g).purely_infinite_simple)
 
 
 def presentation_rows(graph: DirectedGraph) -> list[list[int]]:

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 import re
 import time
@@ -8,7 +9,16 @@ from math import gcd, lcm, prod
 import pytest
 
 from leavitt import intmat, ktheory
-from leavitt.abelian import INFINITE, FGAbelianGroup, add, element_order, orbit_invariant
+from leavitt.abelian import (
+    INFINITE,
+    FGAbelianGroup,
+    add,
+    automorphism_maps_x_to_y,
+    element_order,
+    gcd_criterion,
+    orbit_invariant,
+    scale,
+)
 from leavitt.graphs import DirectedGraph, adjacency_matrix, build_graph, rose
 from leavitt.intmat import IntMatrix, determinant, smith_coordinates, smith_normal_form
 from leavitt.ktheory import cokernel, k0_of_graph
@@ -1120,6 +1130,74 @@ class TestInputFamilies:
             assert exact_rank_det(rows) == (matrix.rank(), matrix.det() if m == n else 0)
 
 
+class TestCensus:
+    """K0 over the census of small graphs (conftest.census): the 12,309
+    purely infinite simple graphs on 2 vertices with multiplicities 0-3 and
+    on 3 vertices with multiplicities 0-2.  771 of them have a non-cyclic
+    torsion and 1,171 a free summand, so the census runs the local step
+    modulo D_t, the merge of several factors, and the saturation and the
+    section on small blocks."""
+
+    def test_k0_digests(self, census):
+        # two sha256 pins: one over the sorted multiset of (group, unit
+        # order), which no choice of basis moves, and one over
+        # repr(k0_of_graph(g)) in census order, which pins the units and
+        # coordinate maps too, so a change to the elimination meant to
+        # leave its outputs byte-identical must keep both
+        k0s = [k0_of_graph(graph) for graph in census]
+        assert len(k0s) == 12_309
+        assert sum(len(k0.group.invariant_factors) > 1 for k0 in k0s) == 771
+        assert sum(k0.group.free_rank > 0 for k0 in k0s) == 1_171
+        groups = sorted(repr((k0.group, k0.unit_order)) for k0 in k0s)
+        assert _digest(groups) == _CENSUS_GROUPS_DIGEST
+        assert _digest([repr(k0) for k0 in k0s]) == _CENSUS_K0_DIGEST
+
+    def test_diagonals_against_modular_rank(self, census):
+        # the Smith diagonal of each graph's I - A^T has as many entries
+        # prime to p as the presentation has rank modulo p, by
+        # conftest.rank_mod, which shares no code with intmat, for p = 2, 3
+        for graph in census:
+            rows = presentation_rows(graph)
+            diagonal = smith_coordinates(rows)[0]
+            for p in (2, 3):
+                assert rank_mod(rows, p)[0] == sum(d % p != 0 for d in diagonal), (graph, p)
+
+    def test_sample_against_sympy(self, census):
+        # 300 graphs drawn with seed 909: K0's group is the one read off
+        # sympy's Smith form of I - A^T
+        sympy = pytest.importorskip("sympy")
+        from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+
+        for graph in random.Random(909).sample(census, 300):
+            rows = presentation_rows(graph)
+            theirs = sympy_snf(sympy.Matrix(rows), domain=sympy.ZZ)
+            diagonal = [abs(int(theirs[i, i])) for i in range(min(len(rows), len(rows[0])))]
+            group = k0_of_graph(graph).group
+            assert group.invariant_factors == tuple(sorted(d for d in diagonal if d > 1)), graph
+            assert group.free_rank == len(rows) - sum(d != 0 for d in diagonal), graph
+
+    def test_matrix_type_triangle(self, census):
+        # 400 graphs drawn with seed 910, c, d <= 4: the gcd rule on the
+        # unit order n (c == d for a unit of infinite order), the pointed-K0
+        # comparison of the head graphs m_graph(E, c) and m_graph(E, d),
+        # and, on a finite K0 of at most 1024 elements (every finite one
+        # here), the automorphism oracle on c[1] and d[1] all agree
+        oracle = 0
+        for graph in random.Random(910).sample(census, 400):
+            k0 = k0_of_graph(graph)
+            group, unit, n = k0.group, k0.unit, k0.unit_order
+            heads = {c: k0_of_graph(m_graph(graph, c)) for c in range(1, 5)}
+            finite = group.is_finite and group.torsion_size <= 1024
+            for c, d in itertools.product(range(1, 5), repeat=2):
+                rule = c == d if n is INFINITE else gcd_criterion(n, c, d)
+                assert compare_pointed_k0(heads[c], heads[d]).isomorphic == rule, (graph, c, d)
+                if finite:
+                    oracle += 1
+                    assert automorphism_maps_x_to_y(
+                        group, scale(group, c, unit), scale(group, d, unit)) == rule, (graph, c, d)
+        assert oracle >= 5_000
+
+
 def _unit_order_by_fractions(m: IntMatrix) -> int:
     """The order of the class of the all-ones vector in Z^n / im(M), M square
     and nonsingular: the least k with k M^-1 1 integral, the lcm of the
@@ -1630,3 +1708,5 @@ _K0_DIGEST = "f812b0257e869ab7bb919ee8385d846e3a49ce4566cc4a893e18f1b72797d18e"
 _K0_BASIS_DIGEST = "8774be355ab3f559fe9846694f42cc09e9a82ae5984a86a2ba6667e07d0fb3d7"
 _SNF_DIGEST = "cf534ec0c0e391bb101652a98abe28c1de6054479ac2d890852e3d18414b526c"
 _SHAPES_DIGEST = "deb6a12d46e7fb5bc1807e3eaa49e02e9f4e3515fa882e1c289595337b0d00b6"
+_CENSUS_GROUPS_DIGEST = "66e1df835b1d9d09334cfd57aa480dd8a277aaf703440dff621e4c30bf321d8e"
+_CENSUS_K0_DIGEST = "843943a6cd32a796ce46c6d1124620a1f121f4a51faddcb83466cbe59bbfea35"
