@@ -15,10 +15,20 @@ Z, builds U and V from the unit phase's row and column steps, replays the
 gcd phase's on U's rows and V's columns from k on, and checks U A V == D.
 ``smith_coordinates``, the cokernel path of ``ktheory``, builds neither:
 it splits R into blocks that no nonzero entry joins (``_blocks``), reads
-each block's cokernel off one fraction-free solve (``_solve``) and a local
-step (``_local_factors``) whose integers stay within a minor or below D,
-joins the blocks' cyclic factors into one chain without factoring
-(``_merge``), and checks the answer once, not its steps (``_certify``).
+each block's cokernel as cyclic factors off one fraction-free solve
+(``_solve``) and a local step (``_local_factors``), joins all of them into
+one chain without factoring (``_merge``), and checks the answer once, not
+its steps (``_certify``).
+
+Size contract.  Let H be the sum over A's nonzero columns of log2 of the
+column norm, so no minor of A exceeds 2^H (Hadamard).  R is the Schur
+complement of the unit phase's pivot block, of det +-1, so each minor of R
+is +- a minor of A (Sylvester).  On a nonsingular A each block's S is its
+R: R's entries and D stay below 2^H and z = +-adj(R^T) 1 below p 2^H for
+R with p rows, so they and every torsion coordinate row (reduced modulo
+d_i <= D) take at most H + log2(p) + 1 bits.  A singular A has no such
+bound yet: _saturate's Euclid steps can give its section and free rows
+many times H bits.
 
 ``Record`` is the package's immutable record base, which the frozen
 records of every module (``IntMatrix`` and ``SmithDecomposition`` here,
@@ -615,16 +625,16 @@ def _blocks(residual: list[list[int]]) -> list[tuple[list[int], list[int]]]:
 
 def _solve(
     residual: list[list[int]],
-) -> tuple[int, int, list[int], list[list[int]], list[list[int]]]:
-    """From one fraction-free pass on R (p x q, one block of the residual
-    block, read and not changed): its rank r; its free rows F, a basis of
-    {y in Z^p : y R = 0}; the block X = [R | G] with a section G of F, so
-    that coker R is coker X plus Z^f with coker X finite; D = |det S| for
-    a nonsingular p x p block S of X; and an integer z with S^T z = delta
-    * 1, delta = +-D.  For R square and nonsingular, X = S = R and D =
-    |det R|.  X is R itself, not a copy, when F is empty.  Returns (0, 1,
-    [], [], []) for an empty R, and (0, 1, [1], [[1]], [[1]]) for a zero
-    row with no column, a block of its own: F = [e_1] and G = [[1]].
+) -> tuple[int, list[int], list[list[int]], list[list[int]], list[list[int]]]:
+    """(D, z, F, G, X) from one fraction-free pass on R (p x q, one block
+    of the residual block, read and not changed): the free rows F, a basis
+    of {y in Z^p : y R = 0}, so R has rank p - f; a section G of F, f
+    columns with F G = I; X = [R | G], a fresh list, so that coker R is
+    coker X plus Z^f with coker X finite; D = |det S| for a nonsingular
+    p x p block S of X; and z with S^T z = delta * 1, delta = +-D.  For R
+    square and nonsingular, X = S = R.  An empty R gives D = 1 and nothing
+    else; a zero row with no column, a block of its own, gives F = [e_1],
+    G = [[1]] and D = 1.
 
     Bareiss (_bareiss) runs on the rows of [R^T | 1], searching across
     columns only when no row can supply a pivot, up to the rank r with a
@@ -660,9 +670,7 @@ def _solve(
     z = [0] * p
     for c, x in zip(order, _back_substitution(a, p, delta, p)):
         z[c] = x
-    if section:
-        return r, abs(delta), z, free, [list(row) for row in zip(*columns, *section)]
-    return r, abs(delta), z, free, residual
+    return abs(delta), z, free, section, [list(row) for row in zip(*columns, *section)]
 
 
 def _saturate(kernel: list[list[int]]) -> tuple[list[list[int]], list[list[int]]]:
@@ -730,14 +738,13 @@ def _replayed_order(rows: list[list[int]], steps: list[_Step], modulus: int) -> 
     return prod(gcds)
 
 
-def _local_factors(
-    block: list[list[int]], D: int, z: list[int]
-) -> tuple[tuple[int, ...], list[list[int]], int]:
-    """The invariant factors of coker X, for X = block (p rows, changed in
-    place) with a p x p block S, D = |det S| > 1 and S^T z = +-D * 1 from
-    _solve; a coordinate row for each factor other than 1, in X's row
-    indices and reduced modulo its factor; and a bound that the factors
-    must multiply to.
+def _local_factors(block: list[list[int]], D: int, z: list[int]) -> tuple[list[_Cyclic], int]:
+    """Cyclic factors (d, row) whose sum is coker X, for X = block (p rows,
+    changed in place) with a p x p block S, D = |det S| and S^T z = +-D * 1
+    from _solve, each d > 1 and each row in X's row indices and reduced
+    modulo d; and a bound that the factors must multiply to.  The factors
+    are those of the gcd phase, each dividing the next, then one more,
+    prime to them, which _merge joins.  D = 1 gives no factor and bound 1.
 
     With t = gcd(D, content z), the row c = z / t gives c S = +-(D / t) * 1,
     and s = gcd(D / t, c X) is D / t when X = S.  So c kills X modulo s,
@@ -751,15 +758,12 @@ def _local_factors(
     the D_t-part of coker X, and the rows of its log.  At every other prime
     p, v_p(s) = v_p(D), so the p-part of coker X is that of Z/s: it is
     cyclic, and all of these parts together are Z/e with row c modulo e,
-    where e is the part of s prime to f_r (a prime of D_t that divides s
-    divides f_r, as c maps the p-part of coker X onto that of Z/s).  As e
-    and f_r are coprime, the invariant factors are f_1, ..., f_(r-1),
-    f_r * e, and by CRT the last row is the one that is f_r's row modulo
-    f_r and c modulo e.
+    where e is the part of s prime to D_t.  Z/e is one more cyclic factor,
+    which _merge joins.
 
-    Nothing here is trusted: _certify checks that the factors divide in
-    turn and multiply to the bound and that the rows kill A and map onto
-    the group.  The bound is D when X = S, as |coker S| = D.  A
+    Nothing here is trusted: _certify checks that the factors, once
+    merged, divide in turn and multiply to the bounds and that the rows
+    kill A and map onto the group.  The bound is D when X = S, as |coker S| = D.  A
     wider X is a quotient of S by more columns: the bound is then D / D_t
     times the order of the D_t-part, which the log modulo D_t, replayed on
     X, shows (_replayed_order); coker X has at most that order, as its
@@ -771,24 +775,22 @@ def _local_factors(
     wide = len(block[0]) > p
     if wide:  # c X = +-s on S, and the columns past S may fall short of it
         s = gcd(s, *(sum(map(mul, z, column)) // t for column in zip(*block)))
-    if s == D:
-        return (1,) * (p - 1) + (D,), [[x % D for x in z]], D
-    modulus = _prime_part(D, D // s)
-    unchanged = [row[:] for row in block] if wide else []
-    steps: list[_Step] = []
-    col_steps: list[_Step] = []
-    _reduce(block, steps, col_steps, modulus)
-    f = [gcd(block[i][i], modulus) for i in range(p)]
-    bound = D // modulus * _replayed_order(unchanged, steps + col_steps, modulus) if unchanged else D
-    # the last row is always wanted: CRT gives it the cyclic part
-    wanted = [([int(j == i) for j in range(p)], d) for i, d in enumerate(f) if d != 1 or i == p - 1]
-    rows = _coordinate_rows(steps, wanted)
-    last = f[-1]
-    e = s // _prime_part(s, last)
+    modulus = _prime_part(D, D // s)  # 1 when s == D
+    pairs, bound = [], D
+    if modulus > 1:
+        unchanged = [row[:] for row in block] if wide else []
+        steps: list[_Step] = []
+        col_steps: list[_Step] = []
+        _reduce(block, steps, col_steps, modulus)
+        if wide:
+            bound = D // modulus * _replayed_order(unchanged, steps + col_steps, modulus)
+        f = [gcd(block[i][i], modulus) for i in range(p)]
+        wanted = [([int(j == i) for j in range(p)], d) for i, d in enumerate(f) if d != 1]
+        pairs = list(zip([d for _, d in wanted], _coordinate_rows(steps, wanted)))
+    e = s // _prime_part(s, modulus)
     if e > 1:
-        f[-1] = last * e
-        rows[-1] = _join(rows[-1], last, [x // t for x in z], e)
-    return tuple(f), rows if f[-1] != 1 else [], bound
+        pairs.append((e, [x // t % e for x in z]))
+    return pairs, bound
 
 
 def _join(x: Sequence[int], a: int, y: Sequence[int], b: int) -> list[int]:
@@ -798,16 +800,16 @@ def _join(x: Sequence[int], a: int, y: Sequence[int], b: int) -> list[int]:
 
 
 def _merge(chain: list[_Cyclic], factors: Iterable[_Cyclic]) -> list[_Cyclic]:
-    """The chain of cyclic factors (d, row), each d dividing the next and
-    each row modulo its d, with the given ones merged in, in
-    invariant-factor form without the factors 1.  Each is moved down past
-    each a above it that does not divide it, b: with a1 and b2 the parts of
-    a and b on the primes of a / gcd(a, b) (_prime_part), CRT on the rows
-    (_join) turns Z/a + Z/b into Z/(a / a1 * b2) + Z/(a1 * b / b2), that
-    is Z/gcd + Z/lcm, without factoring (Newman, Integral Matrices, 1972).
-    That sorts the two exponents at each prime, so the moves are insertion
-    at every prime at once, and stop where a divides b, as every lower
-    factor then does."""
+    """The chain of cyclic factors (d, row), each d > 1 dividing the next
+    and each row modulo its d, with the given ones (each d > 1) merged in,
+    in place.  Each is moved down past each a above it that does not
+    divide it, b: with a1 and b2 the parts of a and b on the primes of
+    a / gcd(a, b) (_prime_part), CRT on the rows (_join) turns Z/a + Z/b
+    into Z/(a / a1 * b2) + Z/(a1 * b / b2), that is Z/gcd + Z/lcm, without
+    factoring (Newman, Integral Matrices, 1972).  That sorts the two
+    exponents at each prime, so the moves are insertion at every prime at
+    once, and stop where a divides b, as every lower factor then does, or
+    where Z/gcd is 0, which is dropped, as every lower factor divides a."""
     for pair in factors:
         chain.append(pair)
         j = len(chain) - 1
@@ -815,10 +817,13 @@ def _merge(chain: list[_Cyclic], factors: Iterable[_Cyclic]) -> list[_Cyclic]:
             (a, x), (b, y) = chain[j - 1], chain[j]
             t = a // gcd(a, b)
             a1, b2 = _prime_part(a, t), _prime_part(b, t)
-            chain[j - 1] = (a // a1 * b2, _join(x, a // a1, y, b2))
             chain[j] = (a1 * (b // b2), _join(x, a1, y, b // b2))
+            if t == a:  # a and b are coprime, so Z/gcd is 0
+                del chain[j - 1]
+                break
+            chain[j - 1] = (a // a1 * b2, _join(x, a // a1, y, b2))
             j -= 1
-    return [(d, row) for d, row in chain if d != 1]
+    return chain
 
 
 def _onto(rows: Sequence[Sequence[int]], factors: Sequence[int]) -> bool:
@@ -913,38 +918,35 @@ def smith_coordinates(
     exact.
 
     U and V are never built.  After the unit phase, each block N of R
-    (_blocks) takes one solve (_solve), giving its rank, its free rows F,
-    the finite part coker X of coker N, and D and z for the local step
-    (_local_factors), which gives its cyclic factors, their rows and a
-    bound on |coker X|; a zero row's F is e_i.  Each row is placed at A's
-    index k + i of its row i of R, each block's factors are merged into the
-    chain of the blocks before it (_merge), and one reverse pass pulls the torsion
-    rows and then each block's F back through the unit row steps.  For R
-    one block without a zero row or column, N is R.  _certify checks the
-    answer once, however it was found, and proves it.  The merge steps are
-    automorphisms of the sum of the blocks' groups; nothing rests on them.
+    (_blocks) takes one solve (_solve), giving its free rows F, the finite
+    part coker X of coker N, and D and z for the local step
+    (_local_factors), which gives cyclic factors of coker X, their rows and
+    a bound on |coker X|; a zero row's F is e_i.  Each row is placed at A's
+    index k + i of its row i of R, every block's factors are merged into
+    one chain (_merge), and one reverse pass pulls the torsion rows and
+    then each block's F back through the unit row steps.  A has rank m - f.
+    For R one block without a zero row or column, N is R.  _certify checks
+    the answer once, however it was found, and proves it.  The merge steps
+    are automorphisms of the sum of the blocks' groups; nothing rests on
+    them.
     """
     m, n = len(rows), len(rows[0])
     row_steps, _, k, residual = _unit_phase(rows)
-    rank, torsion, free, blocks = 0, [], [], []
+    torsion, free, blocks = [], [], []
     for at, cols in _blocks(residual):
         whole = len(at) + k == m and len(cols) + k == n  # N is R itself
         block = residual if whole else [[residual[i][j] for j in cols] for i in at]
-        r, D, z, kernel, X = _solve(block)
-        # G, the last f columns of X, is read before the local step changes X
-        section = list(zip(*X))[len(X[0]) - len(kernel) :] if kernel else []
-        factors, starts, bound = _local_factors(X, D, z) if D > 1 else ((), [], 1)
-        rank += r
+        D, z, kernel, section, X = _solve(block)
+        pairs, bound = _local_factors(X, D, z)
         blocks.append((bound, kernel, section))
-        lifted = [[0] * m for _ in range(len(starts) + len(kernel))]
-        for y, x in zip(lifted, starts + kernel):  # each row at A's indices k + i
+        lifted = [[0] * m for _ in range(len(pairs) + len(kernel))]
+        for y, x in zip(lifted, [row for _, row in pairs] + kernel):  # at A's indices k + i
             for i, v in zip(at, x):
                 y[k + i] = v
-        pairs = list(zip([d for d in factors if d != 1], lifted))
-        torsion = _merge(torsion, pairs) if torsion else pairs
-        free += lifted[len(starts) :]
+        _merge(torsion, zip([d for d, _ in pairs], lifted))
+        free += lifted[len(pairs) :]
     wanted = [(y, d) for d, y in torsion] + [(y, 0) for y in free]
     coordinate_rows = tuple(map(tuple, _coordinate_rows(row_steps, wanted)))
     _certify(rows, coordinate_rows, [d for _, d in wanted], blocks)
-    diagonal = (1,) * (k + rank - len(torsion)) + tuple(d for d, _ in torsion)
-    return diagonal + (0,) * (min(m, n) - k - rank), coordinate_rows
+    diagonal = (1,) * (m - len(free) - len(torsion)) + tuple(d for d, _ in torsion)
+    return diagonal + (0,) * (min(m, n) - m + len(free)), coordinate_rows

@@ -49,7 +49,7 @@ from typing import Callable, Sequence
 
 from .abelian import FGAbelianGroup, GroupElement, OrderValue, element_order
 from .graphs import DirectedGraph
-from .intmat import IntMatrix, Record, _prime_part, require_ints, smith_coordinates
+from .intmat import IntMatrix, Record, _join, _prime_part, require_ints, smith_coordinates
 
 
 class K0Data(Record):
@@ -149,8 +149,7 @@ def _cyclic_normal_form(d: int, row: tuple[int, ...]) -> tuple[tuple[int, ...]]:
     g = gcd(u, d)
     m = d // g
     other = d // _prime_part(d, m)
-    lam = pow(u // g, -1, m)
-    lam += m * ((1 - lam) * pow(m, -1, other) % other)
+    (lam,) = _join([pow(u // g, -1, m)], m, [1], other)
     return (tuple(lam * x % d for x in row),)
 
 

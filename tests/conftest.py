@@ -228,6 +228,18 @@ def census() -> tuple[DirectedGraph, ...]:
     return tuple(g for g in small_graphs() if purely_infinite_simple(g).purely_infinite_simple)
 
 
+def huge_graph(n: int, digits: int, seed: int = 0) -> DirectedGraph:
+    """scc_graph's shape, a ring plus 2 random edges per vertex, with every
+    multiplicity drawn with exactly the given number of decimal digits
+    (edges that repeat a pair add up)."""
+    rng = random.Random(f"huge/{n}/{digits}/{seed}")
+    names = [f"v{i}" for i in range(n)]
+    targets = [names[(i + 1) % n] for i in range(n)] + [rng.choice(names) for _ in range(2 * n)]
+    sources = names + [s for s in names for _ in range(2)]
+    return build_graph(names, [(s, t, rng.randrange(10 ** (digits - 1), 10**digits))
+                               for s, t in zip(sources, targets)])
+
+
 def presentation_rows(graph: DirectedGraph) -> list[list[int]]:
     """I - A^T restricted to the columns of the vertices that emit edges,
     as plain rows built from the edge list alone."""

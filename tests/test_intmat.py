@@ -16,7 +16,7 @@ from leavitt.intmat import (
     unimodular_check,
 )
 
-from conftest import Small, mat_vec, reduce_moduli
+from conftest import Small, exact_rank_det, mat_vec, reduce_moduli
 
 
 def check_decomposition(a, snf):
@@ -422,25 +422,26 @@ class TestSolve:
             n = rng.randint(1, 6)
             rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
             det = determinant(IntMatrix(rows))
-            r, D, z, free, block = intmat._solve(rows)
+            D, z, free, section, block = intmat._solve(rows)
             if not det:
-                assert r < n and len(free) == n - r
+                assert 0 < len(free) == n - exact_rank_det(rows)[0]
                 continue
             # R^T z = delta * 1 with delta = +-det R, so z = +-adj(R^T) 1;
-            # R has no zero column and no section, so X is R itself
-            assert (r, D, free, block) == (n, abs(det), [], rows) and block is rows
+            # R has no section, so X is a copy of R
+            assert (D, free, section, block) == (abs(det), [], [], rows) and block is not rows
             image = [sum(z[i] * rows[i][j] for i in range(n)) for j in range(n)]
             assert image in ([det] * n, [-det] * n)
             nonsingular += 1
         assert nonsingular >= 150
-        assert intmat._solve([]) == (0, 1, [], [], [])
+        assert intmat._solve([]) == (1, [], [], [], [])
 
     def test_solve_splits_off_the_free_rows(self):
-        # singular and rectangular R of every shape, zero columns too: r is
-        # sympy's rank, the free rows are a basis of the left kernel (they
-        # kill R, and their Smith form is all ones) with F G = I for the
-        # section G, the last columns of X = [R | G], and S^T z = delta * 1
-        # for the p columns of that block whose determinant is +-D
+        # singular and rectangular R of every shape, zero columns too: p
+        # less the number of free rows is sympy's rank, the free rows are a
+        # basis of the left kernel (they kill R, and their Smith form is all
+        # ones) with F G = I for the section G, the last columns of
+        # X = [R | G], and S^T z = delta * 1 for the p columns of that block
+        # whose determinant is +-D
         sympy = pytest.importorskip("sympy")
         rng = random.Random(18)
         shapes = set()
@@ -449,19 +450,17 @@ class TestSolve:
             rows = [[rng.choice((0, 0, 1, -2, 3, rng.randint(-9, 9))) for _ in range(q)] for _ in range(p)]
             if rng.random() < 0.4 and p > 1:
                 rows[-1] = [x - 2 * y for x, y in zip(rows[0], rows[1])]
-            r, D, z, free, block = intmat._solve(rows)
-            assert r == sympy.Matrix(rows).rank() and len(free) == p - r
+            D, z, free, section, block = intmat._solve(rows)
+            assert len(free) == p - sympy.Matrix(rows).rank() == len(section)
             for y in free:
                 assert not any(sum(a * b for a, b in zip(y, column)) for column in zip(*rows))
             if free:
                 assert set(smith_normal_form(IntMatrix(free)).diagonal) == {1}
-                section = [row[len(row) - len(free):] for row in block]
-                product = [[sum(y[i] * section[i][s] for i in range(p)) for s in range(len(free))]
-                           for y in free]
+                product = [[sum(a * b for a, b in zip(y, g)) for g in section] for y in free]
                 assert product == intmat._identity_rows(len(free))
             columns = [column for column in zip(*block)]
             assert columns[: len(rows[0])] == list(zip(*rows))  # every column of R, in order
-            assert len(columns) == len(rows[0]) + len(free)
+            assert columns[len(rows[0]) :] == list(map(tuple, section))  # then G
             images = [sum(a * b for a, b in zip(z, column)) for column in columns]
             square = [c for c, x in zip(columns, images) if abs(x) == D]
             assert D > 0 and len(square) >= p
@@ -473,7 +472,7 @@ class TestSolve:
     def test_solve_leaves_its_argument(self):
         rows = [[0, 2, 1], [3, 0, 1], [1, 1, 0]]  # the first pivot needs a row swap
         copy = [row[:] for row in rows]
-        r, D, z, free, block = intmat._solve(rows)
+        D, *_ = intmat._solve(rows)
         assert rows == copy and D == 5
         rows = [[0, 2, 1], [0, 4, 2], [1, 1, 0]]  # singular: the section completes it
         copy = [row[:] for row in rows]

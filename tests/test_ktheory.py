@@ -4,7 +4,7 @@ import random
 import re
 import time
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import gcd, lcm, log2, prod
 
 import pytest
 
@@ -28,6 +28,7 @@ from conftest import (
     PRIMES_61,
     exact_rank_det,
     family_graph,
+    huge_graph,
     infinite_order_graph,
     presentation_rows,
     rank_mod,
@@ -712,9 +713,26 @@ class TestK0Certificate:
         _raises("not onto", [IntMatrix([[-6]]), IntMatrix([[2, 0], [0, 2]])], [rose(7), two_roses])
 
     def test_factors_out_of_turn_raise(self, monkeypatch):
-        # the factors of Z/2 + Z/4 in the wrong order, (4, 2), still multiply
-        # to D = 8; each input is one block, so that the local step runs on
-        # it (diag(2, 4) would split into two blocks, Z/2 and Z/4)
+        # the factors of Z/2 + Z/4 in the wrong order, (4, 2), with their
+        # rows: they still multiply to D = 8, and each row kills A modulo
+        # its factor and maps onto it.  Each input is one block, so that
+        # the local step runs on it (diag(2, 4) would split into two
+        # blocks, Z/2 and Z/4).  _merge is the one place that puts the
+        # factors in turn, so the fault is a merge that leaves them reversed
+        merge = intmat._merge
+
+        def reversed_chain(chain, factors):
+            merge(chain, factors)
+            chain.reverse()
+            return chain
+
+        monkeypatch.setattr(intmat, "_merge", reversed_chain)
+        two_roses = build_graph(["a", "b"], [("a", "a", 3), ("a", "b", 2), ("b", "b", 5)])
+        _raises("divide in turn", [IntMatrix([[2, 2], [0, 4]])], [two_roses])  # Z/2 + Z/4
+        # a gcd phase whose diagonal comes out swapped hands the merge (4, 2)
+        # with the rows of (2, 4): the merge sorts the factors, and the row
+        # left with Z/4 does not kill A modulo 4
+        monkeypatch.undo()
         reduce = intmat._reduce
 
         def swapped(a, row_log, col_log, modulus=0):
@@ -722,8 +740,7 @@ class TestK0Certificate:
             a[0][0], a[1][1] = a[1][1], a[0][0]
 
         monkeypatch.setattr(intmat, "_reduce", swapped)
-        two_roses = build_graph(["a", "b"], [("a", "a", 3), ("a", "b", 2), ("b", "b", 5)])
-        _raises("divide in turn", [IntMatrix([[2, 2], [0, 4]])], [two_roses])  # Z/2 + Z/4
+        _raises("does not kill A", [IntMatrix([[2, 2], [0, 4]])], [two_roses])
 
     @pytest.mark.parametrize("wrong", [lambda d: 2 * d, lambda d: -d - 1], ids=["double", "next"])
     def test_wrong_determinant_raises(self, monkeypatch, wrong):
@@ -735,8 +752,8 @@ class TestK0Certificate:
         solve = intmat._solve
 
         def corrupted(residual):
-            r, D, *rest = solve(residual)
-            return r, abs(wrong(D)), *rest
+            D, *rest = solve(residual)
+            return abs(wrong(D)), *rest
 
         monkeypatch.setattr(intmat, "_solve", corrupted)
         _raises("does not kill A", [_MODULAR_MATRIX], [_MODULAR_GRAPH])
@@ -762,9 +779,9 @@ class TestK0Certificate:
         solve = intmat._solve
 
         def corrupted(residual):
-            r, D, z, *rest = solve(residual)
+            D, z, *rest = solve(residual)
             z[entry] += 1
-            return r, D, z, *rest
+            return D, z, *rest
 
         monkeypatch.setattr(intmat, "_solve", corrupted)
         _raises("does not kill A|not onto", [_MODULAR_MATRIX, _LOCAL_MATRIX],
@@ -772,19 +789,25 @@ class TestK0Certificate:
 
     @pytest.mark.parametrize("entry", [0, -1])
     def test_corrupted_crt_row_raises(self, monkeypatch, entry):
-        # the row that CRT builds for the largest factor, one entry off by
-        # one before the pull-back (D_t < D: the Z/29 and Z/5 parts join
-        # the local factor)
-        local_factors = intmat._local_factors
+        # the row that CRT builds in _merge for the largest factor, where
+        # the solve's cyclic part joins the local step's last factor, one
+        # entry off by one before the pull-back (D_t < D: the Z/29 and Z/5
+        # parts join the local factor)
+        local_factors, merge = intmat._local_factors, intmat._merge
 
-        def corrupted(block, D, z):
-            factors, rows, bound = local_factors(block, D, z)
-            # a CRT step ran: the last factor has a prime that t lacks
-            assert intmat._prime_part(factors[-1], gcd(D, *z)) < factors[-1]
-            rows[-1][entry] += 1
-            return factors, rows, bound
+        def cyclic_part_last(block, D, z):
+            pairs, bound = local_factors(block, D, z)
+            # the solve's cyclic part comes last, prime to the factor before it
+            assert len(pairs) > 1 and gcd(pairs[-1][0], pairs[-2][0]) == 1
+            return pairs, bound
 
-        monkeypatch.setattr(intmat, "_local_factors", corrupted)
+        def corrupted(chain, factors):
+            merge(chain, factors)
+            chain[-1][1][entry] += 1
+            return chain
+
+        monkeypatch.setattr(intmat, "_local_factors", cyclic_part_last)
+        monkeypatch.setattr(intmat, "_merge", corrupted)
         _raises("does not kill A|not onto", [_LOCAL_MATRIX], [_SPLIT_GRAPH])
 
     def test_dropped_prime_power_raises(self, monkeypatch):
@@ -968,9 +991,9 @@ class TestK0Certificate:
             assert sorted(snf.diagonal) == sorted(abs(int(theirs[i, i])) for i in range(size))
             solved.clear()
             _check_coordinates(rows, snf)  # smith_coordinates gives snf's diagonal
-            assert solved.count((0, 1, [1], [[1]], [[1]])) == sum(not any(row) for row in
+            assert solved.count((1, [1], [[1]], [[1]], [[1]])) == sum(not any(row) for row in
                                                                  intmat._unit_phase(rows)[3])
-            beside += any(free and D > 1 for _, D, _, free, _ in solved)
+            beside += any(free and D > 1 for D, _, free, _, _ in solved)
         for graph in graphs:
             _check_full_presentation(_presentation(graph), _cold(graph))
         assert beside >= 120
@@ -992,9 +1015,9 @@ class TestK0Certificate:
         else:
 
             def corrupted(residual):
-                r, D, z, free, block = solve(residual)
+                D, z, free, section, block = solve(residual)
                 free[0][-1] += 1
-                return r, D, z, free, block
+                return D, z, free, section, block
 
             monkeypatch.setattr(intmat, "_solve", corrupted)
         # each input's R has nonzero rows with a kernel, which reach the
@@ -1009,9 +1032,9 @@ class TestK0Certificate:
         solve = intmat._solve
 
         def corrupted(residual):
-            r, D, z, free, block = solve(residual)
-            block[-1][-1] += 1
-            return r, D, z, free, block
+            D, z, free, section, block = solve(residual)
+            section[-1][-1] += 1
+            return D, z, free, section, block
 
         monkeypatch.setattr(intmat, "_solve", corrupted)
         _raises("split off", [_INTEGER_MATRIX, _REPLAYED_MATRIX], [_KERNEL_GRAPH])
@@ -1113,6 +1136,43 @@ class TestInputFamilies:
             assert len(rows) != len(rows[0]) or 0 in diagonal
         for p in (2, 3):
             assert rank_mod(rows, p)[0] == sum(d % p != 0 for d in diagonal)
+
+    @pytest.mark.parametrize("graph", [scc_graph(200, 0), scc_graph(400, 0), family_graph("dense", 120)],
+                             ids=["scc200", "scc400", "dense120"])
+    def test_size_contract(self, monkeypatch, graph):
+        # the intmat module docstring's contract on a nonsingular
+        # presentation: R's entries, each block's D and z, and every torsion
+        # coordinate row stay within H + log2(p) + 1 bits, for H the sum
+        # over A's nonzero columns of log2 of the column norm and p the rows
+        # of R.  Measured: scc200 H 377, D 237 and z 238 bits; scc400 H 750,
+        # D 461 and z 466 bits; dense120 H 355, D 211 and z 214 bits
+        rows = presentation_rows(graph)
+        solves = []
+        solve = intmat._solve
+        monkeypatch.setattr(intmat, "_solve", lambda block: solves.append(solve(block)) or solves[-1])
+        diagonal, coordinate_rows = smith_coordinates(rows)
+        assert len(rows) == len(rows[0]) and 0 not in diagonal  # nonsingular: every row is torsion
+        residual = intmat._unit_phase(rows)[3]
+        hadamard = sum(log2(sum(x * x for x in column)) / 2 for column in zip(*rows) if any(column))
+        bits = [abs(x).bit_length() for row in residual for x in row]
+        bits += [abs(x).bit_length() for D, z, *_ in solves for x in (D, *z)]
+        bits += [x.bit_length() for row in coordinate_rows for x in row]
+        assert max(bits) <= hadamard + log2(len(residual)) + 1
+
+    def test_large_multiplicities_within_budget(self):
+        # conftest.huge_graph: 12 vertices, every multiplicity of 1,000
+        # digits, so H is about 40,000 bits.  K0 took 0.11-0.19 s of CPU
+        # (20 vertices took 0.69-1.1 s); the budget is 1.0 s.  The product
+        # of the diagonal is sympy's |det| (about 0.3 s), as exact_rank_det
+        # has too few primes for a bound this large
+        sympy = pytest.importorskip("sympy")
+        graph = huge_graph(12, 1000)
+        start = time.process_time()
+        k0 = k0_of_graph(graph)
+        spent = time.process_time() - start
+        det = sympy.Matrix(presentation_rows(graph)).det()
+        assert det and k0.group.free_rank == 0 and k0.group.torsion_size == abs(det)
+        assert spent <= 1.0, f"K0 with 1,000-digit multiplicities took {spent:.2f} s of CPU"
 
     def test_modular_elimination_against_sympy(self):
         # exact_rank_det on small matrices, singular, non-square and with
