@@ -20,15 +20,15 @@ each block's cokernel as cyclic factors off one fraction-free solve
 one chain without factoring (``_merge``), and checks the answer once, not
 its steps (``_certify``).
 
-Size contract.  Let H be the sum over A's nonzero columns of log2 of the
-column norm, so no minor of A exceeds 2^H (Hadamard).  R is the Schur
-complement of the unit phase's pivot block, of det +-1, so each minor of R
-is +- a minor of A (Sylvester).  On a nonsingular A each block's S is its
-R: R's entries and D stay below 2^H and z = +-adj(R^T) 1 below p 2^H for
-R with p rows, so they and every torsion coordinate row (reduced modulo
-d_i <= D) take at most H + log2(p) + 1 bits.  A singular A has no such
-bound yet: _saturate's Euclid steps can give its section and free rows
-many times H bits.
+Size contract.  With H the sum over A's nonzero columns of log2 of the
+column norm, no minor of A exceeds 2^H (Hadamard), and as R is the Schur
+complement of the unit phase's pivot block, of det +-1, every minor of R
+is +- one of A (Sylvester).  So on a nonsingular A, where each block's S
+is its R, with p rows, R's entries, D, z = +-adj(R^T) 1 (a sum of p
+cofactors) and every torsion coordinate row (modulo d_i <= D) take at
+most H + log2(p) + 1 bits.  A singular A has no such bound yet:
+_saturate's Euclid steps can give its section and free rows many times H
+bits.
 
 ``Record`` is the package's immutable record base, which the frozen
 records of every module (``IntMatrix`` and ``SmithDecomposition`` here,

@@ -141,9 +141,9 @@ def _cyclic_normal_form(d: int, row: tuple[int, ...]) -> tuple[tuple[int, ...]]:
     longer depends on the basis the elimination chose.
 
     With g = gcd(u, d), lam is (u/g)^-1 modulo d/g and 1 modulo the part of
-    d prime to d/g (_prime_part), joined by CRT without a search.  A prime
-    of d divides d/g, where lam is invertible, or only the other part,
-    where lam is 1, so lam is a unit modulo d, and lam * u = g modulo d.
+    d prime to d/g (_prime_part), joined by CRT (_join).  A prime of d
+    divides d/g, where lam is invertible, or only the other part, where
+    lam is 1, so lam is a unit modulo d, and lam * u = g modulo d.
     """
     u = sum(row) % d
     g = gcd(u, d)

@@ -1137,7 +1137,8 @@ class TestInputFamilies:
         for p in (2, 3):
             assert rank_mod(rows, p)[0] == sum(d % p != 0 for d in diagonal)
 
-    @pytest.mark.parametrize("graph", [scc_graph(200, 0), scc_graph(400, 0), family_graph("dense", 120)],
+    @pytest.mark.parametrize("graph",
+                             [scc_graph(200, 0), scc_graph(400, 0), family_graph("dense", 120)],
                              ids=["scc200", "scc400", "dense120"])
     def test_size_contract(self, monkeypatch, graph):
         # the intmat module docstring's contract on a nonsingular
@@ -1161,10 +1162,10 @@ class TestInputFamilies:
 
     def test_large_multiplicities_within_budget(self):
         # conftest.huge_graph: 12 vertices, every multiplicity of 1,000
-        # digits, so H is about 40,000 bits.  K0 took 0.11-0.19 s of CPU
-        # (20 vertices took 0.69-1.1 s); the budget is 1.0 s.  The product
-        # of the diagonal is sympy's |det| (about 0.3 s), as exact_rank_det
-        # has too few primes for a bound this large
+        # digits, so H is about 40,000 bits.  K0 took 0.17-0.19 s of CPU on
+        # a shared 2-CPU machine (20 vertices took 1.1 s); the budget is
+        # 1.0 s.  The product of the diagonal is sympy's |det| (about
+        # 0.3 s), as exact_rank_det has too few primes for a bound this large
         sympy = pytest.importorskip("sympy")
         graph = huge_graph(12, 1000)
         start = time.process_time()
