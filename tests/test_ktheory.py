@@ -1711,6 +1711,20 @@ class TestGoldenOutputs:
             outputs.append((snf.U, snf.V, snf.diagonal))
         assert _digest(outputs) == _SNF_DIGEST
 
+    def test_smith_normal_form_on_graphs(self):
+        # presentations on which the unit phase takes many pivots, k = 33,
+        # 36, 37 and 72 of 48, 48, 48 and 96 rows on the scc graphs, 19 on
+        # the dense one and 36 on the 48 x 40 one with sinks, and one with
+        # no unit at all (k = 0): U, V and the diagonal of each
+        graphs = [scc_graph(48, seed) for seed in range(3)] + [scc_graph(96, 0)]
+        graphs += [family_graph("dense", 40), family_graph("sinks", 48, 1),
+                   family_graph("blocks", 40)]
+        outputs = []
+        for graph in graphs:
+            snf = smith_normal_form(IntMatrix(presentation_rows(graph)))
+            outputs.append((snf.U, snf.V, snf.diagonal))
+        assert _digest(outputs) == _SNF_GRAPHS_DIGEST
+
     def test_cokernel_route_shapes(self):
         # shapes the golden graphs lack: matrices with zeroed rows, singular
         # and non-square ones, and graphs with sinks, lone loops and links,
@@ -1768,6 +1782,7 @@ def _shape_graphs(rng: random.Random, count: int) -> list[DirectedGraph]:
 _K0_DIGEST = "f812b0257e869ab7bb919ee8385d846e3a49ce4566cc4a893e18f1b72797d18e"
 _K0_BASIS_DIGEST = "8774be355ab3f559fe9846694f42cc09e9a82ae5984a86a2ba6667e07d0fb3d7"
 _SNF_DIGEST = "cf534ec0c0e391bb101652a98abe28c1de6054479ac2d890852e3d18414b526c"
+_SNF_GRAPHS_DIGEST = "c36a2acd50ecb599d27f97c825d08b607c72f843dddc2ab939b352ca45d41f42"
 _SHAPES_DIGEST = "deb6a12d46e7fb5bc1807e3eaa49e02e9f4e3515fa882e1c289595337b0d00b6"
 _CENSUS_GROUPS_DIGEST = "66e1df835b1d9d09334cfd57aa480dd8a277aaf703440dff621e4c30bf321d8e"
 _CENSUS_K0_DIGEST = "843943a6cd32a796ce46c6d1124620a1f121f4a51faddcb83466cbe59bbfea35"
