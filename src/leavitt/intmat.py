@@ -5,14 +5,16 @@ normal form intermediates routinely outgrow machine words, so there is no
 fixed-width fast path anywhere.
 
 Every Smith computation starts with a unit phase (``_clear_units``) on a
-dense copy of A that only whole-row elementary steps change, and whose
-form check (``_unit_phase``) finds k pivots, a unit upper-triangular block
-over a residual block R, so coker A = coker R and |det A| = |det R|.  Each
-phase logs its row and column steps in two lists, of five elementary kinds
-with an int multiplier, which ``_replay`` applies, at its own block's
-indices.  ``smith_normal_form`` runs the gcd phase (``_reduce``) on R over
-Z, builds U and V from the unit phase's row and column steps, replays the
-gcd phase's on U's rows and V's columns from k on, and checks U A V == D.
+dense copy of A that only whole-row elementary steps change, and which
+logs those steps alone.  Its form check (``_unit_phase``) takes the copy's
+columns in pivot order, as B = [[T, X], [0, R]] with T unit upper
+triangular of size k over a residual block R, so coker A = coker R and
+|det A| = |det R|.  A log lists elementary steps of five kinds with an int
+multiplier, which ``_replay`` applies.  ``smith_normal_form`` runs the one
+gcd phase (``_reduce``) on all of B over Z, which clears the pivot rows by
+column steps and then diagonalises R, at B's indices; U is I with every
+row step replayed, V the permutation of the pivot order with every column
+step, and it checks U A V == D.
 ``smith_coordinates``, the cokernel path of ``ktheory``, builds neither:
 it splits R into blocks that no nonzero entry joins (``_blocks``), reads
 each block's cokernel as cyclic factors off one fraction-free solve
@@ -262,32 +264,35 @@ def _diagonal_rows(m: int, n: int, diagonal: Sequence[int]) -> list[list[int]]:
 
 # (kind, i, j, q), one of five kinds with an int q: "row_add"/"col_add" add
 # q * row/col i to row/col j, "row_swap"/"col_swap" swap i and j, "row_neg"
-# negates row i (j == i).  A phase logs row steps and column steps in two
-# lists, each in step order and at the indices of the block it works on:
-# the unit phase at A's, the gcd phase at the residual block R's
+# negates row i (j == i).  A log holds steps in step order, at the indices
+# of the block its phase works on: the unit phase logs row steps only, at
+# A's; the gcd phase appends its row and column steps to two lists, at B's
+# in snf and at a block's of R in the local step
 _Step = tuple[str, int, int, int]
 _Cyclic = tuple[int, list[int]]  # a cyclic factor Z/d and its coordinate row modulo d
 
 
-def _place(log: list[_Step], kind: str, targets: list[int], size: int) -> list[int]:
-    """Log the swaps of the given kind that move targets[t] to slot t; return slot -> index."""
+def _place(targets: list[int], size: int, log: list[_Step] | None = None) -> list[int]:
+    """The swaps that move targets[t] to slot t, logged as row swaps when a
+    log is given; return slot -> index."""
     at, slot = list(range(size)), list(range(size))
     for t, i in enumerate(targets):
         s = slot[i]
         if s != t:
-            log.append((kind, t, s, 0))
+            if log is not None:
+                log.append(("row_swap", t, s, 0))
             moved = at[t]
             at[t], at[s] = i, moved
             slot[i], slot[moved] = t, s
     return at
 
 
-def _clear_units(b: list[list[int]]) -> tuple[list[_Step], list[_Step], int, list[int]]:
+def _clear_units(b: list[list[int]]) -> tuple[list[_Step], int, list[int]]:
     """The unit phase on b, a dense copy of A that it changes in place: it
     pivots on a +-1 entry while any row holds one and clears the pivot's
-    row and column exactly.  Returns its row steps, each applied to b as it
-    is logged, its column steps, only logged, its number k of pivots, and
-    order, where order[t] is the column its column swaps move to slot t.
+    column by row steps.  Returns its row steps, each applied to b as it is
+    logged, its number k of pivots, and order, where order[t] is the column
+    of pivot t for t < k and the others follow.
 
     Each column keeps the set of rows that hold it, and each row its number
     of nonzeros, updated at each entry change.  The pivot row is the row
@@ -299,21 +304,22 @@ def _clear_units(b: list[list[int]]) -> tuple[list[_Step], list[_Step], int, lis
     is the unit whose column has the fewest holders, then the lowest
     column.  Row additions clear the pivot column, which brings the pivot
     row's other entries into those rows (the fill this order keeps small);
-    column additions would clear the pivot row, and a -1 pivot row is
-    negated.  Steps are logged at original indices and the rows of a
-    column are walked in sorted order, so the log does not depend on the
-    hash seed.  Finally row swaps, applied to b too, and column swaps move
-    pivot t to slot t: the log applied to A gives diag(1, ..., 1) + R, with
-    k ones and a residual block R with no unit.
+    the pivot row leaves every other column's holders, so no later step
+    changes it, and a -1 pivot row is negated.  Steps are logged at
+    original indices and the rows of a column are walked in sorted order,
+    so the log does not depend on the hash seed.  Finally row swaps,
+    applied to b too, move pivot t to row t, and the same swaps on the
+    columns, not logged, give order: b's columns in order are then
+    [[T, X], [0, R]], with a residual block R with no unit.
     """
     m, n = len(b), len(b[0])
     if not any(1 in row or -1 in row for row in b):
-        return [], [], 0, list(range(n))
+        return [], 0, list(range(n))
     counts = [n - row.count(0) for row in b]
     holders = [set(compress(range(m), column)) for column in zip(*b)]
     heap = [(count, i) for i, count in enumerate(counts)]
     heapify(heap)
-    row_log, col_log, pivot_rows, pivot_cols = [], [], [], []
+    row_log, pivot_rows, pivot_cols = [], [], []
     while heap:
         size, r = heappop(heap)
         row = b[r]
@@ -340,9 +346,8 @@ def _clear_units(b: list[list[int]]) -> tuple[list[_Step], list[_Step], int, lis
             counts[i] = count
             row_log.append(("row_add", r, i, q))
             heappush(heap, (count, i))
-        for j, x in entries:
+        for j, _ in entries:
             if j != c:  # column c now holds row r alone
-                col_log.append(("col_add", c, j, -x * u))
                 holders[j].discard(r)
         if u < 0:
             row_log.append(("row_neg", r, r, 0))
@@ -351,8 +356,8 @@ def _clear_units(b: list[list[int]]) -> tuple[list[_Step], list[_Step], int, lis
         pivot_rows.append(r)
         pivot_cols.append(c)
 
-    b[:] = [b[i] for i in _place(row_log, "row_swap", pivot_rows, m)]
-    return row_log, col_log, len(pivot_rows), _place(col_log, "col_swap", pivot_cols, n)
+    b[:] = [b[i] for i in _place(pivot_rows, m, row_log)]
+    return row_log, len(pivot_rows), _place(pivot_cols, n)
 
 
 def _reduce(
@@ -385,6 +390,12 @@ def _reduce(
     diagonal entry divides the next; a negative diagonal entry is negated
     at the end.  The phase ends once the block from (k, k) on is zero, as
     every later block is part of it: rescanning them costs cubic time.
+
+    On smith_normal_form's B = [[T, X], [0, R]], with T unit upper
+    triangular of size k, the first k steps clear the pivot rows with
+    column steps alone: at step t < k the pivot is B[t][t] = 1, column t is
+    zero below it, and each entry x of row t past it gets col_add(t, j,
+    -x), which changes no other row.  From k on it works on R in place.
 
     Modulo M a step whose pivot is a unit (c == 1) ends after its row pass:
     the column pass would only clear the rest of row k, and nothing reads
@@ -521,69 +532,52 @@ def _coordinate_rows(steps: list[_Step], wanted: list[tuple[list[int], int]]) ->
 
 def _unit_phase(
     rows: Sequence[Sequence[int]],
-) -> tuple[list[_Step], list[_Step], int, list[list[int]]]:
+) -> tuple[list[_Step], list[int], int, list[list[int]]]:
     """The unit phase of A (plain integer rows, read and not changed) and
-    its form check: its row steps, its column steps, its number k of
-    pivots, and the residual block R that it leaves, as fresh lists.
+    its form check: its row steps, its column order, its number k of
+    pivots, and the copy B that it leaves with its columns in that order,
+    a fresh list; with no pivot, order is the identity and B is A.
 
     The unit phase (_clear_units) runs on a dense copy of A, which only its
-    row steps change, each a whole-row addition, negation or swap.  With
-    order[t] the column that its column swaps move to slot t, the copy must
-    hold 1 at (t, order[t]) for t < k, and 0 below it in that column.
-    Taking the columns in that order, it is then [[T, X], [0, R]] with T
-    unit upper triangular.  Column steps [[T^-1, -T^-1 X], [0, I]] turn it
-    into diag(I, R), and elementary row steps keep the cokernel and |det|,
-    so coker A is coker R and |det A| = |det R|.  The log is checked
-    downstream, not against the copy: by the kill and onto checks on A of
-    _certify, and by smith_normal_form's U * A * V == D.
+    row steps change, each a whole-row addition, negation or swap.  Taking
+    the columns in order, B must hold 1 at (t, t) for t < k, and 0 below
+    it: it is then [[T, X], [0, R]] with T unit upper triangular.  Column
+    steps [[T^-1, -T^-1 X], [0, I]] turn B into diag(I, R), and elementary
+    row steps keep the cokernel and |det|, so coker A is coker R and
+    |det A| = |det R|.  The log is checked downstream, not against the
+    copy: by the kill and onto checks on A of _certify, and by
+    smith_normal_form's U * A * V == D.
     """
     b = [list(row) for row in rows]
-    row_steps, col_steps, k, order = _clear_units(b)
-    if not k:  # no unit: R is A
-        return row_steps, col_steps, 0, b
-    pivots, rest = order[:k], order[k:]
-    residual = [[row[j] for j in rest] for row in b[k:]]
-    rank = [k] * len(order)  # t for the pivot column order[t], k for the others
-    for t, c in enumerate(pivots):
-        rank[c] = t
-    # a row past k has as many more zeros than its part of R as there are
-    # pivot columns
-    if any(
-        row[c] != 1 or min(compress(rank, row)) < t for t, (row, c) in enumerate(zip(b, pivots))
-    ) or any(row.count(0) - part.count(0) != k for row, part in zip(b[k:], residual)):
+    row_steps, k, order = _clear_units(b)
+    if not k:  # no unit: B is A
+        return row_steps, order, 0, b
+    columns = list(zip(*b))
+    columns = [columns[j] for j in order]  # B's columns
+    if any(column[t] != 1 or any(column[t + 1 :]) for t, column in enumerate(columns[:k])):
         raise RuntimeError("internal error: the unit phase does not give [[T, X], [0, R]]")
-    return row_steps, col_steps, k, residual
-
-
-def _gcd_phase(residual: list[list[int]]) -> tuple[list[_Step], list[_Step], tuple[int, ...]]:
-    """The gcd phase over Z on a copy of the residual block R (read and not
-    changed): its row steps and its column steps, both at R's indices, and
-    R's Smith diagonal."""
-    block = [row[:] for row in residual]
-    row_steps: list[_Step] = []
-    col_steps: list[_Step] = []
-    _reduce(block, row_steps, col_steps)
-    size = min(len(block), len(block[0])) if block else 0
-    return row_steps, col_steps, tuple(block[i][i] for i in range(size))
+    return row_steps, order, k, [list(row) for row in zip(*columns)]
 
 
 def smith_normal_form(matrix: IntMatrix) -> SmithDecomposition:
-    """Smith normal form with both transformation matrices: U is I with the
-    unit row steps applied and then the gcd phase's on its rows from k on,
-    V likewise from the column steps.  U @ A @ V == D is checked densely
-    before returning; D is built from the diagonal alone, so the check also
-    shows that the elimination left nothing off it.
+    """Smith normal form with both transformation matrices, from the unit
+    phase's B = A P, for P the permutation matrix of its column order, and
+    one gcd phase over Z on B: U is I with the row steps of both phases
+    applied, and V is P with the gcd phase's column steps applied.  U @ A
+    @ V == D is checked densely before returning; D is built from the
+    diagonal alone, so the check also shows that the elimination left
+    nothing off it.
 
     >>> smith_normal_form(IntMatrix([[2, 0], [0, 3]])).diagonal
     (1, 6)
     """
     m, n = matrix.rows, matrix.cols
-    row_steps, col_steps, k, residual = _unit_phase(list(matrix))
-    gcd_rows, gcd_cols, diagonal = _gcd_phase(residual)
-    u, v = _replay(_identity_rows(m), row_steps), _replay(_identity_rows(n), col_steps)
-    u[k:] = _replay(u[k:], gcd_rows)
-    v = [row[:k] + tail for row, tail in zip(v, _replay([row[k:] for row in v], gcd_cols))]
-    diagonal = (1,) * k + diagonal
+    row_steps, order, _, b = _unit_phase(list(matrix))
+    col_steps: list[_Step] = []
+    _reduce(b, row_steps, col_steps)
+    u = _replay(_identity_rows(m), row_steps)
+    v = _replay([[int(i == j) for j in order] for i in range(n)], col_steps)
+    diagonal = tuple(b[i][i] for i in range(min(m, n)))
     U, D, V = IntMatrix(u), IntMatrix(_diagonal_rows(m, n, diagonal)), IntMatrix(v)
     if (U @ matrix) @ V != D:
         raise RuntimeError("internal error: transform identity U*A*V == D failed")
@@ -931,7 +925,8 @@ def smith_coordinates(
     them.
     """
     m, n = len(rows), len(rows[0])
-    row_steps, _, k, residual = _unit_phase(rows)
+    row_steps, _, k, b = _unit_phase(rows)
+    residual = [row[k:] for row in b[k:]] if k else b
     torsion, free, blocks = [], [], []
     for at, cols in _blocks(residual):
         whole = len(at) + k == m and len(cols) + k == n  # N is R itself

@@ -206,39 +206,59 @@ class TestSmithNormalForm:
             assert again.D == d
 
     @pytest.mark.parametrize(
-        "phase, kind",
+        "phase, kind, past",
         [
-            pytest.param("_unit_phase", "row_add", id="row_add"),
-            pytest.param("_unit_phase", "col_add", id="col_add"),
-            pytest.param("_gcd_phase", "row_add", id="gcd-row_add"),
-            pytest.param("_gcd_phase", "col_add", id="gcd-col_add"),
+            pytest.param("_unit_phase", "row_add", 0, id="row_add"),
+            pytest.param("_reduce", "col_add", 0, id="col_add"),
+            pytest.param("_reduce", "row_add", 2, id="gcd-row_add"),
+            pytest.param("_reduce", "col_add", 2, id="gcd-col_add"),
         ],
     )
-    def test_corrupted_log_raises(self, monkeypatch, phase, kind):
-        # U and V are built from the two phases' logs, so one changed
-        # coefficient in either must break the dense U @ A @ V == D check;
-        # here the unit phase takes k = 2 pivots and the gcd phase, on the
-        # 2 x 2 block R, logs both kinds
+    def test_corrupted_log_raises(self, monkeypatch, phase, kind, past):
+        # U is built from the unit phase's row steps and the gcd phase's,
+        # V from the gcd phase's column steps, so one changed coefficient in
+        # any of them must break the dense U @ A @ V == D check.  Here the
+        # unit phase takes k = 2 pivots; the gcd phase on B clears their
+        # rows by column additions from columns 0 and 1, then logs both
+        # kinds on the 2 x 2 block R.  The first step of the kind is
+        # corrupted whose index i is at least past: a unit-clearing column
+        # addition, or the gcd phase's first row or column step past k
         logged = getattr(intmat, phase)
+        changed = []
 
-        def corrupted(rows):
-            row_steps, col_steps, *rest = logged(rows)
-            log = col_steps if kind == "col_add" else row_steps
-            first = next(i for i, step in enumerate(log) if step[0] == kind)
+        def corrupt(log, start):
+            first = next(t for t in range(start, len(log)) if log[t][0] == kind and log[t][1] >= past)
             _, src, dst, q = log[first]
             log[first] = (kind, src, dst, q + 1)
-            return row_steps, col_steps, *rest
+            changed.append(src)
 
-        monkeypatch.setattr(intmat, phase, corrupted)
+        def unit_phase(rows):
+            result = logged(rows)
+            corrupt(result[0], 0)
+            return result
+
+        def reduce(a, row_log, col_log, modulus=0):
+            log = col_log if kind == "col_add" else row_log
+            start = len(log)
+            logged(a, row_log, col_log, modulus)
+            corrupt(log, start)
+
         a = IntMatrix([[-4, -1, -4, 3], [5, -2, 3, -2], [0, -4, -4, -2], [5, 0, -1, 1]])
+        assert intmat._unit_phase(a.to_lists())[2] == 2
+        monkeypatch.setattr(intmat, phase, unit_phase if phase == "_unit_phase" else reduce)
         with pytest.raises(RuntimeError, match="transform identity"):
             smith_normal_form(a)
+        assert len(changed) == 1
 
     def test_entries_left_off_the_diagonal_raise(self, monkeypatch):
         # D is built from the diagonal, so an elimination that stops early
         # cannot pass its leftovers off as part of D: here the gcd phase
-        # logs nothing on R = [[2, 4], [6, 8]] but returns its true diagonal
-        monkeypatch.setattr(intmat, "_gcd_phase", lambda residual: ([], [], (2, 4)))
+        # logs nothing on B = [[1, 0, 0], [0, 2, 4], [0, 6, 8]] (k = 1) and
+        # writes the true diagonal (1, 2, 4) into it, but leaves the 4 and 6
+        def reduce(a, row_log, col_log, modulus=0):
+            a[1][1], a[2][2] = 2, 4
+
+        monkeypatch.setattr(intmat, "_reduce", reduce)
         with pytest.raises(RuntimeError, match="transform identity"):
             smith_normal_form(IntMatrix([[1, 0, 0], [0, 2, 4], [0, 6, 8]]))
 

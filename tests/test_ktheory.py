@@ -422,7 +422,7 @@ def _corrupting(phase, corrupt: str, applied: bool = False):
 
     def corrupted(a, *args):
         # _reduce appends its row steps and its column steps to the two
-        # lists it is given; _clear_units returns them, in that order
+        # lists it is given; _clear_units returns its row steps first
         axis = kind.startswith("col")
         start = len(args[axis]) if args else 0
         rows = [list(row) for row in a]
@@ -590,8 +590,8 @@ class TestK0Certificate:
         # the unit phase with and without free rows, then the local step
         matrices, graphs = [_MODULAR_MATRIX, _INTEGER_MATRIX], [_MODULAR_GRAPH, _INTEGER_GRAPH]
         presentations = matrices + [_presentation(graph) for graph in graphs]
-        answers = _k0_answers(matrices, graphs)
         if corrupt.startswith("row"):
+            answers = _k0_answers(matrices, graphs)
             # a phase that applies the corrupted step leaves rows that are
             # not [[T, X], [0, R]]
             monkeypatch.setattr(
@@ -600,24 +600,23 @@ class TestK0Certificate:
             _raises("unit phase does not give", matrices, graphs)
             _snf_raises("unit phase does not give", presentations)
             monkeypatch.undo()
-        monkeypatch.setattr(intmat, "_clear_units", _corrupting(intmat._clear_units, corrupt))
-        if corrupt.startswith("row"):
             # a log that alone is wrong gives a U that fails U*A*V == D, and
             # each coordinate row that it changes fails its check against
             # A. A dropped negation changes none: a coordinate row is zero
             # on a pivot row when pulled back past its negation. Nor does
             # the last addition of _INTEGER_GRAPH's unit phase, whose
             # target each coordinate row holds at 0 modulo its factor
+            monkeypatch.setattr(intmat, "_clear_units", _corrupting(intmat._clear_units, corrupt))
             _snf_raises("transform identity", presentations)
             caught = {"row_add": 4, "row_swap": 4, "row_neg": 0, "row_add-last-dropped": 3}
             assert _caught(matrices, graphs, answers) == caught[corrupt]
         else:
-            # K0 reads only the unit phase's row steps, so its answers
-            # stand: the form check takes its column order from the phase,
-            # not from the logged swaps.  The dense U*A*V == D check of snf
-            # reads the column steps
+            # the unit phase logs no column step: snf's V comes from the
+            # gcd phase over Z on B, whose first column addition clears a
+            # unit pivot's row and whose first swap moves a column of R, and
+            # the dense U*A*V == D check reads them
+            monkeypatch.setattr(intmat, "_reduce", _corrupting(intmat._reduce, corrupt))
             _snf_raises("transform identity", presentations)
-            assert _k0_answers(matrices, graphs) == answers
         monkeypatch.undo()
         # the local step's log, where [R | G] is wider than tall, is replayed;
         # modulo D_t no row is negated
@@ -630,7 +629,7 @@ class TestK0Certificate:
         # with no step: each row holds 1 at its pivot, but row 1 also holds
         # pivot 0's column, so T is not triangular; taken as it stands, it
         # would give the trivial group instead of Z
-        monkeypatch.setattr(intmat, "_clear_units", lambda b: ([], [], len(b), [0, 1]))
+        monkeypatch.setattr(intmat, "_clear_units", lambda b: ([], len(b), [0, 1]))
         matrix = IntMatrix([[1, 1], [1, 1]])
         _raises("unit phase does not give", [matrix], [])
         _snf_raises("unit phase does not give", [matrix])
@@ -885,8 +884,9 @@ class TestK0Certificate:
     def test_row_additions_stay_bounded(self):
         # 17,330 row additions with the unit phase and the column pivot rule;
         # 18,792 when every pivot came from the dense gcd loop's row-major scan
-        row_steps, _, _, residual = intmat._unit_phase(_presentation(scc_graph(200, 0)).to_lists())
-        row_steps += intmat._gcd_phase(residual)[0]
+        # (the gcd phase on B logs no row step at the unit pivots)
+        row_steps, _, _, b = intmat._unit_phase(_presentation(scc_graph(200, 0)).to_lists())
+        intmat._reduce(b, row_steps, [])
         assert sum(step[0] == "row_add" for step in row_steps) < 18_500
 
     def test_zero_trailing_block_ends_the_gcd_phase(self):
@@ -984,7 +984,7 @@ class TestK0Certificate:
             cases.append(rows)
         beside = 0  # R's nonzero rows have both a kernel row and torsion
         for rows in cases:
-            assert not all(map(any, intmat._unit_phase(rows)[3]))  # R has a zero row
+            assert not all(map(any, _residual(rows)))  # R has a zero row
             theirs = sympy_snf(sympy.Matrix(rows), domain=sympy.ZZ)
             snf = smith_normal_form(IntMatrix(rows))
             size = len(snf.diagonal)
@@ -992,7 +992,7 @@ class TestK0Certificate:
             solved.clear()
             _check_coordinates(rows, snf)  # smith_coordinates gives snf's diagonal
             assert solved.count((1, [1], [[1]], [[1]], [[1]])) == sum(not any(row) for row in
-                                                                 intmat._unit_phase(rows)[3])
+                                                                 _residual(rows))
             beside += any(free and D > 1 for D, _, free, _, _ in solved)
         for graph in graphs:
             _check_full_presentation(_presentation(graph), _cold(graph))
@@ -1153,7 +1153,7 @@ class TestInputFamilies:
         monkeypatch.setattr(intmat, "_solve", lambda block: solves.append(solve(block)) or solves[-1])
         diagonal, coordinate_rows = smith_coordinates(rows)
         assert len(rows) == len(rows[0]) and 0 not in diagonal  # nonsingular: every row is torsion
-        residual = intmat._unit_phase(rows)[3]
+        residual = _residual(rows)
         hadamard = sum(log2(sum(x * x for x in column)) / 2 for column in zip(*rows) if any(column))
         bits = [abs(x).bit_length() for row in residual for x in row]
         bits += [abs(x).bit_length() for D, z, *_ in solves for x in (D, *z)]
@@ -1223,6 +1223,23 @@ class TestCensus:
             for p in (2, 3):
                 assert rank_mod(rows, p)[0] == sum(d % p != 0 for d in diagonal), (graph, p)
 
+    def test_against_modular_determinant(self, census):
+        # each graph's K0 against the exact rank and determinant of its
+        # I - A^T by conftest.exact_rank_det, which shares no code with
+        # intmat: at full rank n, K0 is finite of order |det|; otherwise
+        # its free rank is n minus the rank
+        full = 0
+        for graph in census:
+            rank, det = exact_rank_det(presentation_rows(graph))
+            group = k0_of_graph(graph).group
+            n = len(graph.vertices)
+            if rank == n:
+                full += 1
+                assert group.free_rank == 0 and group.torsion_size == abs(det), graph
+            else:
+                assert rank == n - group.free_rank, graph
+        assert full == 11_138
+
     def test_sample_against_sympy(self, census):
         # 300 graphs drawn with seed 909: K0's group is the one read off
         # sympy's Smith form of I - A^T
@@ -1238,7 +1255,7 @@ class TestCensus:
             assert group.free_rank == len(rows) - sum(d != 0 for d in diagonal), graph
 
     def test_matrix_type_triangle(self, census):
-        # 400 graphs drawn with seed 910, c, d <= 4: the gcd rule on the
+        # 400 graphs drawn with seed 910, c, d <= 8: the gcd rule on the
         # unit order n (c == d for a unit of infinite order), the pointed-K0
         # comparison of the head graphs m_graph(E, c) and m_graph(E, d),
         # and, on a finite K0 of at most 1024 elements (every finite one
@@ -1247,16 +1264,16 @@ class TestCensus:
         for graph in random.Random(910).sample(census, 400):
             k0 = k0_of_graph(graph)
             group, unit, n = k0.group, k0.unit, k0.unit_order
-            heads = {c: k0_of_graph(m_graph(graph, c)) for c in range(1, 5)}
+            heads = {c: k0_of_graph(m_graph(graph, c)) for c in range(1, 9)}
             finite = group.is_finite and group.torsion_size <= 1024
-            for c, d in itertools.product(range(1, 5), repeat=2):
+            for c, d in itertools.product(range(1, 9), repeat=2):
                 rule = c == d if n is INFINITE else gcd_criterion(n, c, d)
                 assert compare_pointed_k0(heads[c], heads[d]).isomorphic == rule, (graph, c, d)
                 if finite:
                     oracle += 1
                     assert automorphism_maps_x_to_y(
                         group, scale(group, c, unit), scale(group, d, unit)) == rule, (graph, c, d)
-        assert oracle >= 5_000
+        assert oracle >= 20_000
 
 
 def _unit_order_by_fractions(m: IntMatrix) -> int:
@@ -1533,20 +1550,26 @@ def _greedy_unit_phase(rows) -> tuple[list[int], list[list[int]]]:
     return pivot_cols, [b[i] for i in at]
 
 
+def _residual(rows) -> list[list[int]]:
+    """The residual block R that the unit phase leaves: B's block from (k, k)."""
+    _, _, k, b = intmat._unit_phase(rows)
+    return [row[k:] for row in b[k:]]
+
+
 def _replayed_unit_phase(rows, unit_phase=intmat._unit_phase):
     """unit_phase(rows), with what the phase itself does not check: it
     leaves rows unchanged, its row steps, replayed on a fresh copy of A,
-    give the rows that its form check read, and the column order that the
-    form check took is the one its column swaps give."""
+    give the rows that its form check read, and B is those rows with their
+    columns in the phase's order, a permutation."""
     before = [list(row) for row in rows]
     result = unit_phase(rows)
     assert [list(row) for row in rows] == before
     b = [list(row) for row in rows]
-    row_steps, col_steps, k, order = intmat._clear_units(b)
-    assert (row_steps, col_steps, k) == result[:3]
+    row_steps, k, order = intmat._clear_units(b)
+    assert (row_steps, order, k) == result[:3]
     assert intmat._replay(rows, row_steps) == b
-    swaps = [step for step in col_steps if step[0] == "col_swap"]
-    assert order == intmat._replay([range(len(b[0]))], swaps)[0]
+    assert sorted(order) == list(range(len(b[0])))
+    assert result[3] == [[row[j] for j in order] for row in b]
     return result
 
 
@@ -1565,13 +1588,24 @@ class TestUnitPhase:
         cases += [_fill_rows(rng, rng.randint(2, 6), rng.randint(2, 6)) for _ in range(60)]
         negated = lost = gained = rectangular = 0
         for rows in cases:
-            row_steps, col_steps, k, residual = _replayed_unit_phase(rows)
-            # the column steps, after the row steps, leave diag(1, ..., 1) + R
-            a = intmat._replay(intmat._replay(rows, row_steps), col_steps)
-            assert residual == [row[k:] for row in a[k:]]
-            assert all(a[i][j] == (i == j) for i in range(k) for j in range(len(a[0])))
-            assert all(a[i][j] == 0 for i in range(k, len(a)) for j in range(k))
+            row_steps, _, k, b = _replayed_unit_phase(rows)
+            residual = [row[k:] for row in b[k:]]
+            # B is [[T, X], [0, R]] with T unit upper triangular
+            assert all(b[i][j] == (i == j) for i in range(k) for j in range(i + 1))
+            assert all(b[i][j] == 0 for i in range(k, len(b)) for j in range(k))
             assert not any(x in (1, -1) for row in residual for x in row)
+            # the gcd phase's first steps on B, column additions from the
+            # pivot columns alone, leave diag(1, ..., 1) + R; every later
+            # step indexes rows and columns from k on
+            gcd_rows, gcd_cols = [], []
+            intmat._reduce([row[:] for row in b], gcd_rows, gcd_cols)
+            clearing = [step for step in gcd_cols if step[1] < k]
+            assert gcd_cols[: len(clearing)] == clearing
+            assert {kind for kind, *_ in clearing} <= {"col_add"}
+            assert all(i >= k for _, i, _, _ in gcd_rows)
+            a = intmat._replay(b, clearing)
+            assert all(a[i][j] == (i == j) for i in range(k) for j in range(len(a[0])))
+            assert [row[k:] for row in a[k:]] == residual
             negated += any(step[0] == "row_neg" for step in row_steps)
             holding = sum(any(x in (1, -1) for x in row) for row in rows)
             lost += holding > k
@@ -1600,7 +1634,7 @@ class TestUnitPhase:
         gained = 0
         for rows in cases:
             b = [list(row) for row in rows]
-            _, _, k, order = intmat._clear_units(b)
+            _, k, order = intmat._clear_units(b)
             assert (order[:k], b) == _greedy_unit_phase(rows)
             gained += sum(any(x in (1, -1) for x in row) for row in rows) < k
         assert gained >= 60  # rows pivoted on a unit that fill brought
@@ -1621,10 +1655,11 @@ class TestUnitPhase:
         assert len(calls) == len(_golden_graphs()) + 1
 
     def test_each_list_holds_one_axis(self, monkeypatch):
-        # the unit phase and the gcd phase, over Z and modulo D_t, each log
-        # their row steps and their column steps in two lists, on the
-        # golden presentations and on seeded random matrices; the gcd phase
-        # logs at R's own indices, so every step of it indexes inside R
+        # the unit phase logs row steps alone, and the gcd phase, over Z on
+        # snf's B and modulo D_t on a block of R, logs its row steps and its
+        # column steps in two lists, on the golden presentations and on
+        # seeded random matrices; each log indexes inside the block its
+        # phase works on, the unit phase's and snf's inside A
         rng = random.Random(79)
         cases = [_presentation(graph).to_lists() for graph in _golden_graphs()]
         cases += [_unit_rich_rows(rng, rng.randint(1, 9), rng.randint(1, 9)) for _ in range(100)]
@@ -1638,16 +1673,17 @@ class TestUnitPhase:
 
         def recording(a, row_log, col_log, modulus=0):
             reduce(a, row_log, col_log, modulus)
+            height, width = len(a), len(a[0]) if a else 0
+            assert all(i < height and j < height for _, i, j, _ in row_log)
+            assert all(i < width and j < width for _, i, j, _ in col_log)
             logged.append((row_log, col_log))
 
         monkeypatch.setattr(intmat, "_reduce", recording)
         for rows in cases:
-            row_steps, col_steps, _, residual = intmat._unit_phase(rows)
-            logged.append((row_steps, col_steps))
-            gcd_rows, gcd_cols, _ = intmat._gcd_phase(residual)
-            height, width = len(residual), len(residual[0]) if residual else 0
-            assert all(i < height and j < height for _, i, j, _ in gcd_rows)
-            assert all(i < width and j < width for _, i, j, _ in gcd_cols)
+            row_steps = intmat._unit_phase(rows)[0]
+            assert all(i < len(rows) and j < len(rows) for _, i, j, _ in row_steps)
+            logged.append((row_steps, []))
+            smith_normal_form(IntMatrix(rows))
             smith_coordinates(rows)
         kinds = {kind for logs in logged for log in logs for kind, *_ in log}
         assert kinds == row_kinds | col_kinds
